@@ -25,10 +25,6 @@ class BudgetExceededError(TripeelError):
         self.partial = partial
 
 
-class InsufficientExplorationError(TripeelError):
-    """A query needs map structure that has not been materialized."""
-
-
 class NumericalInstabilityError(TripeelError):
     """A certified numerical routine lost its accuracy guarantee."""
 

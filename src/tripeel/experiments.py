@@ -30,10 +30,12 @@ from .params import (
     q_step,
     z_partition,
 )
-from .peeling import ChainState, LayerChain, complete_ball
+# complete_ball stays importable from here: benchmarks/spans.py wraps it by name
+from .peeling import ChainState, LayerChain, complete_ball  # noqa: F401
 from .rng import RngStream
 from .stats import chi2_two_sample, linfit, mean_ci
 from .walk import (
+    _ball_audit,
     estimate_inv_degree,
     intersection_experiment,
     run_walk_peeling,
@@ -352,15 +354,7 @@ def run_walk_speed(
             }
         )
         if w < audit_trials:
-            # d is cached above, so the extra peeling cannot contaminate it
-            true_dist = complete_ball(
-                trace.engine, trace.x0, audit_radius, max_steps=max_ball_steps
-            )
-            tot = bad = 0
-            for n, v in enumerate(trace.positions):
-                if d[n] <= audit_radius:
-                    tot += 1
-                    bad += int(d[n] != true_dist[v])
+            tot, bad = _ball_audit(trace, audit_radius, max_ball_steps)
             audited += tot
             mismatched += bad
             per_audit.append([tot, bad])

@@ -21,14 +21,14 @@ with ``kappa = 2/27`` (``alpha = 2/3``) the critical point and smaller
 Tables are materialized lazily and grow deterministically: extending a
 table never changes an already readable entry, so a :class:`PeelParams`
 instance is logically immutable and safe to share between sequential
-trials.  A lock serializes growth for callers that insist on threads.
+trials.  Growth is not synchronized: threads that share an instance
+must serialize their calls themselves.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import threading
 from fractions import Fraction
 from hashlib import sha256
 from typing import Optional, Union
@@ -232,34 +232,6 @@ def c_tilde_table_exact(alpha: Fraction, p_max: int) -> list:
     return ct
 
 
-def _c_tilde_mpmath(alpha: float, lin: float, p_max: int) -> list:
-    """Extended-precision fallback for the harmonic forward recursion."""
-    import mpmath
-
-    with mpmath.workdps(60):
-        a = mpmath.mpf(alpha)
-        linm = mpmath.mpf(lin)
-        geo = (1 - a) / (2 * a)
-        qn = [mpmath.mpf(0)]
-        q = 2 * mpmath.mpf("0.5") * geo * (linm + 1)
-        qn.append(q)
-        for k in range(1, p_max):
-            ratio = (
-                mpmath.mpf((2 * k) * (2 * k - 1)) / (k * (k + 2))
-                * geo
-                * (linm * (k + 1) + 1) / (linm * k + 1)
-            )
-            q = q * ratio
-            qn.append(q)
-        ct = [mpmath.mpf(0), mpmath.mpf(0), 1 / (a * a)]
-        for p in range(2, p_max):
-            s = mpmath.mpf(0)
-            for k in range(1, p - 1):
-                s += qn[k] * ct[p - k]
-            ct.append((ct[p] - s) / a)
-        return [float(x) for x in ct]
-
-
 class PeelParams:
     """Frozen identity (kappa, alpha, beta, drift) plus lazily grown tables.
 
@@ -295,7 +267,6 @@ class PeelParams:
         self.ctilde_limit = math.inf if self.critical else 1.0 / (alpha * self.drift)
         self.q1 = alpha
 
-        self._lock = threading.Lock()
         self._qneg = [0.0]          # _qneg[k] = q_{-k}
         self._qcum = [alpha]        # _qcum[k] = q_1 + sum_{j<=k} q_{-j}
         self._ct = [0.0, 0.0, 1.0 / (alpha * alpha)]   # _ct[p] = C~_p
@@ -314,9 +285,7 @@ class PeelParams:
         return len(self._ct) - 1
 
     def ensure_q(self, k: int) -> None:
-        if k <= self.i_max:
-            return
-        with self._lock:
+        if k > self.i_max:
             self._grow_q(k)
 
     def _grow_q(self, k_target: int) -> None:
@@ -362,9 +331,7 @@ class PeelParams:
     # -- harmonic sequence --------------------------------------------
 
     def ensure_ctilde(self, p: int) -> None:
-        if p <= self.p_max or self._ct_clamped:
-            return
-        with self._lock:
+        if p > self.p_max and not self._ct_clamped:
             self._grow_ct(p)
 
     def _grow_ct(self, p_target: int) -> None:
@@ -385,17 +352,12 @@ class PeelParams:
             nxt = (ct[p] - s) / self.q1
             if nxt < ct[p]:
                 slack = (limit if limit < math.inf else ct[p]) * 1e-12
-                if nxt >= ct[p] - slack:
-                    nxt = ct[p]
-                else:
-                    self._ct = ct = _c_tilde_mpmath(self.alpha, self.lin, p_target + 1)
-                    for i in range(2, len(ct) - 1):
-                        if ct[i + 1] < ct[i]:
-                            raise NumericalInstabilityError(
-                                "harmonic forward recursion lost monotonicity "
-                                f"even at extended precision near p={i}"
-                            )
-                    continue
+                if nxt < ct[p] - slack:
+                    # entries already handed out stay as they are
+                    raise NumericalInstabilityError(
+                        f"harmonic forward recursion lost monotonicity at p={p + 1}"
+                    )
+                nxt = ct[p]
             if nxt > limit:
                 nxt = limit
             ct.append(nxt)

@@ -15,14 +15,13 @@ Contents:
 
 * :class:`StepSampler`, exact rejection sampling of one peel event;
 * :class:`PeelEngine` plus named selectors and :func:`run_algorithm`;
-* :class:`LayerEngine` and :func:`run_layers`, the cyclic exploration
-  that materializes hulls of balls around the root origin, with exact
+* :class:`LayerEngine` and :func:`run_layers`: a :class:`PeelEngine`
+  driven by the layer selector, the cyclic exploration that
+  materializes hulls of balls around the root origin, with exact
   distance labels;
 * :class:`ChainState` / :func:`run_chain`, the map-free twin;
 * :class:`LayerChain`, the map-free layer twin, with a vectorized fast
   path for deep layer runs;
-* :func:`simulate_unconditioned`, the untilted random walk used as a
-  rejection oracle;
 * :func:`complete_ball`, targeted peeling until a metric ball of the
   infinite map is provably complete;
 * trace and hull-series containers with CSV/JSON export and replay.
@@ -32,7 +31,6 @@ from __future__ import annotations
 
 import bisect
 import json
-import math
 from dataclasses import asdict, dataclass
 from typing import Callable, Optional, Sequence, Union
 
@@ -65,7 +63,6 @@ __all__ = [
     "run_algorithm",
     "run_layers",
     "run_chain",
-    "simulate_unconditioned",
     "estimate_pi_kappa",
     "complete_ball",
     "trace_to_csv",
@@ -251,17 +248,21 @@ class PeelEngine:
         m = self.map
         if not m.alive(edge) or m.hflag[edge] != FLAG_MAIN:
             raise MisuseError(f"half-edge {edge} is not on the main boundary")
+        return self._peel(edge)
+
+    def _peel(self, edge: int) -> StepRecord:
+        """The step body every engine shares: budget check, event,
+        surgery and filling, step record.  A fresh step leaves the cursor
+        on the edge leaving the new apex, so its origin is the apex."""
+        m = self.map
         self._check_budget()
-        p = m.perimeter
-        kind, k, side = self.sampler.sample(p, self.rng)
+        kind, k, side = self.sampler.sample(m.perimeter, self.rng)
         if kind == "fresh":
-            _, c1, _ = m.attach_fresh(edge)
-            self.cursor = c1
+            _, self.cursor, _ = m.attach_fresh(edge)
             dperim, dvol, filler = 1, 1, 0
         else:
-            cont, enclosed, _ = m.open_swallow(edge, k, side)
+            self.cursor, enclosed, _ = m.open_swallow(edge, k, side)
             filler = self.filler.fill_hole(m, enclosed, k + 1, self.rng)
-            self.cursor = cont
             dperim, dvol = -k, filler
         self.steps += 1
         rec = StepRecord(
@@ -365,9 +366,44 @@ def run_algorithm(
 # -- peeling by layers ---------------------------------------------------
 
 
-class LayerEngine:
+def _arc_step(layers, k: int, side: Optional[str], perimeter: int, volume) -> None:
+    """The layer arc rule, shared by :class:`LayerEngine` and
+    :class:`LayerChain`: apply one counted peel event (k = 0 fresh, else
+    a size-k swallow on the given side) to the old and new arc lengths.
+
+    A fresh apex joins the new arc.  A swallow toward the old arc
+    ('next') that takes all of it fires tau_r: what is left of the new
+    arc becomes the old arc of the next layer, and the hull record is
+    appended with the post-step perimeter and volume.  A swallow toward
+    the new arc that takes all of it eats into the old arc instead.
+    """
+    a, n = layers._A, layers._N
+    fired = False
+    if k == 0:
+        n += 1
+    elif side == "next":
+        if k < a:
+            a -= k
+        else:
+            a, n = n - (k - a), 0
+            fired = True
+    elif k < n:
+        n -= k
+    else:
+        a, n = a - (k - n), 0
+    if a + n != perimeter or a < 1 or perimeter < 2:
+        raise InvariantViolationError(
+            f"arc bookkeeping lost the boundary at step {layers.steps}"
+        )
+    layers._A, layers._N = a, n
+    if fired:
+        layers.hull.append(HullRecord(layers.cur_r, layers.steps, perimeter, volume))
+        layers.cur_r += 1
+
+
+class LayerEngine(PeelEngine):
     """Cyclic exploration that turns around the successive hull
-    boundaries.
+    boundaries: a :class:`PeelEngine` driven by the layer selector.
 
     The boundary always splits into an old arc (vertices at distance
     r - 1 from the origin of the root edge) and a new arc (distance r),
@@ -380,7 +416,8 @@ class LayerEngine:
 
     Fresh apexes are tagged with their layer index, which equals their
     graph distance to the root origin in the final infinite map; the
-    tags of already-explored vertices never change afterwards.
+    tags of already-explored vertices never change afterwards.  Peeling
+    any other edge through :meth:`peel_step` voids the arc bookkeeping.
     """
 
     def __init__(
@@ -390,20 +427,13 @@ class LayerEngine:
         *,
         record: bool = False,
         labels: bool = False,
-        volume: bool = True,
         max_steps: Optional[int] = None,
         max_vertices: Optional[int] = None,
     ):
-        self.params = params
-        self.rng = rng
-        self.map = TriMap.root_edge()
-        self.sampler = StepSampler(params)
-        self.filler = BoltzmannFiller(params)
-        self.steps = 0
-        self.records: Optional[list] = [] if record else None
+        super().__init__(
+            params, rng, record=record, max_steps=max_steps, max_vertices=max_vertices
+        )
         self.hull: list = []
-        self.max_steps = max_steps
-        self.max_vertices = max_vertices
         self.cur_r = 1
         # old arc = {origin}, new arc = {target of the root edge}
         self._A = 1
@@ -412,82 +442,17 @@ class LayerEngine:
         self.labels: Optional[dict] = None
         if labels:
             self.labels = {self.map.org[self.map.root]: 0, self.map.target(self.map.root): 1}
-        self._volume = volume
-
-    @property
-    def perimeter(self) -> int:
-        return self.map.perimeter
-
-    @property
-    def volume(self) -> int:
-        return self.map.nv
-
-    def _check_budget(self) -> None:
-        if self.max_steps is not None and self.steps >= self.max_steps:
-            raise BudgetExceededError(
-                f"peel step budget {self.max_steps} exhausted", partial=self
-            )
-        if self.max_vertices is not None and self.map.nv >= self.max_vertices:
-            raise BudgetExceededError(
-                f"vertex budget {self.max_vertices} exhausted", partial=self
-            )
 
     def step(self) -> StepRecord:
         m = self.map
-        self._check_budget()
         first = self.steps == 0
-        edge = self.seam
-        kind, k, side = self.sampler.sample(m.perimeter, self.rng)
-        fired = False
-        if kind == "fresh":
-            _, c1, apex = m.attach_fresh(edge)
-            if self.labels is not None:
-                self.labels[apex] = self.cur_r
-            self._N += 1
-            # after the opening step the seam is the reverse root side
-            self.seam = m.twin[m.root] if first else c1
-            dperim, dvol, filler = 1, 1, 0
-        else:
-            cont, enclosed, _ = m.open_swallow(edge, k, side)
-            filler = self.filler.fill_hole(m, enclosed, k + 1, self.rng)
-            self.seam = cont
-            dperim, dvol = -k, filler
-            if side == "next":
-                if k < self._A:
-                    self._A -= k
-                else:
-                    self._A, self._N = self._N - (k - self._A), 0
-                    fired = True
-            else:
-                if k < self._N:
-                    self._N -= k
-                else:
-                    self._A -= k - self._N
-                    self._N = 0
-        self.steps += 1
-        if self._A + self._N != m.perimeter or self._A < 1:
-            raise InvariantViolationError(
-                f"arc bookkeeping lost the boundary at step {self.steps}"
-            )
-        if fired:
-            self.hull.append(
-                HullRecord(self.cur_r, self.steps, m.perimeter, m.nv)
-            )
-            self.cur_r += 1
-        rec = StepRecord(
-            step=self.steps,
-            edge=edge,
-            kind=kind,
-            k=k,
-            side=side,
-            dperim=dperim,
-            dvol=dvol,
-            filler=filler,
-            perimeter=m.perimeter,
-            volume=m.nv,
-        )
-        if self.records is not None:
-            self.records.append(rec)
+        rec = self._peel(self.seam)
+        if rec.kind == "fresh" and self.labels is not None:
+            self.labels[m.org[self.cursor]] = self.cur_r
+        # the opening step (fresh, as perimeter 2 forces) hands the seam
+        # to the reverse root side; after that the seam is the cursor
+        self.seam = m.twin[m.root] if first else self.cursor
+        _arc_step(self, rec.k, rec.side, m.perimeter, m.nv)
         return rec
 
 
@@ -671,37 +636,15 @@ class LayerChain:
                 f"peel step budget {self.max_steps} exhausted", partial=self
             )
         kind, k, side = self.sampler.sample(self.p, self.rng)
-        fired = False
         if kind == "fresh":
             self.p += 1
             self.v += 1
-            self._N += 1
         else:
             self.p -= k
             if self.filler is not None:
                 self.v += self.filler.fill_volume(k + 1, self.rng)
-            if side == "next":
-                if k < self._A:
-                    self._A -= k
-                else:
-                    self._A, self._N = self._N - (k - self._A), 0
-                    fired = True
-            else:
-                if k < self._N:
-                    self._N -= k
-                else:
-                    self._A -= k - self._N
-                    self._N = 0
         self.steps += 1
-        if self._A + self._N != self.p or self._A < 1:
-            raise InvariantViolationError(
-                f"arc bookkeeping lost the boundary at step {self.steps}"
-            )
-        if fired:
-            self.hull.append(
-                HullRecord(self.cur_r, self.steps, self.p, self.v if self.filler else None)
-            )
-            self.cur_r += 1
+        _arc_step(self, k, side, self.p, self.v if self.filler is not None else None)
 
     def run(self, r_max: int) -> list:
         while self.cur_r <= r_max:
@@ -765,77 +708,10 @@ class LayerChain:
                 # step j was proposed from a clean state, so it is still
                 # an exact raw-law step; apply it with full case handling
                 k = int(ks[j])
-                fired = False
-                if k == 0:
-                    self._N += 1
-                elif s[j] < 0.5:
-                    if k < self._A:
-                        self._A -= k
-                    else:
-                        self._A, self._N = self._N - (k - self._A), 0
-                        fired = True
-                else:
-                    if k < self._N:
-                        self._N -= k
-                    else:
-                        self._A -= k - self._N
-                        self._N = 0
-                self.p = self._A + self._N
+                self.p += 1 if k == 0 else -k
                 self.steps += 1
-                if self._A < 1 or self.p < 2:
-                    raise InvariantViolationError(
-                        f"arc bookkeeping lost the boundary at step {self.steps}"
-                    )
-                if fired:
-                    self.hull.append(HullRecord(self.cur_r, self.steps, self.p, None))
-                    self.cur_r += 1
+                _arc_step(self, k, "next" if s[j] < 0.5 else "prev", self.p, None)
         return self.hull
-
-
-# -- the unconditioned walk ----------------------------------------------
-
-
-def simulate_unconditioned(
-    params: PeelParams,
-    n_steps: int,
-    rng: RngStream,
-    *,
-    with_volume: bool = True,
-) -> dict:
-    """Untilted step-law walk from 2 with its companion volume walk.
-
-    The perimeter walk takes raw i.i.d. steps (+1 with weight q_1, -k
-    with weight q_{-k}) and may drop below 2; conditioning it to stay
-    at or above 2 recovers the law of the peeling perimeter, which is
-    what the rejection harness exploits.  The volume walk adds 1 for a
-    fresh step and an independent polygon filling volume for a swallow.
-    """
-    filler = BoltzmannFiller(params) if with_volume else None
-    par = params
-    xi = [2]
-    om = [2]
-    x, w = 2, 2
-    for _ in range(n_steps):
-        u = rng.u()
-        qcum = par._qcum
-        idx = bisect.bisect_right(qcum, u)
-        while idx >= len(qcum):
-            if par.i_max >= 4096:
-                idx = par.i_max  # mass beyond here is below float resolution
-                break
-            par.ensure_q(2 * par.i_max)
-            qcum = par._qcum
-            idx = bisect.bisect_right(qcum, u)
-        if idx == 0:
-            x += 1
-            w += 1
-        else:
-            x -= idx
-            if filler is not None:
-                w += filler.fill_volume(idx + 1, rng)
-        xi.append(x)
-        om.append(w)
-    return {"xi": xi, "omega": om}
 
 
 # -- complete metric balls -----------------------------------------------

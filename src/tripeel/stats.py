@@ -17,7 +17,6 @@ from .errors import DomainError
 
 __all__ = [
     "mean_ci",
-    "lower_conf_bound",
     "proportion_lower_bound",
     "linfit",
     "batch_slopes",
@@ -36,16 +35,6 @@ def mean_ci(xs: Sequence[float], level: float = 0.99) -> dict:
     half = float(sps.t.ppf(0.5 + level / 2, n - 1)) * se
     return {"mean": mean, "se": se, "low": mean - half, "high": mean + half,
             "level": level, "n": n}
-
-
-def lower_conf_bound(xs: Sequence[float], level: float = 0.99) -> float:
-    """One-sided lower confidence bound for the mean (t-based)."""
-    arr = np.asarray(xs, dtype=float)
-    n = arr.size
-    if n < 2:
-        raise DomainError("need at least two observations for a t bound")
-    se = float(arr.std(ddof=1) / math.sqrt(n))
-    return float(arr.mean()) - float(sps.t.ppf(level, n - 1)) * se
 
 
 def proportion_lower_bound(successes: int, n: int, level: float = 0.99) -> float:

@@ -69,7 +69,9 @@ class WalkTrace:
     explored boundary (index 0 is never a landing).  move_edges[m] is
     the half-edge traversed from X_m to X_{m+1}; the root edge itself
     is move_edges[0].  f_series/g_series hold the counters after each
-    operation.
+    operation.  x0_closed is the move count g at the first peel after
+    which X_0 was off the explored boundary (None while it is still on
+    it).
     """
 
     meta: dict
@@ -82,6 +84,7 @@ class WalkTrace:
     engine: PeelEngine
     x0: int
     truncated: bool = False
+    x0_closed: Optional[int] = None
     _disp: Optional[np.ndarray] = field(default=None, repr=False)
 
     @property
@@ -149,6 +152,7 @@ def run_walk_peeling(
     f_series: list = []
     g_series: list = []
     f, g = 0, 1
+    x0_closed = None
     truncated = False
     try:
         while g < n_steps or (close_final and m.v_hole[positions[-1]] != -1):
@@ -156,6 +160,8 @@ def run_walk_peeling(
             if m.v_hole[pos] != -1:
                 engine.peel_step(m.v_hole[pos])
                 f += 1
+                if x0_closed is None and m.v_hole[x0] == -1:
+                    x0_closed = g
             else:
                 fan = m.out_half_edges(pos)
                 he = fan[rng.index(len(fan))]
@@ -187,6 +193,7 @@ def run_walk_peeling(
         engine=engine,
         x0=x0,
         truncated=truncated,
+        x0_closed=x0_closed,
     )
 
 
@@ -262,28 +269,13 @@ def intersection_experiment(
     closures = []
     truncated = 0
     for t in range(trials):
-        trial_rng = rng.fork(t)
-        engine = PeelEngine(params, trial_rng, record=False, max_steps=max_peel_steps)
-        m = engine.map
-        x0 = m.org[m.root]
-        positions = [x0, m.target(m.root)]
-        g = 1
-        closure_g: Optional[int] = None
-        try:
-            while g < n_steps or m.v_hole[positions[-1]] != -1:
-                pos = positions[-1]
-                if m.v_hole[pos] != -1:
-                    engine.peel_step(m.v_hole[pos])
-                    if closure_g is None and m.v_hole[x0] == -1:
-                        closure_g = g
-                else:
-                    fan = m.out_half_edges(pos)
-                    positions.append(m.target(fan[trial_rng.index(len(fan))]))
-                    g += 1
-        except BudgetExceededError:
+        trace = run_walk_peeling(
+            params, n_steps, rng.fork(t), close_final=True, max_peel_steps=max_peel_steps
+        )
+        if trace.truncated:
             truncated += 1
-            continue
-        closures.append(closure_g)
+        else:
+            closures.append(trace.x0_closed)
     used = len(closures)
     if used == 0:
         raise DomainError("every trial exceeded its budget")
@@ -491,6 +483,24 @@ def pioneer_audit(trace: WalkTrace) -> dict:
     return {"checked": len(trace.positions) - 1, "mismatches": mismatches}
 
 
+def _ball_audit(trace: WalkTrace, radius: int, max_steps: Optional[int]) -> tuple:
+    """Complete the exact radius ball around X_0 and count the walk
+    moments whose explored distance is at most the radius (audited) and,
+    of those, the ones whose true distance differs (mismatched).
+
+    The explored distances are read before the completion peels further,
+    so the extra peeling cannot shorten them.
+    """
+    d = trace.displacement_series()
+    true_dist = complete_ball(trace.engine, trace.x0, radius, max_steps=max_steps)
+    audited = mismatched = 0
+    for n, v in enumerate(trace.positions):
+        if d[n] <= radius:
+            audited += 1
+            mismatched += int(d[n] != true_dist[v])
+    return audited, mismatched
+
+
 def distance_audit(
     params: PeelParams,
     rng: RngStream,
@@ -510,17 +520,8 @@ def distance_audit(
     mismatched = 0
     per_trial = []
     for t in range(trials):
-        trial_rng = rng.fork(t)
-        trace = run_walk_peeling(params, n_steps, trial_rng)
-        d_explored = trace.displacement_series()
-        true_dist = complete_ball(trace.engine, trace.x0, r0, max_steps=max_ball_steps)
-        bad = 0
-        tot = 0
-        for n, v in enumerate(trace.positions):
-            if d_explored[n] <= r0:
-                tot += 1
-                if d_explored[n] != true_dist[v]:
-                    bad += 1
+        trace = run_walk_peeling(params, n_steps, rng.fork(t))
+        tot, bad = _ball_audit(trace, r0, max_ball_steps)
         audited += tot
         mismatched += bad
         per_trial.append((tot, bad))

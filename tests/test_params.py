@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import tripeel as tp
 from tripeel.counting import catalan, count_ratio, count_triangulations
-from tripeel.errors import DomainError, TableOverflowError
+from tripeel.errors import DomainError, NumericalInstabilityError, TableOverflowError
 from tripeel.params import (
     drift_sum_residual,
     harmonicity_residual,
@@ -329,3 +329,32 @@ def test_build_params_needs_exactly_one_handle():
         tp.build_params()
     with pytest.raises(DomainError):
         tp.build_params(kappa="9/128", alpha=0.75)
+
+
+# near-critical, generic and extreme couplings; the float recursion must
+# grow each table without losing monotonicity
+_PROBE_COUPLINGS = [
+    {"alpha": a} for a in (2 / 3 + 1e-9, 0.6667, 0.672, 0.7, 0.75, 0.9, 0.999)
+] + [{"kappa": "2/27"}, {"kappa": "9/128"}, {"kappa": 1e-5}]
+
+
+@pytest.mark.parametrize(
+    "coupling", _PROBE_COUPLINGS,
+    ids=lambda c: "{}={}".format(*next(iter(c.items()))).replace("/", "_"),
+)
+def test_harmonic_growth_is_append_only(coupling):
+    p = tp.build_params(**coupling)
+    before = [p.ctilde(q) for q in range(2, p.p_max + 1)]
+    p.ensure_ctilde(1500)  # raises NumericalInstabilityError on a decrease
+    after = [p.ctilde(q) for q in range(2, 1501)]
+    assert after[: len(before)] == before
+    assert all(b >= a for a, b in zip(after, after[1:]))
+
+
+def test_harmonic_decrease_raises_and_keeps_table():
+    p = tp.build_params(kappa="2/27")
+    table = list(p._ct)
+    p._qneg[1] *= 10  # a corrupted step law makes the next entry drop
+    with pytest.raises(NumericalInstabilityError):
+        p.ensure_ctilde(p.p_max + 1)
+    assert p._ct == table

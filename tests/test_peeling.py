@@ -26,7 +26,6 @@ from tripeel.peeling import (
     run_algorithm,
     run_chain,
     run_layers,
-    simulate_unconditioned,
     trace_from_csv,
     trace_from_json,
     trace_to_csv,
@@ -65,11 +64,14 @@ def test_selector_changes_map_not_law():
         trace.map.validate()
 
 
-def test_layer_engine_couples_with_layer_chain():
+# the couplings of volume-growth's and inv-degree's default runs, too
+@pytest.mark.parametrize("params", [PAR, CRIT, build_params(alpha=Fraction(7, 10))],
+                         ids=["kappa_9_128", "kappa_2_27", "alpha_7_10"])
+def test_layer_engine_couples_with_layer_chain(params):
     rng_map = RngStream(5, (3,))
-    result = run_layers(PAR, 5, rng_map, labels=True)
+    result = run_layers(params, 5, rng_map, labels=True)
     rng_chain = RngStream(5, (3,))
-    chain = LayerChain(PAR, rng_chain, volume=True)
+    chain = LayerChain(params, rng_chain, volume=True)
     chain.run(5)
     assert [(h.r, h.tau, h.perimeter, h.volume) for h in chain.hull] == [
         (h.r, h.tau, h.perimeter, h.volume) for h in result.hull
@@ -216,21 +218,6 @@ def test_estimate_pi_kappa():
         estimate_pi_kappa(res.hull[:3], PAR)
     with pytest.raises(DomainError):
         estimate_pi_kappa(res.hull, CRIT)
-
-
-def test_simulate_unconditioned_drift():
-    rng = RngStream(71, (17,))
-    n = 4000
-    sim = simulate_unconditioned(PAR, n, rng, with_volume=False)
-    xi = sim["xi"]
-    mean_step = (xi[-1] - xi[0]) / n
-    # i.i.d. steps with mean delta and finite variance
-    assert abs(mean_step - PAR.drift) < 0.15
-    low = min(
-        min(simulate_unconditioned(PAR, 40, RngStream(71, (18, t)), with_volume=False)["xi"])
-        for t in range(200)
-    )
-    assert low < 2  # the raw walk is not conditioned to stay up
 
 
 def test_fast_chain_matches_scalar_when_disabled():
