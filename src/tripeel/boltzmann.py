@@ -45,7 +45,8 @@ class BoltzmannFiller:
 
     def __init__(self, params: PeelParams):
         self.params = params
-        self._rows: dict[int, tuple[list, list]] = {}
+        # the row table lives on the parameters, so a new filler starts warm
+        self._rows: dict[int, tuple[list, list]] = params._fill_rows
 
     def row(self, p: int) -> tuple[list, list]:
         """Cumulative decision thresholds at hole perimeter p.

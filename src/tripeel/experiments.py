@@ -31,7 +31,7 @@ from .params import (
     z_partition,
 )
 # complete_ball stays importable from here: benchmarks/spans.py wraps it by name
-from .peeling import ChainState, LayerChain, complete_ball  # noqa: F401
+from .peeling import LayerChain, _raw_step_sizes, complete_ball, run_chain  # noqa: F401
 from .rng import RngStream
 from .stats import chi2_two_sample, linfit, mean_ci
 from .walk import (
@@ -476,18 +476,15 @@ def _rejection_counts(
     the readout time, by block rejection sampling."""
     if survive_horizon < horizon:
         raise DomainError("survival horizon shorter than the readout time")
-    qcum = np.asarray(params.q_cumulative(), dtype=np.float64)
-    k_cap = len(qcum) - 1
     counts: Counter = Counter()
     accepted = 0
     proposed = 0
     rows = max(1, (1 << 21) // survive_horizon)
     while accepted < want:
         u = arm.block(rows * survive_horizon).reshape(rows, survive_horizon)
-        ks = np.searchsorted(qcum, u, side="right")
-        # beyond-table mass is below float resolution; a clipped swallow
-        # kills its row through the floor test anyway
-        np.minimum(ks, k_cap, out=ks)
+        # a swallow clipped to the table's last size kills its row through
+        # the floor test anyway
+        ks = _raw_step_sizes(params, u)
         steps = np.where(ks == 0, 1, -ks).astype(np.int64)
         xi = 2 + np.cumsum(steps, axis=1)
         ok = (xi >= 2).all(axis=1)
@@ -527,13 +524,10 @@ def run_law_equivalence(
     joint_counts = []
     for arm_i, selector in enumerate(("stay", "uniform")):
         arm = rng.fork(arm_i)
-        st = ChainState(params, arm)
         c: Counter = Counter()
         for _ in range(runs):
-            st.p, st.v = 2, 2
-            for _ in range(joint_steps):
-                st.step(selector)
-            c[f"{st.p},{st.v}"] += 1
+            out = run_chain(params, joint_steps, arm, selector_draws=selector)
+            c[f"{out['perimeters'][-1]},{out['volumes'][-1]}"] += 1
         joint_counts.append(c)
     selector_test = chi2_two_sample(
         joint_counts[0],
@@ -543,13 +537,9 @@ def run_law_equivalence(
     )
 
     arm = rng.fork(2)
-    st = ChainState(params, arm)
     cp: Counter = Counter()
     for _ in range(runs):
-        st.p, st.v = 2, 2
-        for _ in range(horizon):
-            st.step("stay")
-        cp[str(st.p)] += 1
+        cp[str(run_chain(params, horizon, arm)["perimeters"][-1])] += 1
     cx, proposed = _rejection_counts(params, rng.fork(3), runs, horizon, survive_horizon)
     conditioned_test = chi2_two_sample(cp, cx, min_expected=min_expected)
     conditioned_test.update(

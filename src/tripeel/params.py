@@ -271,6 +271,9 @@ class PeelParams:
         self._qcum = [alpha]        # _qcum[k] = q_1 + sum_{j<=k} q_{-j}
         self._ct = [0.0, 0.0, 1.0 / (alpha * alpha)]   # _ct[p] = C~_p
         self._ct_clamped = False
+        # hole perimeter p -> BoltzmannFiller decision row; a row reads only
+        # q_{-1..p}, which never change, so every filler shares this table
+        self._fill_rows: dict = {}
         self.ensure_q(max(i_max, 8))
         self.ensure_ctilde(max(p_max, 8))
 

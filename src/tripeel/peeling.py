@@ -19,9 +19,9 @@ Contents:
   driven by the layer selector, the cyclic exploration that
   materializes hulls of balls around the root origin, with exact
   distance labels;
-* :class:`ChainState` / :func:`run_chain`, the map-free twin;
-* :class:`LayerChain`, the map-free layer twin, with a vectorized fast
-  path for deep layer runs;
+* :class:`LayerChain`, the one map-free twin, with a vectorized fast
+  path for deep layer runs, and :func:`run_chain`, its perimeter and
+  volume series;
 * :func:`complete_ball`, targeted peeling until a metric ball of the
   infinite map is provably complete;
 * trace and hull-series containers with CSV/JSON export and replay.
@@ -58,7 +58,6 @@ __all__ = [
     "PeelEngine",
     "LayerEngine",
     "LayerResult",
-    "ChainState",
     "LayerChain",
     "run_algorithm",
     "run_layers",
@@ -125,6 +124,20 @@ class StepSampler:
                 continue
             side = "next" if rng.u() < 0.5 else "prev"
             return "swallow", k, side
+
+
+def _raw_step_sizes(params: PeelParams, u: np.ndarray) -> np.ndarray:
+    """Untilted step law by inverse cdf over an array of uniforms:
+    0 for a fresh vertex, k >= 1 for a size-k swallow.
+
+    Sizes are capped at the materialized table's last index i_max: a
+    uniform beyond the table's cumulative mass maps to i_max, where the
+    scalar :class:`StepSampler` would grow the table or draw again.
+    """
+    qcum = params.q_cumulative()
+    ks = np.searchsorted(qcum, u, side="right")
+    np.minimum(ks, len(qcum) - 1, out=ks)
+    return ks
 
 
 # -- trace containers ----------------------------------------------------
@@ -224,14 +237,6 @@ class PeelEngine:
         self.cursor = self.map.root
         self.max_steps = max_steps
         self.max_vertices = max_vertices
-
-    @property
-    def perimeter(self) -> int:
-        return self.map.perimeter
-
-    @property
-    def volume(self) -> int:
-        return self.map.nv
 
     def _check_budget(self) -> None:
         if self.max_steps is not None and self.steps >= self.max_steps:
@@ -468,9 +473,6 @@ class LayerResult:
     truncated: bool
     engine: LayerEngine
 
-    def hull_perimeters(self) -> list[int]:
-        return [h.perimeter for h in self.hull]
-
 
 def run_layers(
     params: PeelParams,
@@ -552,35 +554,6 @@ def estimate_pi_kappa(hull: Sequence[HullRecord], params: PeelParams) -> dict:
 # -- map-free twins ------------------------------------------------------
 
 
-class ChainState:
-    """Perimeter/volume chain identical in law (and, under an equal
-    stream, identical draw for draw) to the map-backed engine."""
-
-    __slots__ = ("params", "rng", "sampler", "filler", "p", "v", "steps")
-
-    def __init__(self, params: PeelParams, rng: RngStream):
-        self.params = params
-        self.rng = rng
-        self.sampler = StepSampler(params)
-        self.filler = BoltzmannFiller(params)
-        self.p = 2
-        self.v = 2
-        self.steps = 0
-
-    def step(self, selector_draws: str = "stay") -> tuple[int, int]:
-        if selector_draws == "uniform":
-            self.rng.index(self.p)
-        kind, k, _side = self.sampler.sample(self.p, self.rng)
-        if kind == "fresh":
-            self.p += 1
-            self.v += 1
-        else:
-            self.p -= k
-            self.v += self.filler.fill_volume(k + 1, self.rng)
-        self.steps += 1
-        return self.p, self.v
-
-
 def run_chain(
     params: PeelParams,
     n_steps: int,
@@ -589,24 +562,40 @@ def run_chain(
     selector_draws: str = "stay",
 ) -> dict:
     """Run the map-free chain; returns the full perimeter and volume
-    series (index 0 is the initial state P_0 = V_0 = 2)."""
-    st = ChainState(params, rng)
+    series (index 0 is the initial state P_0 = V_0 = 2).
+
+    With selector_draws='uniform' every step first spends the one draw
+    the map engine's uniform selector takes, so the chain stays coupled
+    draw for draw with ``run_algorithm(..., "uniform", ...)``.
+    """
+    chain = LayerChain(params, rng)
+    uniform = selector_draws == "uniform"
     ps, vs = [2], [2]
     for _ in range(n_steps):
-        p, v = st.step(selector_draws)
-        ps.append(p)
-        vs.append(v)
-    return {"perimeters": ps, "volumes": vs, "steps": st.steps}
+        if uniform:
+            rng.index(chain.p)
+        chain.step()
+        ps.append(chain.p)
+        vs.append(chain.v)
+    return {"perimeters": ps, "volumes": vs, "steps": chain.steps}
+
+
+# run_fast samples in chunks of _CHUNK proposals once the perimeter
+# reaches _P_FAST (or the higher floor the clamp index sets)
+_P_FAST = 512
+_CHUNK = 1 << 16
 
 
 class LayerChain:
-    """Map-free twin of :class:`LayerEngine`.
+    """Map-free twin of :class:`LayerEngine`, and the chain behind
+    :func:`run_chain`.
 
     Tracks only the two arc lengths, the perimeter, the step count and
     (optionally) the volume.  With volume enabled it consumes the stream
-    exactly like the map engine and produces the identical hull series;
-    with volume disabled it skips the filler draws, which changes the
-    realization but not the law of (tau_r, P_{tau_r}).
+    exactly like the map engine and produces the identical hull series
+    (and, through :func:`run_chain`, the identical perimeter and volume
+    series); with volume disabled it skips the filler draws, which
+    changes the realization but not the law of (tau_r, P_{tau_r}).
     """
 
     def __init__(
@@ -630,11 +619,14 @@ class LayerChain:
         self.hull: list = []
         self.max_steps = max_steps
 
-    def step(self) -> None:
+    def _check_budget(self) -> None:
         if self.max_steps is not None and self.steps >= self.max_steps:
             raise BudgetExceededError(
                 f"peel step budget {self.max_steps} exhausted", partial=self
             )
+
+    def step(self) -> None:
+        self._check_budget()
         kind, k, side = self.sampler.sample(self.p, self.rng)
         if kind == "fresh":
             self.p += 1
@@ -653,45 +645,39 @@ class LayerChain:
 
     # -- vectorized deep-layer path ------------------------------------
 
-    def run_fast(self, r_max: int, *, p_fast: int = 512, chunk: int = 1 << 16) -> list:
+    def run_fast(self, r_max: int) -> list:
         """Layer run that switches to block sampling on wide boundaries.
 
         Valid only when the harmonic table has clamped: beyond the
         clamp index every acceptance ratio is exactly 1.0, so while
-        p - k_cap stays past the clamp the tilted kernel coincides with
+        p - i_max stays past the clamp the tilted kernel coincides with
         the raw step law and whole chunks of i.i.d. proposals can be
         consumed at once.  Chunks are cut at the first step that could
-        empty an arc; that step and narrow-boundary stretches run
-        through the exact scalar sampler.
+        empty an arc; that step is applied with the full arc rule, and
+        narrow-boundary stretches run through the exact scalar sampler.
         """
         if self.filler is not None:
             raise MisuseError("fast layer runs track no volume; build with volume=False")
         clamp = self.params.ctilde_clamp_index()
         if clamp is None:
             raise MisuseError("fast layer runs need a clamped harmonic table")
-        qcum = np.asarray(self.params.q_cumulative(), dtype=np.float64)
-        k_cap = len(qcum) - 1
-        # every acceptance ratio is exactly 1.0 while the pre-step
-        # perimeter stays at or above this floor
-        p_floor = clamp + k_cap
-        p_fast = max(p_fast, p_floor + 2)
+        params = self.params
         rng = self.rng
         while self.cur_r <= r_max:
-            if self.p < p_fast:
+            # every acceptance ratio is exactly 1.0 while the pre-step
+            # perimeter stays at or above this floor; i_max caps a block's
+            # swallow sizes, and a scalar step may have grown the table
+            p_floor = clamp + params.i_max
+            if self.p < max(_P_FAST, p_floor + 2):
                 self.step()
                 continue
-            if self.max_steps is not None and self.steps >= self.max_steps:
-                raise BudgetExceededError(
-                    f"peel step budget {self.max_steps} exhausted", partial=self
-                )
-            m = chunk
+            self._check_budget()
+            m = _CHUNK
             if self.max_steps is not None:
                 m = min(m, self.max_steps - self.steps)
             u = rng.block(m)
             s = rng.block(m)
-            ks = np.searchsorted(qcum, u, side="right")
-            # beyond-table mass is below float resolution; clip defensively
-            np.minimum(ks, k_cap, out=ks)
+            ks = _raw_step_sizes(params, u)
             fresh = ks == 0
             oka = self._A - np.where(~fresh & (s < 0.5), ks, 0).cumsum()
             okn = self._N + (

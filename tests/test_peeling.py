@@ -4,6 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
+from scipy import stats as sps
 
 from tripeel import (
     BudgetExceededError,
@@ -14,6 +15,7 @@ from tripeel import (
     build_params,
     peel_transition,
 )
+from tripeel import peeling
 from tripeel.peeling import (
     LayerChain,
     PeelEngine,
@@ -221,14 +223,62 @@ def test_estimate_pi_kappa():
 
 
 def test_fast_chain_matches_scalar_when_disabled():
-    # a huge switchover keeps run_fast on the scalar path: identical run
+    # this run's boundary never reaches the block switchover, so
+    # run_fast stays on the scalar path: identical run, identical draws
     a = LayerChain(PAR, RngStream(73, (19,)), volume=False)
-    a.run(6)
+    peak = a.p
+    while a.cur_r <= 3:
+        a.step()
+        peak = max(peak, a.p)
+    assert peak < peeling._P_FAST
     b = LayerChain(PAR, RngStream(73, (19,)), volume=False)
-    b.run_fast(6, p_fast=10**9)
+    b.run_fast(3)
     assert [(h.r, h.tau, h.perimeter) for h in a.hull] == [
         (h.r, h.tau, h.perimeter) for h in b.hull
     ]
+    assert a.rng.n_drawn == b.rng.n_drawn
+
+
+def test_fast_chain_matches_scalar_in_law(monkeypatch):
+    # two-sample KS tests of the scalar chain against run_fast with the
+    # block path on.  Alpha 3/4 clamps early, so by depth 6 the block
+    # path carries most steps.  Alpha 7/10 barely reaches the block path
+    # by depth 7, and the near-critical alpha 0.672 (clamp index about
+    # 1073) would need depths too costly for this suite.
+    par = build_params(alpha=Fraction(3, 4))
+    trials = 250
+
+    def layer_ratios(run):
+        time_ratio, boundary_ratio = [], []
+        for t in range(trials):
+            h = run(t)
+            time_ratio.append((h[5].tau - h[4].tau) / h[4].perimeter)
+            boundary_ratio.append(h[5].perimeter / h[4].perimeter)
+        return time_ratio, boundary_ratio
+
+    scalar = layer_ratios(
+        lambda t: LayerChain(par, RngStream(97, (t,)), volume=False).run(6)
+    )
+
+    calls = {"scalar": 0, "all": 0}
+    step = LayerChain.step
+
+    def counted_step(chain):
+        calls["scalar"] += 1
+        step(chain)
+
+    monkeypatch.setattr(LayerChain, "step", counted_step)
+
+    def fast(t):
+        chain = LayerChain(par, RngStream(101, (t,)), volume=False)
+        hull = chain.run_fast(6)
+        calls["all"] += chain.steps
+        return hull
+
+    block = layer_ratios(fast)
+    assert calls["scalar"] < 0.2 * calls["all"]
+    for a, b in zip(scalar, block):
+        assert sps.ks_2samp(a, b).pvalue > 1e-3
 
 
 def test_fast_chain_invariants():
