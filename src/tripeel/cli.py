@@ -131,7 +131,7 @@ def sample_map(kappa, alpha, seed, radius, budget_steps, budget_vertices, out, f
     and exits 3.
     """
     params = _resolve_params(kappa, alpha)
-    res = run_layers(
+    trace = run_layers(
         params,
         radius,
         RngStream(seed),
@@ -140,21 +140,21 @@ def sample_map(kappa, alpha, seed, radius, budget_steps, budget_vertices, out, f
         max_vertices=budget_vertices,
         on_budget="partial",
     )
-    hull_meta = {"schema_of": SAMPLE_SCHEMA, "truncated": res.truncated}
+    hull_meta = {"schema_of": SAMPLE_SCHEMA, "truncated": trace.truncated}
     if fmt == "json":
         doc = {
             "schema": SAMPLE_SCHEMA,
-            "truncated": res.truncated,
-            "trace": json.loads(trace_to_json(res.trace)),
-            "canonical_code": list(res.map.canonical_code()),
+            "truncated": trace.truncated,
+            "trace": json.loads(trace_to_json(trace)),
+            "canonical_code": list(trace.map.canonical_code()),
         }
         _emit(json.dumps(doc, sort_keys=True, indent=2) + "\n", out)
     elif out == "-":
-        _emit(trace_to_csv(res.trace) + hull_to_csv(res.hull, hull_meta), out)
+        _emit(trace_to_csv(trace) + hull_to_csv(trace.hull, hull_meta), out)
     else:
-        _emit(trace_to_csv(res.trace), out)
-        _emit(hull_to_csv(res.hull, hull_meta), f"{out}.hull.csv")
-    if res.truncated:
+        _emit(trace_to_csv(trace), out)
+        _emit(hull_to_csv(trace.hull, hull_meta), f"{out}.hull.csv")
+    if trace.truncated:
         click.echo("budget exhausted before the requested depth; wrote the partial run", err=True)
         sys.exit(EXIT_BUDGET)
 

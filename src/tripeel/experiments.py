@@ -275,19 +275,19 @@ def run_layer_stats(
 ) -> dict:
     """Steps per layer: mean of (tau_{r+1} - tau_r)/P_{tau_r} over a window.
 
-    Volume draws are skipped, so wide boundaries go through the block
-    sampler whenever the harmonic table clamps.
+    Volume draws are skipped, so once the harmonic table clamps (off the
+    critical point) wide boundaries go through the block sampler of
+    :meth:`LayerChain.run_fast`.
     """
     if trials < 2:
         raise DomainError("need at least two trials")
     lo, hi = window
     if lo < 1 or hi < lo:
         raise DomainError(f"bad layer window {tuple(window)}")
-    fast = params.ctilde_clamp_index() is not None
     vals = []
     for t in range(trials):
         chain = LayerChain(params, rng.fork(t), volume=False, max_steps=max_steps)
-        hull = chain.run_fast(hi + 1) if fast else chain.run(hi + 1)
+        hull = chain.run_fast(hi + 1)
         by_r = {rec.r: rec for rec in hull}
         vals.append(
             float(
@@ -308,7 +308,7 @@ def run_layer_stats(
         "trials": trials,
         "window": [lo, hi],
         "max_steps": max_steps,
-        "fast_path": fast,
+        "fast_path": not params.critical,
     }
     return _report("layer-stats", params, rng, settings, results)
 
@@ -480,11 +480,13 @@ def _rejection_counts(
     accepted = 0
     proposed = 0
     rows = max(1, (1 << 21) // survive_horizon)
+    # from 2, a swallow larger than survive_horizon kills its row whatever
+    # its size, so clipping there keeps every accepted row
+    cap = survive_horizon + 1
+    params.ensure_q(cap)
     while accepted < want:
         u = arm.block(rows * survive_horizon).reshape(rows, survive_horizon)
-        # a swallow clipped to the table's last size kills its row through
-        # the floor test anyway
-        ks = _raw_step_sizes(params, u)
+        ks = _raw_step_sizes(params, u, cap)
         steps = np.where(ks == 0, 1, -ks).astype(np.int64)
         xi = 2 + np.cumsum(steps, axis=1)
         ok = (xi >= 2).all(axis=1)

@@ -18,11 +18,13 @@ with ``kappa = 2/27`` (``alpha = 2/3``) the critical point and smaller
   weighted count series;
 * expected internal volume of a Boltzmann-filled polygon.
 
-Tables are materialized lazily and grow deterministically: extending a
-table never changes an already readable entry, so a :class:`PeelParams`
-instance is logically immutable and safe to share between sequential
-trials.  Growth is not synchronized: threads that share an instance
-must serialize their calls themselves.
+Both tables start at ``_TABLE0`` entries and grow lazily and
+deterministically: extending a table never changes an already readable
+entry, so a :class:`PeelParams` instance is logically immutable and safe
+to share between sequential trials.  No sampled quantity depends on how
+far the tables have grown, only on the coupling.  Growth is not
+synchronized: threads that share an instance must serialize their calls
+themselves.
 """
 
 from __future__ import annotations
@@ -51,6 +53,8 @@ DRIFT_RESIDUAL_TOL = 1e-8
 HARMONICITY_TOL = 1e-10
 
 _TABLE_HARD_CAP = 8_000_000
+# entries both tables start with (the harmonic table stops early where it clamps)
+_TABLE0 = 320
 
 
 def parse_rational(text: str) -> Fraction:
@@ -246,8 +250,6 @@ class PeelParams:
         kappa: float,
         alpha_exact: Optional[Fraction],
         kappa_exact: Optional[Fraction],
-        i_max: int = 256,
-        p_max: int = 320,
     ):
         self.alpha = alpha
         self.kappa = kappa
@@ -274,8 +276,8 @@ class PeelParams:
         # hole perimeter p -> BoltzmannFiller decision row; a row reads only
         # q_{-1..p}, which never change, so every filler shares this table
         self._fill_rows: dict = {}
-        self.ensure_q(max(i_max, 8))
-        self.ensure_ctilde(max(p_max, 8))
+        self.ensure_q(_TABLE0)
+        self.ensure_ctilde(_TABLE0)
 
     # -- step law -----------------------------------------------------
 
@@ -479,9 +481,9 @@ class PeelParams:
             kappa=float(doc["kappa"]),
             alpha_exact=alpha_exact,
             kappa_exact=kappa_exact,
-            i_max=doc["i_max"],
-            p_max=doc["p_max"],
         )
+        params.ensure_q(doc["i_max"])
+        params.ensure_ctilde(doc["p_max"])
         if verify:
             for k, text_q in enumerate(doc["q_table"], start=1):
                 if not math.isclose(params.q_neg(k), float(text_q), rel_tol=1e-12):
@@ -501,14 +503,14 @@ class PeelParams:
 def build_params(
     kappa: Union[Number, str, None] = None,
     alpha: Union[Number, str, None] = None,
-    i_max: int = 256,
-    p_max: int = 320,
 ) -> PeelParams:
     """Resolve (kappa, alpha) from either handle and materialize tables.
 
     Exactly one of the two must be given.  Strings are parsed as exact
     rationals; an exact alpha keeps the whole table pipeline anchored to
     exact derived constants (3 alpha - 2 is exactly zero at criticality).
+    The tables start at ``_TABLE0`` entries and grow on demand; their size
+    is not a setting, since no result depends on it.
     """
     if (kappa is None) == (alpha is None):
         raise DomainError("give exactly one of kappa or alpha")
@@ -551,8 +553,6 @@ def build_params(
         kappa=kappa_f,
         alpha_exact=alpha_exact,
         kappa_exact=kappa_exact,
-        i_max=i_max,
-        p_max=p_max,
     )
 
 

@@ -43,7 +43,7 @@ from .errors import (
     InvariantViolationError,
     MisuseError,
 )
-from .params import PeelParams, build_params, parse_rational
+from .params import _TABLE0, PeelParams, build_params, parse_rational, q_tail_bound
 from .planarmap import FLAG_MAIN, TriMap
 from .rng import RngStream
 
@@ -57,7 +57,6 @@ __all__ = [
     "PeelTrace",
     "PeelEngine",
     "LayerEngine",
-    "LayerResult",
     "LayerChain",
     "run_algorithm",
     "run_layers",
@@ -126,18 +125,30 @@ class StepSampler:
             return "swallow", k, side
 
 
-def _raw_step_sizes(params: PeelParams, u: np.ndarray) -> np.ndarray:
+def _raw_step_sizes(params: PeelParams, u: np.ndarray, cap: int) -> np.ndarray:
     """Untilted step law by inverse cdf over an array of uniforms:
     0 for a fresh vertex, k >= 1 for a size-k swallow.
 
-    Sizes are capped at the materialized table's last index i_max: a
-    uniform beyond the table's cumulative mass maps to i_max, where the
-    scalar :class:`StepSampler` would grow the table or draw again.
+    Sizes are clipped at the caller's cap, which the step-law table must
+    already reach: every uniform past the cumulative mass of sizes up to
+    cap maps to cap, however far the table has grown.
     """
-    qcum = params.q_cumulative()
-    ks = np.searchsorted(qcum, u, side="right")
-    np.minimum(ks, len(qcum) - 1, out=ks)
+    ks = np.searchsorted(params.q_cumulative(), u, side="right")
+    np.minimum(ks, cap, out=ks)
     return ks
+
+
+def _block_cap(params: PeelParams) -> int:
+    """Swallow-size cap K of the block path: the smallest size at least
+    ``_TABLE0`` whose certified step-law tail beyond it is at most 2^-53,
+    the spacing of the stream's uniforms.  Grows the table to K.
+
+    Finite off the critical point, where the tail is geometric.
+    """
+    k = _TABLE0
+    while q_tail_bound(params.alpha, k, params.q_neg(k)) > 2.0 ** -53:
+        k += 1
+    return k
 
 
 # -- trace containers ----------------------------------------------------
@@ -174,13 +185,16 @@ class HullRecord:
 @dataclass
 class PeelTrace:
     """A peeling run: metadata sufficient to replay it, the per-step
-    records, and the hull series when the run was layer-driven."""
+    records, and the final map.  A layer run also carries its hull
+    series, its engine (distance labels, seam) and whether a budget
+    stopped it before r_max."""
 
     meta: dict
     records: list
     hull: Optional[list] = None
     map: Optional[TriMap] = None
     truncated: bool = False
+    engine: Optional["LayerEngine"] = None
 
     def perimeters(self) -> list[int]:
         return [r.perimeter for r in self.records]
@@ -461,19 +475,6 @@ class LayerEngine(PeelEngine):
         return rec
 
 
-@dataclass
-class LayerResult:
-    """Outcome of a layer run: trace (records may be empty when not
-    recording), hull series, final map, and a truncation flag set when a
-    budget stopped the run before r_max."""
-
-    trace: PeelTrace
-    hull: list
-    map: TriMap
-    truncated: bool
-    engine: LayerEngine
-
-
 def run_layers(
     params: PeelParams,
     r_max: int,
@@ -485,11 +486,13 @@ def run_layers(
     max_steps: Optional[int] = None,
     max_vertices: Optional[int] = None,
     on_budget: str = "partial",
-) -> LayerResult:
+) -> PeelTrace:
     """Explore with the layers selector until tau_{r_max} (or n_steps).
 
-    A budget overrun either returns the partial series with
-    ``truncated=True`` (default) or re-raises when on_budget='raise'.
+    Returns the trace (records empty unless recording) with the hull
+    series, final map and engine attached.  A budget overrun either
+    returns the partial series with ``truncated=True`` (default) or
+    re-raises when on_budget='raise'.
     """
     if r_max < 1:
         raise DomainError(f"r_max must be at least 1, got {r_max}")
@@ -520,9 +523,10 @@ def run_layers(
         hull=engine.hull,
         map=engine.map,
         truncated=truncated,
+        engine=engine,
     )
     trace.meta["truncated"] = truncated
-    return LayerResult(trace, engine.hull, engine.map, truncated, engine)
+    return trace
 
 
 def estimate_pi_kappa(hull: Sequence[HullRecord], params: PeelParams) -> dict:
@@ -648,27 +652,30 @@ class LayerChain:
     def run_fast(self, r_max: int) -> list:
         """Layer run that switches to block sampling on wide boundaries.
 
-        Valid only when the harmonic table has clamped: beyond the
-        clamp index every acceptance ratio is exactly 1.0, so while
-        p - i_max stays past the clamp the tilted kernel coincides with
-        the raw step law and whole chunks of i.i.d. proposals can be
-        consumed at once.  Chunks are cut at the first step that could
-        empty an arc; that step is applied with the full arc rule, and
-        narrow-boundary stretches run through the exact scalar sampler.
+        Once the harmonic table has clamped, every acceptance ratio
+        C~_{p-k} / C~_{p+1} with p - k past the clamp index is exactly
+        1.0, so while the perimeter stays at least clamp + K (K from
+        :func:`_block_cap`, which caps a block's swallow sizes) the
+        tilted kernel coincides with the raw step law and whole chunks
+        of i.i.d. proposals can be consumed at once.  Chunks are cut at
+        the first step that could empty an arc or leave that floor; the
+        step is applied with the full arc rule.  Every other step is an
+        exact scalar :meth:`step`: with volume tracked, before the table
+        clamps (always, at the critical point) and on narrow boundaries.
+        So the run depends only on the coupling and the stream, never on
+        how far the shared tables have grown.
         """
-        if self.filler is not None:
-            raise MisuseError("fast layer runs track no volume; build with volume=False")
-        clamp = self.params.ctilde_clamp_index()
-        if clamp is None:
-            raise MisuseError("fast layer runs need a clamped harmonic table")
         params = self.params
         rng = self.rng
+        cap = None  # K, once the table has clamped
         while self.cur_r <= r_max:
-            # every acceptance ratio is exactly 1.0 while the pre-step
-            # perimeter stays at or above this floor; i_max caps a block's
-            # swallow sizes, and a scalar step may have grown the table
-            p_floor = clamp + params.i_max
-            if self.p < max(_P_FAST, p_floor + 2):
+            if cap is None and self.filler is None:
+                clamp = params.ctilde_clamp_index()
+                if clamp is not None:
+                    cap = _block_cap(params)
+                    # a pre-step perimeter at or above the floor is exact
+                    p_floor = clamp + cap
+            if cap is None or self.p < max(_P_FAST, p_floor + 2):
                 self.step()
                 continue
             self._check_budget()
@@ -677,7 +684,7 @@ class LayerChain:
                 m = min(m, self.max_steps - self.steps)
             u = rng.block(m)
             s = rng.block(m)
-            ks = _raw_step_sizes(params, u)
+            ks = _raw_step_sizes(params, u, cap)
             fresh = ks == 0
             oka = self._A - np.where(~fresh & (s < 0.5), ks, 0).cumsum()
             okn = self._N + (
@@ -875,21 +882,18 @@ def replay_trace(source: Union[PeelTrace, str]) -> dict:
     rng = RngStream(meta["seed"], tuple(meta.get("spawn_key", ())))
     n = len(trace.records)
     if meta["driver"] == "layers":
-        result = run_layers(
+        rerun = run_layers(
             params, meta["r_max"], rng, n_steps=n, record=True, on_budget="raise"
         )
-        rerun = result.trace
-        final_map = result.map
     else:
         selector = meta.get("selector", "stay")
         if selector not in SELECTORS:
             raise MisuseError(f"cannot replay custom selector {selector!r}")
         rerun = run_algorithm(params, selector, n, rng, record=True)
-        final_map = rerun.map
     if rerun.records != trace.records:
         raise InvariantViolationError("replay diverged from the recorded trace")
     return {
-        "map": final_map,
-        "canonical_code": final_map.canonical_code(),
+        "map": rerun.map,
+        "canonical_code": rerun.map.canonical_code(),
         "trace": rerun,
     }

@@ -253,6 +253,11 @@ class TriMap:
         u = self.org[a]
         w = self.target(a)
         x_prev, x_next = self.prv[a], self.nxt[a]
+        if x_prev == a:
+            # a hole bounded by a alone (a loop) leaves no edge to carry
+            # c2 and c1; no valid map has one, the smallest hole being the
+            # 2-cycle of the two-sided root edge
+            raise InvariantViolationError("hole cycle of length 1")
         v = self._new_vertex()
         t1 = self._new_he(w, FLAG_TRIANGLE)
         t2 = self._new_he(v, FLAG_TRIANGLE)
@@ -264,10 +269,6 @@ class TriMap:
         self._link(a, t1)
         self._link(t1, t2)
         self._link(t2, a)
-        if x_prev == a:
-            # a was a 2-cycle hole with itself only when the hole is the
-            # two-sided root edge; then the whole hole is c2 -> c1 -> twin(a)
-            raise InvariantViolationError("hole cycle of length 1")
         self._link(x_prev, c2)
         self._link(c2, c1)
         self._link(c1, x_next)
@@ -296,88 +297,57 @@ class TriMap:
             raise MisuseError(f"half-edge {a} does not bound a hole")
         if k < 1:
             raise DomainError(f"swallow size k={k} must be at least 1")
+        if side not in ("next", "prev"):
+            raise DomainError(f"side must be 'next' or 'prev', got {side!r}")
+        fwd = side == "next"
+        step = self.nxt if fwd else self.prv
         u = self.org[a]
         w = self.target(a)
-        if side == "next":
-            eaten = []
-            e = a
-            for _ in range(k):
-                e = self.nxt[e]
-                if e == a:
-                    raise MisuseError(f"swallow k={k} wraps the whole hole")
-                eaten.append(e)
-            x = self.target(eaten[-1])
-            after = self.nxt[eaten[-1]]
-            before = self.prv[a]
-            if after == a:
-                raise MisuseError(f"swallow k={k} leaves no hole edge")
-            s1 = self._new_he(w, FLAG_TRIANGLE)
-            s2 = self._new_he(x, FLAG_TRIANGLE)
-            s1t = self._new_he(x, FLAG_WORK)
-            cont = self._new_he(u, flag)
-            self.twin[s1], self.twin[s1t] = s1t, s1
-            self.twin[s2], self.twin[cont] = cont, s2
-            self.hflag[a] = FLAG_TRIANGLE
-            self._link(a, s1)
-            self._link(s1, s2)
-            self._link(s2, a)
-            # enclosed hole: s1t then the eaten run, already chained
-            self._link(s1t, eaten[0])
-            self._link(eaten[-1], s1t)
-            for e in eaten:
-                self.hflag[e] = FLAG_WORK
-            # ambient hole: cont bridges the cut
-            self._link(before, cont)
-            self._link(cont, after)
-            if flag == FLAG_MAIN:
-                self.perimeter -= k
-                self.v_hole[u] = cont
-                for e in eaten:
-                    self.v_hole[self.org[e]] = -1
-                self.v_hole[x] = after if self.hflag[after] == FLAG_MAIN else -1
-            self.ne += 2
-            self.n_tri += 1
-            return cont, s1t, x
-        if side == "prev":
-            eaten = []
-            e = a
-            for _ in range(k):
-                e = self.prv[e]
-                if e == a:
-                    raise MisuseError(f"swallow k={k} wraps the whole hole")
-                eaten.append(e)
-            y = self.org[eaten[-1]]
-            before = self.prv[eaten[-1]]
-            after = self.nxt[a]
-            if before == a:
-                raise MisuseError(f"swallow k={k} leaves no hole edge")
-            s1 = self._new_he(w, FLAG_TRIANGLE)
-            s2 = self._new_he(y, FLAG_TRIANGLE)
-            s2t = self._new_he(u, FLAG_WORK)
-            cont = self._new_he(y, flag)
-            self.twin[s2], self.twin[s2t] = s2t, s2
-            self.twin[s1], self.twin[cont] = cont, s1
-            self.hflag[a] = FLAG_TRIANGLE
-            self._link(a, s1)
-            self._link(s1, s2)
-            self._link(s2, a)
-            # enclosed hole: s2t then the eaten run in reverse cycle order
-            self._link(s2t, eaten[-1])
-            self._link(eaten[0], s2t)
-            for e in eaten:
-                self.hflag[e] = FLAG_WORK
-            self._link(before, cont)
-            self._link(cont, after)
-            if flag == FLAG_MAIN:
-                self.perimeter -= k
-                self.v_hole[y] = cont
-                self.v_hole[u] = -1
-                for e in eaten[:-1]:
-                    self.v_hole[self.org[e]] = -1
-            self.ne += 2
-            self.n_tri += 1
-            return cont, s2t, y
-        raise DomainError(f"side must be 'next' or 'prev', got {side!r}")
+        eaten = []
+        e = a
+        for _ in range(k):
+            e = step[e]
+            if e == a:
+                raise MisuseError(f"swallow k={k} wraps the whole hole")
+            eaten.append(e)
+        # the replaced stretch head..tail in cycle order: a then the eaten
+        # run first..last ('next'), or the run then a ('prev')
+        first, last = (eaten[0], eaten[-1]) if fwd else (eaten[-1], eaten[0])
+        head, tail = (a, last) if fwd else (first, a)
+        before, after = self.prv[head], self.nxt[tail]
+        if after == head:
+            raise MisuseError(f"swallow k={k} leaves no hole edge")
+        x = self.target(last) if fwd else self.org[first]
+        # triangle a -> s1 -> s2 runs u -> w -> x -> u; the twin of inner
+        # (fence) closes the eaten run into the work hole, the twin of
+        # outer (cont) bridges the cut in the ambient hole
+        s1 = self._new_he(w, FLAG_TRIANGLE)
+        s2 = self._new_he(x, FLAG_TRIANGLE)
+        inner, outer = (s1, s2) if fwd else (s2, s1)
+        fence = self._new_he(x if fwd else u, FLAG_WORK)
+        cont = self._new_he(u if fwd else x, flag)
+        self.twin[inner], self.twin[fence] = fence, inner
+        self.twin[outer], self.twin[cont] = cont, outer
+        self.hflag[a] = FLAG_TRIANGLE
+        self._link(a, s1)
+        self._link(s1, s2)
+        self._link(s2, a)
+        self._link(fence, first)
+        self._link(last, fence)
+        for e in eaten:
+            self.hflag[e] = FLAG_WORK
+        self._link(before, cont)
+        self._link(cont, after)
+        if flag == FLAG_MAIN:
+            # the main boundary is simple: the origins of the stretch other
+            # than cont's leave it, and the apex of 'next' keeps after
+            self.perimeter -= k
+            for e in eaten if fwd else eaten[:-1] + [a]:
+                self.v_hole[self.org[e]] = -1
+            self.v_hole[self.org[cont]] = cont
+        self.ne += 2
+        self.n_tri += 1
+        return cont, fence, x
 
     def close_two_gon(self, g: int) -> int:
         """Zip shut a work hole of perimeter 2 by identifying its edges.

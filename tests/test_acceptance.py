@@ -299,7 +299,7 @@ def test_structural_validation_and_replay():
         layers.map.validate()
         maps += 1
         assert (
-            replay_trace(trace_to_json(layers.trace))["canonical_code"]
+            replay_trace(trace_to_json(layers))["canonical_code"]
             == layers.map.canonical_code()
         )
         replays += 1

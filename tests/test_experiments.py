@@ -53,6 +53,25 @@ def test_reports_are_seed_deterministic(p75):
     assert report_to_json(make(3)) != report_to_json(make(4))
 
 
+def test_layer_stats_ignores_table_growth():
+    # alpha 0.68 clamps the harmonic table only past its initial size; the
+    # report must not depend on how far the shared tables have grown
+    def fresh():
+        return build_params(alpha="0.68")
+
+    grown = [fresh(), fresh(), fresh(), fresh()]
+    grown[1].ensure_ctilde(491)
+    grown[2].ensure_ctilde(1000)
+    grown[3].ensure_q(1024)
+    grown[3].ensure_ctilde(491)
+    texts = {
+        report_to_json(run_layer_stats(p, RngStream(5), trials=3, window=(8, 11)))
+        for p in grown
+    }
+    assert len(texts) == 1
+    assert json.loads(texts.pop())["settings"]["fast_path"] is True
+
+
 def test_report_round_trips(p75):
     rep = run_layer_stats(p75, RngStream(1), trials=2, window=(2, 3))
     assert report_from_json(report_to_json(rep)) == rep

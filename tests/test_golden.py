@@ -27,6 +27,14 @@ REPORTS = {
         {"trials": 4, "window": (4, 8)},
         "ea450de3433b29ab34bb1481d578f82c0746ecb4e7d4b9ce11fb3d22997de1cc",
     ),
+    # alpha 0.68 clamps the harmonic table only at p = 490, past the initial
+    # table, and caps block swallows at 430: scalar steps until the boundary
+    # is wide enough, blocks after
+    "layer-stats-near-critical": (
+        "layer-stats", {"alpha": "0.68"}, 5,
+        {"trials": 3, "window": (8, 11)},
+        "0010b845a54653abb218f1143051b7755c713d94601512925a598db1dadcab85",
+    ),
     # the step budget discards some trials
     "inv-degree": (
         "inv-degree", {"kappa": "2/27"}, 3,

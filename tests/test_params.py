@@ -113,7 +113,8 @@ def test_step_law_drift_matches_closed_form(alpha):
 
 
 def test_tail_bound_is_a_bound():
-    p = tp.build_params(alpha=0.75, i_max=4096)
+    p = tp.build_params(alpha=0.75)
+    p.ensure_q(4096)
     for cut in (8, 32, 128):
         actual = math.fsum(p.q_neg(j) for j in range(cut + 1, 4097))
         bound = q_tail_bound(p.alpha, cut, p.q_neg(cut))
@@ -297,8 +298,9 @@ def test_mean_hole_volume_against_series():
 
 
 def test_params_digest_stable_under_growth():
-    a = tp.build_params(kappa="9/128", i_max=16, p_max=16)
-    b = tp.build_params(kappa="9/128", i_max=512, p_max=512)
+    a = tp.build_params(kappa="9/128")
+    b = tp.build_params(kappa="9/128")
+    b.ensure_q(512)
     d0 = a.digest()
     a.ensure_q(2048)
     a.ensure_ctilde(2048)
@@ -308,14 +310,22 @@ def test_params_digest_stable_under_growth():
 
 
 def test_params_json_roundtrip():
-    p = tp.build_params(kappa="9/128", i_max=32, p_max=48)
+    p = tp.build_params(kappa="9/128")
+    p.ensure_q(400)
     doc = json.loads(p.to_json())
     assert doc["schema"] == "tripeel-params-v1"
     assert doc["critical"] is False
     q = tp.PeelParams.from_json(p.to_json(), verify=True)
     assert q.digest() == p.digest()
+    assert (q.i_max, q.p_max) == (p.i_max, p.p_max) == (400, doc["p_max"])
     assert q.q_neg(7) == p.q_neg(7)
     assert q.ctilde(17) == p.ctilde(17)
+    # the harmonic table never clamps at criticality, so its saved size is
+    # restored too
+    c = tp.build_params(kappa="2/27")
+    c.ensure_ctilde(400)
+    r = tp.PeelParams.from_json(c.to_json())
+    assert (r.i_max, r.p_max) == (c.i_max, c.p_max) == (400, 400)
 
 
 def test_params_table_hard_cap():

@@ -71,6 +71,18 @@ def test_attach_fresh_chain():
     assert (m.nv, m.ne, m.n_tri, m.perimeter) == (27, 51, 25, 27)
 
 
+def test_attach_fresh_refuses_a_loop_hole_untouched():
+    m = TriMap.root_edge()
+    a = m.root
+    m.nxt[a] = m.prv[a] = a  # corrupt: a hole bounded by a alone
+    before = [list(arr) for arr in (m.twin, m.nxt, m.prv, m.org, m.hflag, m.v_out)]
+    counters = (m.nv, m.ne, m.n_tri, m.perimeter)
+    with pytest.raises(InvariantViolationError):
+        m.attach_fresh(a)
+    assert [list(arr) for arr in (m.twin, m.nxt, m.prv, m.org, m.hflag, m.v_out)] == before
+    assert (m.nv, m.ne, m.n_tri, m.perimeter) == counters
+
+
 def test_attach_fresh_rejects_triangle_edge():
     m = TriMap.root_edge()
     m.attach_fresh(m.root)
@@ -81,17 +93,18 @@ def test_attach_fresh_rejects_triangle_edge():
 # -- swallows --------------------------------------------------------------
 
 
+@pytest.mark.parametrize("k", [1, 2, 4])  # 4 = p - 3
 @pytest.mark.parametrize("side", ["next", "prev"])
-def test_open_swallow_counters(side):
+def test_open_swallow_counters(side, k):
     m, a = fresh_ring(5)  # perimeter 7
     peri, nv, ne, ntri = m.perimeter, m.nv, m.ne, m.n_tri
-    cont, enclosed, apex = m.open_swallow(a, 2, side)
+    cont, enclosed, apex = m.open_swallow(a, k, side)
     m.validate(allow_work_holes=True)
-    assert m.perimeter == peri - 2
+    assert m.perimeter == peri - k
     assert (m.nv, m.ne, m.n_tri) == (nv, ne + 2, ntri + 1)
     assert m.hflag[cont] == FLAG_MAIN
     assert m.hflag[enclosed] == FLAG_WORK
-    assert len(m.hole_cycle(enclosed)) == 3
+    assert len(m.hole_cycle(enclosed)) == k + 1
     assert m.v_hole[apex] != -1
     # enclosed hole vertices other than the apex left the main boundary
     for h in m.hole_cycle(enclosed):
