@@ -108,12 +108,15 @@ class BoltzmannFiller:
         far piece and keeps working on the near piece, depth-first, so
         the decision order is a deterministic function of the stream.
         """
+        rows, row, u = self._rows, self.row, rng.u
         stack = [(hole_he, perimeter)]
+        push, pop = stack.append, stack.pop
         added = 0
         steps = 0
         while stack:
-            h, p = stack.pop()
-            d = self.decide(p, rng)
+            h, p = pop()
+            cuts, decisions = rows.get(p) or row(p)
+            d = decisions[bisect_right(cuts, u())]
             steps += 1
             if max_steps is not None and steps > max_steps:
                 raise BudgetExceededError(
@@ -125,12 +128,12 @@ class BoltzmannFiller:
             elif d is _FRESH:
                 c2, _, _ = tmap.attach_fresh(h)
                 added += 1
-                stack.append((c2, p + 1))
+                push((c2, p + 1))
             else:
                 k = d[1]
                 cont, enclosed, _ = tmap.open_swallow(h, k, "next")
-                stack.append((cont, p - k))
-                stack.append((enclosed, k + 1))
+                push((cont, p - k))
+                push((enclosed, k + 1))
         return added
 
     def fill_volume(
@@ -140,12 +143,15 @@ class BoltzmannFiller:
         max_steps: Optional[int] = None,
     ) -> int:
         """Scorekeeping twin of :meth:`fill_hole`: same decisions, no map."""
+        rows, row, u = self._rows, self.row, rng.u
         stack = [perimeter]
+        push, pop = stack.append, stack.pop
         added = 0
         steps = 0
         while stack:
-            p = stack.pop()
-            d = self.decide(p, rng)
+            p = pop()
+            cuts, decisions = rows.get(p) or row(p)
+            d = decisions[bisect_right(cuts, u())]
             steps += 1
             if max_steps is not None and steps > max_steps:
                 raise BudgetExceededError(
@@ -156,11 +162,11 @@ class BoltzmannFiller:
                 pass
             elif d is _FRESH:
                 added += 1
-                stack.append(p + 1)
+                push(p + 1)
             else:
                 k = d[1]
-                stack.append(p - k)
-                stack.append(k + 1)
+                push(p - k)
+                push(k + 1)
         return added
 
     def sample_map(

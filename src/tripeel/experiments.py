@@ -277,7 +277,8 @@ def run_layer_stats(
 
     Volume draws are skipped, so once the harmonic table clamps (off the
     critical point) wide boundaries go through the block sampler of
-    :meth:`LayerChain.run_fast`.
+    :meth:`LayerChain.run_fast`.  ``settings.fast_path`` records whether
+    any trial took a block step.
     """
     if trials < 2:
         raise DomainError("need at least two trials")
@@ -285,9 +286,11 @@ def run_layer_stats(
     if lo < 1 or hi < lo:
         raise DomainError(f"bad layer window {tuple(window)}")
     vals = []
+    block_steps = 0
     for t in range(trials):
         chain = LayerChain(params, rng.fork(t), volume=False, max_steps=max_steps)
         hull = chain.run_fast(hi + 1)
+        block_steps += chain.block_steps
         by_r = {rec.r: rec for rec in hull}
         vals.append(
             float(
@@ -308,7 +311,7 @@ def run_layer_stats(
         "trials": trials,
         "window": [lo, hi],
         "max_steps": max_steps,
-        "fast_path": not params.critical,
+        "fast_path": block_steps > 0,
     }
     return _report("layer-stats", params, rng, settings, results)
 

@@ -29,8 +29,8 @@ Contents:
 
 from __future__ import annotations
 
-import bisect
 import json
+from bisect import bisect_right
 from dataclasses import asdict, dataclass
 from typing import Callable, Optional, Sequence, Union
 
@@ -101,27 +101,37 @@ class StepSampler:
         if p < 2:
             raise MisuseError(f"cannot peel at perimeter {p}")
         par = self.params
-        denom = par.ctilde(p + 1)
+        ct = par._ct
+        if p + 1 >= len(ct) and not par._ct_clamped:
+            par.ensure_ctilde(p + 1)
+        # past the end of a clamped table C~ is its last entry, the plateau
+        last = len(ct) - 1
+        denom = ct[p + 1 if p < last else last]
         qcum = par._qcum
+        nq = len(qcum)
+        u = rng.u
         while True:
-            u = rng.u()
-            idx = bisect.bisect_right(qcum, u)
-            while idx >= len(qcum) and par.i_max < p - 2:
-                # mass beyond the table and legal sizes not yet covered
-                par.ensure_q(min(p - 2, max(2 * par.i_max, 64)))
-                qcum = par._qcum
-                idx = bisect.bisect_right(qcum, u)
-            if idx >= len(qcum):
-                continue
+            x = u()
+            idx = bisect_right(qcum, x)
+            if idx >= nq:
+                while idx >= len(qcum) and par.i_max < p - 2:
+                    # mass beyond the table and legal sizes not yet covered
+                    par.ensure_q(min(p - 2, max(2 * par.i_max, 64)))
+                    idx = bisect_right(qcum, x)
+                nq = len(qcum)
+                if idx >= nq:
+                    continue
             if idx == 0:
                 return "fresh", 0, None
             k = idx
-            acc = par.ctilde(p - k) / denom
-            if acc <= 0.0:
+            j = p - k
+            if j < 2:
+                # C~_j = 0: an illegal size, rejected without a coin
                 continue
-            if acc < 1.0 and rng.u() >= acc:
+            acc = ct[j if j < last else last] / denom
+            if acc < 1.0 and u() >= acc:
                 continue
-            side = "next" if rng.u() < 0.5 else "prev"
+            side = "next" if u() < 0.5 else "prev"
             return "swallow", k, side
 
 
@@ -285,16 +295,7 @@ class PeelEngine:
             dperim, dvol = -k, filler
         self.steps += 1
         rec = StepRecord(
-            step=self.steps,
-            edge=edge,
-            kind=kind,
-            k=k,
-            side=side,
-            dperim=dperim,
-            dvol=dvol,
-            filler=filler,
-            perimeter=m.perimeter,
-            volume=m.nv,
+            self.steps, edge, kind, k, side, dperim, dvol, filler, m.perimeter, m.nv
         )
         if self.records is not None:
             self.records.append(rec)
@@ -617,6 +618,7 @@ class LayerChain:
         self.p = 2
         self.v = 2
         self.steps = 0
+        self.block_steps = 0  # steps run_fast took in blocks, cut steps included
         self.cur_r = 1
         self._A = 1
         self._N = 1
@@ -696,6 +698,7 @@ class LayerChain:
                 self._A = int(oka[j - 1])
                 self._N = int(okn[j - 1])
                 self.steps += j
+                self.block_steps += j
                 self.p = self._A + self._N
             if j < m:
                 # step j was proposed from a clean state, so it is still
@@ -703,6 +706,7 @@ class LayerChain:
                 k = int(ks[j])
                 self.p += 1 if k == 0 else -k
                 self.steps += 1
+                self.block_steps += 1
                 _arc_step(self, k, "next" if s[j] < 0.5 else "prev", self.p, None)
         return self.hull
 

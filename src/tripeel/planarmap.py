@@ -90,17 +90,18 @@ class TriMap:
         configuration in which an edge sees the same hole on both sides.
         """
         m = cls()
-        u, v = m._new_vertex(), m._new_vertex()
-        a = m._new_he(u, FLAG_MAIN)
-        b = m._new_he(v, FLAG_MAIN)
-        m.twin[a], m.twin[b] = b, a
-        m._link(a, b)
-        m._link(b, a)
+        # half-edge 0 runs from vertex 0 to vertex 1, half-edge 1 back
+        m.twin = [1, 0]
+        m.nxt = [1, 0]
+        m.prv = [1, 0]
+        m.org = [0, 1]
+        m.hflag = [FLAG_MAIN, FLAG_MAIN]
+        m.v_out = [0, 1]
+        m.v_hole = [0, 1]
+        m.nv = 2
         m.ne = 1
         m.perimeter = 2
-        m.root = a
-        m.v_out[u], m.v_out[v] = a, b
-        m.v_hole[u], m.v_hole[v] = a, b
+        m.root = 0
         return m
 
     @classmethod
@@ -168,12 +169,6 @@ class TriMap:
         self.hflag.append(flag)
         return len(self.org) - 1
 
-    def _kill_he(self, h: int) -> None:
-        self.hflag[h] = DEAD
-        self.twin[h] = self.nxt[h] = self.prv[h] = -1
-        self.org[h] = -1
-        self.free.append(h)
-
     def _link(self, a: int, b: int) -> None:
         self.nxt[a] = b
         self.prv[b] = a
@@ -224,11 +219,12 @@ class TriMap:
         h0 = self.v_out[v]
         if h0 == -1 or not self.alive(h0):
             raise MisuseError(f"vertex {v} has no alive outgoing half-edge")
+        twin, nxt = self.twin, self.nxt
         fan = [h0]
-        h = self.rot(h0)
+        h = nxt[twin[h0]]
         while h != h0:
             fan.append(h)
-            h = self.rot(h)
+            h = nxt[twin[h]]
         return fan
 
     def degree(self, v: int) -> int:
@@ -247,38 +243,54 @@ class TriMap:
         the hole by one.  Returns (c2, c1, apex): c2 runs from org(a) to
         the apex, c1 from the apex to target(a), both on the hole.
         """
-        flag = self.hflag[a]
+        hflag = self.hflag
+        flag = hflag[a]
         if flag not in (FLAG_MAIN, FLAG_WORK):
             raise MisuseError(f"half-edge {a} does not bound a hole")
-        u = self.org[a]
-        w = self.target(a)
-        x_prev, x_next = self.prv[a], self.nxt[a]
+        twin, nxt, prv, org = self.twin, self.nxt, self.prv, self.org
+        u = org[a]
+        w = org[twin[a]]
+        x_prev, x_next = prv[a], nxt[a]
         if x_prev == a:
             # a hole bounded by a alone (a loop) leaves no edge to carry
             # c2 and c1; no valid map has one, the smallest hole being the
             # 2-cycle of the two-sided root edge
             raise InvariantViolationError("hole cycle of length 1")
-        v = self._new_vertex()
-        t1 = self._new_he(w, FLAG_TRIANGLE)
-        t2 = self._new_he(v, FLAG_TRIANGLE)
-        c1 = self._new_he(v, flag)
-        c2 = self._new_he(u, flag)
-        self.twin[t1], self.twin[c1] = c1, t1
-        self.twin[t2], self.twin[c2] = c2, t2
-        self.hflag[a] = FLAG_TRIANGLE
-        self._link(a, t1)
-        self._link(t1, t2)
-        self._link(t2, a)
-        self._link(x_prev, c2)
-        self._link(c2, c1)
-        self._link(c1, x_next)
-        self.v_out[v] = t2
+        v = self.nv
+        # triangle a -> t1 -> t2 runs u -> w -> v -> u; c1 and c2 are the
+        # twins of t1 and t2 on the hole
+        if self.free:
+            t1 = self._new_he(w, FLAG_TRIANGLE)
+            t2 = self._new_he(v, FLAG_TRIANGLE)
+            c1 = self._new_he(v, flag)
+            c2 = self._new_he(u, flag)
+            twin[t1], twin[t2], twin[c1], twin[c2] = c1, c2, t1, t2
+            nxt[t1], nxt[t2], nxt[c1], nxt[c2] = t2, a, x_next, c1
+            prv[t1], prv[t2], prv[c1], prv[c2] = a, t1, c2, x_prev
+        else:
+            # no dead ids to recycle: the four are the next ones in the arena
+            t1 = len(org)
+            t2, c1, c2 = t1 + 1, t1 + 2, t1 + 3
+            twin += (c1, c2, t1, t2)
+            nxt += (t2, a, x_next, c1)
+            prv += (a, t1, c2, x_prev)
+            org += (w, v, v, u)
+            hflag += (FLAG_TRIANGLE, FLAG_TRIANGLE, flag, flag)
+        hflag[a] = FLAG_TRIANGLE
+        nxt[a] = t1
+        prv[a] = t2
+        nxt[x_prev] = c2
+        prv[x_next] = c1
+        self.nv = v + 1
+        self.v_out.append(t2)
         self.ne += 2
         self.n_tri += 1
         if flag == FLAG_MAIN:
             self.perimeter += 1
             self.v_hole[u] = c2
-            self.v_hole[v] = c1
+            self.v_hole.append(c1)
+        else:
+            self.v_hole.append(-1)
         return c2, c1, v
 
     def open_swallow(self, a: int, k: int, side: str) -> tuple[int, int, int]:
@@ -292,17 +304,19 @@ class TriMap:
         half-edge on the ambient hole, enclosed the root of the new work
         hole.
         """
-        flag = self.hflag[a]
+        hflag = self.hflag
+        flag = hflag[a]
         if flag not in (FLAG_MAIN, FLAG_WORK):
             raise MisuseError(f"half-edge {a} does not bound a hole")
         if k < 1:
             raise DomainError(f"swallow size k={k} must be at least 1")
         if side not in ("next", "prev"):
             raise DomainError(f"side must be 'next' or 'prev', got {side!r}")
+        twin, nxt, prv, org = self.twin, self.nxt, self.prv, self.org
         fwd = side == "next"
-        step = self.nxt if fwd else self.prv
-        u = self.org[a]
-        w = self.target(a)
+        step = nxt if fwd else prv
+        u = org[a]
+        w = org[twin[a]]
         eaten = []
         e = a
         for _ in range(k):
@@ -314,37 +328,54 @@ class TriMap:
         # run first..last ('next'), or the run then a ('prev')
         first, last = (eaten[0], eaten[-1]) if fwd else (eaten[-1], eaten[0])
         head, tail = (a, last) if fwd else (first, a)
-        before, after = self.prv[head], self.nxt[tail]
+        before, after = prv[head], nxt[tail]
         if after == head:
             raise MisuseError(f"swallow k={k} leaves no hole edge")
-        x = self.target(last) if fwd else self.org[first]
         # triangle a -> s1 -> s2 runs u -> w -> x -> u; the twin of inner
         # (fence) closes the eaten run into the work hole, the twin of
         # outer (cont) bridges the cut in the ambient hole
-        s1 = self._new_he(w, FLAG_TRIANGLE)
-        s2 = self._new_he(x, FLAG_TRIANGLE)
-        inner, outer = (s1, s2) if fwd else (s2, s1)
-        fence = self._new_he(x if fwd else u, FLAG_WORK)
-        cont = self._new_he(u if fwd else x, flag)
-        self.twin[inner], self.twin[fence] = fence, inner
-        self.twin[outer], self.twin[cont] = cont, outer
-        self.hflag[a] = FLAG_TRIANGLE
-        self._link(a, s1)
-        self._link(s1, s2)
-        self._link(s2, a)
-        self._link(fence, first)
-        self._link(last, fence)
+        if fwd:
+            x = org[twin[last]]
+            fence_org, cont_org = x, u
+        else:
+            x = org[first]
+            fence_org, cont_org = u, x
+        if self.free:
+            s1 = self._new_he(w, FLAG_TRIANGLE)
+            s2 = self._new_he(x, FLAG_TRIANGLE)
+            fence = self._new_he(fence_org, FLAG_WORK)
+            cont = self._new_he(cont_org, flag)
+            inner, outer = (s1, s2) if fwd else (s2, s1)
+            twin[inner], twin[fence] = fence, inner
+            twin[outer], twin[cont] = cont, outer
+            nxt[s1], nxt[s2], nxt[fence], nxt[cont] = s2, a, first, after
+            prv[s1], prv[s2], prv[fence], prv[cont] = a, s1, last, before
+        else:
+            # no dead ids to recycle: the four are the next ones in the arena
+            s1 = len(org)
+            s2, fence, cont = s1 + 1, s1 + 2, s1 + 3
+            twin += (fence, cont, s1, s2) if fwd else (cont, fence, s2, s1)
+            nxt += (s2, a, first, after)
+            prv += (a, s1, last, before)
+            org += (w, x, fence_org, cont_org)
+            hflag += (FLAG_TRIANGLE, FLAG_TRIANGLE, FLAG_WORK, flag)
+        hflag[a] = FLAG_TRIANGLE
+        nxt[a] = s1
+        prv[a] = s2
+        prv[first] = fence
+        nxt[last] = fence
         for e in eaten:
-            self.hflag[e] = FLAG_WORK
-        self._link(before, cont)
-        self._link(cont, after)
+            hflag[e] = FLAG_WORK
+        nxt[before] = cont
+        prv[after] = cont
         if flag == FLAG_MAIN:
             # the main boundary is simple: the origins of the stretch other
             # than cont's leave it, and the apex of 'next' keeps after
             self.perimeter -= k
+            v_hole = self.v_hole
             for e in eaten if fwd else eaten[:-1] + [a]:
-                self.v_hole[self.org[e]] = -1
-            self.v_hole[self.org[cont]] = cont
+                v_hole[org[e]] = -1
+            v_hole[cont_org] = cont
         self.ne += 2
         self.n_tri += 1
         return cont, fence, x
@@ -354,27 +385,33 @@ class TriMap:
 
         Returns the surviving half-edge that replaced twin(g).
         """
-        if self.hflag[g] != FLAG_WORK:
+        hflag, twin, nxt = self.hflag, self.twin, self.nxt
+        if hflag[g] != FLAG_WORK:
             raise MisuseError("only work holes can be zipped shut")
-        g2 = self.nxt[g]
-        if g2 == g or self.nxt[g2] != g:
+        g2 = nxt[g]
+        if g2 == g or nxt[g2] != g:
             raise MisuseError("hole is not a 2-gon")
-        if self.twin[g] == g2:
+        t1, t2 = twin[g], twin[g2]
+        if t1 == g2:
             raise InvariantViolationError("cannot identify an edge with itself")
-        t1, t2 = self.twin[g], self.twin[g2]
-        u, v = self.org[g], self.org[g2]
-        self.twin[t1], self.twin[t2] = t2, t1
-        if self.v_out[u] == g:
-            self.v_out[u] = t2
-        if self.v_out[v] == g2:
-            self.v_out[v] = t1
+        org, v_out = self.org, self.v_out
+        u, v = org[g], org[g2]
+        twin[t1], twin[t2] = t2, t1
+        if v_out[u] == g:
+            v_out[u] = t2
+        if v_out[v] == g2:
+            v_out[v] = t1
         # the merged edge keeps representing the root edge, same orientation
         if self.root == g:
             self.root = t2
         elif self.root == g2:
             self.root = t1
-        self._kill_he(g)
-        self._kill_he(g2)
+        # g and g2 die; their ids go to the free list
+        prv = self.prv
+        hflag[g] = hflag[g2] = DEAD
+        twin[g] = nxt[g] = prv[g] = org[g] = -1
+        twin[g2] = nxt[g2] = prv[g2] = org[g2] = -1
+        self.free += (g, g2)
         self.ne -= 1
         return t1
 

@@ -72,6 +72,15 @@ def test_layer_stats_ignores_table_growth():
     assert json.loads(texts.pop())["settings"]["fast_path"] is True
 
 
+def test_layer_stats_fast_path_reports_what_ran():
+    # alpha 0.6667 clamps the harmonic table too late for these short
+    # runs: every step is scalar, and the report must say so
+    p = build_params(alpha="0.6667")
+    rep = run_layer_stats(p, RngStream(5), trials=3, window=(6, 10))
+    assert rep["settings"]["fast_path"] is False
+    assert p.ctilde_clamp_index() is None
+
+
 def test_report_round_trips(p75):
     rep = run_layer_stats(p75, RngStream(1), trials=2, window=(2, 3))
     assert report_from_json(report_to_json(rep)) == rep

@@ -260,7 +260,7 @@ def test_fast_chain_matches_scalar_in_law(monkeypatch):
         lambda t: LayerChain(par, RngStream(97, (t,)), volume=False).run(6)
     )
 
-    calls = {"scalar": 0, "all": 0}
+    calls = {"scalar": 0, "block": 0, "all": 0}
     step = LayerChain.step
 
     def counted_step(chain):
@@ -273,10 +273,12 @@ def test_fast_chain_matches_scalar_in_law(monkeypatch):
         chain = LayerChain(par, RngStream(101, (t,)), volume=False)
         hull = chain.run_fast(6)
         calls["all"] += chain.steps
+        calls["block"] += chain.block_steps
         return hull
 
     block = layer_ratios(fast)
     assert calls["scalar"] < 0.2 * calls["all"]
+    assert calls["block"] == calls["all"] - calls["scalar"]
     for a, b in zip(scalar, block):
         assert sps.ks_2samp(a, b).pvalue > 1e-3
 
@@ -294,6 +296,7 @@ def test_fast_chain_invariants():
         b = LayerChain(params, RngStream(79, (21,)), volume=volume)
         assert a.run(6) == b.run_fast(6)
         assert a.steps == b.steps
+        assert b.block_steps == 0
         assert a.rng.n_drawn == b.rng.n_drawn
 
 
