@@ -31,7 +31,7 @@ from .params import (
     z_partition,
 )
 # complete_ball stays importable from here: benchmarks/spans.py wraps it by name
-from .peeling import LayerChain, _raw_step_sizes, complete_ball, run_chain  # noqa: F401
+from .peeling import LayerChain, _StepSizes, complete_ball, run_chain  # noqa: F401
 from .rng import RngStream
 from .stats import chi2_two_sample, linfit, mean_ci
 from .walk import (
@@ -487,9 +487,10 @@ def _rejection_counts(
     # its size, so clipping there keeps every accepted row
     cap = survive_horizon + 1
     params.ensure_q(cap)
+    sizes = _StepSizes(params, cap)
     while accepted < want:
         u = arm.block(rows * survive_horizon).reshape(rows, survive_horizon)
-        ks = _raw_step_sizes(params, u, cap)
+        ks = sizes(u)
         steps = np.where(ks == 0, 1, -ks).astype(np.int64)
         xi = 2 + np.cumsum(steps, axis=1)
         ok = (xi >= 2).all(axis=1)

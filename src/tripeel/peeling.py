@@ -135,17 +135,39 @@ class StepSampler:
             return "swallow", k, side
 
 
-def _raw_step_sizes(params: PeelParams, u: np.ndarray, cap: int) -> np.ndarray:
-    """Untilted step law by inverse cdf over an array of uniforms:
-    0 for a fresh vertex, k >= 1 for a size-k swallow.
+# the block inverse cdf starts each search from one of _GUIDE buckets
+_GUIDE = 1 << 12
 
-    Sizes are clipped at the caller's cap, which the step-law table must
-    already reach: every uniform past the cumulative mass of sizes up to
-    cap maps to cap, however far the table has grown.
+
+class _StepSizes:
+    """Untilted step law by inverse cdf over arrays of uniforms: 0 for a
+    fresh vertex, k >= 1 for a size-k swallow, clipped at ``cap``.
+
+    Built once per block run from the first ``cap`` cumulative masses,
+    which the step-law table must already reach; every uniform past
+    them maps to cap, however far the table has grown.  The answer for
+    u is the number of those masses <= u.  A guide table holds that
+    count at each bucket start b / _GUIDE (exact: the scaling is by a
+    power of two), a lower bound for every u in the bucket; it is the
+    answer unless the next mass is <= u, and only those few uniforms
+    are searched.
     """
-    ks = np.searchsorted(params.q_cumulative(), u, side="right")
-    np.minimum(ks, cap, out=ks)
-    return ks
+
+    __slots__ = ("mean", "_qc", "_next", "_guide")
+
+    def __init__(self, params: PeelParams, cap: int):
+        qc = np.asarray(params.q_cumulative()[:cap])
+        self._qc = qc
+        self._next = np.append(qc, np.inf)
+        self._guide = np.searchsorted(qc, np.arange(_GUIDE) / _GUIDE, side="right")
+        # mean clipped size: sum over k < cap of P(size > k)
+        self.mean = float((1.0 - qc).sum())
+
+    def __call__(self, u: np.ndarray) -> np.ndarray:
+        ks = self._guide[(u * _GUIDE).astype(np.intp)]
+        fix = self._next[ks] <= u
+        ks[fix] = np.searchsorted(self._qc, u[fix], side="right")
+        return ks
 
 
 def _block_cap(params: PeelParams) -> int:
@@ -585,10 +607,15 @@ def run_chain(
     return {"perimeters": ps, "volumes": vs, "steps": chain.steps}
 
 
-# run_fast samples in chunks of _CHUNK proposals once the perimeter
-# reaches _P_FAST (or the higher floor the clamp index sets)
+# run_fast samples in blocks once the perimeter reaches _P_FAST (or the
+# higher floor the clamp index sets), in chunks of _CHUNK_MIN to _CHUNK
+# proposals sized from the chain state; while the new arc is shorter
+# than _N_SHORT a swallow toward it may cut at once, so the chunk is
+# _CHUNK_MIN
 _P_FAST = 512
 _CHUNK = 1 << 16
+_CHUNK_MIN = 256
+_N_SHORT = 16
 
 
 class LayerChain:
@@ -664,42 +691,59 @@ class LayerChain:
         step is applied with the full arc rule.  Every other step is an
         exact scalar :meth:`step`: with volume tracked, before the table
         clamps (always, at the critical point) and on narrow boundaries.
+
+        Each chunk is sized from the state at its start only: the old
+        arc A, the new arc N, the margin above the floor and the mean
+        clipped swallow size mu.  The old arc loses mu / 2 a step on
+        average, so a chunk holds min(A, p - floor + 1) / (mu / 2)
+        proposals, clipped to [_CHUNK_MIN, _CHUNK], and _CHUNK_MIN while
+        N < _N_SHORT (right after tau_r, N = 0).  Proposals past a cut
+        are never looked at, so sizing the next chunk from the state
+        leaves every step an i.i.d. raw-law draw, and few uniforms are
+        drawn past a cut.
+
         So the run depends only on the coupling and the stream, never on
         how far the shared tables have grown.
         """
-        params = self.params
         rng = self.rng
-        cap = None  # K, once the table has clamped
+        sizes = None  # the block step law, once the table has clamped
         while self.cur_r <= r_max:
-            if cap is None and self.filler is None:
-                clamp = params.ctilde_clamp_index()
+            if sizes is None and self.filler is None:
+                clamp = self.params.ctilde_clamp_index()
                 if clamp is not None:
-                    cap = _block_cap(params)
+                    cap = _block_cap(self.params)
+                    sizes = _StepSizes(self.params, cap)
+                    rate = sizes.mean / 2
                     # a pre-step perimeter at or above the floor is exact
                     p_floor = clamp + cap
-            if cap is None or self.p < max(_P_FAST, p_floor + 2):
+            if sizes is None or self.p < max(_P_FAST, p_floor + 2):
                 self.step()
                 continue
             self._check_budget()
-            m = _CHUNK
+            if self._N < _N_SHORT:
+                m = _CHUNK_MIN
+            else:
+                reach = min(self._A, self.p - p_floor + 1)
+                m = min(max(int(reach / rate), _CHUNK_MIN), _CHUNK)
             if self.max_steps is not None:
                 m = min(m, self.max_steps - self.steps)
-            u = rng.block(m)
-            s = rng.block(m)
-            ks = _raw_step_sizes(params, u, cap)
-            fresh = ks == 0
-            oka = self._A - np.where(~fresh & (s < 0.5), ks, 0).cumsum()
-            okn = self._N + (
-                fresh.astype(np.int64) - np.where(~fresh & (s >= 0.5), ks, 0)
-            ).cumsum()
-            bad = (oka < 1) | (okn < 1) | (oka + okn < p_floor)
-            j = int(np.argmax(bad)) if bad.any() else m
+            us = rng.block(2 * m)
+            ks = sizes(us[:m])
+            s = us[m:]
+            # swallows toward the old arc ('next'); a fresh step has k = 0
+            da = ks * (s < 0.5)
+            oka = self._A - da.cumsum()
+            okp = self.p + ((ks == 0) - ks).cumsum()
+            bad = (oka < 1) | (okp - oka < 1) | (okp < p_floor)
+            j = int(bad.argmax())
+            if not bad[j]:
+                j = m
             if j > 0:
                 self._A = int(oka[j - 1])
-                self._N = int(okn[j - 1])
+                self.p = int(okp[j - 1])
+                self._N = self.p - self._A
                 self.steps += j
                 self.block_steps += j
-                self.p = self._A + self._N
             if j < m:
                 # step j was proposed from a clean state, so it is still
                 # an exact raw-law step; apply it with full case handling

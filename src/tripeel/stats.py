@@ -3,6 +3,10 @@
 Nothing here knows about maps or peeling: plain estimators (means,
 slopes, batch means) and the pooled two-sample chi-square used by the
 distribution-equality experiments.
+
+scipy is imported inside the functions that need it, so that
+``import tripeel`` does not pay its import time (most of a second for
+``scipy.stats``, a third of one for ``scipy.special``).
 """
 
 from __future__ import annotations
@@ -11,7 +15,6 @@ import math
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
-from scipy import stats as sps
 
 from .errors import DomainError
 
@@ -32,7 +35,10 @@ def mean_ci(xs: Sequence[float], level: float = 0.99) -> dict:
         raise DomainError("need at least two observations for a t interval")
     mean = float(arr.mean())
     se = float(arr.std(ddof=1) / math.sqrt(n))
-    half = float(sps.t.ppf(0.5 + level / 2, n - 1)) * se
+    # the Student t quantile; scipy.stats.t.ppf computes this same call
+    from scipy.special import stdtrit
+
+    half = float(stdtrit(n - 1, 0.5 + level / 2)) * se
     return {"mean": mean, "se": se, "low": mean - half, "high": mean + half,
             "level": level, "n": n}
 
@@ -43,7 +49,9 @@ def proportion_lower_bound(successes: int, n: int, level: float = 0.99) -> float
         raise DomainError(f"bad binomial data {successes}/{n}")
     if successes == 0:
         return 0.0
-    return float(sps.beta.ppf(1 - level, successes, n - successes + 1))
+    from scipy.stats import beta
+
+    return float(beta.ppf(1 - level, successes, n - successes + 1))
 
 
 def linfit(xs: Sequence[float], ys: Sequence[float]) -> dict:
@@ -129,8 +137,10 @@ def chi2_two_sample(
         pooled = True
     if len(a) < 2:
         raise DomainError("fewer than two categories after pooling")
+    from scipy.stats import chi2_contingency
+
     table = np.array([a, b], dtype=float)
-    stat, p, dof, _ = sps.chi2_contingency(table, correction=False)
+    stat, p, dof, _ = chi2_contingency(table, correction=False)
     return {
         "stat": float(stat),
         "dof": int(dof),

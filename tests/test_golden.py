@@ -25,7 +25,7 @@ REPORTS = {
     "layer-stats": (
         "layer-stats", {"alpha": "3/4"}, 2,
         {"trials": 4, "window": (4, 8)},
-        "ea450de3433b29ab34bb1481d578f82c0746ecb4e7d4b9ce11fb3d22997de1cc",
+        "0dcb824169d15007fd459c6a39366f995018f8881b7e449892bb5d793b47070c",
     ),
     # alpha 0.68 clamps the harmonic table only at p = 490, past the initial
     # table, and caps block swallows at 430: scalar steps until the boundary
@@ -33,7 +33,7 @@ REPORTS = {
     "layer-stats-near-critical": (
         "layer-stats", {"alpha": "0.68"}, 5,
         {"trials": 3, "window": (8, 11)},
-        "0010b845a54653abb218f1143051b7755c713d94601512925a598db1dadcab85",
+        "08edf16ec18eefffeb52c60d7cd84d2a461aef6cfadc820f6ef0aff8b0e559eb",
     ),
     # the step budget discards some trials
     "inv-degree": (

@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from scipy import stats as sps
 
@@ -281,6 +282,63 @@ def test_fast_chain_matches_scalar_in_law(monkeypatch):
     assert calls["block"] == calls["all"] - calls["scalar"]
     for a, b in zip(scalar, block):
         assert sps.ks_2samp(a, b).pvalue > 1e-3
+
+
+@pytest.mark.parametrize("alpha", ["3/4", "0.68"])
+def test_block_step_sizes_match_searchsorted(alpha):
+    # the guide-table inverse cdf gives the clipped searchsorted answer
+    # element by element, with the table grown past the cap
+    par = build_params(alpha=alpha)
+    cap = peeling._block_cap(par)
+    sizes = peeling._StepSizes(par, cap)
+    par.ensure_q(cap + 100)
+    q = np.asarray(par.q_cumulative())
+    qc = q[:cap]
+    edges = np.concatenate(
+        [[0.0, 1.0 - 2.0**-53], qc, np.nextafter(qc, 0.0), np.nextafter(qc, 1.0)]
+    )
+    edges = edges[edges < 1.0]
+    draws = RngStream(3).block(200_000)
+    for u in (draws, draws.reshape(400, 500), edges):
+        want = np.minimum(np.searchsorted(q, u, side="right"), cap)
+        got = sizes(u)
+        assert got.shape == u.shape
+        assert np.array_equal(got, want)
+
+
+def test_fast_chain_draws_only_what_it_uses(monkeypatch):
+    # a block step uses two uniforms; chunks sized from the chain state
+    # leave almost nothing unused, and the chunk at the start of a layer
+    # (new arc empty) is the smallest one
+    par = build_params(alpha=Fraction(3, 4))
+    chain = None
+    scalar_draws = 0
+    chunks = []
+    step, block = LayerChain.step, RngStream.block
+
+    def counted_step(c):
+        nonlocal scalar_draws
+        n0 = c.rng.n_drawn
+        step(c)
+        scalar_draws += c.rng.n_drawn - n0
+
+    def recorded_block(rng, n):
+        chunks.append((chain._N, n))
+        return block(rng, n)
+
+    monkeypatch.setattr(LayerChain, "step", counted_step)
+    monkeypatch.setattr(RngStream, "block", recorded_block)
+    drawn = used = 0
+    for t in range(4):
+        chain = LayerChain(par, RngStream(103, (t,)), volume=False)
+        chain.run_fast(9)
+        drawn += chain.rng.n_drawn
+        used += 2 * chain.block_steps
+    used += scalar_draws
+    assert used <= drawn <= 1.05 * used
+    assert any(n_new == 0 for n_new, _ in chunks)
+    assert all(n == 2 * peeling._CHUNK_MIN for n_new, n in chunks if n_new < peeling._N_SHORT)
+    assert max(n for _, n in chunks) > 2 * peeling._CHUNK_MIN
 
 
 def test_fast_chain_invariants():
