@@ -87,11 +87,6 @@ class BoltzmannFiller:
         self._rows[p] = (cuts, decisions)
         return cuts, decisions
 
-    def decide(self, p: int, rng: RngStream) -> tuple:
-        """Draw one hole decision, consuming exactly one uniform."""
-        cuts, decisions = self.row(p)
-        return decisions[bisect_right(cuts, rng.u())]
-
     # -- drivers ----------------------------------------------------------
 
     def fill_hole(
@@ -168,21 +163,6 @@ class BoltzmannFiller:
                 push(p - k)
                 push(k + 1)
         return added
-
-    def sample_map(
-        self,
-        p: int,
-        rng: RngStream,
-        max_steps: Optional[int] = None,
-    ) -> tuple[TriMap, int]:
-        """Boltzmann-distributed triangulation of the p-gon.
-
-        The returned map is rooted on the outer side of the polygon's
-        root edge; its main hole is the polygon's outside.
-        """
-        tmap, inner = TriMap.polygon(p)
-        added = self.fill_hole(tmap, inner, p, rng, max_steps=max_steps)
-        return tmap, added
 
     # -- exhaustive small-map enumeration ----------------------------------
 

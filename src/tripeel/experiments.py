@@ -31,7 +31,7 @@ from .params import (
     z_partition,
 )
 # complete_ball stays importable from here: benchmarks/spans.py wraps it by name
-from .peeling import LayerChain, _StepSizes, complete_ball, run_chain  # noqa: F401
+from .peeling import LayerChain, _StepSizes, _json_object, complete_ball, run_chain  # noqa: F401
 from .rng import RngStream
 from .stats import chi2_two_sample, linfit, mean_ci
 from .walk import (
@@ -111,8 +111,8 @@ def report_to_json(report: dict) -> str:
 
 
 def report_from_json(text: str) -> dict:
-    doc = json.loads(text)
-    if not isinstance(doc, dict) or doc.get("schema") != REPORT_SCHEMA:
+    doc = _json_object(text, "report")
+    if doc.get("schema") != REPORT_SCHEMA:
         raise DomainError("not a report document")
     return doc
 
@@ -156,7 +156,12 @@ def report_from_csv(text: str) -> dict:
         node = doc
         for k in parts[:-1]:
             node = node.setdefault(k, {})
-        node[parts[-1]] = json.loads(val)
+            if not isinstance(node, dict):
+                raise DomainError(f"report path {path!r} runs through a value")
+        try:
+            node[parts[-1]] = json.loads(val)
+        except ValueError:
+            raise DomainError(f"report cell {path!r} is not valid JSON") from None
     if doc.get("schema") != REPORT_SCHEMA:
         raise DomainError("not a report document")
     return doc
@@ -184,6 +189,8 @@ def growth_targets(params: PeelParams) -> dict:
 
 def constants_report(params: PeelParams, *, head: int = 8) -> dict:
     """Parameter card: derived constants, table heads, identity residuals."""
+    if head < 0:
+        raise DomainError(f"head must be nonnegative, got {head}")
     a = params.alpha_exact if params.alpha_exact is not None else params.alpha
     q_head = [["1", params.q1]] + [
         [str(-k), float(q_step(-k, a))] for k in range(1, head + 1)
@@ -527,6 +534,10 @@ def run_law_equivalence(
     """
     if runs < 1000:
         raise DomainError("law comparisons need at least 1000 runs per arm")
+    if joint_steps < 1 or horizon < 1:
+        raise DomainError(
+            f"joint_steps={joint_steps} and horizon={horizon} must both be at least 1"
+        )
     joint_counts = []
     for arm_i, selector in enumerate(("stay", "uniform")):
         arm = rng.fork(arm_i)

@@ -329,10 +329,6 @@ class PeelParams:
         """Cumulative law [q_1, q_1 + q_{-1}, ...] for inverse-cdf draws."""
         return self._qcum
 
-    def q_tail(self) -> float:
-        """Certified bound on the step-law mass beyond the materialized table."""
-        return q_tail_bound(self.alpha, self.i_max, self._qneg[-1])
-
     # -- harmonic sequence --------------------------------------------
 
     def ensure_ctilde(self, p: int) -> None:
@@ -420,13 +416,7 @@ class PeelParams:
         w = self.q_neg(k) * self.ctilde(p - k) / self.ctilde(p)
         return w if both_sides else 0.5 * w
 
-    def transition_total(self, p: int) -> float:
-        total = self.fresh_prob(p)
-        for k in range(1, p - 1):
-            total += self.swallow_prob(p, k, both_sides=True)
-        return total
-
-    # -- serialization -------------------------------------------------
+    # -- identity ------------------------------------------------------
 
     def identity(self) -> dict:
         return {
@@ -450,54 +440,6 @@ class PeelParams:
         """
         doc = json.dumps(self.identity(), sort_keys=True)
         return sha256(doc.encode()).hexdigest()[:16]
-
-    def to_json(self) -> str:
-        doc = self.identity()
-        doc.update(
-            {
-                "beta": repr(self.beta),
-                "drift": repr(self.drift),
-                "critical": self.critical,
-                "i_max": self.i_max,
-                "p_max": self.p_max,
-                "q_tail_bound": repr(self.q_tail()),
-                "ctilde_clamped": self._ct_clamped,
-                "ctilde_limit": repr(self.ctilde_limit) if not self.critical else None,
-                "q_table": [repr(q) for q in self._qneg[1:]],
-                "c_tilde": [repr(c) for c in self._ct[2:]],
-            }
-        )
-        return json.dumps(doc, sort_keys=True, indent=1)
-
-    @classmethod
-    def from_json(cls, text: str, verify: bool = False) -> "PeelParams":
-        doc = json.loads(text)
-        if doc.get("schema") != "tripeel-params-v1":
-            raise DomainError(f"unrecognized params schema {doc.get('schema')!r}")
-        kappa_exact = Fraction(doc["kappa_exact"]) if doc.get("kappa_exact") else None
-        alpha_exact = Fraction(doc["alpha_exact"]) if doc.get("alpha_exact") else None
-        params = cls(
-            alpha=float(doc["alpha"]),
-            kappa=float(doc["kappa"]),
-            alpha_exact=alpha_exact,
-            kappa_exact=kappa_exact,
-        )
-        params.ensure_q(doc["i_max"])
-        params.ensure_ctilde(doc["p_max"])
-        if verify:
-            for k, text_q in enumerate(doc["q_table"], start=1):
-                if not math.isclose(params.q_neg(k), float(text_q), rel_tol=1e-12):
-                    raise NumericalInstabilityError(
-                        f"reloaded q_{{-{k}}} disagrees with recomputation"
-                    )
-            for p, text_c in enumerate(doc["c_tilde"], start=2):
-                if p <= params.p_max and not math.isclose(
-                    params.ctilde(p), float(text_c), rel_tol=1e-12
-                ):
-                    raise NumericalInstabilityError(
-                        f"reloaded C~_{p} disagrees with recomputation"
-                    )
-        return params
 
 
 def build_params(
@@ -554,24 +496,6 @@ def build_params(
         alpha_exact=alpha_exact,
         kappa_exact=kappa_exact,
     )
-
-
-def peel_transition(p: int, params: PeelParams, *, kind: str, k: int = 0, side: Optional[str] = None) -> float:
-    """Transition probability of the perimeter chain at perimeter p.
-
-    kind 'fresh' ignores k and side.  kind 'swallow' takes the swallow
-    size k and an optional side ('left' or 'right'); without a side the
-    two mirror events are aggregated.  Out-of-range swallows have
-    probability zero rather than raising, so the full transition vector
-    can be scanned uniformly.
-    """
-    if kind == "fresh":
-        return params.fresh_prob(p)
-    if kind == "swallow":
-        if side is not None and side not in ("left", "right"):
-            raise DomainError(f"side must be 'left' or 'right', got {side!r}")
-        return params.swallow_prob(p, k, both_sides=side is None)
-    raise DomainError(f"unknown transition kind {kind!r}")
 
 
 def normalization_residual(params: PeelParams, tol: float = NORMALIZATION_TOL) -> float:

@@ -4,12 +4,12 @@ The exploration grows a triangulation from its root edge one peel step
 at a time: a boundary edge of the current map is selected, a triangle is
 glued onto it according to the perimeter-tilted step law, and any pocket
 fenced off by the triangle is immediately resolved by an independent
-Boltzmann filling.  Which boundary edge gets peeled is up to a pluggable
-selector; the law of the perimeter and volume processes does not depend
-on that choice, and the test suite leans on this both ways: map-backed
-engines are coupled draw for draw against arithmetic twins that track
-only (perimeter, volume), and different selectors are compared in
-distribution.
+Boltzmann filling.  Which boundary edge gets peeled is up to one of the
+named selectors in :data:`SELECTORS`; the law of the perimeter and
+volume processes does not depend on that choice, and the test suite
+leans on this both ways: map-backed engines are coupled draw for draw
+against arithmetic twins that track only (perimeter, volume), and
+different selectors are compared in distribution.
 
 Contents:
 
@@ -32,7 +32,7 @@ from __future__ import annotations
 import json
 from bisect import bisect_right
 from dataclasses import asdict, dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -61,7 +61,6 @@ __all__ = [
     "run_algorithm",
     "run_layers",
     "run_chain",
-    "estimate_pi_kappa",
     "complete_ball",
     "trace_to_csv",
     "trace_from_csv",
@@ -228,28 +227,19 @@ class PeelTrace:
     truncated: bool = False
     engine: Optional["LayerEngine"] = None
 
-    def perimeters(self) -> list[int]:
-        return [r.perimeter for r in self.records]
 
-    def volumes(self) -> list[int]:
-        return [r.volume for r in self.records]
-
-    def final(self) -> tuple[int, int]:
-        if not self.records:
-            return 2, 2
-        last = self.records[-1]
-        return last.perimeter, last.volume
-
-
-def _check_record_invariants(rec: StepRecord, prev_p: int, prev_v: int) -> None:
-    if rec.kind == "fresh":
-        ok = rec.dperim == 1 and rec.k == 0
-    else:
-        ok = rec.dperim == -rec.k and rec.k >= 1
-    if not ok or rec.perimeter != prev_p + rec.dperim or rec.perimeter < 2:
-        raise InvariantViolationError(f"inconsistent step record {rec}")
-    if rec.volume != prev_v + rec.dvol or rec.dvol < 0:
-        raise InvariantViolationError(f"volume went backwards at {rec}")
+def _check_records(records: list) -> None:
+    prev_p, prev_v = 2, 2
+    for rec in records:
+        if rec.kind == "fresh":
+            ok = rec.dperim == 1 and rec.k == 0
+        else:
+            ok = rec.dperim == -rec.k and rec.k >= 1
+        if not ok or rec.perimeter != prev_p + rec.dperim or rec.perimeter < 2:
+            raise InvariantViolationError(f"inconsistent step record {rec}")
+        if rec.volume != prev_v + rec.dvol or rec.dvol < 0:
+            raise InvariantViolationError(f"volume went backwards at {rec}")
+        prev_p, prev_v = rec.perimeter, rec.volume
 
 
 # -- the map-backed engine ----------------------------------------------
@@ -368,41 +358,29 @@ def _trace_meta(
 
 def run_algorithm(
     params: PeelParams,
-    algorithm: Union[str, Callable[[PeelEngine], int]],
+    algorithm: str,
     n_steps: int,
     rng: RngStream,
-    *,
-    record: bool = True,
-    max_steps: Optional[int] = None,
-    max_vertices: Optional[int] = None,
 ) -> PeelTrace:
-    """Run n_steps peel steps under the given edge selector.
+    """Run n_steps recorded peel steps under the selector registered in
+    :data:`SELECTORS` by that name.
 
-    The selector is either a registered name or a callable mapping the
-    engine to a main-hole half-edge; it may read the explored map and
-    consume engine.rng, but the step law itself never depends on the
-    choice.  Returns the trace with the final map attached.
+    A selector may read the explored map and consume engine.rng, but
+    the step law itself never depends on the choice.  Returns the trace
+    with the final map attached.
     """
-    if isinstance(algorithm, str):
-        try:
-            select = SELECTORS[algorithm]
-        except KeyError:
-            raise DomainError(f"unknown selector {algorithm!r}") from None
-        name = algorithm
-    else:
-        select = algorithm
-        name = getattr(algorithm, "__name__", "custom")
-    engine = PeelEngine(
-        params, rng, record=record, max_steps=max_steps, max_vertices=max_vertices
-    )
+    try:
+        select = SELECTORS[algorithm]
+    except KeyError:
+        raise DomainError(f"unknown selector {algorithm!r}") from None
+    engine = PeelEngine(params, rng)
     for _ in range(n_steps):
         engine.peel_step(select(engine))
-    trace = PeelTrace(
-        meta=_trace_meta(params, rng, selector=name, driver="steps", n_steps=n_steps),
-        records=engine.records if record else [],
+    return PeelTrace(
+        meta=_trace_meta(params, rng, selector=algorithm, driver="steps", n_steps=n_steps),
+        records=engine.records,
         map=engine.map,
     )
-    return trace
 
 
 # -- peeling by layers ---------------------------------------------------
@@ -550,32 +528,6 @@ def run_layers(
     )
     trace.meta["truncated"] = truncated
     return trace
-
-
-def estimate_pi_kappa(hull: Sequence[HullRecord], params: PeelParams) -> dict:
-    """Rescaled-perimeter series and its terminal value.
-
-    The boundary of the radius-r hull grows like ((alpha + delta) /
-    (alpha - delta))^r times a random positive constant; multiplying by
-    the reciprocal factor makes the series converge, and the last entry
-    is the estimate.  Successive ratios minus one diagnose convergence.
-    """
-    if params.critical:
-        raise DomainError("rescaled perimeters are defined for kappa < 2/27 only")
-    if len(hull) < 5:
-        raise DomainError(f"hull series of length {len(hull)} is too short")
-    shrink = (params.alpha - params.drift) / (params.alpha + params.drift)
-    rescaled = [h.perimeter * shrink ** h.r for h in hull]
-    ratios = [b / a - 1.0 for a, b in zip(rescaled, rescaled[1:])]
-    out = {
-        "rescaled": rescaled,
-        "estimate": rescaled[-1],
-        "ratio_diagnostic": ratios,
-    }
-    last = hull[-1]
-    if last.volume is not None:
-        out["volume_per_boundary"] = last.volume / last.perimeter
-    return out
 
 
 # -- map-free twins ------------------------------------------------------
@@ -819,25 +771,47 @@ def trace_to_csv(trace: PeelTrace) -> str:
     return "\n".join(lines) + "\n"
 
 
-def trace_from_csv(text: str) -> PeelTrace:
+def _json_object(text: str, what: str) -> dict:
+    """The JSON object in text; DomainError when text is not one."""
+    try:
+        doc = json.loads(text)
+    except ValueError as exc:
+        raise DomainError(f"{what} is not valid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise DomainError(f"{what} is not a JSON object")
+    return doc
+
+
+def _csv_rows(text: str, schema: str, columns: tuple, what: str) -> tuple[dict, list]:
+    """Header metadata and data rows of a CSV export, each row split into
+    one field per column."""
     lines = [ln for ln in text.splitlines() if ln]
-    if not lines or not lines[0].startswith(f"#{TRACE_SCHEMA} "):
-        raise DomainError("not a trace export")
-    meta = json.loads(lines[0].split(" ", 1)[1])
-    if lines[1] != ",".join(_COLUMNS):
-        raise DomainError("unexpected trace column schema")
-    records = []
-    prev_p, prev_v = 2, 2
-    for ln in lines[2:]:
-        f = ln.split(",")
-        rec = StepRecord(
-            step=int(f[0]), edge=int(f[1]), kind=f[2], k=int(f[3]),
-            side=f[4] or None, dperim=int(f[5]), dvol=int(f[6]),
-            filler=int(f[7]), perimeter=int(f[8]), volume=int(f[9]),
-        )
-        _check_record_invariants(rec, prev_p, prev_v)
-        prev_p, prev_v = rec.perimeter, rec.volume
-        records.append(rec)
+    if not lines or not lines[0].startswith(f"#{schema} "):
+        raise DomainError(f"not a {what} export")
+    meta = _json_object(lines[0].split(" ", 1)[1], f"{what} header")
+    if lines[1:2] != [",".join(columns)]:
+        raise DomainError(f"unexpected {what} column schema")
+    rows = [ln.split(",") for ln in lines[2:]]
+    for f in rows:
+        if len(f) != len(columns):
+            raise DomainError(f"{what} row {','.join(f)!r} needs {len(columns)} fields")
+    return meta, rows
+
+
+def trace_from_csv(text: str) -> PeelTrace:
+    meta, rows = _csv_rows(text, TRACE_SCHEMA, _COLUMNS, "trace")
+    try:
+        records = [
+            StepRecord(
+                step=int(f[0]), edge=int(f[1]), kind=f[2], k=int(f[3]),
+                side=f[4] or None, dperim=int(f[5]), dvol=int(f[6]),
+                filler=int(f[7]), perimeter=int(f[8]), volume=int(f[9]),
+            )
+            for f in rows
+        ]
+    except ValueError as exc:
+        raise DomainError(f"malformed trace row: {exc}") from None
+    _check_records(records)
     return PeelTrace(meta=meta, records=records, truncated=bool(meta.get("truncated")))
 
 
@@ -852,20 +826,16 @@ def trace_to_json(trace: PeelTrace) -> str:
 
 
 def trace_from_json(text: str) -> PeelTrace:
-    doc = json.loads(text)
-    meta = doc["meta"]
-    if meta.get("schema") != TRACE_SCHEMA:
+    doc = _json_object(text, "trace")
+    meta = doc.get("meta")
+    if not isinstance(meta, dict) or meta.get("schema") != TRACE_SCHEMA:
         raise DomainError("not a trace export")
-    records = []
-    prev_p, prev_v = 2, 2
-    for d in doc["records"]:
-        rec = StepRecord(**d)
-        _check_record_invariants(rec, prev_p, prev_v)
-        prev_p, prev_v = rec.perimeter, rec.volume
-        records.append(rec)
-    hull = None
-    if "hull" in doc:
-        hull = [HullRecord(**h) for h in doc["hull"]]
+    try:
+        records = [StepRecord(**d) for d in doc["records"]]
+        hull = [HullRecord(**h) for h in doc["hull"]] if "hull" in doc else None
+        _check_records(records)
+    except (KeyError, TypeError) as exc:
+        raise DomainError(f"malformed trace record: {exc!r}") from None
     return PeelTrace(
         meta=meta, records=records, hull=hull, truncated=bool(meta.get("truncated"))
     )
@@ -881,17 +851,14 @@ def hull_to_csv(hull: Sequence[HullRecord], meta: Optional[dict] = None) -> str:
 
 
 def hull_from_csv(text: str) -> tuple[list, dict]:
-    lines = [ln for ln in text.splitlines() if ln]
-    if not lines or not lines[0].startswith(f"#{HULL_SCHEMA} "):
-        raise DomainError("not a hull export")
-    meta = json.loads(lines[0].split(" ", 1)[1])
-    if lines[1] != ",".join(_HULL_COLUMNS):
-        raise DomainError("unexpected hull column schema")
+    meta, rows = _csv_rows(text, HULL_SCHEMA, _HULL_COLUMNS, "hull")
     out = []
     prev_tau = 0
-    for ln in lines[2:]:
-        f = ln.split(",")
-        rec = HullRecord(int(f[0]), int(f[1]), int(f[2]), int(f[3]) if f[3] else None)
+    for f in rows:
+        try:
+            rec = HullRecord(int(f[0]), int(f[1]), int(f[2]), int(f[3]) if f[3] else None)
+        except ValueError as exc:
+            raise DomainError(f"malformed hull row: {exc}") from None
         if rec.tau <= prev_tau or rec.perimeter < 2:
             raise InvariantViolationError(f"inconsistent hull record {rec}")
         prev_tau = rec.tau
@@ -924,20 +891,22 @@ def replay_trace(source: Union[PeelTrace, str]) -> dict:
     meta = trace.meta
     if meta.get("digest") is None or meta.get("seed") is None:
         raise DomainError("trace metadata is incomplete; cannot replay")
-    params = _params_from_meta(meta)
+    try:
+        params = _params_from_meta(meta)
+        rng = RngStream(meta["seed"], tuple(meta.get("spawn_key", ())))
+        layers = meta["driver"] == "layers"
+        r_max = int(meta["r_max"]) if layers else None
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DomainError(f"malformed trace metadata; cannot replay: {exc!r}") from None
     if params.digest() != meta["digest"]:
         raise InvariantViolationError("trace parameter digest does not match")
-    rng = RngStream(meta["seed"], tuple(meta.get("spawn_key", ())))
     n = len(trace.records)
-    if meta["driver"] == "layers":
+    if layers:
         rerun = run_layers(
-            params, meta["r_max"], rng, n_steps=n, record=True, on_budget="raise"
+            params, r_max, rng, n_steps=n, record=True, on_budget="raise"
         )
     else:
-        selector = meta.get("selector", "stay")
-        if selector not in SELECTORS:
-            raise MisuseError(f"cannot replay custom selector {selector!r}")
-        rerun = run_algorithm(params, selector, n, rng, record=True)
+        rerun = run_algorithm(params, meta.get("selector", "stay"), n, rng)
     if rerun.records != trace.records:
         raise InvariantViolationError("replay diverged from the recorded trace")
     return {

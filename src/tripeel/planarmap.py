@@ -30,9 +30,6 @@ is used liberally in tests, never in hot loops.
 
 from __future__ import annotations
 
-import json
-import sys
-from array import array
 from typing import Iterator, Optional
 
 from .errors import DomainError, InvariantViolationError, MisuseError
@@ -41,9 +38,6 @@ FLAG_TRIANGLE = 0
 FLAG_MAIN = 1
 FLAG_WORK = 2
 DEAD = -1
-
-_SERIAL_SCHEMA = "trimap"
-_SERIAL_VERSION = 1
 
 
 class TriMap:
@@ -204,16 +198,6 @@ class TriMap:
             g = self.nxt[g]
         return cyc
 
-    def triangles(self) -> Iterator[tuple[int, int, int]]:
-        """Each triangle once, as its half-edge triple in cycle order."""
-        seen = [False] * len(self.org)
-        for h, f in enumerate(self.hflag):
-            if f != FLAG_TRIANGLE or seen[h]:
-                continue
-            a, b, c = h, self.nxt[h], self.nxt[self.nxt[h]]
-            seen[a] = seen[b] = seen[c] = True
-            yield a, b, c
-
     def out_half_edges(self, v: int) -> list[int]:
         """The fan of outgoing half-edges of v, one full rotation orbit."""
         h0 = self.v_out[v]
@@ -229,10 +213,6 @@ class TriMap:
 
     def degree(self, v: int) -> int:
         return len(self.out_half_edges(v))
-
-    def neighbors(self, v: int) -> list[int]:
-        """Targets of the fan, with multi-edge multiplicity."""
-        return [self.target(h) for h in self.out_half_edges(v)]
 
     # -- surgeries ------------------------------------------------------
 
@@ -609,71 +589,6 @@ class TriMap:
         return tuple(
             (index[self.nxt[h]], index[self.twin[h]], self.hflag[h]) for h in order
         )
-
-    # -- serialization -----------------------------------------------------
-
-    def to_bytes(self) -> bytes:
-        """Compact binary dump: JSON header line, then int32 arrays.
-
-        Half-edges are renumbered densely in ascending id order, so a
-        dump-load-dump cycle is bit-identical.
-        """
-        alive = [h for h, f in enumerate(self.hflag) if f != DEAD]
-        renum = {h: i for i, h in enumerate(alive)}
-        header = {
-            "format": _SERIAL_SCHEMA,
-            "version": _SERIAL_VERSION,
-            "n_half_edges": len(alive),
-            "n_vertices": self.nv,
-            "n_edges": self.ne,
-            "n_triangles": self.n_tri,
-            "perimeter": self.perimeter,
-            "root": renum[self.root] if self.root in renum else -1,
-        }
-        blob = [json.dumps(header, sort_keys=True).encode(), b"\n"]
-        for field in (self.twin, self.nxt, self.org, self.hflag):
-            arr = array("i", (field[h] if field is self.org or field is self.hflag
-                              else renum[field[h]] for h in alive))
-            if sys.byteorder != "little":
-                arr.byteswap()
-            blob.append(arr.tobytes())
-        return b"".join(blob)
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "TriMap":
-        cut = data.index(b"\n")
-        header = json.loads(data[:cut].decode())
-        if header.get("format") != _SERIAL_SCHEMA or header.get("version") != _SERIAL_VERSION:
-            raise DomainError(f"unrecognized map serialization header {header!r}")
-        n = header["n_half_edges"]
-        body = data[cut + 1 :]
-        if len(body) != 4 * 4 * n:
-            raise DomainError("map serialization truncated")
-        fields = []
-        for i in range(4):
-            arr = array("i")
-            arr.frombytes(body[4 * n * i : 4 * n * (i + 1)])
-            if sys.byteorder != "little":
-                arr.byteswap()
-            fields.append(list(arr))
-        twin, nxt, org, hflag = fields
-        m = cls()
-        m.twin, m.nxt, m.org, m.hflag = twin, nxt, org, hflag
-        m.prv = [-1] * n
-        for h in range(n):
-            m.prv[nxt[h]] = h
-        m.nv = header["n_vertices"]
-        m.ne = header["n_edges"]
-        m.n_tri = header["n_triangles"]
-        m.perimeter = header["perimeter"]
-        m.root = header["root"]
-        m.v_out = [-1] * m.nv
-        m.v_hole = [-1] * m.nv
-        for h in range(n):
-            m.v_out[org[h]] = h
-            if hflag[h] == FLAG_MAIN:
-                m.v_hole[org[h]] = h
-        return m
 
 
 def extract_submap(tmap: TriMap, keep: set, root: int) -> tuple[TriMap, dict]:

@@ -109,9 +109,3 @@ class RngStream:
     def fork(self, *key: int) -> "RngStream":
         """Stream for a labeled child task; independent of the parent."""
         return RngStream(self.seed, self.spawn_key + key)
-
-
-def trial_stream(master_seed: int, trial: int) -> RngStream:
-    """Stream for one trial of an experiment; stable across runs and
-    independent across trial indices."""
-    return RngStream(master_seed, (trial,))

@@ -26,6 +26,8 @@ __all__ = [
     "chi2_two_sample",
 ]
 
+_BATCHES = 8
+
 
 def mean_ci(xs: Sequence[float], level: float = 0.99) -> dict:
     """Sample mean with a two-sided t confidence interval."""
@@ -67,15 +69,15 @@ def linfit(xs: Sequence[float], ys: Sequence[float]) -> dict:
     return {"slope": float(slope), "intercept": float(intercept), "r2": r2}
 
 
-def batch_slopes(ns: Sequence[int], ys: Sequence[float], n_batches: int = 8) -> list:
-    """Endpoint slopes of contiguous batches of a cumulative series.
+def batch_slopes(ns: Sequence[int], ys: Sequence[float]) -> list:
+    """Endpoint slopes of _BATCHES contiguous batches of a cumulative series.
 
     Used for batch-means intervals on growth rates: each batch
     contributes (y_end - y_start) / (n_end - n_start).
     """
-    if len(ns) != len(ys) or len(ns) < n_batches + 1:
-        raise DomainError("series too short for the requested batches")
-    cuts = np.linspace(0, len(ns) - 1, n_batches + 1).astype(int)
+    if len(ns) != len(ys) or len(ns) < _BATCHES + 1:
+        raise DomainError("series too short for the batches")
+    cuts = np.linspace(0, len(ns) - 1, _BATCHES + 1).astype(int)
     out = []
     for a, b in zip(cuts, cuts[1:]):
         if ns[b] == ns[a]:

@@ -19,13 +19,13 @@ statement that the walker sits on the boundary of the hull of its past
 positions (:func:`pioneer_audit` verifies the equivalence on a trace).
 
 Distances reported by a trace are measured inside the finally explored
-map.  They upper-bound true graph distances; :func:`distance_audit`
-quantifies the gap at small radii by completing exact metric balls.
+map.  They upper-bound true graph distances; the ``audit`` of the
+walk-speed experiment quantifies the gap at small radii by completing
+exact metric balls around X_0 (:func:`_ball_audit`).
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -50,14 +50,10 @@ __all__ = [
     "WalkTrace",
     "run_walk_peeling",
     "speed_estimate",
-    "range_growth",
     "intersection_experiment",
     "estimate_inv_degree",
     "stationarity_test",
     "pioneer_audit",
-    "distance_audit",
-    "walk_to_csv",
-    "walk_to_json",
 ]
 
 
@@ -108,15 +104,6 @@ class WalkTrace:
                 raise DomainError("walk position outside the explored component")
         return self._disp
 
-    def range_series(self) -> np.ndarray:
-        """#[distinct vertices among X_0..X_n] for every n."""
-        seen: set = set()
-        out = np.empty(len(self.positions), dtype=np.int64)
-        for i, v in enumerate(self.positions):
-            seen.add(v)
-            out[i] = len(seen)
-        return out
-
     def pioneer_fraction(self) -> float:
         return sum(self.pioneer[1:]) / max(1, self.n_steps)
 
@@ -126,10 +113,8 @@ def run_walk_peeling(
     n_steps: int,
     rng: RngStream,
     *,
-    record_peels: bool = False,
     close_final: bool = False,
     max_peel_steps: Optional[int] = None,
-    max_vertices: Optional[int] = None,
 ) -> WalkTrace:
     """Walk n_steps positions past X_0, peeling on demand.
 
@@ -139,10 +124,7 @@ def run_walk_peeling(
     """
     if n_steps < 1:
         raise DomainError(f"need at least one walk step, got {n_steps}")
-    engine = PeelEngine(
-        params, rng, record=record_peels,
-        max_steps=max_peel_steps, max_vertices=max_vertices,
-    )
+    engine = PeelEngine(params, rng, record=False, max_steps=max_peel_steps)
     m = engine.map
     x0 = m.org[m.root]
     x1 = m.target(m.root)
@@ -197,21 +179,23 @@ def run_walk_peeling(
     )
 
 
-def speed_estimate(trace: WalkTrace, *, n_batches: int = 8, min_len: int = 1000) -> dict:
-    """Displacement growth rate over the second half of the trace.
+def speed_estimate(trace: WalkTrace) -> dict:
+    """Displacement growth rate over the second half of a trace of at
+    least 1000 steps.
 
     Returns the batch-means estimate with a t interval plus a straight
     least-squares fit and its R^2.  The distance is explored-map
-    distance, an upper bound on the true metric; see distance_audit.
+    distance, an upper bound on the true metric; the walk-speed
+    experiment's ``audit`` measures the gap.
     """
     n = trace.n_steps
-    if n < min_len:
+    if n < 1000:
         raise DomainError(f"trace of {n} steps is too short for a speed estimate")
     d = trace.displacement_series()
     half = n // 2
     ns = list(range(half, n + 1))
     ys = d[half:].tolist()
-    slopes = batch_slopes(ns, ys, n_batches)
+    slopes = batch_slopes(ns, ys)
     ci = mean_ci(slopes, level=0.99)
     fit = linfit(ns, ys)
     return {
@@ -219,29 +203,9 @@ def speed_estimate(trace: WalkTrace, *, n_batches: int = 8, min_len: int = 1000)
         "low": ci["low"],
         "high": ci["high"],
         "se": ci["se"],
-        "batches": n_batches,
+        "batches": len(slopes),
         "fit_slope": fit["slope"],
         "r2": fit["r2"],
-        "n": n,
-    }
-
-
-def range_growth(trace: WalkTrace, *, n_batches: int = 8) -> dict:
-    """Linear growth rate of the range, with a first/second half split."""
-    n = trace.n_steps
-    if n < 2 * (n_batches + 1):
-        raise DomainError(f"trace of {n} steps is too short for a range estimate")
-    r = trace.range_series()
-    half = n // 2
-    second = batch_slopes(list(range(half, n + 1)), r[half:].tolist(), n_batches)
-    first = batch_slopes(list(range(0, half + 1)), r[: half + 1].tolist(), n_batches)
-    ci = mean_ci(second, level=0.99)
-    return {
-        "eta": ci["mean"],
-        "low": ci["low"],
-        "high": ci["high"],
-        "first_half": float(np.mean(first)),
-        "second_half": ci["mean"],
         "n": n,
     }
 
@@ -499,74 +463,3 @@ def _ball_audit(trace: WalkTrace, radius: int, max_steps: Optional[int]) -> tupl
             audited += 1
             mismatched += int(d[n] != true_dist[v])
     return audited, mismatched
-
-
-def distance_audit(
-    params: PeelParams,
-    rng: RngStream,
-    *,
-    trials: int = 10,
-    n_steps: int = 200,
-    r0: int = 6,
-    max_ball_steps: int = 200_000,
-) -> dict:
-    """Gap between explored-map distance and true distance near X_0.
-
-    Runs short walks, then completes the exact metric ball of radius r0
-    around X_0; every walk moment whose explored distance is at most r0
-    is compared with the true distance.  Returns the discrepancy rate.
-    """
-    audited = 0
-    mismatched = 0
-    per_trial = []
-    for t in range(trials):
-        trace = run_walk_peeling(params, n_steps, rng.fork(t))
-        tot, bad = _ball_audit(trace, r0, max_ball_steps)
-        audited += tot
-        mismatched += bad
-        per_trial.append((tot, bad))
-    return {
-        "audited": audited,
-        "mismatched": mismatched,
-        "rate": mismatched / audited if audited else 0.0,
-        "r0": r0,
-        "trials": trials,
-        "n_steps": n_steps,
-        "per_trial": per_trial,
-    }
-
-
-# -- export ------------------------------------------------------------------
-
-_WALK_COLUMNS = ("op", "kind", "f", "g", "vertex", "pioneer", "perimeter", "volume")
-
-
-def walk_to_csv(trace: WalkTrace) -> str:
-    """Operation log: peel rows carry the running perimeter and volume
-    (when the peel records were kept); move rows add the walk columns."""
-    head = json.dumps(trace.meta, sort_keys=True)
-    lines = [f"#{WALK_SCHEMA} {head}", ",".join(_WALK_COLUMNS)]
-    recs = trace.engine.records
-    g_prev = 1
-    for op, (f, g) in enumerate(zip(trace.f_series, trace.g_series), start=1):
-        if g > g_prev:
-            v = trace.positions[g]
-            lines.append(f"{op},move,{f},{g},{v},{int(trace.pioneer[g])},,")
-        else:
-            pv = f"{recs[f - 1].perimeter},{recs[f - 1].volume}" if recs else ","
-            lines.append(f"{op},peel,{f},{g},,,{pv}")
-        g_prev = g
-    return "\n".join(lines) + "\n"
-
-
-def walk_to_json(trace: WalkTrace) -> str:
-    doc = {
-        "meta": trace.meta,
-        "positions": trace.positions,
-        "pioneer": [int(b) for b in trace.pioneer],
-        "f": trace.f_series,
-        "g": trace.g_series,
-        "displacement": trace.displacement_series().tolist(),
-        "range": trace.range_series().tolist(),
-    }
-    return json.dumps(doc, sort_keys=True)

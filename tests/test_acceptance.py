@@ -44,7 +44,8 @@ from tripeel.peeling import (
     trace_to_csv,
     trace_to_json,
 )
-from tripeel.rng import RngStream, trial_stream
+from tripeel.planarmap import TriMap
+from tripeel.rng import RngStream
 from tripeel.walk import run_walk_peeling
 
 SEED = 7
@@ -143,7 +144,7 @@ def test_chain_drift_rates():
     n, trials = 10_000, 100
     p_rates, v_rates = [], []
     for t in range(trials):
-        out = run_chain(params, n, trial_stream(SEED, t))
+        out = run_chain(params, n, RngStream(SEED, (t,)))
         p_rates.append(out["perimeters"][-1] / n)
         v_rates.append(out["volumes"][-1] / n)
     for rates, target in ((p_rates, 0.433013), (v_rates, 0.866025)):
@@ -288,7 +289,7 @@ def test_structural_validation_and_replay():
     for i, kap in enumerate(("9/128", "2/27")):
         params = build_params(kappa=kap)
         for j, algo in enumerate(("stay", "uniform", "advance")):
-            tr = run_algorithm(params, algo, 300, RngStream(SEED, (i, j)), record=True)
+            tr = run_algorithm(params, algo, 300, RngStream(SEED, (i, j)))
             tr.map.validate()
             maps += 1
             code = tr.map.canonical_code()
@@ -306,7 +307,8 @@ def test_structural_validation_and_replay():
         walk = run_walk_peeling(params, 300, RngStream(SEED, (i, 8)))
         walk.map.validate()
         maps += 1
-        filled, _ = BoltzmannFiller(params).sample_map(6, RngStream(SEED, (i, 9)))
+        filled, inner = TriMap.polygon(6)
+        BoltzmannFiller(params).fill_hole(filled, inner, 6, RngStream(SEED, (i, 9)))
         filled.validate()
         maps += 1
     _done(

@@ -9,6 +9,7 @@ from tripeel.boltzmann import BoltzmannFiller
 from tripeel.counting import count_triangulations
 from tripeel.errors import BudgetExceededError, DomainError
 from tripeel.params import build_params, z_partition
+from tripeel.planarmap import TriMap
 from tripeel.rng import RngStream
 
 
@@ -47,7 +48,8 @@ def test_decide_two_gon_frequencies(quarter):
     filler = BoltzmannFiller(quarter)
     rng = RngStream(1234)
     n = 20000
-    closes = sum(filler.decide(2, rng) == ("close",) for _ in range(n))
+    # a 2-gon fill adds no vertex exactly when its first decision closes it
+    closes = sum(filler.fill_volume(2, rng) == 0 for _ in range(n))
     assert abs(closes / n - 0.9) < 0.008  # 4 sigma is 0.0085
 
 
@@ -81,7 +83,8 @@ def test_sampled_maps_are_valid_triangulations(quarter):
     rng = RngStream(99)
     for trial in range(60):
         p = 2 + trial % 5
-        tmap, n = filler.sample_map(p, rng)
+        tmap, inner = TriMap.polygon(p)
+        n = filler.fill_hole(tmap, inner, p, rng)
         tmap.validate()
         assert tmap.perimeter == p
         assert tmap.nv == p + n
@@ -96,7 +99,8 @@ def test_two_drivers_consume_identical_streams(quarter, critical):
             for trial in range(40):
                 r1 = RngStream(7000 + trial, (p,))
                 r2 = RngStream(7000 + trial, (p,))
-                tmap, added_map = filler.sample_map(p, r1)
+                tmap, inner = TriMap.polygon(p)
+                added_map = filler.fill_hole(tmap, inner, p, r1)
                 added_twin = filler.fill_volume(p, r2)
                 assert added_map == added_twin
                 assert r1.n_drawn == r2.n_drawn
@@ -124,8 +128,9 @@ def test_budget_guard(critical):
     with pytest.raises(BudgetExceededError) as exc:
         filler.fill_volume(30, RngStream(5), max_steps=5)
     assert exc.value.partial["decisions"] == 6
+    tmap, inner = TriMap.polygon(30)
     with pytest.raises(BudgetExceededError):
-        filler.sample_map(30, RngStream(5), max_steps=5)
+        filler.fill_hole(tmap, inner, 30, RngStream(5), max_steps=5)
 
 
 def test_row_rejects_degenerate_perimeter(quarter):

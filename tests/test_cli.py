@@ -2,11 +2,22 @@
 
 import json
 
+import pytest
 from click.testing import CliRunner
 
 from tripeel.cli import cli
+from tripeel.errors import DomainError
 from tripeel.experiments import report_from_csv, report_from_json
-from tripeel.peeling import hull_from_csv, replay_trace, trace_from_csv
+from tripeel.params import build_params
+from tripeel.peeling import (
+    hull_from_csv,
+    replay_trace,
+    run_algorithm,
+    trace_from_csv,
+    trace_from_json,
+    trace_to_json,
+)
+from tripeel.rng import RngStream
 
 
 def invoke(*args):
@@ -127,3 +138,64 @@ def test_experiment_flag_validation():
 
     res = invoke("experiment", "--experiment", "intersection")
     assert res.exit_code == 2
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("constants", "--alpha", "3/4", "--head", "-1"),
+        ("experiment", "--experiment", "law-equivalence", "--alpha", "3/4",
+         "--trials", "1000", "--steps", "0"),
+    ],
+    ids=["constants-negative-head", "law-equivalence-zero-horizon"],
+)
+def test_out_of_range_settings_exit_2(args):
+    assert invoke(*args).exit_code == 2
+
+
+def _edited_trace(edit):
+    """JSON export of a short real run, edited in place by edit(doc)."""
+    doc = json.loads(trace_to_json(
+        run_algorithm(build_params(kappa="9/128"), "stay", 5, RngStream(1))
+    ))
+    edit(doc)
+    return json.dumps(doc)
+
+
+_TRACE_HEAD = "#tripeel-trace-v1 {}\n"
+_HULL_HEAD = "#tripeel-hull-v1 {}\n"
+_TRACE_COLUMNS = "step,edge,kind,k,side,dperim,dvol,filler,perimeter,volume\n"
+
+
+@pytest.mark.parametrize(
+    "reader, text",
+    [
+        (trace_from_csv, _TRACE_HEAD),
+        (trace_from_csv, _TRACE_HEAD + _TRACE_COLUMNS + "1,0,fresh\n"),
+        (trace_from_csv, "#tripeel-trace-v1 {oops\n" + _TRACE_COLUMNS),
+        (hull_from_csv, _HULL_HEAD),
+        (hull_from_csv, _HULL_HEAD + "r,tau,perimeter,volume\n1,2\n"),
+        (hull_from_csv, "#tripeel-hull-v1 {oops\nr,tau,perimeter,volume\n"),
+        (trace_from_json, "{}"),
+        (trace_from_json, "{oops"),
+        (replay_trace, lambda: _edited_trace(lambda d: d["records"][0].update(bogus=1))),
+        (replay_trace, lambda: _edited_trace(lambda d: d["meta"].update(selector="sideways"))),
+        (replay_trace, lambda: _edited_trace(lambda d: d["meta"].pop("params"))),
+        (replay_trace, lambda: _edited_trace(
+            lambda d: d["meta"].update(driver="layers", r_max=None))),
+        (report_from_json, "{oops"),
+        (report_from_csv, "#tripeel-report-v1\npath,value\n/schema,{oops\n"),
+        (report_from_csv, "#tripeel-report-v1\npath,value\n/a,1\n/a/b,2\n"),
+    ],
+    ids=[
+        "trace-csv-header-only", "trace-csv-short-row", "trace-csv-bad-header-json",
+        "hull-csv-header-only", "hull-csv-short-row", "hull-csv-bad-header-json",
+        "trace-json-no-meta", "trace-json-undecodable",
+        "replay-unknown-record-field", "replay-unknown-selector", "replay-no-params",
+        "replay-layers-without-depth",
+        "report-json-undecodable", "report-csv-undecodable-cell", "report-csv-path-through-value",
+    ],
+)
+def test_readers_reject_malformed_input_with_domain_error(reader, text):
+    with pytest.raises(DomainError):
+        reader(text() if callable(text) else text)

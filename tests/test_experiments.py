@@ -121,6 +121,9 @@ def test_law_equivalence_small(p75):
     assert sum(cw["table"][1]) == 2000
     with pytest.raises(DomainError):
         run_law_equivalence(p75, RngStream(5), runs=10)
+    for steps in ({"joint_steps": 0}, {"horizon": 0}):
+        with pytest.raises(DomainError):
+            run_law_equivalence(p75, RngStream(5), runs=1000, **steps)
 
 
 def test_enumeration_table():

@@ -4,7 +4,6 @@ Exact expected values are recomputed here from first principles with
 Fraction arithmetic, independent of the float pipelines under test.
 """
 
-import json
 import math
 from fractions import Fraction
 
@@ -181,32 +180,33 @@ def test_harmonicity_residual_small(alpha):
 
 def test_transition_golden_value():
     p = tp.build_params(alpha=Fraction(3, 4))
-    assert tp.peel_transition(3, p, kind="fresh") == pytest.approx(27 / 32, rel=1e-13)
+    assert p.fresh_prob(3) == pytest.approx(27 / 32, rel=1e-13)
 
 
 def test_transition_rows_sum_to_one():
     for handle in ({"alpha": 0.72}, {"kappa": "9/128"}, {"kappa": "2/27"}):
         p = tp.build_params(**handle)
         for peri in (2, 3, 4, 9, 40):
-            assert p.transition_total(peri) == pytest.approx(1.0, abs=1e-12)
+            total = p.fresh_prob(peri) + sum(
+                p.swallow_prob(peri, k, both_sides=True) for k in range(1, peri - 1)
+            )
+            assert total == pytest.approx(1.0, abs=1e-12)
 
 
 def test_transition_sides_split_evenly():
     p = tp.build_params(alpha=0.75)
-    both = tp.peel_transition(9, p, kind="swallow", k=3)
-    left = tp.peel_transition(9, p, kind="swallow", k=3, side="left")
-    right = tp.peel_transition(9, p, kind="swallow", k=3, side="right")
-    assert left == right == pytest.approx(both / 2, rel=1e-15)
+    both = p.swallow_prob(9, 3, both_sides=True)
+    assert p.swallow_prob(9, 3) == pytest.approx(both / 2, rel=1e-15)
 
 
 def test_transition_out_of_range_swallow_is_zero():
     p = tp.build_params(alpha=0.75)
-    assert tp.peel_transition(4, p, kind="swallow", k=3) == 0.0
-    assert tp.peel_transition(2, p, kind="swallow", k=1) == 0.0
+    assert p.swallow_prob(4, 3, both_sides=True) == 0.0
+    assert p.swallow_prob(2, 1, both_sides=True) == 0.0
     with pytest.raises(DomainError):
-        tp.peel_transition(1, p, kind="fresh")
+        p.fresh_prob(1)
     with pytest.raises(DomainError):
-        tp.peel_transition(3, p, kind="teleport")
+        p.swallow_prob(1, 1)
 
 
 # -- partition functions -------------------------------------------------
@@ -307,25 +307,6 @@ def test_params_digest_stable_under_growth():
     assert a.digest() == d0 == b.digest()
     c = tp.build_params(kappa="2/27")
     assert c.digest() != d0
-
-
-def test_params_json_roundtrip():
-    p = tp.build_params(kappa="9/128")
-    p.ensure_q(400)
-    doc = json.loads(p.to_json())
-    assert doc["schema"] == "tripeel-params-v1"
-    assert doc["critical"] is False
-    q = tp.PeelParams.from_json(p.to_json(), verify=True)
-    assert q.digest() == p.digest()
-    assert (q.i_max, q.p_max) == (p.i_max, p.p_max) == (400, doc["p_max"])
-    assert q.q_neg(7) == p.q_neg(7)
-    assert q.ctilde(17) == p.ctilde(17)
-    # the harmonic table never clamps at criticality, so its saved size is
-    # restored too
-    c = tp.build_params(kappa="2/27")
-    c.ensure_ctilde(400)
-    r = tp.PeelParams.from_json(c.to_json())
-    assert (r.i_max, r.p_max) == (c.i_max, c.p_max) == (400, 400)
 
 
 def test_params_table_hard_cap():

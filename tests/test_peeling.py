@@ -14,7 +14,6 @@ from tripeel import (
     MisuseError,
     RngStream,
     build_params,
-    peel_transition,
 )
 from tripeel import peeling
 from tripeel.peeling import (
@@ -22,7 +21,6 @@ from tripeel.peeling import (
     PeelEngine,
     StepSampler,
     complete_ball,
-    estimate_pi_kappa,
     hull_from_csv,
     hull_to_csv,
     replay_trace,
@@ -44,8 +42,8 @@ def test_chain_couples_with_map_engine():
     trace = run_algorithm(PAR, "stay", 400, rng_map)
     rng_chain = RngStream(7, (1,))
     chain = run_chain(PAR, 400, rng_chain)
-    assert [2] + trace.perimeters() == chain["perimeters"]
-    assert [2] + trace.volumes() == chain["volumes"]
+    assert [2] + [r.perimeter for r in trace.records] == chain["perimeters"]
+    assert [2] + [r.volume for r in trace.records] == chain["volumes"]
     assert rng_map.n_drawn == rng_chain.n_drawn
 
 
@@ -54,8 +52,8 @@ def test_uniform_selector_couples():
     trace = run_algorithm(PAR, "uniform", 300, rng_map)
     rng_chain = RngStream(11, (2,))
     chain = run_chain(PAR, 300, rng_chain, selector_draws="uniform")
-    assert [2] + trace.perimeters() == chain["perimeters"]
-    assert [2] + trace.volumes() == chain["volumes"]
+    assert [2] + [r.perimeter for r in trace.records] == chain["perimeters"]
+    assert [2] + [r.volume for r in trace.records] == chain["volumes"]
     assert rng_map.n_drawn == rng_chain.n_drawn
 
 
@@ -129,10 +127,10 @@ def test_sampler_frequencies_match_transition_kernel():
         counts[(kind, k)] = counts.get((kind, k), 0) + 1
         counts[side] = counts.get(side, 0) + 1
     for key, prob in (
-        (("fresh", 0), peel_transition(5, PAR, kind="fresh")),
-        (("swallow", 1), peel_transition(5, PAR, kind="swallow", k=1)),
-        (("swallow", 2), peel_transition(5, PAR, kind="swallow", k=2)),
-        (("swallow", 3), peel_transition(5, PAR, kind="swallow", k=3)),
+        (("fresh", 0), PAR.fresh_prob(5)),
+        (("swallow", 1), PAR.swallow_prob(5, 1, both_sides=True)),
+        (("swallow", 2), PAR.swallow_prob(5, 2, both_sides=True)),
+        (("swallow", 3), PAR.swallow_prob(5, 3, both_sides=True)),
     ):
         se = math.sqrt(prob * (1 - prob) / n)
         assert abs(counts.get(key, 0) / n - prob) < 5 * se + 1e-12
@@ -167,6 +165,9 @@ def test_selector_misuse():
         eng.peel_step(dead_or_inner)
     with pytest.raises(DomainError):
         run_algorithm(PAR, "sideways", 3, RngStream(0))
+    # selectors are named; the callable behind a name is not one
+    with pytest.raises(DomainError):
+        run_algorithm(PAR, peeling.SELECTORS["stay"], 3, RngStream(0))
 
 
 def test_trace_roundtrip_and_replay():
@@ -209,18 +210,6 @@ def test_hull_series_export():
     ]
     assert [h.r for h in hull] == list(range(1, 6))
     assert all(b.tau > a.tau for a, b in zip(hull, hull[1:]))
-
-
-def test_estimate_pi_kappa():
-    res = run_layers(PAR, 8, RngStream(67, (16,)))
-    est = estimate_pi_kappa(res.hull, PAR)
-    assert est["estimate"] > 0
-    assert len(est["rescaled"]) == 8
-    assert abs(est["ratio_diagnostic"][-1]) < 0.5
-    with pytest.raises(DomainError):
-        estimate_pi_kappa(res.hull[:3], PAR)
-    with pytest.raises(DomainError):
-        estimate_pi_kappa(res.hull, CRIT)
 
 
 def test_fast_chain_matches_scalar_when_disabled():

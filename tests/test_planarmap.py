@@ -1,4 +1,4 @@
-"""Surgery, validation, encoding and serialization of the half-edge arena."""
+"""Surgery, validation and encoding of the half-edge arena."""
 
 import random
 
@@ -48,7 +48,7 @@ def test_polygon_shape():
 def test_polygon_two_gon_is_a_double_edge():
     m, _ = TriMap.polygon(2)
     assert m.degree(0) == 2
-    assert m.neighbors(0) == [1, 1]
+    assert [m.target(h) for h in m.out_half_edges(0)] == [1, 1]
 
 
 # -- fresh attachment ----------------------------------------------------
@@ -221,10 +221,20 @@ def test_bfs_distances_on_wheel():
 
 
 def test_canonical_code_ignores_arena_ids():
-    # a dump-load cycle renumbers every half-edge densely; the code must
-    # not notice
+    # renumbering every half-edge by a random permutation must not change
+    # the code
     m = grown_map(35, seed=3)
-    m2 = TriMap.from_bytes(m.to_bytes())
+    perm = list(range(len(m.org)))
+    random.Random(5).shuffle(perm)
+    m2 = m.clone()
+    for h, g in enumerate(perm):
+        m2.twin[g], m2.nxt[g], m2.prv[g] = perm[m.twin[h]], perm[m.nxt[h]], perm[m.prv[h]]
+        m2.org[g], m2.hflag[g] = m.org[h], m.hflag[h]
+    m2.v_out = [perm[h] for h in m.v_out]
+    m2.v_hole = [-1 if h == -1 else perm[h] for h in m.v_hole]
+    m2.root = perm[m.root]
+    m2.validate(allow_work_holes=True)
+    assert m2.twin != m.twin
     assert m.canonical_code() == m2.canonical_code()
 
 
@@ -249,28 +259,6 @@ def test_canonical_code_polygon_rotation_symmetry():
     m, _ = TriMap.polygon(6)
     codes = {m.canonical_code(root=h) for h in m.hole_cycle(m.root)}
     assert len(codes) == 1
-
-
-# -- serialization ---------------------------------------------------------------
-
-
-def test_serialization_roundtrip():
-    m, a = fresh_ring(12)
-    m.open_swallow(a, 2, "next")
-    blob = m.to_bytes()
-    m2 = TriMap.from_bytes(blob)
-    m2.validate(allow_work_holes=True)
-    assert m2.to_bytes() == blob
-    assert m2.canonical_code() == m.canonical_code()
-    assert (m2.nv, m2.ne, m2.n_tri, m2.perimeter) == (m.nv, m.ne, m.n_tri, m.perimeter)
-
-
-def test_serialization_rejects_garbage():
-    with pytest.raises(DomainError):
-        TriMap.from_bytes(b'{"format": "nonsense", "version": 9}\n')
-    m = TriMap.root_edge()
-    with pytest.raises(DomainError):
-        TriMap.from_bytes(m.to_bytes()[:-3])
 
 
 # -- submap extraction -------------------------------------------------------------

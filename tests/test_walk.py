@@ -11,16 +11,13 @@ from tripeel import (
     build_params,
 )
 from tripeel.walk import (
-    distance_audit,
+    _ball_audit,
     estimate_inv_degree,
     intersection_experiment,
     pioneer_audit,
-    range_growth,
     run_walk_peeling,
     speed_estimate,
     stationarity_test,
-    walk_to_csv,
-    walk_to_json,
 )
 
 PAR = build_params(kappa=Fraction(9, 128))
@@ -58,14 +55,6 @@ def test_pioneer_flag_matches_hull_boundary():
         assert audit["checked"] == 25
 
 
-def test_range_series_counts_distinct_vertices():
-    trace = run_walk_peeling(PAR, 100, RngStream(113, (3,)))
-    r = trace.range_series()
-    assert r[0] == 1
-    assert all(b - a in (0, 1) for a, b in zip(r, r[1:]))
-    assert r[-1] == len(set(trace.positions))
-
-
 def test_speed_estimate():
     trace = run_walk_peeling(PAR, 1500, RngStream(127, (4,)))
     est = speed_estimate(trace)
@@ -77,13 +66,6 @@ def test_speed_estimate():
     trace._disp = np.zeros(trace.n_steps + 1, dtype=np.int64)
     frozen = speed_estimate(trace)
     assert frozen["speed"] == 0.0 and frozen["se"] == 0.0
-
-
-def test_range_growth():
-    trace = run_walk_peeling(PAR, 1500, RngStream(131, (6,)))
-    est = range_growth(trace)
-    assert 0 < est["eta"] <= 1
-    assert abs(est["first_half"] - est["second_half"]) < 0.25
 
 
 def test_intersection_experiment():
@@ -121,9 +103,14 @@ def test_stationarity_modes():
 
 
 def test_distance_audit_clean_at_small_radius():
-    res = distance_audit(PAR, RngStream(163, (13,)), trials=4, n_steps=120, r0=5)
-    assert res["audited"] > 50
-    assert res["rate"] <= 0.02
+    rng = RngStream(163, (13,))
+    audited = mismatched = 0
+    for t in range(4):
+        tot, bad = _ball_audit(run_walk_peeling(PAR, 120, rng.fork(t)), 5, 200_000)
+        audited += tot
+        mismatched += bad
+    assert audited > 50
+    assert mismatched / audited <= 0.02
 
 
 def test_budget_truncates_trace():
@@ -136,17 +123,3 @@ def test_budget_truncates_trace():
 def test_close_final_interiorizes_last_position():
     trace = run_walk_peeling(PAR, 40, RngStream(173, (15,)), close_final=True)
     assert trace.map.v_hole[trace.positions[-1]] == -1
-
-
-def test_exports():
-    trace = run_walk_peeling(PAR, 30, RngStream(179, (16,)), record_peels=True)
-    text = walk_to_csv(trace)
-    lines = text.splitlines()
-    assert lines[0].startswith("#tripeel-walk-v1 ")
-    assert lines[1].split(",")[0] == "op"
-    assert len(lines) == 2 + len(trace.f_series)
-    import json
-
-    doc = json.loads(walk_to_json(trace))
-    assert doc["positions"] == trace.positions
-    assert doc["meta"]["digest"] == PAR.digest()
