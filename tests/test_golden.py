@@ -1,5 +1,5 @@
-"""Golden digests: every experiment report and the sample-map output, byte
-for byte, at small fixed settings and seeds.
+"""Golden digests: every experiment report, the sample-map output and the
+constants card, byte for byte, at small fixed settings and seeds.
 
 A change that alters any report, trace or map encoding, or the order in
 which a run draws its uniforms, changes one of these sha256 digests.  A
@@ -97,6 +97,37 @@ SAMPLES = {
 }
 
 
+# case id -> (coupling arguments, sha256 of `tripeel constants --head 12`)
+CONSTANTS = {
+    "kappa-2/27": (
+        ("--kappa", "2/27"),
+        "cf04b898d68332a2c228267484290292363406ff0a76d40387abae5bbc2a9ca5",
+    ),
+    "kappa-9/128": (
+        ("--kappa", "9/128"),
+        "cb1554fc868643f1ee824eab57e27427904519dc4d3c33bab78dcdf46401685e",
+    ),
+    # no small-denominator root: alpha stays a float
+    "kappa-0.07": (
+        ("--kappa", "0.07"),
+        "695ea659390f5b224f0d9ebdd1dbe1324dfaf34a79f3d414d51669ba3b40d65c",
+    ),
+    # the exact root 7/10 is recovered, so this card equals alpha-7/10's
+    "kappa-0.0735": (
+        ("--kappa", "0.0735"),
+        "2667ed959a021a4da93ec22521ab1fea9e93dcc120a8c6ab434376440d257b60",
+    ),
+    "alpha-7/10": (
+        ("--alpha", "7/10"),
+        "2667ed959a021a4da93ec22521ab1fea9e93dcc120a8c6ab434376440d257b60",
+    ),
+    "alpha-0.68": (
+        ("--alpha", "0.68"),
+        "f48394827a5cc6edf3139554877772d6a89fa230f438e725a23aa7743f5d58c4",
+    ),
+}
+
+
 def _sha(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
@@ -129,3 +160,10 @@ def test_report_digest(case):
 def test_sample_map_digest(case, tmp_path):
     _, code, digest = SAMPLES[case]
     assert sample_digest(case, tmp_path) == (code, digest)
+
+
+@pytest.mark.parametrize("case", sorted(CONSTANTS))
+def test_constants_digest(case):
+    args, digest = CONSTANTS[case]
+    res = CliRunner().invoke(cli, ["constants", "--head", "12", *args])
+    assert (res.exit_code, _sha(res.stdout)) == (0, digest)
