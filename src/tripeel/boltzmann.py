@@ -27,9 +27,8 @@ with its lightweight twin.
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Optional
 
-from .errors import BudgetExceededError, DomainError, InvariantViolationError
+from .errors import DomainError, InvariantViolationError
 from .params import PeelParams
 from .planarmap import TriMap
 from .rng import RngStream
@@ -89,14 +88,7 @@ class BoltzmannFiller:
 
     # -- drivers ----------------------------------------------------------
 
-    def fill_hole(
-        self,
-        tmap: TriMap,
-        hole_he: int,
-        perimeter: int,
-        rng: RngStream,
-        max_steps: Optional[int] = None,
-    ) -> int:
+    def fill_hole(self, tmap: TriMap, hole_he: int, perimeter: int, rng: RngStream) -> int:
         """Resolve a work hole by surgery until nothing is left of it.
 
         Returns the number of internal vertices added.  Split pushes the
@@ -107,17 +99,10 @@ class BoltzmannFiller:
         stack = [(hole_he, perimeter)]
         push, pop = stack.append, stack.pop
         added = 0
-        steps = 0
         while stack:
             h, p = pop()
             cuts, decisions = rows.get(p) or row(p)
             d = decisions[bisect_right(cuts, u())]
-            steps += 1
-            if max_steps is not None and steps > max_steps:
-                raise BudgetExceededError(
-                    f"hole fill exceeded {max_steps} decisions",
-                    partial={"decisions": steps, "added": added},
-                )
             if d is _CLOSE:
                 tmap.close_two_gon(h)
             elif d is _FRESH:
@@ -131,28 +116,16 @@ class BoltzmannFiller:
                 push((enclosed, k + 1))
         return added
 
-    def fill_volume(
-        self,
-        perimeter: int,
-        rng: RngStream,
-        max_steps: Optional[int] = None,
-    ) -> int:
+    def fill_volume(self, perimeter: int, rng: RngStream) -> int:
         """Scorekeeping twin of :meth:`fill_hole`: same decisions, no map."""
         rows, row, u = self._rows, self.row, rng.u
         stack = [perimeter]
         push, pop = stack.append, stack.pop
         added = 0
-        steps = 0
         while stack:
             p = pop()
             cuts, decisions = rows.get(p) or row(p)
             d = decisions[bisect_right(cuts, u())]
-            steps += 1
-            if max_steps is not None and steps > max_steps:
-                raise BudgetExceededError(
-                    f"hole fill exceeded {max_steps} decisions",
-                    partial={"decisions": steps, "added": added},
-                )
             if d is _CLOSE:
                 pass
             elif d is _FRESH:

@@ -14,7 +14,6 @@ from __future__ import annotations
 import functools
 import json
 import sys
-from typing import Optional
 
 import click
 
@@ -65,12 +64,6 @@ def _guard(fn):
     return wrapped
 
 
-def _resolve_params(kappa: Optional[str], alpha: Optional[str]):
-    if (kappa is None) == (alpha is None):
-        raise DomainError("give exactly one of --kappa or --alpha")
-    return build_params(kappa=kappa, alpha=alpha)
-
-
 def _emit(text: str, out: str) -> None:
     if out == "-":
         click.echo(text, nl=False)
@@ -108,7 +101,7 @@ def cli() -> None:
 @_guard
 def constants(kappa, alpha, head, out, fmt):
     """Derived constants, table heads, and identity residuals."""
-    params = _resolve_params(kappa, alpha)
+    params = build_params(kappa=kappa, alpha=alpha)
     rep = constants_report(params, head=head)
     _emit(report_to_json(rep) if fmt == "json" else report_to_csv(rep), out)
 
@@ -130,7 +123,7 @@ def sample_map(kappa, alpha, seed, radius, budget_steps, budget_vertices, out, f
     file at OUT.hull.csv; a budget overrun still writes the partial run
     and exits 3.
     """
-    params = _resolve_params(kappa, alpha)
+    params = build_params(kappa=kappa, alpha=alpha)
     trace = run_layers(
         params,
         radius,
@@ -138,7 +131,6 @@ def sample_map(kappa, alpha, seed, radius, budget_steps, budget_vertices, out, f
         record=True,
         max_steps=budget_steps,
         max_vertices=budget_vertices,
-        on_budget="partial",
     )
     hull_meta = {"schema_of": SAMPLE_SCHEMA, "truncated": trace.truncated}
     if fmt == "json":
@@ -203,7 +195,7 @@ def experiment(name, kappa, alpha, seed, trials, steps, radius, out, fmt):
             raise DomainError("the enumeration table takes no parameters")
         rep = run_experiment(name, None, None, **overrides)
     else:
-        params = _resolve_params(kappa, alpha)
+        params = build_params(kappa=kappa, alpha=alpha)
         rep = run_experiment(name, params, RngStream(seed), **overrides)
     _emit(report_to_json(rep) if fmt == "json" else report_to_csv(rep), out)
 

@@ -7,7 +7,13 @@ else derives from the unique root ``alpha`` in ``[2/3, 1)`` of
     alpha^2 (1 - alpha) / 2 = kappa,
 
 with ``kappa = 2/27`` (``alpha = 2/3``) the critical point and smaller
-``kappa`` the hyperbolic regime.  This module materializes:
+``kappa`` the hyperbolic regime.  Exactly one of ``kappa`` and ``alpha``
+names a coupling; strings are parsed as exact rationals, and an exact
+``kappa`` whose root has a small denominator resolves to that exact
+``alpha`` (:func:`build_params`).  The critical rule: a Fraction ``alpha``
+is critical when it equals 2/3, a float when its ``3 alpha - 2`` is
+within 1e-12 of 0, which then reads as exactly 0.  This module
+materializes:
 
 * the one-step peeling law ``q_1 = alpha``, ``q_{-k}`` for ``k >= 1``;
 * the drift ``delta = sqrt(alpha (3 alpha - 2))`` of that law;
@@ -65,31 +71,32 @@ def parse_rational(text: str) -> Fraction:
         raise DomainError(f"cannot parse {text!r} as a rational number") from exc
 
 
-def kappa_from_alpha(alpha: Number) -> Number:
-    """Weight kappa = alpha^2 (1 - alpha) / 2; exact for Fraction input."""
-    _check_alpha(alpha)
-    if isinstance(alpha, Fraction):
-        return alpha * alpha * (1 - alpha) / 2
-    return alpha * alpha * (1.0 - alpha) / 2.0
+def _lin(alpha: Number) -> Number:
+    """3 alpha - 2 for an alpha in [2/3, 1), exact for Fraction input.
 
-
-def _check_alpha(alpha: Number) -> None:
-    if not (ALPHA_MIN <= alpha < 1):
+    The one home of the critical rule: a float alpha whose 3 alpha - 2 is
+    within 1e-12 of 0 is the critical point, and 0.0 is returned.
+    """
+    lin = 3 * alpha - 2
+    if isinstance(lin, float) and abs(lin) < 1e-12:
+        lin = 0.0
+    if not (lin >= 0 and alpha < 1):
         raise DomainError(
             f"alpha={alpha} outside [2/3, 1); no Markovian triangulation "
             "family member has this root"
         )
+    return lin
+
+
+def kappa_from_alpha(alpha: Number) -> Number:
+    """Weight kappa = alpha^2 (1 - alpha) / 2; exact for Fraction input."""
+    _lin(alpha)
+    return alpha * alpha * (1 - alpha) / 2
 
 
 def _check_kappa(kappa: Number) -> None:
-    if isinstance(kappa, Fraction):
-        if not (0 < kappa <= KAPPA_MAX):
-            raise DomainError(
-                f"kappa={kappa} outside (0, 2/27]; no Markovian "
-                "triangulation exists for this weight"
-            )
-        return
-    if not (0.0 < kappa <= float(KAPPA_MAX) * (1 + 1e-13)):
+    top = KAPPA_MAX if isinstance(kappa, Fraction) else float(KAPPA_MAX) * (1 + 1e-13)
+    if not (0 < kappa <= top):
         raise DomainError(
             f"kappa={kappa} outside (0, 2/27]; no Markovian triangulation "
             "exists for this weight"
@@ -105,8 +112,6 @@ def alpha_from_kappa(kappa: Number) -> float:
     """
     _check_kappa(kappa)
     kf = float(kappa)
-    if isinstance(kappa, Fraction) and kappa == KAPPA_MAX:
-        return 2.0 / 3.0
     if abs(kf - float(KAPPA_MAX)) < 1e-15:
         return 2.0 / 3.0
 
@@ -138,15 +143,18 @@ def drift(alpha: Number) -> float:
 
     Zero exactly at the critical point alpha = 2/3.
     """
-    _check_alpha(alpha)
-    if isinstance(alpha, Fraction):
-        return math.sqrt(float(alpha * (3 * alpha - 2)))
-    lin = 3.0 * alpha - 2.0
-    if abs(lin) < 1e-12:
-        lin = 0.0
-    if lin < 0:
-        raise DomainError(f"alpha={alpha} below the critical root 2/3")
-    return math.sqrt(alpha * lin)
+    return math.sqrt(float(alpha * _lin(alpha)))
+
+
+def _swallow_weight(k: int, lin: float, geo: float) -> float:
+    """a_k geo^k (lin k + 1) with a_k = (2k-2)! / ((k-1)! (k+1)!), in log
+    space (stable for k up to 1e6).
+
+    q_{-k} is twice this at geo = (1 - alpha) / (2 alpha), and Z_{k+1} =
+    q_{-k} / (2 beta^k) is this at geo = (1 - alpha) / (2 kappa).
+    """
+    log_a = math.lgamma(2 * k - 1) - math.lgamma(k) - math.lgamma(k + 2)
+    return math.exp(log_a + k * math.log(geo)) * (lin * k + 1.0)
 
 
 def q_step(i: int, alpha: Number) -> Number:
@@ -157,7 +165,7 @@ def q_step(i: int, alpha: Number) -> Number:
     edges on one fixed side.  Exact for Fraction alpha, floating point
     with log-factorials otherwise (stable for k up to 1e6).
     """
-    _check_alpha(alpha)
+    lin = _lin(alpha)
     if i == 1:
         return alpha
     if i >= 0:
@@ -165,12 +173,8 @@ def q_step(i: int, alpha: Number) -> Number:
     k = -i
     if isinstance(alpha, Fraction):
         a_k = Fraction(math.factorial(2 * k - 2), math.factorial(k - 1) * math.factorial(k + 1))
-        geo = ((1 - alpha) / (2 * alpha)) ** k
-        return 2 * a_k * geo * ((3 * alpha - 2) * k + 1)
-    log_a = math.lgamma(2 * k - 1) - math.lgamma(k) - math.lgamma(k + 2)
-    log_geo = k * math.log((1.0 - alpha) / (2.0 * alpha))
-    lin = (3.0 * alpha - 2.0) * k + 1.0
-    return 2.0 * math.exp(log_a + log_geo) * lin
+        return 2 * a_k * ((1 - alpha) / (2 * alpha)) ** k * (lin * k + 1)
+    return 2.0 * _swallow_weight(k, lin, (1.0 - alpha) / (2.0 * alpha))
 
 
 def mean_hole_volume(k: int, alpha: Number) -> Number:
@@ -181,10 +185,7 @@ def mean_hole_volume(k: int, alpha: Number) -> Number:
     """
     if k < 1:
         raise DomainError(f"swallow size k={k} must be at least 1")
-    _check_alpha(alpha)
-    if isinstance(alpha, Fraction):
-        return Fraction(k * (2 * k - 1)) * (1 - alpha) / ((3 * alpha - 2) * k + 1)
-    return k * (2 * k - 1) * (1.0 - alpha) / ((3.0 * alpha - 2.0) * k + 1.0)
+    return k * (2 * k - 1) * (1 - alpha) / (_lin(alpha) * k + 1)
 
 
 def q_tail_ratio(alpha: float, k: int) -> float:
@@ -223,7 +224,7 @@ def c_tilde_table_exact(alpha: Fraction, p_max: int) -> list:
     """
     if not isinstance(alpha, Fraction):
         raise DomainError("exact harmonic table needs a Fraction alpha")
-    _check_alpha(alpha)
+    _lin(alpha)
     qn = [Fraction(0)]
     for k in range(1, p_max):
         qn.append(q_step(-k, alpha))
@@ -244,26 +245,16 @@ class PeelParams:
     never alters an entry already handed out.
     """
 
-    def __init__(
-        self,
-        alpha: float,
-        kappa: float,
-        alpha_exact: Optional[Fraction],
-        kappa_exact: Optional[Fraction],
-    ):
-        self.alpha = alpha
-        self.kappa = kappa
-        self.alpha_exact = alpha_exact
-        self.kappa_exact = kappa_exact
-        self.beta = kappa / alpha
-        if alpha_exact is not None:
-            self.lin = float(3 * alpha_exact - 2)
-            self.geo = float((1 - alpha_exact) / (2 * alpha_exact))
-        else:
-            self.lin = 3.0 * alpha - 2.0
-            if abs(self.lin) < 1e-12:
-                self.lin = 0.0
-            self.geo = (1.0 - alpha) / (2.0 * alpha)
+    def __init__(self, alpha: Number, kappa: Number):
+        # each of alpha and kappa is a Fraction where the coupling is exact
+        self.alpha_exact, self.kappa_exact = (
+            x if isinstance(x, Fraction) else None for x in (alpha, kappa)
+        )
+        self.lin = float(_lin(alpha))
+        self.geo = float((1 - alpha) / (2 * alpha))
+        self.alpha = alpha = float(alpha)
+        self.kappa = float(kappa)
+        self.beta = self.kappa / alpha
         self.critical = self.lin == 0.0
         self.drift = math.sqrt(alpha * self.lin)
         self.ctilde_limit = math.inf if self.critical else 1.0 / (alpha * self.drift)
@@ -442,86 +433,69 @@ class PeelParams:
         return sha256(doc.encode()).hexdigest()[:16]
 
 
+def _coupling(kappa: Union[Number, str, None], alpha: Union[Number, str, None]) -> tuple:
+    """(alpha, kappa) from exactly one of the two handles.
+
+    Strings and ints become Fractions.  An exact alpha gives an exact
+    kappa; an exact kappa gives its small-denominator exact root when one
+    exists.  Whatever cannot be exact comes back as a float.
+    """
+    if (kappa is None) == (alpha is None):
+        raise DomainError("give exactly one of kappa or alpha")
+    if alpha is not None:
+        alpha = _exact(alpha)
+        return alpha, kappa_from_alpha(alpha)
+    kappa = _exact(kappa)
+    _check_kappa(kappa)
+    if isinstance(kappa, Fraction):
+        guess = Fraction(alpha_from_kappa(kappa)).limit_denominator(10_000)
+        if ALPHA_MIN <= guess < 1 and kappa_from_alpha(guess) == kappa:
+            return guess, kappa
+    return alpha_from_kappa(kappa), kappa
+
+
+def _exact(x: Union[Number, str]) -> Number:
+    if isinstance(x, str):
+        return parse_rational(x)
+    return Fraction(x) if isinstance(x, int) else x
+
+
 def build_params(
     kappa: Union[Number, str, None] = None,
     alpha: Union[Number, str, None] = None,
 ) -> PeelParams:
     """Resolve (kappa, alpha) from either handle and materialize tables.
 
-    Exactly one of the two must be given.  Strings are parsed as exact
-    rationals; an exact alpha keeps the whole table pipeline anchored to
-    exact derived constants (3 alpha - 2 is exactly zero at criticality).
-    The tables start at ``_TABLE0`` entries and grow on demand; their size
-    is not a setting, since no result depends on it.
+    Exactly one of the two must be given (see :func:`_coupling`); an exact
+    alpha keeps the whole table pipeline anchored to exact derived
+    constants (3 alpha - 2 is exactly zero at criticality).  The tables
+    start at ``_TABLE0`` entries and grow on demand; their size is not a
+    setting, since no result depends on it.
     """
-    if (kappa is None) == (alpha is None):
-        raise DomainError("give exactly one of kappa or alpha")
-    alpha_exact: Optional[Fraction] = None
-    kappa_exact: Optional[Fraction] = None
-    if alpha is not None:
-        if isinstance(alpha, str):
-            alpha = parse_rational(alpha)
-        if isinstance(alpha, (Fraction, int)):
-            alpha_exact = Fraction(alpha)
-            _check_alpha(alpha_exact)
-            kappa_exact = kappa_from_alpha(alpha_exact)
-            alpha_f = float(alpha_exact)
-        else:
-            _check_alpha(alpha)
-            alpha_f = float(alpha)
-        kappa_f = float(kappa_exact) if kappa_exact is not None else kappa_from_alpha(alpha_f)
-    else:
-        if isinstance(kappa, str):
-            kappa = parse_rational(kappa)
-        if isinstance(kappa, (Fraction, int)):
-            kappa_exact = Fraction(kappa)
-            _check_kappa(kappa_exact)
-            if kappa_exact == KAPPA_MAX:
-                alpha_exact = Fraction(2, 3)
-            else:
-                # recover a small-denominator exact root when one exists
-                guess = Fraction(alpha_from_kappa(kappa_exact)).limit_denominator(10_000)
-                if ALPHA_MIN <= guess < 1 and kappa_from_alpha(guess) == kappa_exact:
-                    alpha_exact = guess
-            kappa_f = float(kappa_exact)
-        else:
-            _check_kappa(kappa)
-            kappa_f = float(kappa)
-        alpha_f = float(alpha_exact) if alpha_exact is not None else alpha_from_kappa(
-            kappa_exact if kappa_exact is not None else kappa_f
-        )
-    return PeelParams(
-        alpha=alpha_f,
-        kappa=kappa_f,
-        alpha_exact=alpha_exact,
-        kappa_exact=kappa_exact,
-    )
+    return PeelParams(*_coupling(kappa, alpha))
+
+
+def _tail_cut(params: PeelParams, tol: float, weighted: bool) -> int:
+    """First k = 64 * 2^j whose certified step-law tail beyond k (plain or
+    size-weighted) is below tol / 10."""
+    k = 64
+    while q_tail_bound(params.alpha, k, params.q_neg(k), weighted) >= tol / 10.0:
+        if k >= _TABLE_HARD_CAP:
+            raise TableOverflowError("no certified tail at this kappa within the table cap")
+        k *= 2
+    return k
 
 
 def normalization_residual(params: PeelParams, tol: float = NORMALIZATION_TOL) -> float:
     """|1 - q_1 - sum q_{-k}| over a table sized by the certified tail bound."""
-    k = 64
-    while True:
-        params.ensure_q(k)
-        if q_tail_bound(params.alpha, k, params.q_neg(k)) < tol / 10.0:
-            break
-        if k >= _TABLE_HARD_CAP:
-            raise TableOverflowError("no certified tail at this kappa within the table cap")
-        k *= 2
+    k = _tail_cut(params, tol, weighted=False)
     total = params.q1 + math.fsum(params._qneg[1 : k + 1])
     return abs(1.0 - total)
 
 
 def drift_sum_residual(params: PeelParams, tol: float = DRIFT_RESIDUAL_TOL) -> float:
     """|drift - (q_1 - sum k q_{-k})| with a certified weighted tail."""
-    k = 64
-    while True:
-        params.ensure_q(k)
-        if q_tail_bound(params.alpha, k, params.q_neg(k), weighted=True) < tol / 10.0:
-            break
-        if k >= _TABLE_HARD_CAP:
-            raise TableOverflowError("no certified weighted tail at this kappa")
-        k *= 2
+    k = _tail_cut(params, tol, weighted=True)
     s = params.q1 - math.fsum(j * params._qneg[j] for j in range(1, k + 1))
     return abs(s - params.drift)
 
@@ -554,28 +528,10 @@ def z_partition(
     """
     if p < 2:
         raise DomainError(f"boundary length p={p} must be at least 2")
-    if alpha is not None:
-        if isinstance(alpha, str):
-            alpha = parse_rational(alpha)
-        _check_alpha(alpha)
-        kappa = kappa_from_alpha(alpha)
-    if kappa is None:
-        raise DomainError("z_partition needs kappa or alpha")
-    if isinstance(kappa, str):
-        kappa = parse_rational(kappa)
-    _check_kappa(kappa)
+    alpha, kappa = _coupling(kappa, alpha)
     kf = float(kappa)
     if method == "closed":
-        if alpha is None:
-            alpha = alpha_from_kappa(kappa)
-        af = float(alpha)
-        lin = float(3 * alpha - 2) if isinstance(alpha, Fraction) else 3.0 * af - 2.0
-        if abs(lin) < 1e-12:
-            lin = 0.0
-        j = p - 1
-        log_a = math.lgamma(2 * j - 1) - math.lgamma(j) - math.lgamma(j + 2)
-        log_geo = j * math.log((1.0 - af) / (2.0 * kf))
-        return math.exp(log_a + log_geo) * (lin * j + 1.0)
+        return _swallow_weight(p - 1, float(_lin(alpha)), (1.0 - float(alpha)) / (2.0 * kf))
     if method == "series":
         growth = 13.5 * kf
         if growth >= 1.0 - 1e-12:

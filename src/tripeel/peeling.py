@@ -43,7 +43,7 @@ from .errors import (
     InvariantViolationError,
     MisuseError,
 )
-from .params import _TABLE0, PeelParams, build_params, parse_rational, q_tail_bound
+from .params import _TABLE0, PeelParams, build_params, q_tail_bound
 from .planarmap import FLAG_MAIN, TriMap
 from .rng import RngStream
 
@@ -486,19 +486,15 @@ def run_layers(
     labels: bool = False,
     max_steps: Optional[int] = None,
     max_vertices: Optional[int] = None,
-    on_budget: str = "partial",
 ) -> PeelTrace:
     """Explore with the layers selector until tau_{r_max} (or n_steps).
 
     Returns the trace (records empty unless recording) with the hull
-    series, final map and engine attached.  A budget overrun either
-    returns the partial series with ``truncated=True`` (default) or
-    re-raises when on_budget='raise'.
+    series, final map and engine attached.  A budget overrun returns the
+    partial series with ``truncated=True``.
     """
     if r_max < 1:
         raise DomainError(f"r_max must be at least 1, got {r_max}")
-    if on_budget not in ("partial", "raise"):
-        raise DomainError(f"on_budget must be 'partial' or 'raise', got {on_budget!r}")
     engine = LayerEngine(
         params,
         rng,
@@ -512,8 +508,6 @@ def run_layers(
         while engine.cur_r <= r_max and (n_steps is None or engine.steps < n_steps):
             engine.step()
     except BudgetExceededError:
-        if on_budget == "raise":
-            raise
         truncated = True
     trace = PeelTrace(
         meta=_trace_meta(
@@ -866,13 +860,6 @@ def hull_from_csv(text: str) -> tuple[list, dict]:
     return out, meta
 
 
-def _params_from_meta(meta: dict) -> PeelParams:
-    ident = meta["params"]
-    if ident.get("kappa_exact"):
-        return build_params(kappa=parse_rational(ident["kappa_exact"]))
-    return build_params(kappa=float(ident["kappa"]))
-
-
 def replay_trace(source: Union[PeelTrace, str]) -> dict:
     """Re-run an exported trace and verify it step for step.
 
@@ -892,7 +879,8 @@ def replay_trace(source: Union[PeelTrace, str]) -> dict:
     if meta.get("digest") is None or meta.get("seed") is None:
         raise DomainError("trace metadata is incomplete; cannot replay")
     try:
-        params = _params_from_meta(meta)
+        ident = meta["params"]
+        params = build_params(kappa=ident.get("kappa_exact") or float(ident["kappa"]))
         rng = RngStream(meta["seed"], tuple(meta.get("spawn_key", ())))
         layers = meta["driver"] == "layers"
         r_max = int(meta["r_max"]) if layers else None
@@ -902,9 +890,7 @@ def replay_trace(source: Union[PeelTrace, str]) -> dict:
         raise InvariantViolationError("trace parameter digest does not match")
     n = len(trace.records)
     if layers:
-        rerun = run_layers(
-            params, r_max, rng, n_steps=n, record=True, on_budget="raise"
-        )
+        rerun = run_layers(params, r_max, rng, n_steps=n, record=True)
     else:
         rerun = run_algorithm(params, meta.get("selector", "stay"), n, rng)
     if rerun.records != trace.records:

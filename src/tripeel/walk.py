@@ -8,9 +8,9 @@ outgoing half-edge (multi-edges counted with multiplicity).  The step
 is legal exactly because closure of the fan was forced first.
 
 The walk path starts along the root edge itself: X_0 is its origin,
-X_1 its target, and the first move is made from X_1.  Counters f and g
-track peel and move operations, f(0) = 0 and g(0) = 1, so f + g always
-equals the operation count plus one.
+X_1 its target, and the first move is made from X_1.  The move count
+g therefore starts at 1, and the run stops once g reaches the requested
+number of steps.
 
 A position that lands on the explored boundary is a pioneer point: it
 is exactly there that fresh territory must be opened before the walk
@@ -44,8 +44,6 @@ from .stats import (
     proportion_lower_bound,
 )
 
-WALK_SCHEMA = "tripeel-walk-v1"
-
 __all__ = [
     "WalkTrace",
     "run_walk_peeling",
@@ -63,19 +61,16 @@ class WalkTrace:
 
     positions[m] is X_m; pioneer[m] says whether X_m landed on the
     explored boundary (index 0 is never a landing).  move_edges[m] is
-    the half-edge traversed from X_m to X_{m+1}; the root edge itself
-    is move_edges[0].  f_series/g_series hold the counters after each
-    operation.  x0_closed is the move count g at the first peel after
-    which X_0 was off the explored boundary (None while it is still on
-    it).
+    the half-edge traversed from X_m to X_{m+1}; move_edges[0] is the
+    root edge's id at the start (a 2-gon closure may later move the
+    root).  x0_closed is the move count g at the first peel
+    after which X_0 was off the explored boundary (None while it is
+    still on it).
     """
 
-    meta: dict
     positions: list
     pioneer: list
     move_edges: list
-    f_series: list
-    g_series: list
     map: TriMap
     engine: PeelEngine
     x0: int
@@ -86,14 +81,6 @@ class WalkTrace:
     @property
     def n_steps(self) -> int:
         return len(self.positions) - 1
-
-    @property
-    def f(self) -> int:
-        return self.f_series[-1] if self.f_series else 0
-
-    @property
-    def g(self) -> int:
-        return self.g_series[-1] if self.g_series else 1
 
     def displacement_series(self) -> np.ndarray:
         """d(n) = distance from X_0 to X_n inside the explored map."""
@@ -131,9 +118,7 @@ def run_walk_peeling(
     positions = [x0, x1]
     pioneer = [False, m.v_hole[x1] != -1]
     move_edges = [m.root]
-    f_series: list = []
-    g_series: list = []
-    f, g = 0, 1
+    g = 1
     x0_closed = None
     truncated = False
     try:
@@ -141,7 +126,6 @@ def run_walk_peeling(
             pos = positions[-1]
             if m.v_hole[pos] != -1:
                 engine.peel_step(m.v_hole[pos])
-                f += 1
                 if x0_closed is None and m.v_hole[x0] == -1:
                     x0_closed = g
             else:
@@ -151,26 +135,12 @@ def run_walk_peeling(
                 move_edges.append(he)
                 pioneer.append(m.v_hole[positions[-1]] != -1)
                 g += 1
-            f_series.append(f)
-            g_series.append(g)
     except BudgetExceededError:
         truncated = True
-    meta = {
-        "schema": WALK_SCHEMA,
-        "params": params.identity(),
-        "digest": params.digest(),
-        "seed": rng.seed,
-        "spawn_key": list(rng.spawn_key),
-        "n_steps": n_steps,
-        "truncated": truncated,
-    }
     return WalkTrace(
-        meta=meta,
         positions=positions,
         pioneer=pioneer,
         move_edges=move_edges,
-        f_series=f_series,
-        g_series=g_series,
         map=m,
         engine=engine,
         x0=x0,

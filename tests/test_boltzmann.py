@@ -7,7 +7,7 @@ import pytest
 
 from tripeel.boltzmann import BoltzmannFiller
 from tripeel.counting import count_triangulations
-from tripeel.errors import BudgetExceededError, DomainError
+from tripeel.errors import DomainError
 from tripeel.params import build_params, z_partition
 from tripeel.planarmap import TriMap
 from tripeel.rng import RngStream
@@ -121,16 +121,6 @@ def test_volume_mean_matches_formula(quarter):
         mean = sum(xs) / n
         var = sum((x - mean) ** 2 for x in xs) / (n - 1)
         assert abs(mean - target) < 5 * math.sqrt(var / n), k
-
-
-def test_budget_guard(critical):
-    filler = BoltzmannFiller(critical)
-    with pytest.raises(BudgetExceededError) as exc:
-        filler.fill_volume(30, RngStream(5), max_steps=5)
-    assert exc.value.partial["decisions"] == 6
-    tmap, inner = TriMap.polygon(30)
-    with pytest.raises(BudgetExceededError):
-        filler.fill_hole(tmap, inner, 30, RngStream(5), max_steps=5)
 
 
 def test_row_rejects_degenerate_perimeter(quarter):

@@ -47,6 +47,18 @@ def test_constants_rejects_bad_coupling():
     assert res.exit_code == 2
 
 
+def test_constants_accepts_the_critical_float():
+    # 0.074074074074074 has no small-denominator root; its float root is
+    # one ulp below 2/3 and must read as the critical point
+    res = invoke("constants", "--kappa", "0.074074074074074")
+    assert res.exit_code == 0, res.output
+    doc = json.loads(res.stdout)
+    assert doc["results"]["critical"] is True
+    assert doc["results"]["drift"] == 0.0
+    # a string is an exact rational, and this one is below 2/3
+    assert invoke("constants", "--alpha", "0.6666666666666666").exit_code == 2
+
+
 def test_constants_csv_round_trips():
     as_json = invoke("constants", "--alpha", "3/4").output
     as_csv = invoke("constants", "--alpha", "3/4", "--format", "csv").output

@@ -97,7 +97,8 @@ SAMPLES = {
 }
 
 
-# case id -> (coupling arguments, sha256 of `tripeel constants --head 12`)
+# case id -> (coupling arguments, sha256 of `tripeel constants --head 12`);
+# z_head evaluates Z_p at the exact root where one exists (7/10, 17/25)
 CONSTANTS = {
     "kappa-2/27": (
         ("--kappa", "2/27"),
@@ -115,15 +116,15 @@ CONSTANTS = {
     # the exact root 7/10 is recovered, so this card equals alpha-7/10's
     "kappa-0.0735": (
         ("--kappa", "0.0735"),
-        "2667ed959a021a4da93ec22521ab1fea9e93dcc120a8c6ab434376440d257b60",
+        "ce9908185763b05c7d6ddd349b392d95702145157dc9cebfd5bd11298cd3c9d8",
     ),
     "alpha-7/10": (
         ("--alpha", "7/10"),
-        "2667ed959a021a4da93ec22521ab1fea9e93dcc120a8c6ab434376440d257b60",
+        "ce9908185763b05c7d6ddd349b392d95702145157dc9cebfd5bd11298cd3c9d8",
     ),
     "alpha-0.68": (
         ("--alpha", "0.68"),
-        "f48394827a5cc6edf3139554877772d6a89fa230f438e725a23aa7743f5d58c4",
+        "4ec07e6e943d7725adf85fd9028f1ddf31378d1c53e1295e04868aeb65b18901",
     ),
 }
 

@@ -1,6 +1,9 @@
-"""The public surface: every exported name exists, and is exported once."""
+"""The public surface: every exported name exists, and is exported once;
+every module-level import is used or exported."""
 
+import ast
 import importlib
+import inspect
 import pkgutil
 
 import pytest
@@ -19,3 +22,32 @@ def test_all_names_resolve_once(name):
     assert len(exported) == len(set(exported))
     missing = [n for n in exported if not hasattr(module, n)]
     assert missing == []
+
+
+def _unused_imports(module) -> list:
+    """Module-level imported names that the module neither uses nor exports.
+
+    An import on a line marked ``# noqa`` is exempt.
+    """
+    source = inspect.getsource(module)
+    lines = source.splitlines()
+    tree = ast.parse(source)
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    used.update(getattr(module, "__all__", []))
+    unused = []
+    for node in tree.body:
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        for alias in node.names:
+            name = alias.asname or alias.name.split(".")[0]
+            if name in used or "# noqa" in lines[alias.lineno - 1]:
+                continue
+            unused.append(name)
+    return unused
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_unused_imports(name):
+    assert _unused_imports(importlib.import_module(name)) == []

@@ -44,7 +44,8 @@ def test_alpha_kappa_domain():
     for bad in (0.0, -0.1, 0.075, 1.0):
         with pytest.raises(DomainError):
             tp.alpha_from_kappa(bad)
-    for bad in (0.5, 1.0, 1.5, Fraction(1, 3)):
+    # an exact alpha gets an exact range check, however close to 2/3
+    for bad in (0.5, 1.0, 1.5, Fraction(1, 3), Fraction(2, 3) - Fraction(1, 10**16)):
         with pytest.raises(DomainError):
             tp.kappa_from_alpha(bad)
 
@@ -62,6 +63,21 @@ def test_exact_root_recovery():
     assert p.alpha_exact == Fraction(3, 4)
     p = tp.build_params(kappa="2/27")
     assert p.alpha_exact == Fraction(2, 3)
+    assert p.critical and p.drift == 0.0
+
+
+# the float root of kappa = 2/27 sits one ulp below 2/3; a float alpha
+# whose 3 alpha - 2 is within 1e-12 of 0, on either side, is critical
+@pytest.mark.parametrize(
+    "a", [tp.build_params(kappa=2 / 27).alpha, 2 / 3 - 1e-13, 2 / 3 + 1e-13],
+    ids=["root-of-2/27", "below", "above"],
+)
+def test_critical_float_root_is_critical_everywhere(a):
+    assert tp.drift(a) == 0.0
+    assert tp.q_step(-1, a) == pytest.approx(float(exact_q_neg(1, Fraction(2, 3))), rel=1e-12)
+    assert tp.mean_hole_volume(1, a) == pytest.approx(1 / 3, rel=1e-12)
+    assert tp.kappa_from_alpha(a) == pytest.approx(2 / 27, rel=1e-12)
+    p = tp.build_params(alpha=a)
     assert p.critical and p.drift == 0.0
 
 
@@ -251,6 +267,14 @@ def test_partition_domain():
         tp.z_partition(0.08, 3)
     with pytest.raises(DomainError):
         tp.z_partition("9/128", 1)
+
+
+def test_partition_needs_exactly_one_handle():
+    with pytest.raises(DomainError):
+        tp.z_partition(p=3)
+    with pytest.raises(DomainError):
+        tp.z_partition("9/128", 3, alpha="3/4")
+    assert tp.z_partition(p=3, alpha="3/4") == tp.z_partition("9/128", 3)
 
 
 def test_partition_relates_to_step_law():
