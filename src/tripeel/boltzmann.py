@@ -17,11 +17,13 @@ build time.  All ratios are computed through the one-sided step weights
 q_{-k} = 2 beta^k Z_{k+1}, which keeps every intermediate quantity well
 scaled however large p gets.
 
-Two drivers consume the same decision stream: :meth:`BoltzmannFiller.fill_hole`
-performs the surgeries on a map, :meth:`BoltzmannFiller.fill_volume` only
-keeps score.  Given equal streams they make identical decisions draw for
-draw, which the growth engines exploit to couple a map-backed process
-with its lightweight twin.
+Three drivers consume the same decision stream:
+:meth:`BoltzmannFiller.fill_hole` performs the surgeries on a map,
+:meth:`BoltzmannFiller.fill_volume` only keeps score, and
+:meth:`BoltzmannFiller.fill_degree` keeps score and follows the degree
+of one marked boundary vertex.  Given equal streams they make identical
+decisions draw for draw, which the growth engines exploit to couple a
+map-backed process with its lightweight twins.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ _ROW_TOL = 1e-9
 
 
 class BoltzmannFiller:
-    """Decision tables plus the two fill drivers for fixed parameters."""
+    """Decision tables plus the three fill drivers for fixed parameters."""
 
     def __init__(self, params: PeelParams):
         self.params = params
@@ -136,6 +138,64 @@ class BoltzmannFiller:
                 push(p - k)
                 push(k + 1)
         return added
+
+    def fill_degree(self, perimeter: int, mark: int, rng: RngStream) -> tuple[int, int]:
+        """Twin of :meth:`fill_volume` that also follows one boundary vertex.
+
+        The hole's vertices are indexed along its cycle: index i is the
+        origin of nxt^i of the hole's root.  Returns (internal vertices
+        added, change in the degree of the vertex at index ``mark``).
+        Each stack entry carries the mark's index in that hole, or -1
+        when the vertex is not on it; a split apex lies on both pieces.
+        The per-decision rules follow the surgeries :meth:`fill_hole`
+        makes: a fresh triangle adds an edge at indices 0 and 1, a split
+        at k adds one at 0 and 1 and two at the apex k + 1, and closing a
+        2-gon merges its two edges.
+        """
+        rows, row, u = self._rows, self.row, rng.u
+        stack = [(perimeter, mark)]
+        push, pop = stack.append, stack.pop
+        added = 0
+        gained = 0
+        while stack:
+            p, i = pop()
+            cuts, decisions = rows.get(p) or row(p)
+            d = decisions[bisect_right(cuts, u())]
+            if d is _CLOSE:
+                if i >= 0:
+                    gained -= 1
+            elif d is _FRESH:
+                added += 1
+                # the apex becomes index 1 and pushes the rest along
+                if i == 0 or i == 1:
+                    gained += 1
+                if i > 0:
+                    i += 1
+                push((p + 1, i))
+            else:
+                k = d[1]
+                # the continuing (p - k)-hole runs root origin, apex,
+                # k + 2, ...; the enclosed (k + 1)-hole runs apex, 1..k
+                if i < 0:
+                    push((p - k, -1))
+                    push((k + 1, -1))
+                elif i == 0:
+                    gained += 1
+                    push((p - k, 0))
+                    push((k + 1, -1))
+                elif i <= k:
+                    if i == 1:
+                        gained += 1
+                    push((p - k, -1))
+                    push((k + 1, i))
+                elif i == k + 1:
+                    gained += 2
+                    push((p - k, 1))
+                    push((k + 1, 0))
+                else:
+                    push((p - k, i - k))
+                    push((k + 1, -1))
+        return added, gained
 
     # -- exhaustive small-map enumeration ----------------------------------
 

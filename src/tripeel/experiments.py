@@ -21,7 +21,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .counting import count_decomposition, count_triangulations
-from .errors import DomainError
+from .errors import BudgetExceededError, DomainError
 from .params import (
     PeelParams,
     drift_sum_residual,
@@ -36,7 +36,6 @@ from .rng import RngStream
 from .stats import chi2_two_sample, linfit, mean_ci
 from .walk import (
     _ball_audit,
-    estimate_inv_degree,
     intersection_experiment,
     run_walk_peeling,
     speed_estimate,
@@ -49,6 +48,7 @@ __all__ = [
     "EXPERIMENTS",
     "REPORT_SCHEMA",
     "constants_report",
+    "estimate_inv_degree",
     "growth_targets",
     "report_from_csv",
     "report_from_json",
@@ -392,6 +392,41 @@ def run_walk_speed(
         "audit_radius": audit_radius,
     }
     return _report("walk-speed", params, rng, settings, results)
+
+
+def estimate_inv_degree(
+    params: PeelParams,
+    trials: int,
+    rng: RngStream,
+    *,
+    max_steps_per_trial: int = 50_000,
+) -> dict:
+    """Mean reciprocal degree of the root origin, by layer peeling.
+
+    Each trial runs a layer chain until tau_1, when the origin's fan
+    closes, and reads :attr:`LayerChain.root_degree`; draw for draw this
+    is the map-backed layer engine peeled until the origin leaves the
+    boundary, with no map built.  Trials that exhaust the step budget
+    are discarded and counted.
+    """
+    if trials < 2:
+        raise DomainError("need at least two trials")
+    vals = []
+    discarded = 0
+    for t in range(trials):
+        chain = LayerChain(params, rng.fork(t), max_steps=max_steps_per_trial)
+        try:
+            while chain.cur_r == 1:
+                chain.step()
+        except BudgetExceededError:
+            discarded += 1
+            continue
+        vals.append(1.0 / chain.root_degree)
+    if len(vals) < 2:
+        raise DomainError("too few completed trials for an estimate")
+    ci = mean_ci(vals, level=0.99)
+    ci.update({"trials": trials, "used": len(vals), "discarded": discarded})
+    return ci
 
 
 def run_inv_degree(

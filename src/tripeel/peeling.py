@@ -574,6 +574,16 @@ class LayerChain:
     (and, through :func:`run_chain`, the identical perimeter and volume
     series); with volume disabled it skips the filler draws, which
     changes the realization but not the law of (tau_r, P_{tau_r}).
+
+    With volume enabled it also knows ``root_degree``, the degree of the
+    root edge's origin in the final map, from tau_1 on (None before, and
+    always None with volume off).  Throughout layer 1 the old arc is the
+    origin alone, so every step peels the seam into it and gives it one
+    edge; the swallow that fires tau_1 encloses it, at index 1 of the
+    enclosed hole, and closes its fan once that hole is filled.  So the
+    degree is 1 + tau_1 plus what the filling adds, which
+    :meth:`BoltzmannFiller.fill_degree` follows on the same draws as the
+    map engine's filler.
     """
 
     def __init__(
@@ -597,6 +607,7 @@ class LayerChain:
         self._N = 1
         self.hull: list = []
         self.max_steps = max_steps
+        self.root_degree: Optional[int] = None
 
     def _check_budget(self) -> None:
         if self.max_steps is not None and self.steps >= self.max_steps:
@@ -613,7 +624,14 @@ class LayerChain:
         else:
             self.p -= k
             if self.filler is not None:
-                self.v += self.filler.fill_volume(k + 1, self.rng)
+                if self.cur_r == 1 and side == "next":
+                    # tau_1: the root origin got one edge from each step so
+                    # far and one from this one, then what the fill adds
+                    dv, dd = self.filler.fill_degree(k + 1, 1, self.rng)
+                    self.v += dv
+                    self.root_degree = self.steps + 2 + dd
+                else:
+                    self.v += self.filler.fill_volume(k + 1, self.rng)
         self.steps += 1
         _arc_step(self, k, side, self.p, self.v if self.filler is not None else None)
 
@@ -860,6 +878,24 @@ def hull_from_csv(text: str) -> tuple[list, dict]:
     return out, meta
 
 
+def _recorded_params(ident: dict, digest: str) -> Optional[PeelParams]:
+    """The parameters of a recorded identity: rebuilt from the exact
+    kappa when there is one, else from the float kappa or the float
+    alpha, whichever reproduces the recorded digest (a float coupling
+    comes back only from the handle it was built from, since the root
+    of the other is a few ulp to a thousand ulp off).  None when
+    neither does."""
+    exact = ident.get("kappa_exact")
+    handles = [{"kappa": exact}] if exact else [
+        {"kappa": float(ident["kappa"])}, {"alpha": float(ident["alpha"])}
+    ]
+    for handle in handles:
+        params = build_params(**handle)
+        if params.digest() == digest:
+            return params
+    return None
+
+
 def replay_trace(source: Union[PeelTrace, str]) -> dict:
     """Re-run an exported trace and verify it step for step.
 
@@ -879,14 +915,13 @@ def replay_trace(source: Union[PeelTrace, str]) -> dict:
     if meta.get("digest") is None or meta.get("seed") is None:
         raise DomainError("trace metadata is incomplete; cannot replay")
     try:
-        ident = meta["params"]
-        params = build_params(kappa=ident.get("kappa_exact") or float(ident["kappa"]))
+        params = _recorded_params(meta["params"], meta["digest"])
         rng = RngStream(meta["seed"], tuple(meta.get("spawn_key", ())))
         layers = meta["driver"] == "layers"
         r_max = int(meta["r_max"]) if layers else None
     except (KeyError, TypeError, ValueError) as exc:
         raise DomainError(f"malformed trace metadata; cannot replay: {exc!r}") from None
-    if params.digest() != meta["digest"]:
+    if params is None:
         raise InvariantViolationError("trace parameter digest does not match")
     n = len(trace.records)
     if layers:

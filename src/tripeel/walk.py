@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import BudgetExceededError, DomainError
 from .params import PeelParams
-from .peeling import LayerEngine, PeelEngine, complete_ball
+from .peeling import PeelEngine, complete_ball
 from .planarmap import FLAG_TRIANGLE, TriMap, extract_submap
 from .rng import RngStream
 from .stats import (
@@ -49,7 +49,6 @@ __all__ = [
     "run_walk_peeling",
     "speed_estimate",
     "intersection_experiment",
-    "estimate_inv_degree",
     "stationarity_test",
     "pioneer_audit",
 ]
@@ -228,43 +227,6 @@ def intersection_experiment(
         "used": used,
         "truncated": truncated,
     }
-
-
-def estimate_inv_degree(
-    params: PeelParams,
-    trials: int,
-    rng: RngStream,
-    *,
-    max_steps_per_trial: int = 50_000,
-) -> dict:
-    """Mean reciprocal degree of the root origin, by layer peeling.
-
-    Each trial peels with the layer rule until the origin's fan closes
-    (pocket fillings keep every off-boundary fan complete, so leaving
-    the boundary is closure).  Trials that exhaust the step budget are
-    discarded and counted.
-    """
-    if trials < 2:
-        raise DomainError("need at least two trials")
-    vals = []
-    discarded = 0
-    for t in range(trials):
-        trial_rng = rng.fork(t)
-        eng = LayerEngine(params, trial_rng, record=False, max_steps=max_steps_per_trial)
-        m = eng.map
-        origin = m.org[m.root]
-        try:
-            while m.v_hole[origin] != -1:
-                eng.step()
-        except BudgetExceededError:
-            discarded += 1
-            continue
-        vals.append(1.0 / m.degree(origin))
-    if len(vals) < 2:
-        raise DomainError("too few completed trials for an estimate")
-    ci = mean_ci(vals, level=0.99)
-    ci.update({"trials": trials, "used": len(vals), "discarded": discarded})
-    return ci
 
 
 # -- re-rooting test -------------------------------------------------------

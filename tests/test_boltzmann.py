@@ -106,6 +106,27 @@ def test_two_drivers_consume_identical_streams(quarter, critical):
                 assert r1.n_drawn == r2.n_drawn
 
 
+def test_degree_driver_follows_the_map(quarter, critical):
+    # the vertex at index i of the polygon's hole is org(nxt^i(root))
+    for params in (quarter, critical):
+        filler = BoltzmannFiller(params)
+        for p in range(2, 13):
+            for mark in range(p):
+                for trial in range(12):
+                    r1 = RngStream(8000 + trial, (p, mark))
+                    r2 = RngStream(8000 + trial, (p, mark))
+                    tmap, inner = TriMap.polygon(p)
+                    h = inner
+                    for _ in range(mark):
+                        h = tmap.nxt[h]
+                    v = tmap.org[h]
+                    before = tmap.degree(v)
+                    added = filler.fill_hole(tmap, inner, p, r1)
+                    got = filler.fill_degree(p, mark, r2)
+                    assert got == (added, tmap.degree(v) - before), (p, mark, trial)
+                    assert r1.n_drawn == r2.n_drawn
+
+
 def test_volume_mean_matches_formula(quarter):
     # E[volume of a filled (k+1)-gon] has a closed form; check the
     # sampler against it, with the tolerance set by the sample variance

@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tripeel.errors import DomainError
+from tripeel.errors import BudgetExceededError, DomainError
 from tripeel.experiments import (
     REPORT_SCHEMA,
     constants_report,
+    estimate_inv_degree,
     growth_targets,
     report_from_csv,
     report_from_json,
@@ -22,7 +23,9 @@ from tripeel.experiments import (
     run_volume_growth,
 )
 from tripeel.params import build_params
+from tripeel.peeling import LayerEngine
 from tripeel.rng import RngStream
+from tripeel.stats import mean_ci
 
 
 @pytest.fixture(scope="module")
@@ -183,3 +186,34 @@ _value = st.recursive(
 def test_csv_flattening_round_trips_any_report(body):
     doc = {"schema": REPORT_SCHEMA, **body}
     assert report_from_csv(report_to_csv(doc)) == doc
+
+
+def _inv_degree_on_maps(params, trials, rng, max_steps_per_trial):
+    """Reference estimate: peel the map with the layer rule until the root
+    origin leaves the boundary, then read its degree off the map."""
+    vals = []
+    discarded = 0
+    for t in range(trials):
+        eng = LayerEngine(params, rng.fork(t), max_steps=max_steps_per_trial)
+        m = eng.map
+        origin = m.org[m.root]
+        try:
+            while m.v_hole[origin] != -1:
+                eng.step()
+        except BudgetExceededError:
+            discarded += 1
+            continue
+        vals.append(1.0 / m.degree(origin))
+    ci = mean_ci(vals, level=0.99)
+    ci.update({"trials": trials, "used": len(vals), "discarded": discarded})
+    return ci
+
+
+@pytest.mark.parametrize("coupling", [{"kappa": "2/27"}, {"alpha": "3/4"}, {"alpha": "9/10"}])
+@pytest.mark.parametrize("max_steps", [50_000, 2])
+def test_inv_degree_matches_the_map(coupling, max_steps):
+    params = build_params(**coupling)
+    got = estimate_inv_degree(params, 2000, RngStream(163, (18,)), max_steps_per_trial=max_steps)
+    want = _inv_degree_on_maps(params, 2000, RngStream(163, (18,)), max_steps)
+    assert got == want
+    assert (got["discarded"] > 0) == (max_steps == 2)

@@ -198,6 +198,22 @@ def test_layer_trace_replay():
     assert replayed["canonical_code"] == code
 
 
+# float couplings whose other handle does not round-trip: the float root
+# of kappa_from_alpha(0.7) is 0.7000000000000002, so replay must rebuild
+# from the handle the trace was made with
+@pytest.mark.parametrize(
+    "coupling", [{"alpha": 0.7}, {"alpha": 0.68}, {"alpha": 0.6667}, {"kappa": 0.07}],
+    ids=["alpha-0.7", "alpha-0.68", "alpha-0.6667", "kappa-0.07"],
+)
+def test_float_coupling_trace_replay(coupling):
+    params = build_params(**coupling)
+    res = run_layers(params, 3, RngStream(67, (16,)), record=True)
+    replayed = replay_trace(trace_to_json(res))
+    assert replayed["canonical_code"] == res.map.canonical_code()
+    steps = run_algorithm(params, "stay", 40, RngStream(71, (17,)))
+    assert replay_trace(trace_to_csv(steps))["canonical_code"] == steps.map.canonical_code()
+
+
 def test_hull_series_export():
     res = run_layers(PAR, 5, RngStream(61, (15,)))
     text = hull_to_csv(res.hull, {"digest": PAR.digest()})

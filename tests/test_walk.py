@@ -9,10 +9,10 @@ from tripeel import (
     DomainError,
     RngStream,
     build_params,
+    estimate_inv_degree,
 )
 from tripeel.walk import (
     _ball_audit,
-    estimate_inv_degree,
     intersection_experiment,
     pioneer_audit,
     run_walk_peeling,
