@@ -5,10 +5,19 @@ one float in [0, 1) at a time.  That discipline is what makes two
 different engines driven by the same stream land on the same outcomes
 draw for draw, and what makes a recorded master seed enough to replay a
 whole experiment.
+
+A stream's PCG64 is seeded with exactly the words numpy's
+``SeedSequence(seed, spawn_key=key).generate_state(4, uint64)`` gives,
+computed here by a copy of that hash.  Experiments fork one child per
+trial, so the copy hashes the children of a parent in aligned chunks of
+``_CHUNK`` consecutive last key words at once, with numpy uint64
+arithmetic masked to 32 bits, and keeps the last few chunks.
+``tests/test_rng.py`` pins the copy against numpy's own SeedSequence.
 """
 
 from __future__ import annotations
 
+from functools import cache
 from typing import Sequence
 
 import numpy as np
@@ -20,13 +29,124 @@ from .errors import DomainError
 _WINDOW = 8192
 _FILL0 = 64
 
+# SeedSequence's hash constants, pool size and word mask
+_INIT_A = 0x43B0D7E5
+_MULT_A = 0x931E8875
+_INIT_B = 0x8B51F9DD
+_MULT_B = 0x58F38DED
+_MIX_L = 0xCA01F9DD
+_MIX_R = 0x4973F715
+_POOL = 4
+_M32 = 0xFFFFFFFF
+
+# children are seeded in chunks of _CHUNK consecutive last key words; a
+# power of two that divides 2^32, so every word in a chunk has as many
+# 32-bit digits as the others.  _TABLES keeps the last _MAX_TABLES chunks,
+# keyed by (seed, key head, first last word); it memoises a pure function,
+# so sharing it between all streams changes no value any of them draws.
+_CHUNK = 1024
+_MAX_TABLES = 8
+_TABLES: dict = {}
+
+
+def _digits(n: int) -> list:
+    """Little-endian 32-bit digits of n >= 0; zero has one digit."""
+    out = [n & _M32]
+    while n > _M32:
+        n >>= 32
+        out.append(n & _M32)
+    return out
+
+
+def _hash(value, const: int, mult: int):
+    """One SeedSequence hash of value (an int or a uint64 array of
+    32-bit values) under a running constant; returns (hash, next const)."""
+    nxt = const * mult & _M32
+    value = (value ^ const) * nxt & _M32
+    return value ^ value >> 16, nxt
+
+
+def _mix(x, y):
+    """SeedSequence's mix of a pool word x with a hashed word y."""
+    z = (_MIX_L * x - _MIX_R * y) & _M32
+    return z ^ z >> 16
+
+
+def _pool(entropy: list) -> list:
+    """SeedSequence.mix_entropy: the pool after the entropy digits, any
+    of which may be a uint64 array of digits (one per row)."""
+    const = _INIT_A
+    pool = []
+    for i in range(_POOL):
+        h, const = _hash(entropy[i] if i < len(entropy) else 0, const, _MULT_A)
+        pool.append(h)
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                h, const = _hash(pool[src], const, _MULT_A)
+                pool[dst] = _mix(pool[dst], h)
+    for word in entropy[_POOL:]:
+        for dst in range(_POOL):
+            h, const = _hash(word, const, _MULT_A)
+            pool[dst] = _mix(pool[dst], h)
+    return pool
+
+
+def _state(pool: list) -> np.ndarray:
+    """SeedSequence.generate_state(4, uint64), one C-contiguous row per
+    pool column."""
+    const = _INIT_B
+    half = []
+    for i in range(2 * _POOL):
+        h, const = _hash(pool[i % _POOL], const, _MULT_B)
+        half.append(h)
+    return np.column_stack([np.asarray(half[i] | half[i + 1] << 32, np.uint64)
+                            for i in range(0, 2 * _POOL, 2)])
+
+
+def _table(seed: int, head: tuple, base: int) -> np.ndarray:
+    """PCG64 seed rows of the spawn keys head + (base + i,), i < _CHUNK,
+    for base a multiple of _CHUNK; SeedSequence pads the seed to the
+    pool size whenever there is a spawn key."""
+    entropy = _digits(seed)
+    entropy += [0] * (_POOL - len(entropy))
+    for word in head:
+        entropy += _digits(word)
+    entropy.append(np.arange(_CHUNK, dtype=np.uint64) + (base & _M32))
+    if base > _M32:
+        entropy += _digits(base >> 32)
+    if len(_TABLES) >= _MAX_TABLES:
+        del _TABLES[next(iter(_TABLES))]
+    table = _TABLES[seed, head, base] = _state(_pool(entropy))
+    return table
+
+
+@cache
+def _row_seed():
+    """ISeedSequence that hands PCG64 one precomputed row; built on first
+    use, since numpy.random is loaded lazily."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class RowSeed(ISeedSequence):
+        def __init__(self, row):
+            self.row = row
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.row    # PCG64 asks for exactly 4 uint64 words
+
+    return RowSeed
+
 
 class RngStream:
     """Buffered PCG64 uniform source.
 
-    Constructed from a master seed plus an optional spawn key; equal
-    (seed, key) pairs give identical streams on every platform numpy
-    supports.
+    Constructed from a master seed plus an optional spawn key, all
+    nonnegative integers; equal (seed, key) pairs give identical streams
+    on every platform numpy supports.  The generator is the PCG64 that
+    numpy's ``SeedSequence(seed, spawn_key=key)`` would seed: the state
+    words come from this module's copy of the SeedSequence hash, computed
+    for a chunk of sibling keys at once and cached per parent prefix
+    (see the module docstring).
 
     Scalar draws are served as Python floats from a list.  They are
     taken from the generator in windows of 8,192 doubles.  A window opens
@@ -44,10 +164,20 @@ class RngStream:
     __slots__ = ("seed", "spawn_key", "_gen", "_it", "_left", "_end")
 
     def __init__(self, seed: int, spawn_key: Sequence[int] = ()):
-        self.seed = int(seed)
-        self.spawn_key = tuple(map(int, spawn_key))
-        ss = np.random.SeedSequence(entropy=self.seed, spawn_key=self.spawn_key)
-        self._gen = np.random.Generator(np.random.PCG64(ss))
+        self.seed = seed = int(seed)
+        self.spawn_key = key = tuple(map(int, spawn_key))
+        if seed < 0 or min(key, default=0) < 0:
+            raise DomainError(f"seed and spawn key must be nonnegative, got {seed}, {key}")
+        if key:
+            head, last = key[:-1], key[-1]
+            base = last & -_CHUNK
+            table = _TABLES.get((seed, head, base))
+            if table is None:
+                table = _table(seed, head, base)
+            row = table[last - base]
+        else:
+            row = _state(_pool(_digits(seed)))[0]
+        self._gen = np.random.Generator(np.random.PCG64(_row_seed()(row)))
         self._it = iter(())    # generated scalar draws not yet served
         self._left = 0         # doubles of the current window not yet generated
         self._end = 0          # n_drawn once _it is spent

@@ -165,6 +165,20 @@ def test_out_of_range_settings_exit_2(args):
     assert invoke(*args).exit_code == 2
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("experiment", "--experiment", "inv-degree", "--kappa", "2/27", "--seed", "-1"),
+        ("sample-map", "--kappa", "2/27", "--seed", "-1"),
+    ],
+    ids=["experiment", "sample-map"],
+)
+def test_negative_seed_exits_2(args):
+    res = invoke(*args)
+    assert res.exit_code == 2
+    assert res.stderr.startswith("error:")
+
+
 def _edited_trace(edit):
     """JSON export of a short real run, edited in place by edit(doc)."""
     doc = json.loads(trace_to_json(

@@ -1,11 +1,16 @@
-"""RngStream against a reference model of its stream, and its input checks."""
+"""RngStream against a reference model of its stream, its seeding against
+numpy's SeedSequence, and its input checks."""
 
 import numpy as np
+import numpy.random.bit_generator
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tripeel.rng as rngmod
 from tripeel.errors import DomainError
+from tripeel.experiments import estimate_inv_degree
+from tripeel.params import build_params
 from tripeel.rng import RngStream
 
 
@@ -64,9 +69,9 @@ _OPS = st.lists(
 
 
 @settings(max_examples=60, deadline=None)
-@given(_OPS, st.integers(0, 2 ** 32))
-def test_stream_matches_fixed_window_model(ops, seed):
-    _check_same(ops, seed=seed)
+@given(_OPS, st.integers(0, 2 ** 32), st.lists(st.integers(0, 2 ** 70), max_size=3))
+def test_stream_matches_fixed_window_model(ops, seed, key):
+    _check_same(ops, seed=seed, key=tuple(key))
 
 
 @pytest.mark.parametrize("before", [0, 1, 63, 64, 8191, 8192, 8193])
@@ -95,3 +100,86 @@ def test_block_rejects_negative_size():
         rng.block(-1)
     assert rng.block(0).shape == (0,)
     assert rng.n_drawn == 0
+
+
+# -- seeding: the copy of SeedSequence's hash against numpy's own ----------
+
+_SEEDS = [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64, 2 ** 128, 2 ** 200 + 3]
+_WORDS = [0, 2 ** 32 - 1, 2 ** 32, 2 ** 40 + 3, 2 ** 64]
+_KEYS = (
+    [()]
+    + [(w,) for w in _WORDS]
+    + [(k, t) for k in _WORDS for t in _WORDS]
+    + [(2 ** 32 - 1, 2 ** 32, 2 ** 40 + 3), (2 ** 64, 0, 2 ** 32 - 1), (7, 2 ** 64, 2 ** 32)]
+)
+
+
+def _seeded_like_numpy(rng, ref=None):
+    """True when rng's generator is the PCG64 SeedSequence seeds from
+    (rng.seed, rng.spawn_key): same state words, same first draws."""
+    ref = ref or np.random.SeedSequence(rng.seed, spawn_key=rng.spawn_key)
+    words = rng._gen.bit_generator.seed_seq.generate_state(4, np.uint64)
+    draws = np.random.Generator(np.random.PCG64(ref)).random(5).tolist()
+    return (np.array_equal(words, ref.generate_state(4, np.uint64))
+            and [rng.u() for _ in range(5)] == draws)
+
+
+@pytest.mark.parametrize("seed", _SEEDS)
+def test_seeding_matches_numpy(seed, monkeypatch):
+    monkeypatch.setattr(rngmod, "_TABLES", {})
+    for key in _KEYS:
+        assert _seeded_like_numpy(RngStream(seed, key)), key
+
+
+@pytest.mark.parametrize("order", [(2 ** 32 - 1, 2 ** 32), (2 ** 32, 2 ** 32 - 1)])
+def test_seeding_across_a_digit_boundary(order, monkeypatch):
+    monkeypatch.setattr(rngmod, "_TABLES", {})
+    parent = RngStream(5, (3,))
+    for t in order:
+        assert _seeded_like_numpy(parent.fork(t)), t
+
+
+def test_seeding_across_chunks(monkeypatch):
+    monkeypatch.setattr(rngmod, "_TABLES", {})
+    parent = RngStream(2 ** 64 + 9, (4,))
+    assert all(_seeded_like_numpy(parent.fork(t)) for t in range(3001))
+
+
+def test_children_are_not_seeded_through_seed_sequence(monkeypatch):
+    """The batched hash runs switched on: with SeedSequence unusable,
+    forks still seed the same generators, and an experiment runs."""
+    parent = RngStream(12, (1,))
+    refs = [np.random.SeedSequence(12, spawn_key=(1, t)) for t in range(3000)]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("SeedSequence constructed")
+
+    for owner in (np.random, numpy.random.bit_generator):
+        monkeypatch.setattr(owner, "SeedSequence", refuse)
+    monkeypatch.setattr(rngmod, "_TABLES", {})
+    for t, ref in enumerate(refs):
+        child = parent.fork(t)
+        assert not isinstance(child._gen.bit_generator.seed_seq, type(ref))
+        assert _seeded_like_numpy(child, ref), t
+    res = estimate_inv_degree(build_params(kappa="2/27"), 200, RngStream(3, (2,)))
+    assert res["trials"] == 200
+
+
+def test_seed_tables_stay_bounded(monkeypatch):
+    monkeypatch.setattr(rngmod, "_TABLES", {})
+    for p in range(20):
+        parent = RngStream(8, (p,))
+        for t in (0, 1500, 2 ** 40):
+            parent.fork(t)
+        assert len(rngmod._TABLES) <= rngmod._MAX_TABLES
+
+
+@pytest.mark.parametrize("seed, key", [(-1, ()), (1, (-1,)), (1, (2, -3)), (-5, (0,))])
+def test_negative_seed_or_key_rejected(seed, key):
+    with pytest.raises(DomainError):
+        RngStream(seed, key)
+
+
+def test_negative_fork_rejected():
+    with pytest.raises(DomainError):
+        RngStream(1, (0,)).fork(-1)
