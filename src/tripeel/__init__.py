@@ -14,7 +14,6 @@ from .errors import (
 from .experiments import (
     EXPERIMENTS,
     constants_report,
-    estimate_inv_degree,
     growth_targets,
     report_from_csv,
     report_from_json,
@@ -49,13 +48,7 @@ from .peeling import (
 )
 from .planarmap import TriMap
 from .rng import RngStream
-from .walk import (
-    WalkTrace,
-    intersection_experiment,
-    run_walk_peeling,
-    speed_estimate,
-    stationarity_test,
-)
+from .walk import WalkTrace, run_walk_peeling, speed_estimate
 
 __version__ = "0.1.0"
 
@@ -81,9 +74,7 @@ __all__ = [
     "count_decomposition",
     "count_triangulations",
     "drift",
-    "estimate_inv_degree",
     "growth_targets",
-    "intersection_experiment",
     "kappa_from_alpha",
     "mean_hole_volume",
     "q_step",
@@ -98,7 +89,6 @@ __all__ = [
     "run_layers",
     "run_walk_peeling",
     "speed_estimate",
-    "stationarity_test",
     "z_partition",
     "TripeelError",
     "DomainError",

@@ -13,6 +13,7 @@ JSON-encoded per cell; both forms round-trip losslessly.
 from __future__ import annotations
 
 import csv
+import inspect
 import io
 import json
 from collections import Counter
@@ -30,25 +31,25 @@ from .params import (
     q_step,
     z_partition,
 )
-# complete_ball stays importable from here: benchmarks/spans.py wraps it by name
-from .peeling import LayerChain, _StepSizes, _json_object, complete_ball, run_chain  # noqa: F401
+from .peeling import LayerChain, _StepSizes, _json_object, complete_ball, run_chain
+from .planarmap import FLAG_TRIANGLE, extract_submap
 from .rng import RngStream
-from .stats import chi2_two_sample, linfit, mean_ci
-from .walk import (
-    _ball_audit,
-    intersection_experiment,
-    run_walk_peeling,
-    speed_estimate,
-    stationarity_test,
-)
+from .stats import chi2_two_sample, linfit, mean_ci, proportion_lower_bound
+from .walk import _ball_audit, run_walk_peeling, speed_estimate
 
 REPORT_SCHEMA = "tripeel-report-v1"
+
+# points of the intersection survival curve, evenly spaced up to n_steps
+_SURVIVAL_POINTS = 20
+# stationarity's re-rootings, each run on its own fork of the master stream
+_REROOTINGS = ("walk", "reversed", "null")
+# stationarity's chi-square keeps the 39 most frequent ball codes, pools the rest
+_MAX_BALL_CATEGORIES = 40
 
 __all__ = [
     "EXPERIMENTS",
     "REPORT_SCHEMA",
     "constants_report",
-    "estimate_inv_degree",
     "growth_targets",
     "report_from_csv",
     "report_from_json",
@@ -394,14 +395,15 @@ def run_walk_speed(
     return _report("walk-speed", params, rng, settings, results)
 
 
-def estimate_inv_degree(
+def run_inv_degree(
     params: PeelParams,
-    trials: int,
     rng: RngStream,
     *,
+    trials: int = 100_000,
     max_steps_per_trial: int = 50_000,
 ) -> dict:
-    """Mean reciprocal degree of the root origin, by layer peeling.
+    """Mean reciprocal degree of the root origin; target 1/6 at the
+    critical kappa.
 
     Each trial runs a layer chain until tau_1, when the origin's fan
     closes, and reads :attr:`LayerChain.root_degree`; draw for draw this
@@ -424,22 +426,8 @@ def estimate_inv_degree(
         vals.append(1.0 / chain.root_degree)
     if len(vals) < 2:
         raise DomainError("too few completed trials for an estimate")
-    ci = mean_ci(vals, level=0.99)
-    ci.update({"trials": trials, "used": len(vals), "discarded": discarded})
-    return ci
-
-
-def run_inv_degree(
-    params: PeelParams,
-    rng: RngStream,
-    *,
-    trials: int = 100_000,
-    max_steps_per_trial: int = 50_000,
-) -> dict:
-    """Mean reciprocal root degree; target 1/6 at the critical kappa."""
-    est = estimate_inv_degree(
-        params, trials, rng, max_steps_per_trial=max_steps_per_trial
-    )
+    est = mean_ci(vals, level=0.99)
+    est.update({"trials": trials, "used": len(vals), "discarded": discarded})
     results = {"inv_degree": est, "target": 1.0 / 6.0 if params.critical else None}
     settings = {"trials": trials, "max_steps_per_trial": max_steps_per_trial}
     return _report("inv-degree", params, rng, settings, results)
@@ -451,28 +439,58 @@ def run_intersection(
     *,
     trials: int = 1_000,
     n_steps: int = 1_000,
-    survival_points: int = 20,
     max_peel_steps: int = 2_000_000,
 ) -> dict:
-    """Frequency of the start vertex staying on the hull boundary."""
-    res = intersection_experiment(
-        params,
-        n_steps,
-        trials,
-        rng,
-        survival_points=survival_points,
-        max_peel_steps=max_peel_steps,
+    """Frequency of the start vertex staying on the hull boundary.
+
+    Per trial the walk-peeling runs to X_{n_steps} with the final
+    position closed, so the explored map is the hull of the whole path;
+    the event is that X_0 still lies on its boundary.  The moment the
+    origin left the boundary is recorded per trial, which yields the
+    whole survival curve (non-increasing by construction) and its
+    terminal frequency with a one-sided 99% lower bound.  Trials that
+    exhaust the peel budget are counted as truncated and left out.
+    """
+    if trials < 1:
+        raise DomainError("need at least one trial")
+    closures = []
+    truncated = 0
+    for t in range(trials):
+        trace = run_walk_peeling(
+            params, n_steps, rng.fork(t), close_final=True, max_peel_steps=max_peel_steps
+        )
+        if trace.truncated:
+            truncated += 1
+        else:
+            closures.append(trace.x0_closed)
+    used = len(closures)
+    if used == 0:
+        raise DomainError("every trial exceeded its budget")
+    survive_end = sum(1 for c in closures if c is None)
+    grid = sorted(
+        {max(1, round(n_steps * i / _SURVIVAL_POINTS)) for i in range(1, _SURVIVAL_POINTS + 1)}
     )
-    freqs = [f for _, f in res["survival"]]
-    res["survival"] = [[int(n), float(f)] for n, f in res["survival"]]
-    res["non_increasing"] = all(a >= b for a, b in zip(freqs, freqs[1:]))
+    survival = [
+        [n, sum(1 for c in closures if c is None or c > n) / used] for n in grid
+    ]
+    freqs = [f for _, f in survival]
+    results = {
+        "frequency": survive_end / used,
+        "low_99": proportion_lower_bound(survive_end, used, level=0.99),
+        "survival": survival,
+        "non_increasing": all(a >= b for a, b in zip(freqs, freqs[1:])),
+        "n_steps": n_steps,
+        "trials": trials,
+        "used": used,
+        "truncated": truncated,
+    }
     settings = {
         "trials": trials,
         "n_steps": n_steps,
-        "survival_points": survival_points,
+        "survival_points": _SURVIVAL_POINTS,
         "max_peel_steps": max_peel_steps,
     }
-    return _report("intersection", params, rng, settings, results=res)
+    return _report("intersection", params, rng, settings, results)
 
 
 def run_stationarity(
@@ -484,27 +502,67 @@ def run_stationarity(
     k: int = 5,
     radius: int = 2,
     max_peel_steps: int = 200_000,
-    modes: Sequence[str] = ("walk", "reversed", "null"),
 ) -> dict:
-    """Re-rooting tests of the local law around the root edge."""
+    """Re-rooting tests of the local law around the root edge.
+
+    Each re-rooting mode draws its trials from its own fork of the
+    master stream.  Even trials encode the radius-ball around the root
+    edge; odd trials encode the ball around a re-rooted edge: the k-th
+    walk edge (mode 'walk'), the reversed root edge (mode 'reversed'),
+    or the root edge again (mode 'null', a calibration case).  The two
+    independent samples of canonical ball codes are compared by pooled
+    chi-square.  Trials whose walk or ball exhausts the peel budget are
+    discarded and counted.
+    """
+    if k < 0 or n_steps < k + 1:
+        raise DomainError(f"need n_steps > k, got n_steps={n_steps} k={k}")
     out = {}
-    for i, mode in enumerate(modes):
-        out[mode] = stationarity_test(
-            params,
-            n_steps,
-            trials,
-            rng.fork(i),
-            k=k,
-            radius=radius,
-            mode=mode,
-            max_peel_steps=max_peel_steps,
-        )
+    for i, mode in enumerate(_REROOTINGS):
+        arm = rng.fork(i)
+        counts = (Counter(), Counter())
+        discarded = 0
+        for t in range(trials):
+            trace = run_walk_peeling(params, n_steps, arm.fork(t), max_peel_steps=max_peel_steps)
+            if trace.truncated:
+                discarded += 1
+                continue
+            m = trace.map
+            root_he = m.root
+            if t % 2 and mode == "walk" and k:
+                root_he = trace.move_edges[k]
+            elif t % 2 and mode == "reversed":
+                root_he = m.twin[m.root]
+            try:
+                dist = complete_ball(trace.engine, m.org[root_he], radius, max_steps=max_peel_steps)
+            except BudgetExceededError:
+                discarded += 1
+                continue
+            keep = {
+                h
+                for h in m.alive_half_edges()
+                if m.hflag[h] == FLAG_TRIANGLE
+                and all(0 <= dist[m.org[e]] <= radius for e in (h, m.nxt[h], m.nxt[m.nxt[h]]))
+            }
+            sub, hmap = extract_submap(m, keep, root_he)
+            counts[t % 2][sub.canonical_code(hmap[root_he])] += 1
+        report = chi2_two_sample(*counts, max_categories=_MAX_BALL_CATEGORIES)
+        del report["labels"]  # ball codes are unwieldy; table order is by frequency
+        report.update({
+            "trials": trials,
+            "discarded": discarded,
+            "mode": mode,
+            "k": k,
+            "radius": radius,
+            "n_a": sum(counts[0].values()),
+            "n_b": sum(counts[1].values()),
+        })
+        out[mode] = report
     settings = {
         "trials": trials,
         "n_steps": n_steps,
         "k": k,
         "radius": radius,
-        "modes": list(modes),
+        "modes": list(_REROOTINGS),
         "max_peel_steps": max_peel_steps,
     }
     return _report("stationarity", params, rng, settings, {"modes": out})
@@ -664,8 +722,17 @@ def run_experiment(
         raise DomainError(
             f"unknown experiment {name!r}; known: {', '.join(sorted(EXPERIMENTS))}"
         )
-    if name == "enumerate":
-        return runner(params, rng, **overrides)
-    if params is None or rng is None:
+    takes = [
+        p.name
+        for p in inspect.signature(runner).parameters.values()
+        if p.kind is p.KEYWORD_ONLY
+    ]
+    unknown = sorted(set(overrides) - set(takes))
+    if unknown:
+        raise DomainError(
+            f"experiment {name!r} does not take {', '.join(unknown)}; "
+            f"it takes {', '.join(takes)}"
+        )
+    if name != "enumerate" and (params is None or rng is None):
         raise DomainError(f"experiment {name!r} needs parameters and a seed")
     return runner(params, rng, **overrides)

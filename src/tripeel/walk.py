@@ -34,22 +34,14 @@ import numpy as np
 from .errors import BudgetExceededError, DomainError
 from .params import PeelParams
 from .peeling import PeelEngine, complete_ball
-from .planarmap import FLAG_TRIANGLE, TriMap, extract_submap
+from .planarmap import FLAG_TRIANGLE, TriMap
 from .rng import RngStream
-from .stats import (
-    batch_slopes,
-    chi2_two_sample,
-    linfit,
-    mean_ci,
-    proportion_lower_bound,
-)
+from .stats import batch_slopes, linfit, mean_ci
 
 __all__ = [
     "WalkTrace",
     "run_walk_peeling",
     "speed_estimate",
-    "intersection_experiment",
-    "stationarity_test",
     "pioneer_audit",
 ]
 
@@ -177,141 +169,6 @@ def speed_estimate(trace: WalkTrace) -> dict:
         "r2": fit["r2"],
         "n": n,
     }
-
-
-def intersection_experiment(
-    params: PeelParams,
-    n_steps: int,
-    trials: int,
-    rng: RngStream,
-    *,
-    survival_points: int = 20,
-    max_peel_steps: Optional[int] = None,
-) -> dict:
-    """Frequency of the root origin staying on the hull boundary.
-
-    Per trial the walk-peeling runs to X_{n_steps} with the final
-    position closed, so the explored map is the hull of the whole path;
-    the event is that X_0 still lies on its boundary.  The moment the
-    origin left the boundary is recorded per trial, which yields the
-    whole survival curve (non-increasing by construction) and its
-    terminal frequency with a one-sided 99% lower bound.
-    """
-    if trials < 1:
-        raise DomainError("need at least one trial")
-    closures = []
-    truncated = 0
-    for t in range(trials):
-        trace = run_walk_peeling(
-            params, n_steps, rng.fork(t), close_final=True, max_peel_steps=max_peel_steps
-        )
-        if trace.truncated:
-            truncated += 1
-        else:
-            closures.append(trace.x0_closed)
-    used = len(closures)
-    if used == 0:
-        raise DomainError("every trial exceeded its budget")
-    survive_end = sum(1 for c in closures if c is None)
-    grid = sorted({max(1, round(n_steps * i / survival_points)) for i in range(1, survival_points + 1)})
-    survival = [
-        (n, sum(1 for c in closures if c is None or c > n) / used) for n in grid
-    ]
-    freq = survive_end / used
-    return {
-        "frequency": freq,
-        "low_99": proportion_lower_bound(survive_end, used, level=0.99),
-        "survival": survival,
-        "n_steps": n_steps,
-        "trials": trials,
-        "used": used,
-        "truncated": truncated,
-    }
-
-
-# -- re-rooting test -------------------------------------------------------
-
-
-def _ball_code(engine: PeelEngine, root_he: int, radius: int, max_steps: int) -> tuple:
-    """Canonical code of the radius-ball submap around org(root_he)."""
-    m = engine.map
-    center = m.org[root_he]
-    dist = complete_ball(engine, center, radius, max_steps=max_steps)
-    keep = set()
-    for h in m.alive_half_edges():
-        if m.hflag[h] != FLAG_TRIANGLE:
-            continue
-        a, b, c = m.org[h], m.org[m.nxt[h]], m.org[m.nxt[m.nxt[h]]]
-        if all(0 <= dist[v] <= radius for v in (a, b, c)):
-            keep.add(h)
-    sub, hmap = extract_submap(m, keep, root_he)
-    return sub.canonical_code(hmap[root_he])
-
-
-def stationarity_test(
-    params: PeelParams,
-    n_steps: int,
-    trials: int,
-    rng: RngStream,
-    *,
-    k: int = 5,
-    radius: int = 2,
-    mode: str = "walk",
-    max_peel_steps: int = 200_000,
-    max_categories: int = 40,
-) -> dict:
-    """Two-sample test that re-rooting preserves the local law.
-
-    Even trials encode the radius-ball around the root edge; odd trials
-    encode the ball around a re-rooted edge: the k-th walk edge
-    (mode='walk'), the reversed root edge (mode='reversed'), or the
-    root edge again (mode='null', a calibration case).  The two
-    independent samples of canonical ball codes are compared by pooled
-    chi-square.
-    """
-    if mode not in ("walk", "reversed", "null"):
-        raise DomainError(f"unknown stationarity mode {mode!r}")
-    if mode == "walk" and (k < 0 or n_steps < k + 1):
-        raise DomainError(f"need n_steps > k, got n_steps={n_steps} k={k}")
-    counts_a: dict = {}
-    counts_b: dict = {}
-    discarded = 0
-    for t in range(trials):
-        trial_rng = rng.fork(t)
-        trace = run_walk_peeling(
-            params, n_steps, trial_rng, max_peel_steps=max_peel_steps
-        )
-        if trace.truncated:
-            discarded += 1
-            continue
-        m = trace.map
-        if t % 2 == 0:
-            root_he = m.root
-        elif mode == "walk":
-            root_he = m.root if k == 0 else trace.move_edges[k]
-        elif mode == "reversed":
-            root_he = m.twin[m.root]
-        else:
-            root_he = m.root
-        try:
-            code = _ball_code(trace.engine, root_he, radius, max_peel_steps)
-        except BudgetExceededError:
-            discarded += 1
-            continue
-        bucket = counts_a if t % 2 == 0 else counts_b
-        bucket[code] = bucket.get(code, 0) + 1
-    report = chi2_two_sample(counts_a, counts_b, max_categories=max_categories)
-    report.update({
-        "trials": trials,
-        "discarded": discarded,
-        "mode": mode,
-        "k": k,
-        "radius": radius,
-        "n_a": sum(counts_a.values()),
-        "n_b": sum(counts_b.values()),
-    })
-    del report["labels"]  # ball codes are unwieldy; table order is by frequency
-    return report
 
 
 # -- audits ----------------------------------------------------------------

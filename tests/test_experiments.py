@@ -10,7 +10,6 @@ from tripeel.errors import BudgetExceededError, DomainError
 from tripeel.experiments import (
     REPORT_SCHEMA,
     constants_report,
-    estimate_inv_degree,
     growth_targets,
     report_from_csv,
     report_from_json,
@@ -18,8 +17,11 @@ from tripeel.experiments import (
     report_to_json,
     run_enumeration,
     run_experiment,
+    run_intersection,
+    run_inv_degree,
     run_law_equivalence,
     run_layer_stats,
+    run_stationarity,
     run_volume_growth,
 )
 from tripeel.params import build_params
@@ -36,6 +38,11 @@ def p75():
 @pytest.fixture(scope="module")
 def crit():
     return build_params(kappa="2/27")
+
+
+@pytest.fixture(scope="module")
+def k9():
+    return build_params(kappa="9/128")
 
 
 def test_report_header_fields(p75):
@@ -150,6 +157,51 @@ def test_run_experiment_dispatch(p75):
     assert rep["experiment"] == "enumerate"
 
 
+def test_run_experiment_rejects_keywords_the_runner_lacks(crit):
+    with pytest.raises(DomainError, match="not take radius; it takes trials, max_steps_per_trial"):
+        run_experiment("inv-degree", crit, RngStream(0), radius=3)
+    with pytest.raises(DomainError, match="not take trials; it takes max_total"):
+        run_experiment("enumerate", None, None, trials=3)
+
+
+def test_intersection_experiment(k9):
+    def run():
+        return run_intersection(k9, RngStream(137, (7,)), trials=80, n_steps=120)["results"]
+
+    res = run()
+    assert 0 <= res["low_99"] <= res["frequency"] <= 1
+    freqs = [f for _, f in res["survival"]]
+    assert all(b <= a for a, b in zip(freqs, freqs[1:]))
+    assert res["used"] == 80
+    again = run()
+    assert again["frequency"] == res["frequency"]
+    assert again["survival"] == res["survival"]
+
+
+def test_inv_degree_bounds_and_budget(k9):
+    res = run_inv_degree(k9, RngStream(139, (8,)), trials=300)["results"]["inv_degree"]
+    assert 0 < res["mean"] <= 0.5  # degrees are at least 2 in a loopless map
+    assert res["used"] == 300 and res["discarded"] == 0
+    tight = run_inv_degree(k9, RngStream(139, (9,)), trials=40, max_steps_per_trial=2)
+    tight = tight["results"]["inv_degree"]
+    assert tight["discarded"] > 0
+    assert tight["used"] + tight["discarded"] == 40
+
+
+def test_stationarity_modes(k9):
+    rep = run_stationarity(k9, RngStream(149, (10,)), trials=240, n_steps=8, k=5)
+    modes = rep["results"]["modes"]
+    assert list(modes) == ["walk", "reversed", "null"]
+    for mode, res in modes.items():
+        assert res["p_value"] > 0.001, mode
+        assert res["n_a"] + res["n_b"] == 240 - res["discarded"], mode
+    with pytest.raises(DomainError):
+        run_stationarity(k9, RngStream(0), trials=10, n_steps=4, k=5)
+    # the re-rootings are fixed; an unknown one is an unknown keyword
+    with pytest.raises(DomainError):
+        run_experiment("stationarity", k9, RngStream(0), trials=10, modes=("sideways",))
+
+
 def test_constants_report_critical_vs_not(p75, crit):
     sub = constants_report(p75, head=4)["results"]
     assert sub["ctilde_limit"] == pytest.approx(3.079201, abs=1e-4)
@@ -213,7 +265,8 @@ def _inv_degree_on_maps(params, trials, rng, max_steps_per_trial):
 @pytest.mark.parametrize("max_steps", [50_000, 2])
 def test_inv_degree_matches_the_map(coupling, max_steps):
     params = build_params(**coupling)
-    got = estimate_inv_degree(params, 2000, RngStream(163, (18,)), max_steps_per_trial=max_steps)
+    rep = run_inv_degree(params, RngStream(163, (18,)), trials=2000, max_steps_per_trial=max_steps)
+    got = rep["results"]["inv_degree"]
     want = _inv_degree_on_maps(params, 2000, RngStream(163, (18,)), max_steps)
     assert got == want
     assert (got["discarded"] > 0) == (max_steps == 2)

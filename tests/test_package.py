@@ -25,12 +25,8 @@ def test_all_names_resolve_once(name):
 
 
 def _unused_imports(module) -> list:
-    """Module-level imported names that the module neither uses nor exports.
-
-    An import on a line marked ``# noqa`` is exempt.
-    """
+    """Module-level imported names that the module neither uses nor exports."""
     source = inspect.getsource(module)
-    lines = source.splitlines()
     tree = ast.parse(source)
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     used.update(getattr(module, "__all__", []))
@@ -42,7 +38,7 @@ def _unused_imports(module) -> list:
             continue
         for alias in node.names:
             name = alias.asname or alias.name.split(".")[0]
-            if name in used or "# noqa" in lines[alias.lineno - 1]:
+            if name in used:
                 continue
             unused.append(name)
     return unused

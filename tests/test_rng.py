@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import tripeel.rng as rngmod
 from tripeel.errors import DomainError
-from tripeel.experiments import estimate_inv_degree
+from tripeel.experiments import run_inv_degree
 from tripeel.params import build_params
 from tripeel.rng import RngStream
 
@@ -162,8 +162,8 @@ def test_children_are_not_seeded_through_seed_sequence(monkeypatch):
         child = parent.fork(t)
         assert not isinstance(child._gen.bit_generator.seed_seq, type(ref))
         assert _seeded_like_numpy(child, ref), t
-    res = estimate_inv_degree(build_params(kappa="2/27"), 200, RngStream(3, (2,)))
-    assert res["trials"] == 200
+    rep = run_inv_degree(build_params(kappa="2/27"), RngStream(3, (2,)), trials=200)
+    assert rep["results"]["inv_degree"]["trials"] == 200
 
 
 def test_seed_tables_stay_bounded(monkeypatch):

@@ -5,20 +5,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from tripeel import (
-    DomainError,
-    RngStream,
-    build_params,
-    estimate_inv_degree,
-)
-from tripeel.walk import (
-    _ball_audit,
-    intersection_experiment,
-    pioneer_audit,
-    run_walk_peeling,
-    speed_estimate,
-    stationarity_test,
-)
+from tripeel import DomainError, RngStream, build_params
+from tripeel.walk import _ball_audit, pioneer_audit, run_walk_peeling, speed_estimate
 
 PAR = build_params(kappa=Fraction(9, 128))
 
@@ -67,40 +55,6 @@ def test_speed_estimate():
     trace._disp = np.zeros(trace.n_steps + 1, dtype=np.int64)
     frozen = speed_estimate(trace)
     assert frozen["speed"] == 0.0 and frozen["se"] == 0.0
-
-
-def test_intersection_experiment():
-    res = intersection_experiment(PAR, 120, 80, RngStream(137, (7,)))
-    assert 0 <= res["low_99"] <= res["frequency"] <= 1
-    freqs = [f for _, f in res["survival"]]
-    assert all(b <= a for a, b in zip(freqs, freqs[1:]))
-    assert res["used"] == 80
-    again = intersection_experiment(PAR, 120, 80, RngStream(137, (7,)))
-    assert again["frequency"] == res["frequency"]
-    assert again["survival"] == res["survival"]
-
-
-def test_estimate_inv_degree_bounds_and_budget():
-    res = estimate_inv_degree(PAR, 300, RngStream(139, (8,)))
-    assert 0 < res["mean"] <= 0.5  # degrees are at least 2 in a loopless map
-    assert res["used"] == 300 and res["discarded"] == 0
-    tight = estimate_inv_degree(PAR, 40, RngStream(139, (9,)), max_steps_per_trial=2)
-    assert tight["discarded"] > 0
-    assert tight["used"] + tight["discarded"] == 40
-
-
-def test_stationarity_modes():
-    null = stationarity_test(PAR, 8, 240, RngStream(149, (10,)), mode="null")
-    assert null["p_value"] > 0.001
-    rev = stationarity_test(PAR, 8, 240, RngStream(151, (11,)), mode="reversed")
-    assert rev["p_value"] > 0.001
-    walk = stationarity_test(PAR, 8, 240, RngStream(157, (12,)), k=5)
-    assert walk["p_value"] > 0.001
-    assert walk["n_a"] + walk["n_b"] == 240 - walk["discarded"]
-    with pytest.raises(DomainError):
-        stationarity_test(PAR, 4, 10, RngStream(0), k=5)
-    with pytest.raises(DomainError):
-        stationarity_test(PAR, 8, 10, RngStream(0), mode="sideways")
 
 
 def test_distance_audit_clean_at_small_radius():
