@@ -17,9 +17,12 @@ materializes:
 
 * the one-step peeling law ``q_1 = alpha``, ``q_{-k}`` for ``k >= 1``;
 * the drift ``delta = sqrt(alpha (3 alpha - 2))`` of that law;
-* the harmonic sequence ``C~_p`` (zero for ``p <= 1``, ``C~_2 =
-  alpha^-2``), which tilts the step law into the positive-perimeter
-  peeling chain;
+* the harmonic sequence ``C~_p = alpha^-2 sum_{q=0}^{p-2} binom(2q, q)
+  g^q`` with ``g = (1 - alpha) / (2 alpha)`` (zero for ``p <= 1``),
+  which tilts the step law into the positive-perimeter peeling chain.
+  Off the critical point term ratios stay below ``4 g < 1``, and the
+  table clamps at the first entry whose remainder is certified below
+  ``2^-53`` of it;
 * polygon partition functions ``Z_p`` both in closed form and as a
   weighted count series;
 * expected internal volume of a Boltzmann-filled polygon.
@@ -228,8 +231,10 @@ def c_tilde_table_exact(alpha: Fraction, p_max: int) -> list:
     """Harmonic sequence C~_2 .. C~_{p_max} in exact rational arithmetic.
 
     Entries are indexed by perimeter: result[p] = C~_p, with result[0] =
-    result[1] = 0.  Intended for golden tests at modest p; cost grows
-    quadratically.
+    result[1] = 0.  Solves the harmonicity recursion on the exact step
+    law, so it is an independent reference for the closed form that
+    :class:`PeelParams` sums.  Intended for tests at modest p; cost
+    grows quadratically.
     """
     if not isinstance(alpha, Fraction):
         raise DomainError("exact harmonic table needs a Fraction alpha")
@@ -272,7 +277,8 @@ class PeelParams:
         self._qneg = [0.0]          # _qneg[k] = q_{-k}
         self._qcum = [alpha]        # _qcum[k] = q_1 + sum_{j<=k} q_{-j}
         self._ct = [0.0, 0.0, 1.0 / (alpha * alpha)]   # _ct[p] = C~_p
-        self._ct_clamped = False
+        self._ct_term = self._ct[2]  # the series term that made the last entry
+        self._ct_clamp: Optional[int] = None
         # hole perimeter p -> BoltzmannFiller decision row; a row reads only
         # q_{-1..p}, which never change, so every filler shares this table
         self._fill_rows: dict = {}
@@ -332,71 +338,56 @@ class PeelParams:
     # -- harmonic sequence --------------------------------------------
 
     def ensure_ctilde(self, p: int) -> None:
-        if p > self.p_max and not self._ct_clamped:
+        if p > self.p_max and self._ct_clamp is None:
             self._grow_ct(p)
 
     def _grow_ct(self, p_target: int) -> None:
+        """Extend C~ to p_target, or to the clamp index if it comes first.
+
+        Each entry adds one term of the series, the last one times
+        2 geo (2q - 1) / q.  Later ratios stay below r = 4 geo, so once
+        term / (1 - r) <= 2^-53 entry the remainder is below the spacing
+        of the stream's uniforms, and the table clamps there.
+        """
         if p_target > _TABLE_HARD_CAP:
             raise TableOverflowError(
                 f"harmonic table request {p_target} beyond hard cap {_TABLE_HARD_CAP}"
             )
         ct = self._ct
-        if len(ct) - 1 + 2 < p_target + 2:
-            self._grow_q(max(p_target, len(self._qneg) - 1))
-        qn = self._qneg
-        limit = self.ctilde_limit
-        while len(ct) <= p_target and not self._ct_clamped:
-            p = len(ct) - 1
-            s = 0.0
-            for k in range(1, p - 1):
-                s += qn[k] * ct[p - k]
-            nxt = (ct[p] - s) / self.q1
-            if nxt < ct[p]:
-                slack = (limit if limit < math.inf else ct[p]) * 1e-12
-                if nxt < ct[p] - slack:
-                    # entries already handed out stay as they are
-                    raise NumericalInstabilityError(
-                        f"harmonic forward recursion lost monotonicity at p={p + 1}"
-                    )
-                nxt = ct[p]
-            if nxt > limit:
-                nxt = limit
-            ct.append(nxt)
-            if limit < math.inf and limit - nxt <= limit * 1e-15:
-                self._ct_clamped = True
+        geo2 = 2.0 * self.geo
+        r = 2.0 * geo2
+        term = self._ct_term
+        while len(ct) <= p_target:
+            q = len(ct) - 2
+            term *= geo2 * (2 * q - 1) / q
+            ct.append(ct[-1] + term)
+            if r < 1.0 and term / (1.0 - r) <= 2.0 ** -53 * ct[-1]:
+                self._ct_clamp = len(ct) - 1
+                break
+        self._ct_term = term
 
     @property
     def ctilde_clamped(self) -> bool:
-        """True once the harmonic table has hit its limit plateau."""
-        return self._ct_clamped
+        """True once the harmonic table has reached its clamp index."""
+        return self._ct_clamp is not None
 
     def ctilde_clamp_index(self) -> Optional[int]:
-        """Smallest materialized p whose C~ entry equals the plateau value.
+        """The p at which the harmonic table clamps, None before that
+        (always, at the critical point).
 
-        None while the table has not clamped (always, at the critical
-        point).  Beyond this index the tilt ratios C~_{p-k} / C~_{p+1}
-        are exactly 1.0 in floating point, which is what lets the block
+        From this index on C~ reads as one value, so the tilt ratios
+        C~_{p-k} / C~_{p+1} are exactly 1.0, which is what lets the block
         chains sample the raw step law without an acceptance draw.
         """
-        if not self._ct_clamped:
-            return None
-        ct = self._ct
-        top = ct[-1]
-        i = len(ct) - 1
-        while i > 2 and ct[i - 1] == top:
-            i -= 1
-        return i
+        return self._ct_clamp
 
     def ctilde(self, p: int) -> float:
-        """C~_p; zero for p <= 1, the limit value beyond the clamp point."""
+        """C~_p; zero for p <= 1, the clamp entry beyond the clamp index."""
         if p <= 1:
             return 0.0
         if p > self.p_max:
-            if self._ct_clamped:
-                return self._ct[-1]
             self.ensure_ctilde(p)
-            if p > self.p_max:
-                return self._ct[-1]
+            p = min(p, self.p_max)
         return self._ct[p]
 
     # -- derived transition weights -----------------------------------

@@ -17,8 +17,7 @@ Contents:
 * :class:`PeelEngine` plus named selectors and :func:`run_algorithm`;
 * :class:`LayerEngine` and :func:`run_layers`: a :class:`PeelEngine`
   driven by the layer selector, the cyclic exploration that
-  materializes hulls of balls around the root origin, with exact
-  distance labels;
+  materializes hulls of balls around the root origin;
 * :class:`LayerChain`, the one map-free twin, with a vectorized fast
   path for deep layer runs, and :func:`run_chain`, its perimeter and
   volume series;
@@ -101,9 +100,9 @@ class StepSampler:
             raise MisuseError(f"cannot peel at perimeter {p}")
         par = self.params
         ct = par._ct
-        if p + 1 >= len(ct) and not par._ct_clamped:
+        if p + 1 >= len(ct) and par._ct_clamp is None:
             par.ensure_ctilde(p + 1)
-        # past the end of a clamped table C~ is its last entry, the plateau
+        # past the end of a clamped table C~ reads as its last entry
         last = len(ct) - 1
         denom = ct[p + 1 if p < last else last]
         qcum = par._qcum
@@ -217,7 +216,7 @@ class HullRecord:
 class PeelTrace:
     """A peeling run: metadata sufficient to replay it, the per-step
     records, and the final map.  A layer run also carries its hull
-    series, its engine (distance labels, seam) and whether a budget
+    series, its engine (arcs, seam) and whether a budget
     stopped it before r_max."""
 
     meta: dict
@@ -434,10 +433,10 @@ class LayerEngine(PeelEngine):
     That moment is tau_r: the explored map is exactly the hull of the
     radius-r ball, and the arcs relabel.
 
-    Fresh apexes are tagged with their layer index, which equals their
-    graph distance to the root origin in the final infinite map; the
-    tags of already-explored vertices never change afterwards.  Peeling
-    any other edge through :meth:`peel_step` voids the arc bookkeeping.
+    A fresh apex glued while layer r is explored lies at graph distance
+    r from the root origin in the final infinite map, so at tau_r every
+    boundary vertex is at distance exactly r.  Peeling any other edge
+    through :meth:`peel_step` voids the arc bookkeeping.
     """
 
     def __init__(
@@ -446,7 +445,6 @@ class LayerEngine(PeelEngine):
         rng: RngStream,
         *,
         record: bool = False,
-        labels: bool = False,
         max_steps: Optional[int] = None,
         max_vertices: Optional[int] = None,
     ):
@@ -459,16 +457,11 @@ class LayerEngine(PeelEngine):
         self._A = 1
         self._N = 1
         self.seam = self.map.root
-        self.labels: Optional[dict] = None
-        if labels:
-            self.labels = {self.map.org[self.map.root]: 0, self.map.target(self.map.root): 1}
 
     def step(self) -> StepRecord:
         m = self.map
         first = self.steps == 0
         rec = self._peel(self.seam)
-        if rec.kind == "fresh" and self.labels is not None:
-            self.labels[m.org[self.cursor]] = self.cur_r
         # the opening step (fresh, as perimeter 2 forces) hands the seam
         # to the reverse root side; after that the seam is the cursor
         self.seam = m.twin[m.root] if first else self.cursor
@@ -483,7 +476,6 @@ def run_layers(
     *,
     n_steps: Optional[int] = None,
     record: bool = False,
-    labels: bool = False,
     max_steps: Optional[int] = None,
     max_vertices: Optional[int] = None,
 ) -> PeelTrace:
@@ -499,7 +491,6 @@ def run_layers(
         params,
         rng,
         record=record,
-        labels=labels,
         max_steps=max_steps,
         max_vertices=max_vertices,
     )

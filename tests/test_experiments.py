@@ -64,16 +64,17 @@ def test_reports_are_seed_deterministic(p75):
 
 
 def test_layer_stats_ignores_table_growth():
-    # alpha 0.68 clamps the harmonic table only past its initial size; the
-    # report must not depend on how far the shared tables have grown
+    # alpha 0.68 clamps the harmonic table only at p = 570, past its
+    # initial size; the report must not depend on how far the shared
+    # tables have grown
     def fresh():
         return build_params(alpha="0.68")
 
     grown = [fresh(), fresh(), fresh(), fresh()]
-    grown[1].ensure_ctilde(491)
+    grown[1].ensure_ctilde(571)
     grown[2].ensure_ctilde(1000)
     grown[3].ensure_q(1024)
-    grown[3].ensure_ctilde(491)
+    grown[3].ensure_ctilde(571)
     texts = {
         report_to_json(run_layer_stats(p, RngStream(5), trials=3, window=(8, 11)))
         for p in grown
@@ -89,6 +90,16 @@ def test_layer_stats_fast_path_reports_what_ran():
     rep = run_layer_stats(p, RngStream(5), trials=3, window=(6, 10))
     assert rep["settings"]["fast_path"] is False
     assert p.ctilde_clamp_index() is None
+
+
+def test_layer_stats_takes_the_block_path_at_alpha_four_fifths():
+    # the harmonic table clamps at p = 52 here, so the block path carries
+    # the wide boundaries and the table stays short
+    p = build_params(alpha="4/5")
+    rep = run_layer_stats(p, RngStream(1), trials=2, window=(2, 4))
+    assert rep["settings"]["fast_path"] is True
+    assert p.ctilde_clamp_index() == 52
+    assert p.p_max <= 100
 
 
 def test_report_round_trips(p75):

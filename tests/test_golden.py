@@ -19,21 +19,27 @@ REPORTS = {
     "volume-growth": (
         "volume-growth", {"alpha": "7/10"}, 1,
         {"trials": 6, "r_max": 6, "window": (2, 5)},
-        "560039947a76a4d5546af22e8e6aef1661ec9db6b727d37eb43da7f9884ab7a3",
+        "d7d6c41fd89f8f781be42331ca98fe2ada2c58c6d9216f5ec7f7c62195d479b5",
     ),
     # alpha 3/4 clamps the harmonic table, so run_fast takes the block path
     "layer-stats": (
         "layer-stats", {"alpha": "3/4"}, 2,
         {"trials": 4, "window": (4, 8)},
-        "0dcb824169d15007fd459c6a39366f995018f8881b7e449892bb5d793b47070c",
+        "a19ff65253d11caf6e339f4ae13cc007ebd4b798ccfae2d4367b39de39df65cd",
     ),
-    # alpha 0.68 clamps the harmonic table only at p = 490, past the initial
+    # alpha 0.68 clamps the harmonic table only at p = 570, past the initial
     # table, and caps block swallows at 430: scalar steps until the boundary
     # is wide enough, blocks after
     "layer-stats-near-critical": (
         "layer-stats", {"alpha": "0.68"}, 5,
         {"trials": 3, "window": (8, 11)},
-        "08edf16ec18eefffeb52c60d7cd84d2a461aef6cfadc820f6ef0aff8b0e559eb",
+        "4d56fa28a3ea34dd04952eed43b87db4854f38ac67cd3451952d4e1a51288f91",
+    ),
+    # alpha 4/5 clamps the harmonic table at p = 52, so the block path runs
+    "layer-stats-four-fifths": (
+        "layer-stats", {"alpha": "4/5"}, 8,
+        {"trials": 3, "window": (3, 6)},
+        "0472562dc5e14404d04aeb2a7ff01acc90bf8a31187c7ae82312ceb37b3611b3",
     ),
     # the step budget discards some trials
     "inv-degree": (
@@ -44,7 +50,7 @@ REPORTS = {
     "walk-speed": (
         "walk-speed", {"kappa": "9/128"}, 4,
         {"walks": 3, "n_steps": 2000, "audit_trials": 2, "audit_radius": 4},
-        "e3ef0a8bf3f5a45ed3cc7fa9ab87e9ddb55f727be8629c010aa88a769999533d",
+        "ced8f2ff42f7ee0f3cae9ad4e68adff284ef3abcb416cc9d619acc9d0f4cffb0",
     ),
     "intersection": (
         "intersection", {"kappa": "9/128"}, 5,
@@ -79,11 +85,11 @@ REPORTS = {
 SAMPLES = {
     "json": (
         ("--alpha", "3/4", "--seed", "11", "--radius", "4"), 0,
-        "1e1bdb4c045901310c7999ff5b6e9bbc9cb5b9ead67c591e909e257ef3950435",
+        "0118be19121067c4bc9e76d221d7544aee36113798cf5c619b4bea864c4a8d96",
     ),
     "csv": (
         ("--alpha", "3/4", "--seed", "11", "--radius", "4", "--format", "csv"), 0,
-        "e8c22fa21635316b9fa5729f7a209c54ce23dee93bcdc645326b6800643696d3",
+        "3a110263f5cd18be7e394c0de4b9e370674e368bb41a3038eac4714be85338de",
     ),
     "critical-json": (
         ("--kappa", "2/27", "--seed", "12", "--radius", "3"), 0,
@@ -102,29 +108,29 @@ SAMPLES = {
 CONSTANTS = {
     "kappa-2/27": (
         ("--kappa", "2/27"),
-        "cf04b898d68332a2c228267484290292363406ff0a76d40387abae5bbc2a9ca5",
+        "99b5fa3769caabed7edc850eaf46fc9aa53fc54e2800105f5cc531cb8baa3687",
     ),
     "kappa-9/128": (
         ("--kappa", "9/128"),
-        "cb1554fc868643f1ee824eab57e27427904519dc4d3c33bab78dcdf46401685e",
+        "5008c156ebb4ba65358a2c1f496aa11daab9ad9feada1a3ae864a05faee53017",
     ),
     # no small-denominator root: alpha stays a float
     "kappa-0.07": (
         ("--kappa", "0.07"),
-        "695ea659390f5b224f0d9ebdd1dbe1324dfaf34a79f3d414d51669ba3b40d65c",
+        "8e33b2fecde5ea395c76082cac3053ab094581674ecbca50998b22eb7e44354b",
     ),
     # the exact root 7/10 is recovered, so this card equals alpha-7/10's
     "kappa-0.0735": (
         ("--kappa", "0.0735"),
-        "ce9908185763b05c7d6ddd349b392d95702145157dc9cebfd5bd11298cd3c9d8",
+        "fd73f905405878c0c54e8d409956794b487b17c6eba3ef5c37efae734c158039",
     ),
     "alpha-7/10": (
         ("--alpha", "7/10"),
-        "ce9908185763b05c7d6ddd349b392d95702145157dc9cebfd5bd11298cd3c9d8",
+        "fd73f905405878c0c54e8d409956794b487b17c6eba3ef5c37efae734c158039",
     ),
     "alpha-0.68": (
         ("--alpha", "0.68"),
-        "4ec07e6e943d7725adf85fd9028f1ddf31378d1c53e1295e04868aeb65b18901",
+        "2b719600abf7eaa1a2238f76f6228ae48c6cf6184e8d25d36d905250753f4b75",
     ),
 }
 

@@ -18,6 +18,7 @@ from tripeel import (
 from tripeel import peeling
 from tripeel.peeling import (
     LayerChain,
+    LayerEngine,
     PeelEngine,
     StepSampler,
     complete_ball,
@@ -70,7 +71,7 @@ def test_selector_changes_map_not_law():
                          ids=["kappa_9_128", "kappa_2_27", "alpha_7_10"])
 def test_layer_engine_couples_with_layer_chain(params):
     rng_map = RngStream(5, (3,))
-    result = run_layers(params, 5, rng_map, labels=True)
+    result = run_layers(params, 5, rng_map)
     rng_chain = RngStream(5, (3,))
     chain = LayerChain(params, rng_chain, volume=True)
     chain.run(5)
@@ -80,17 +81,19 @@ def test_layer_engine_couples_with_layer_chain(params):
     assert rng_map.n_drawn == rng_chain.n_drawn
 
 
-def test_layer_labels_are_exact_distances():
-    result = run_layers(PAR, 4, RngStream(19, (6,)), labels=True)
-    m = result.map
-    m.validate()
-    labels = result.engine.labels
-    dist = m.bfs_distances(m.org[m.root])
-    assert all(dist[v] == r for v, r in labels.items())
-    # the boundary after tau_4 is the new arc: every vertex at distance 4
-    boundary = {m.org[h] for h in m.hole_cycle(result.engine.seam)}
-    assert all(labels[v] == 4 for v in boundary)
-    assert len(boundary) == m.perimeter
+def test_hull_boundaries_are_at_exact_distances():
+    # at tau_r the boundary is the new arc of layer r: every vertex on it
+    # is at graph distance exactly r from the root origin
+    engine = LayerEngine(PAR, RngStream(19, (6,)))
+    for r in range(1, 5):
+        while engine.cur_r <= r:
+            engine.step()
+        m = engine.map
+        m.validate()
+        dist = m.bfs_distances(m.org[m.root])
+        boundary = {m.org[h] for h in m.hole_cycle(engine.seam)}
+        assert len(boundary) == m.perimeter
+        assert all(dist[v] == r for v in boundary), r
 
 
 def test_first_two_steps_turn_around_the_root_edge():
@@ -247,8 +250,8 @@ def test_fast_chain_matches_scalar_in_law(monkeypatch):
     # two-sample KS tests of the scalar chain against run_fast with the
     # block path on.  Alpha 3/4 clamps early, so by depth 6 the block
     # path carries most steps.  Alpha 7/10 barely reaches the block path
-    # by depth 7, and the near-critical alpha 0.672 (clamp index about
-    # 1073) would need depths too costly for this suite.
+    # by depth 7, and the near-critical alpha 0.672 (clamp index 1430)
+    # would need depths too costly for this suite.
     par = build_params(alpha=Fraction(3, 4))
     trials = 250
 
