@@ -24,14 +24,29 @@ Three drivers consume the same decision stream:
 of one marked boundary vertex.  Given equal streams they make identical
 decisions draw for draw, which the growth engines exploit to couple a
 map-backed process with its lightweight twins.
+
+A fourth consumer, :meth:`BoltzmannFiller.fill_volumes`, draws the
+volumes of many holes at once for the block chain.  It takes no
+decisions: the volume of a filled p-gon has the explicit law
+
+    P(n | p) = count(n, p) kappa^n / Z_p,
+
+and for p up to ``_VOL_P`` it is read off a per-perimeter inverse-cdf
+table (:func:`volume_row`), one uniform per hole, truncated where the
+omitted mass is certified below 2^-53.  Same law as ``fill_volume``,
+different draws.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
+from typing import Optional
 
+import numpy as np
+
+from .counting import catalan
 from .errors import DomainError, InvariantViolationError
-from .params import PeelParams
+from .params import PeelParams, _swallow_weight
 from .planarmap import TriMap
 from .rng import RngStream
 
@@ -40,9 +55,19 @@ _FRESH = ("fresh",)
 
 _ROW_TOL = 1e-9
 
+# fill volumes of holes up to this perimeter come from tables; at alpha
+# 7/10 that covers 99.67% of the block chain's fills
+_VOL_P = 32
+# a volume row is tabled only if its certified length is at most this;
+# near the critical point (alpha 0.68: 14,735 entries at p = 2) none is
+_VOL_N = 1 << 13
+# a uniform is a multiple of 2^-53: u * 2^53 is an exact integer below 2^53
+_U_BITS = 53
+
 
 class BoltzmannFiller:
-    """Decision tables plus the three fill drivers for fixed parameters."""
+    """Decision tables plus the three fill drivers for fixed parameters,
+    and :meth:`fill_volumes`, which samples volumes from tables."""
 
     def __init__(self, params: PeelParams):
         self.params = params
@@ -137,6 +162,36 @@ class BoltzmannFiller:
                 k = d[1]
                 push(p - k)
                 push(k + 1)
+        return added
+
+    def fill_volumes(self, holes: np.ndarray, rng: RngStream) -> int:
+        """Total internal vertices of independent fills of holes with the
+        given perimeters, in law the sum of :meth:`fill_volume` over them.
+
+        One block of uniforms draws the volumes of the tabled holes
+        (perimeter up to the table's top), each by inverse cdf in its
+        perimeter's row; then :meth:`fill_volume` fills the others in
+        order.  A row's keys are (p << 53) + ceil(cdf * 2^53) and a
+        uniform u of a p-hole is looked up as (p << 53) + u * 2^53, so one
+        searchsorted over all rows is bisect_right within each row.
+        """
+        table = self.params._vol_table
+        if table is None:
+            table = self.params._vol_table = _volume_table(self.params)
+        keys, starts = table
+        tabled = holes < len(starts)
+        held = holes[tabled]
+        added = 0
+        if held.size:
+            u = rng.block(held.size)
+            u *= 2.0**_U_BITS
+            q = held.astype(np.uint64)
+            q <<= np.uint64(_U_BITS)
+            q += u.astype(np.uint64)
+            at = np.searchsorted(keys, q, side="right")
+            added = int(at.sum() - starts[held].sum())
+        for p in holes[~tabled].tolist():
+            added += self.fill_volume(p, rng)
         return added
 
     def fill_degree(self, perimeter: int, mark: int, rng: RngStream) -> tuple[int, int]:
@@ -246,3 +301,66 @@ class BoltzmannFiller:
                     st2 = st2 + [(cont, q - k), (enclosed, k + 1)]
                 agenda.append((m2, st2, n2, prob * w))
         return out
+
+
+# -- volume tables -------------------------------------------------------------
+
+
+def volume_row(params: PeelParams, p: int) -> Optional[np.ndarray]:
+    """P(n | p) = count(n, p) kappa^n / Z_p for n = 0..N, the fill volume
+    law of a p-hole cut at its certified length N; None when N would
+    exceed ``_VOL_N`` (or at the critical point, where no cut is
+    certified).
+
+    P(0 | p) = Catalan(p - 2) / Z_p, and each next entry is the running
+    product times kappa count_ratio(n, p).  N is the first n with
+    count_ratio(n, p) < 27/2 and P(n | p) r / (1 - r) <= 2^-53, where
+    r = 27 kappa / 2 < 1: from there on every ratio is below r (see
+    :func:`~tripeel.counting.count_ratio`), so the mass past N is at most
+    P(N | p) (r + r^2 + ...), below the spacing of the stream's uniforms.
+    """
+    kappa = params.kappa
+    r = 13.5 * kappa
+    if not r < 1.0:
+        return None
+    n = np.arange(_VOL_N, dtype=float)
+    b = 2 * p + 3 * n
+    # count_ratio(n, p): numerator and denominator are exact below 2^53
+    ratio = 2 * (b - 1) * (b - 2) * (b - 3) / ((n + 1) * (2 * p + 2 * n) * (2 * p + 2 * n - 1))
+    z = _swallow_weight(p - 1, params.lin, (1.0 - params.alpha) / (2.0 * kappa))
+    probs = np.cumprod(np.concatenate(([catalan(p - 2) / z], kappa * ratio)))
+    certified = (ratio < 13.5) & (probs[:-1] * (r / (1.0 - r)) <= 2.0**-53)
+    cut = int(certified.argmax())
+    if not certified[cut]:
+        return None
+    return probs[: cut + 1]
+
+
+def _volume_table(params: PeelParams) -> tuple:
+    """(keys, starts): the sorted uint64 keys of the volume rows p = 2,
+    3, ... up to ``_VOL_P`` or the first row not tabled (rows lengthen
+    with p), and starts[p], the index of row p's first key.
+
+    Row p's keys are (p << 53) + ceil(cdf * 2^53), with the cdf clipped
+    to 1 and its last entry forced to 1, so each row is sorted and ends
+    at ((p + 1) << 53), at or below every key of row p + 1.  The keys are
+    written into one buffer sized for the longest rows allowed, whose
+    unwritten pages are never touched, then cut to length in place.
+    """
+    keys = np.empty((_VOL_P - 1) * _VOL_N, dtype=np.uint64)
+    starts, size = [0, 0], 0
+    for p in range(2, _VOL_P + 1):
+        row = volume_row(params, p)
+        if row is None:
+            break
+        cdf = np.cumsum(row, out=row)
+        np.minimum(cdf, 1.0, out=cdf)
+        cdf[-1] = 1.0
+        np.ceil(cdf * 2.0**_U_BITS, out=cdf)
+        seg = keys[size : size + len(cdf)]
+        seg[:] = cdf
+        seg += np.uint64(p) << np.uint64(_U_BITS)
+        starts.append(size)
+        size += len(cdf)
+    keys.resize(size, refcheck=False)
+    return keys, np.array(starts, dtype=np.intp)

@@ -98,8 +98,19 @@ def count_decomposition(n: int, p: int) -> int:
 def count_ratio(n: int, p: int) -> Fraction:
     """count(n+1, p) / count(n, p), exact.
 
-    Increases monotonically in n and stays below 27/2; the partition
-    function series truncation relies on that ceiling.
+    Tends to 27/2 as n grows, from below.  It is not below 27/2 for
+    every n: count_ratio(0, p) is (2p - 2)(2p - 3) / p, past 27/2 from
+    p = 6 on.  But once below, it stays below: with b = 2p + 3n,
+    27/2 - count_ratio(n, p) has the sign of
+
+        27 (n + 1)(2p + 2n)(2p + 2n - 1) - 4 (b - 1)(b - 2)(b - 3)
+          = 270 n^2 + (450 p - 36 p^2 - 186) n + (204 p^2 - 32 p^3 - 142 p + 24),
+
+    a quadratic in n with positive leading term.  For p <= 5 its other
+    two coefficients are positive too, and for p >= 6 its value at 0 is
+    negative, so either way the n >= 0 where the ratio is at least 27/2
+    form an initial segment.  The certified tail bounds of the partition
+    function series and the fill volume tables rely on that.
     """
     _check_np(n, p)
     b = 2 * p + 3 * n

@@ -282,6 +282,9 @@ class PeelParams:
         # hole perimeter p -> BoltzmannFiller decision row; a row reads only
         # q_{-1..p}, which never change, so every filler shares this table
         self._fill_rows: dict = {}
+        # the fill volume tables (boltzmann._volume_table), built on the
+        # first block of fills and read only through BoltzmannFiller
+        self._vol_table: Optional[tuple] = None
         self.ensure_q(_TABLE0)
         self.ensure_ctilde(_TABLE0)
 
@@ -523,8 +526,9 @@ def z_partition(
     Z_p sums kappa^(internal vertices) over all triangulations of the
     p-gon; it is finite exactly on (0, 2/27].  'closed' evaluates the
     product form inherited from the step law.  'series' sums the count
-    series directly with a certified geometric truncation (term ratios
-    are bounded by 27 kappa / 2) and exists as an independent oracle.
+    series directly with a certified geometric truncation (past the last
+    count ratio at or above 27/2, term ratios are bounded by 27 kappa / 2)
+    and exists as an independent oracle.
     """
     if p < 2:
         raise DomainError(f"boundary length p={p} must be at least 2")
@@ -545,14 +549,12 @@ def z_partition(
         total += term
         n = 1
         while True:
-            tail_bound = term * growth / (1.0 - growth)
-            if tail_bound < rel_tol * total:
-                return total + 0.5 * tail_bound
             ratio = count_ratio(n, p)
-            if ratio > 13.5:
-                raise NumericalInstabilityError(
-                    f"count ratio {ratio} exceeded 27/2 at n={n}, p={p}"
-                )
+            # once a ratio is below 27/2 every later one is (count_ratio)
+            if ratio < 13.5:
+                tail_bound = term * growth / (1.0 - growth)
+                if tail_bound < rel_tol * total:
+                    return total + 0.5 * tail_bound
             term *= ratio * kf
             total += term
             n += 1

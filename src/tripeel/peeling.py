@@ -548,9 +548,12 @@ def run_chain(
 # higher floor the clamp index sets), in chunks of _CHUNK_MIN to _CHUNK
 # proposals sized from the chain state; while the new arc is shorter
 # than _N_SHORT a swallow toward it may cut at once, so the chunk is
-# _CHUNK_MIN
+# _CHUNK_MIN.  With volume tracked a chunk holds at most _CHUNK_VOL: at
+# alpha 7/10 that kept volume-growth's peak RSS about 2.5 MiB lower at
+# the same speed
 _P_FAST = 512
 _CHUNK = 1 << 16
+_CHUNK_VOL = 1 << 13
 _CHUNK_MIN = 256
 _N_SHORT = 16
 
@@ -560,11 +563,14 @@ class LayerChain:
     :func:`run_chain`.
 
     Tracks only the two arc lengths, the perimeter, the step count and
-    (optionally) the volume.  With volume enabled it consumes the stream
-    exactly like the map engine and produces the identical hull series
-    (and, through :func:`run_chain`, the identical perimeter and volume
-    series); with volume disabled it skips the filler draws, which
-    changes the realization but not the law of (tau_r, P_{tau_r}).
+    (optionally) the volume.  With volume enabled, :meth:`run` (and
+    :meth:`step`) consume the stream exactly like the map engine and
+    produce the identical hull series (and, through :func:`run_chain`,
+    the identical perimeter and volume series); with volume disabled they
+    skip the filler draws, which changes the realization but not the law
+    of (tau_r, P_{tau_r}).  :meth:`run_fast` draws in blocks, so its
+    realization differs from :meth:`run`'s on the same stream, its law
+    does not.
 
     With volume enabled it also knows ``root_degree``, the degree of the
     root edge's origin in the final map, from tau_1 on (None before, and
@@ -644,26 +650,37 @@ class LayerChain:
         of i.i.d. proposals can be consumed at once.  Chunks are cut at
         the first step that could empty an arc or leave that floor; the
         step is applied with the full arc rule.  Every other step is an
-        exact scalar :meth:`step`: with volume tracked, before the table
-        clamps (always, at the critical point) and on narrow boundaries.
+        exact scalar :meth:`step`: before the table clamps (always, at
+        the critical point), on narrow boundaries, and with volume
+        tracked throughout layer 1, whose tau_1 fill gives
+        ``root_degree``.
+
+        With volume tracked, the swallows of a chunk's accepted steps
+        and its cut step are filled after the sizes and sides are drawn,
+        in law exactly as :meth:`step` fills them, through
+        :meth:`BoltzmannFiller.fill_volumes`: one more block of uniforms
+        for the holes its tables cover, then a scalar fill for each
+        larger hole.  With volume off no filler draw is made.
 
         Each chunk is sized from the state at its start only: the old
         arc A, the new arc N, the margin above the floor and the mean
         clipped swallow size mu.  The old arc loses mu / 2 a step on
         average, so a chunk holds min(A, p - floor + 1) / (mu / 2)
-        proposals, clipped to [_CHUNK_MIN, _CHUNK], and _CHUNK_MIN while
-        N < _N_SHORT (right after tau_r, N = 0).  Proposals past a cut
-        are never looked at, so sizing the next chunk from the state
-        leaves every step an i.i.d. raw-law draw, and few uniforms are
-        drawn past a cut.
+        proposals, clipped to [_CHUNK_MIN, _CHUNK] (_CHUNK_VOL with
+        volume tracked), and _CHUNK_MIN while N < _N_SHORT (right after
+        tau_r, N = 0).  Proposals past a cut are never looked at, so
+        sizing the next chunk from the state leaves every step an i.i.d.
+        raw-law draw, and few uniforms are drawn past a cut.
 
         So the run depends only on the coupling and the stream, never on
         how far the shared tables have grown.
         """
         rng = self.rng
+        filler = self.filler
         sizes = None  # the block step law, once the table has clamped
+        chunk = _CHUNK if filler is None else _CHUNK_VOL
         while self.cur_r <= r_max:
-            if sizes is None and self.filler is None:
+            if sizes is None:
                 clamp = self.params.ctilde_clamp_index()
                 if clamp is not None:
                     cap = _block_cap(self.params)
@@ -671,7 +688,11 @@ class LayerChain:
                     rate = sizes.mean / 2
                     # a pre-step perimeter at or above the floor is exact
                     p_floor = clamp + cap
-            if sizes is None or self.p < max(_P_FAST, p_floor + 2):
+            if (
+                sizes is None
+                or self.p < max(_P_FAST, p_floor + 2)
+                or (filler is not None and self.cur_r == 1)
+            ):
                 self.step()
                 continue
             self._check_budget()
@@ -679,7 +700,7 @@ class LayerChain:
                 m = _CHUNK_MIN
             else:
                 reach = min(self._A, self.p - p_floor + 1)
-                m = min(max(int(reach / rate), _CHUNK_MIN), _CHUNK)
+                m = min(max(int(reach / rate), _CHUNK_MIN), chunk)
             if self.max_steps is not None:
                 m = min(m, self.max_steps - self.steps)
             us = rng.block(2 * m)
@@ -693,6 +714,11 @@ class LayerChain:
             j = int(bad.argmax())
             if not bad[j]:
                 j = m
+            if filler is not None:
+                # fills of the accepted steps and the cut step, in order
+                taken = ks[: j + 1]
+                holes = taken[taken > 0] + 1
+                self.v += len(taken) - len(holes) + filler.fill_volumes(holes, rng)
             if j > 0:
                 self._A = int(oka[j - 1])
                 self.p = int(okp[j - 1])
@@ -706,7 +732,10 @@ class LayerChain:
                 self.p += 1 if k == 0 else -k
                 self.steps += 1
                 self.block_steps += 1
-                _arc_step(self, k, "next" if s[j] < 0.5 else "prev", self.p, None)
+                _arc_step(
+                    self, k, "next" if s[j] < 0.5 else "prev", self.p,
+                    self.v if filler is not None else None,
+                )
         return self.hull
 
 

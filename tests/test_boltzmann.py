@@ -1,16 +1,20 @@
 """Polygon filler: decision weights, surgery enumeration, coupling."""
 
 import math
+from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from tripeel.boltzmann import BoltzmannFiller
-from tripeel.counting import count_triangulations
+from tripeel import boltzmann
+from tripeel.boltzmann import BoltzmannFiller, volume_row
+from tripeel.counting import count_ratio, count_triangulations
 from tripeel.errors import DomainError
-from tripeel.params import build_params, z_partition
+from tripeel.params import build_params, q_step, z_partition
 from tripeel.planarmap import TriMap
 from tripeel.rng import RngStream
+from tripeel.stats import chi2_two_sample
 
 
 @pytest.fixture(scope="module")
@@ -147,3 +151,99 @@ def test_volume_mean_matches_formula(quarter):
 def test_row_rejects_degenerate_perimeter(quarter):
     with pytest.raises(DomainError):
         BoltzmannFiller(quarter).row(1)
+
+
+# -- volume tables -------------------------------------------------------------
+
+
+def _exact_z(alpha: Fraction, kappa: Fraction, p: int) -> Fraction:
+    # Z_{k+1} = q_{-k} / (2 beta^k), beta = kappa / alpha
+    return q_step(-(p - 1), alpha) / (2 * (kappa / alpha) ** (p - 1))
+
+
+@pytest.mark.parametrize("alpha", ["7/10", "3/4"])
+def test_volume_rows_are_the_exact_law(alpha):
+    params = build_params(alpha=alpha)
+    a, k = params.alpha_exact, params.kappa_exact
+    for p in range(2, 13):
+        row = volume_row(params, p)
+        z = _exact_z(a, k, p)
+        for n in range(21):
+            exact = count_triangulations(n, p) * k**n / z
+            assert row[n] == pytest.approx(float(exact), rel=1e-12), (p, n)
+
+
+@pytest.mark.parametrize("alpha", ["7/10", "3/4"])
+def test_volume_table_is_certified_and_sorted(alpha):
+    params = build_params(alpha=alpha)
+    keys, starts = boltzmann._volume_table(params)
+    assert len(starts) == boltzmann._VOL_P + 1
+    assert np.all(keys[1:] >= keys[:-1])
+    kappa = params.kappa
+    r = 13.5 * kappa
+    ends = list(starts[3:]) + [len(keys)]
+    for p in range(2, boltzmann._VOL_P + 1):
+        row = volume_row(params, p)
+        n_cut = len(row) - 1
+        assert ends[p - 2] - starts[p] == len(row)
+        assert int(keys[ends[p - 2] - 1]) == (p + 1) << 53
+        # the omitted mass, summed on from the row's last entry with the
+        # exact count ratios until what is left is negligible
+        term, tail, n = float(row[-1]), 0.0, n_cut
+        while True:
+            ratio = count_ratio(n, p)
+            term *= kappa * float(ratio)
+            tail += term
+            n += 1
+            if ratio < 13.5 and term * r / (1 - r) < 1e-30:
+                break
+        assert tail <= 2.0**-53, (p, tail)
+
+
+def test_volume_table_draws_match_fill_volume():
+    # 20,000 table draws against 20,000 decision-by-decision fills, over
+    # hole perimeters 2..12 at alpha 7/10, binned by (perimeter, volume)
+    params = build_params(alpha="7/10")
+    filler = BoltzmannFiller(params)
+    rng_table, rng_fill = RngStream(31), RngStream(32)
+    table, fills = Counter(), Counter()
+    for i in range(20_000):
+        p = 2 + i % 11
+        table[p, filler.fill_volumes(np.array([p]), rng_table)] += 1
+        fills[p, filler.fill_volume(p, rng_fill)] += 1
+    assert rng_table.n_drawn == 20_000
+    assert chi2_two_sample(table, fills)["p_value"] > 1e-3
+
+
+def test_volume_table_is_empty_near_criticality():
+    # at alpha 0.68 every row needs more than _VOL_N entries: nothing is
+    # tabled and every hole is filled decision by decision, draw for draw
+    params = build_params(alpha="0.68")
+    assert volume_row(params, 2) is None
+    filler = BoltzmannFiller(params)
+    holes = np.array([2, 5, 3, 40, 2])
+    r1, r2 = RngStream(33), RngStream(33)
+    got = filler.fill_volumes(holes, r1)
+    keys, starts = params._vol_table
+    assert len(keys) == 0 and len(starts) == 2
+    assert got == sum(filler.fill_volume(int(p), r2) for p in holes)
+    assert r1.n_drawn == r2.n_drawn
+
+
+def test_volume_table_then_larger_holes_in_order():
+    # tabled holes take one block of uniforms, then the larger ones are
+    # filled in order from the scalar stream
+    params = build_params(alpha="7/10")
+    filler = BoltzmannFiller(params)
+    holes = np.array([40, 3, 33, 2])
+    r1, r2 = RngStream(34), RngStream(34)
+    got = filler.fill_volumes(holes, r1)
+    u = r2.block(2)
+    want = 0
+    for p, x in zip((3, 2), u):
+        cdf = np.minimum(np.cumsum(volume_row(params, p)), 1.0)
+        cdf[-1] = 1.0
+        want += int(np.searchsorted(cdf, x, side="right"))
+    want += filler.fill_volume(40, r2) + filler.fill_volume(33, r2)
+    assert got == want
+    assert r1.n_drawn == r2.n_drawn

@@ -92,6 +92,15 @@ def test_layer_stats_fast_path_reports_what_ran():
     assert p.ctilde_clamp_index() is None
 
 
+def test_volume_growth_fast_path_reports_what_ran(p75):
+    # at alpha 3/4 the boundary passes the block floor by depth 6; by
+    # depth 3 it never does, and the report must say so
+    deep = run_volume_growth(p75, RngStream(9), trials=2, r_max=5, window=(2, 5))
+    shallow = run_volume_growth(p75, RngStream(9), trials=2, r_max=2, window=(1, 2))
+    assert deep["settings"]["fast_path"] is True
+    assert shallow["settings"]["fast_path"] is False
+
+
 def test_layer_stats_takes_the_block_path_at_alpha_four_fifths():
     # the harmonic table clamps at p = 52 here, so the block path carries
     # the wide boundaries and the table stays short

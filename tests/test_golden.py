@@ -16,10 +16,19 @@ from tripeel.cli import cli
 
 # case id -> (experiment, coupling, seed, settings, sha256 of report_to_json)
 REPORTS = {
+    # run_fast draws block-step fill volumes from the volume tables: new
+    # draws, same law, and the report records settings.fast_path
     "volume-growth": (
         "volume-growth", {"alpha": "7/10"}, 1,
         {"trials": 6, "r_max": 6, "window": (2, 5)},
-        "d7d6c41fd89f8f781be42331ca98fe2ada2c58c6d9216f5ec7f7c62195d479b5",
+        "f74e75c5d5ddf3f519555f6779acd4883cb0f26e9f8cd3b2451810b66478ad45",
+    ),
+    # alpha 3/4 reaches the block floor by depth 5, so most steps are
+    # block steps with tabled fill volumes
+    "volume-growth-three-quarters": (
+        "volume-growth", {"alpha": "3/4"}, 9,
+        {"trials": 4, "r_max": 5, "window": (2, 5)},
+        "6db0eb8ae523bbaf60fda9528ac2b9b07536c295bcdf964570015356e11a4be9",
     ),
     # alpha 3/4 clamps the harmonic table, so run_fast takes the block path
     "layer-stats": (

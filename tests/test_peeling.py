@@ -353,15 +353,82 @@ def test_fast_chain_invariants():
     assert [h.r for h in hull] == list(range(1, 11))
     assert all(b.tau > a.tau for a, b in zip(hull, hull[1:]))
     assert all(h.perimeter >= 2 for h in hull)
-    # the table never clamps at criticality, and volume has no block
-    # sampler: there run_fast takes every step through step(), draw for draw
-    for params, volume in ((CRIT, False), (PAR, True)):
-        a = LayerChain(params, RngStream(79, (21,)), volume=volume)
-        b = LayerChain(params, RngStream(79, (21,)), volume=volume)
+    # the table never clamps at criticality: there run_fast takes every
+    # step through step(), draw for draw, with or without volume
+    for volume in (False, True):
+        a = LayerChain(CRIT, RngStream(79, (21,)), volume=volume)
+        b = LayerChain(CRIT, RngStream(79, (21,)), volume=volume)
         assert a.run(6) == b.run_fast(6)
         assert a.steps == b.steps
         assert b.block_steps == 0
         assert a.rng.n_drawn == b.rng.n_drawn
+    # with volume tracked, layer 1 stays scalar, so tau_1's hull record
+    # and the root degree are run()'s; deeper layers take block steps
+    a = LayerChain(PAR, RngStream(79, (21,)))
+    b = LayerChain(PAR, RngStream(79, (21,)))
+    a.run(6)
+    b.run_fast(6)
+    assert b.block_steps > 0
+    assert b.hull[0] == a.hull[0]
+    assert b.root_degree == a.root_degree is not None
+
+
+def test_fast_chain_counts_every_fill(monkeypatch):
+    # with each fill of a p-hole replaced by M p + 1 vertices, the volume
+    # after step tau at perimeter P is 2 + tau + M (tau - P + 2): one
+    # vertex per step, and the swallowed sizes plus one per swallow sum
+    # to tau - P + 2.  A fill lost, counted twice or given the wrong
+    # hole breaks it at every hull record
+    m = 1000
+    monkeypatch.setattr(peeling.BoltzmannFiller, "fill_volume", lambda f, p, rng: m * p + 1)
+    monkeypatch.setattr(
+        peeling.BoltzmannFiller, "fill_degree", lambda f, p, mark, rng: (m * p + 1, 0)
+    )
+    monkeypatch.setattr(
+        peeling.BoltzmannFiller, "fill_volumes", lambda f, holes, rng: int((m * holes + 1).sum())
+    )
+    par = build_params(alpha=Fraction(3, 4))
+    for t in range(3):
+        for fast in (False, True):
+            chain = LayerChain(par, RngStream(113, (t,)))
+            hull = chain.run_fast(7) if fast else chain.run(7)
+            assert chain.block_steps > 0 or not fast
+            for h in hull:
+                assert h.volume == 2 + h.tau + m * (h.tau - h.perimeter + 2), (fast, h)
+
+
+def test_fast_chain_with_volume_matches_scalar_in_law():
+    # two-sample KS tests of (P, V, tau) at tau_5 and tau_7 between run()
+    # and run_fast() with volume at alpha 7/10.  The block floor is 548
+    # there: by tau_5 only about 6% of the steps are block steps, by
+    # tau_7 more than half, so both depths are compared
+    par = build_params(alpha=Fraction(7, 10))
+    trials = 250
+    depths = (5, 7)
+
+    def series(run):
+        out = {(r, f): [] for r in depths for f in ("tau", "perimeter", "volume")}
+        for t in range(trials):
+            hull = run(t)
+            for r in depths:
+                for f in ("tau", "perimeter", "volume"):
+                    out[r, f].append(getattr(hull[r - 1], f))
+        return out
+
+    scalar = series(lambda t: LayerChain(par, RngStream(107, (t,))).run(7))
+    counts = {"steps": 0, "block": 0}
+
+    def fast(t):
+        chain = LayerChain(par, RngStream(109, (t,)))
+        hull = chain.run_fast(7)
+        counts["steps"] += chain.steps
+        counts["block"] += chain.block_steps
+        return hull
+
+    block = series(fast)
+    assert counts["block"] > 0.4 * counts["steps"]
+    for key in scalar:
+        assert sps.ks_2samp(scalar[key], block[key]).pvalue > 1e-3, key
 
 
 def test_complete_ball_is_stable_under_more_peeling():
