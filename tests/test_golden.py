@@ -23,8 +23,8 @@ REPORTS = {
         {"trials": 6, "r_max": 6, "window": (2, 5)},
         "f74e75c5d5ddf3f519555f6779acd4883cb0f26e9f8cd3b2451810b66478ad45",
     ),
-    # alpha 3/4 reaches the block floor by depth 5, so most steps are
-    # block steps with tabled fill volumes
+    # alpha 3/4 passes the block floor within six layers: about 90% of
+    # the steps are block steps, their fill volumes drawn from the tables
     "volume-growth-three-quarters": (
         "volume-growth", {"alpha": "3/4"}, 9,
         {"trials": 4, "r_max": 5, "window": (2, 5)},
