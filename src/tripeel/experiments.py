@@ -31,7 +31,7 @@ from .params import (
     q_step,
     z_partition,
 )
-from .peeling import LayerChain, _StepSizes, _json_object, complete_ball, run_chain
+from .peeling import LayerChain, _InverseCdf, _json_object, complete_ball, run_chain
 from .planarmap import FLAG_TRIANGLE, extract_submap
 from .rng import RngStream
 from .stats import chi2_two_sample, linfit, mean_ci, proportion_lower_bound
@@ -224,6 +224,18 @@ def constants_report(params: PeelParams, *, head: int = 8) -> dict:
 # -- experiment runners ------------------------------------------------------
 
 
+_WORK = ("steps", "block_steps", "uniforms")
+
+
+def _chain_work(work: dict, chain: LayerChain) -> None:
+    """Add a finished trial's peel steps, block steps and uniforms drawn
+    from its stream to the counts in ``work``.  They depend only on the
+    coupling, the seed and the settings, so reports stay reproducible."""
+    work["steps"] += chain.steps
+    work["block_steps"] += chain.block_steps
+    work["uniforms"] += chain.rng.n_drawn
+
+
 def run_volume_growth(
     params: PeelParams,
     rng: RngStream,
@@ -240,8 +252,10 @@ def run_volume_growth(
     table clamps (off the critical point) wide boundaries take block
     steps, their fill volumes drawn from the filler's volume tables.
     The trial statistic is the mean boundary ratio over the window plus
-    the volume/boundary quotient at r_max.  ``settings.fast_path``
-    records whether any trial took a block step.
+    the volume/boundary quotient at r_max.  ``results.work`` sums the
+    trials' steps, block steps and uniforms (see :func:`_chain_work`),
+    and ``settings.fast_path`` records whether any trial took a block
+    step.
     """
     if trials < 2:
         raise DomainError("need at least two trials")
@@ -250,11 +264,11 @@ def run_volume_growth(
         raise DomainError(f"window {tuple(window)} outside [1, {r_max}]")
     targets = growth_targets(params)
     ratio_vals, vp_vals = [], []
-    block_steps = 0
+    work = dict.fromkeys(_WORK, 0)
     for t in range(trials):
         chain = LayerChain(params, rng.fork(t), volume=True, max_steps=max_steps)
         hull = chain.run_fast(r_max + 1)
-        block_steps += chain.block_steps
+        _chain_work(work, chain)
         per = {rec.r: rec.perimeter for rec in hull}
         vol = {rec.r: rec.volume for rec in hull}
         ratio_vals.append(
@@ -269,13 +283,14 @@ def run_volume_growth(
             {"trial": t, "boundary_ratio": r, "volume_per_boundary": v}
             for t, (r, v) in enumerate(zip(ratio_vals, vp_vals))
         ],
+        "work": work,
     }
     settings = {
         "trials": trials,
         "r_max": r_max,
         "window": [lo, hi],
         "max_steps": max_steps,
-        "fast_path": block_steps > 0,
+        "fast_path": work["block_steps"] > 0,
     }
     return _report("volume-growth", params, rng, settings, results)
 
@@ -292,8 +307,9 @@ def run_layer_stats(
 
     Volume draws are skipped, so once the harmonic table clamps (off the
     critical point) wide boundaries go through the block sampler of
-    :meth:`LayerChain.run_fast`.  ``settings.fast_path`` records whether
-    any trial took a block step.
+    :meth:`LayerChain.run_fast`.  ``results.work`` sums the trials'
+    steps, block steps and uniforms (see :func:`_chain_work`), and
+    ``settings.fast_path`` records whether any trial took a block step.
     """
     if trials < 2:
         raise DomainError("need at least two trials")
@@ -301,11 +317,11 @@ def run_layer_stats(
     if lo < 1 or hi < lo:
         raise DomainError(f"bad layer window {tuple(window)}")
     vals = []
-    block_steps = 0
+    work = dict.fromkeys(_WORK, 0)
     for t in range(trials):
         chain = LayerChain(params, rng.fork(t), volume=False, max_steps=max_steps)
         hull = chain.run_fast(hi + 1)
-        block_steps += chain.block_steps
+        _chain_work(work, chain)
         by_r = {rec.r: rec for rec in hull}
         vals.append(
             float(
@@ -321,12 +337,13 @@ def run_layer_stats(
         "layer_time_ratio": mean_ci(vals, level=0.99),
         "target": None if params.critical else growth_targets(params)["layer_time_ratio"],
         "per_trial": [{"trial": t, "layer_time_ratio": v} for t, v in enumerate(vals)],
+        "work": work,
     }
     settings = {
         "trials": trials,
         "window": [lo, hi],
         "max_steps": max_steps,
-        "fast_path": block_steps > 0,
+        "fast_path": work["block_steps"] > 0,
     }
     return _report("layer-stats", params, rng, settings, results)
 
@@ -594,7 +611,7 @@ def _rejection_counts(
     # its size, so clipping there keeps every accepted row
     cap = survive_horizon + 1
     params.ensure_q(cap)
-    sizes = _StepSizes(params, cap)
+    sizes = _InverseCdf(params.q_cumulative()[:cap])
     while accepted < want:
         u = arm.block(rows * survive_horizon).reshape(rows, survive_horizon)
         ks = sizes(u)

@@ -133,38 +133,36 @@ class StepSampler:
             return "swallow", k, side
 
 
-# the block inverse cdf starts each search from one of _GUIDE buckets
+# an inverse cdf starts each search from one of _GUIDE buckets
 _GUIDE = 1 << 12
 
 
-class _StepSizes:
-    """Untilted step law by inverse cdf over arrays of uniforms: 0 for a
-    fresh vertex, k >= 1 for a size-k swallow, clipped at ``cap``.
+class _InverseCdf:
+    """Inverse cdf over arrays of uniforms: for each u, the number of
+    entries of ``cdf`` (non-decreasing) that are <= u.
 
-    Built once per block run from the first ``cap`` cumulative masses,
-    which the step-law table must already reach; every uniform past
-    them maps to cap, however far the table has grown.  The answer for
-    u is the number of those masses <= u.  A guide table holds that
-    count at each bucket start b / _GUIDE (exact: the scaling is by a
-    power of two), a lower bound for every u in the bucket; it is the
-    answer unless the next mass is <= u, and only those few uniforms
-    are searched.
+    So a law on 0, 1, 2, ... whose first n cumulative masses are the
+    entries comes out clipped at n.  A guide table holds the answer at
+    each bucket start b / _GUIDE (exact: the scaling is by a power of
+    two), a lower bound for every u in the bucket; it is the answer
+    unless the next entry is <= u, and only those few uniforms are
+    searched.  ``mean`` is the mean clipped value, the sum over i < n
+    of P(value > i) = 1 - cdf[i].
     """
 
-    __slots__ = ("mean", "_qc", "_next", "_guide")
+    __slots__ = ("mean", "_cdf", "_next", "_guide")
 
-    def __init__(self, params: PeelParams, cap: int):
-        qc = np.asarray(params.q_cumulative()[:cap])
-        self._qc = qc
-        self._next = np.append(qc, np.inf)
-        self._guide = np.searchsorted(qc, np.arange(_GUIDE) / _GUIDE, side="right")
-        # mean clipped size: sum over k < cap of P(size > k)
-        self.mean = float((1.0 - qc).sum())
+    def __init__(self, cdf):
+        cdf = np.asarray(cdf, dtype=float)
+        self._cdf = cdf
+        self._next = np.append(cdf, np.inf)
+        self._guide = np.searchsorted(cdf, np.arange(_GUIDE) / _GUIDE, side="right")
+        self.mean = float((1.0 - cdf).sum())
 
     def __call__(self, u: np.ndarray) -> np.ndarray:
         ks = self._guide[(u * _GUIDE).astype(np.intp)]
         fix = self._next[ks] <= u
-        ks[fix] = np.searchsorted(self._qc, u[fix], side="right")
+        ks[fix] = np.searchsorted(self._cdf, u[fix], side="right")
         return ks
 
 
@@ -179,6 +177,29 @@ def _block_cap(params: PeelParams) -> int:
     while q_tail_bound(params.alpha, k, params.q_neg(k)) > 2.0 ** -53:
         k += 1
     return k
+
+
+def _event_laws(params: PeelParams, cap: int) -> tuple:
+    """The two laws of a block event, the raw step law's fresh steps up
+    to and including the next swallow: the gap G, the number of fresh
+    steps, with P(G = g) = q_0^g (1 - q_0), and the swallow size less
+    one, with P(k) = q_{-k} / (1 - q_0), as :class:`_InverseCdf`.
+
+    The gap is clipped at the first n with q_0^n <= 2^-53 and the size
+    at ``cap``: per step the size clip moves the step law's tail beyond
+    cap, as a raw-law clip at cap does, and per event the gap clip moves
+    at most 2^-53.
+    """
+    q0 = params.q_cumulative()[0]
+    n = 1
+    while q0**n > 2.0**-53:
+        n += 1
+    gaps = _InverseCdf(1.0 - q0 ** np.arange(1, n + 1))
+    # P(size > k) = (q_{-(k+1)} + ... + q_{-cap}) / (1 - q_0), summed from
+    # the small end up
+    tail = np.cumsum(params._qneg[cap:1:-1])[::-1]
+    sizes = _InverseCdf(1.0 - tail / (1.0 - q0))
+    return gaps, sizes
 
 
 # -- trace containers ----------------------------------------------------
@@ -544,17 +565,16 @@ def run_chain(
     return {"perimeters": ps, "volumes": vs, "steps": chain.steps}
 
 
-# run_fast samples in blocks once the perimeter reaches _P_FAST (or the
-# higher floor the clamp index sets), in chunks of _CHUNK_MIN to _CHUNK
-# proposals sized from the chain state; while the new arc is shorter
-# than _N_SHORT a swallow toward it may cut at once, so the chunk is
-# _CHUNK_MIN.  With volume tracked a chunk holds at most _CHUNK_VOL: at
-# alpha 7/10 that kept volume-growth's peak RSS about 2.5 MiB lower at
-# the same speed
-_P_FAST = 512
-_CHUNK = 1 << 16
-_CHUNK_VOL = 1 << 13
-_CHUNK_MIN = 256
+# run_fast samples in blocks once the perimeter reaches the floor the
+# clamp index and the swallow cap set, one event (a geometric run of
+# fresh steps, then one swallow) per three uniforms, in chunks of
+# _CHUNK_MIN to _CHUNK events sized from the chain state; while the new
+# arc is shorter than _N_SHORT a swallow toward it may cut at once, so
+# the chunk is _CHUNK_MIN.  With volume tracked a chunk holds at most
+# _CHUNK_VOL events, which keeps the fill blocks and their peak RSS small
+_CHUNK = 1 << 14
+_CHUNK_VOL = 1 << 11
+_CHUNK_MIN = 64
 _N_SHORT = 16
 
 
@@ -646,51 +666,64 @@ class LayerChain:
         C~_{p-k} / C~_{p+1} with p - k past the clamp index is exactly
         1.0, so while the perimeter stays at least clamp + K (K from
         :func:`_block_cap`, which caps a block's swallow sizes) the
-        tilted kernel coincides with the raw step law and whole chunks
-        of i.i.d. proposals can be consumed at once.  Chunks are cut at
-        the first step that could empty an arc or leave that floor; the
-        step is applied with the full arc rule.  Every other step is an
+        tilted kernel coincides with the raw step law, and whole chunks
+        of i.i.d. steps can be drawn at once.  Every other step is an
         exact scalar :meth:`step`: before the table clamps (always, at
         the critical point), on narrow boundaries, and with volume
         tracked throughout layer 1, whose tau_1 fill gives
         ``root_degree``.
 
-        With volume tracked, the swallows of a chunk's accepted steps
-        and its cut step are filled after the sizes and sides are drawn,
-        in law exactly as :meth:`step` fills them, through
+        A block draws events, not steps: an event is G fresh steps, G
+        geometric with P(G = g) = q_0^g (1 - q_0), then one swallow of
+        size k with probability q_{-k} / (1 - q_0) and its side, three
+        uniforms in all (laws from :func:`_event_laws`).  That is the raw
+        step law, step for step, up to a moved mass of at most 2^-53 per
+        step (the size clip at K, as a raw-law clip at K) or per event
+        (the gap clip).  A fresh step only lengthens the new arc and the
+        perimeter, so no step inside a gap can empty an arc or leave the
+        floor; the chunk is cut at the first event whose swallow could,
+        and that event's gap is applied, then its swallow with the full
+        arc rule.  Under a step budget a chunk that would pass it takes
+        its whole events, then as many fresh steps of the next gap as
+        the budget leaves, and the next budget check raises.
+
+        With volume tracked, the swallows of a chunk's taken events are
+        filled after the events are drawn, in law exactly as
+        :meth:`step` fills them, through
         :meth:`BoltzmannFiller.fill_volumes`: one more block of uniforms
         for the holes its tables cover, then a scalar fill for each
         larger hole.  With volume off no filler draw is made.
 
         Each chunk is sized from the state at its start only: the old
         arc A, the new arc N, the margin above the floor and the mean
-        clipped swallow size mu.  The old arc loses mu / 2 a step on
-        average, so a chunk holds min(A, p - floor + 1) / (mu / 2)
-        proposals, clipped to [_CHUNK_MIN, _CHUNK] (_CHUNK_VOL with
-        volume tracked), and _CHUNK_MIN while N < _N_SHORT (right after
-        tau_r, N = 0).  Proposals past a cut are never looked at, so
-        sizing the next chunk from the state leaves every step an i.i.d.
-        raw-law draw, and few uniforms are drawn past a cut.
+        swallow size mu.  The old arc loses mu / 2 an event on average,
+        so a chunk holds min(A, p - floor + 1) / (mu / 2) events,
+        clipped to [_CHUNK_MIN, _CHUNK] (_CHUNK_VOL with volume
+        tracked), and _CHUNK_MIN while N < _N_SHORT (right after tau_r,
+        N = 0).  Events past a cut are never looked at, so sizing the
+        next chunk from the state leaves every step an i.i.d. raw-law
+        draw, and few uniforms are drawn past a cut.
 
         So the run depends only on the coupling and the stream, never on
         how far the shared tables have grown.
         """
         rng = self.rng
         filler = self.filler
-        sizes = None  # the block step law, once the table has clamped
+        sizes = None  # the event laws, once the table has clamped
         chunk = _CHUNK if filler is None else _CHUNK_VOL
         while self.cur_r <= r_max:
             if sizes is None:
                 clamp = self.params.ctilde_clamp_index()
                 if clamp is not None:
                     cap = _block_cap(self.params)
-                    sizes = _StepSizes(self.params, cap)
-                    rate = sizes.mean / 2
+                    gaps, sizes = _event_laws(self.params, cap)
+                    # mean arc loss of an event: half its mean swallow
+                    rate = (1.0 + sizes.mean) / 2
                     # a pre-step perimeter at or above the floor is exact
                     p_floor = clamp + cap
             if (
                 sizes is None
-                or self.p < max(_P_FAST, p_floor + 2)
+                or self.p < p_floor + 2
                 or (filler is not None and self.cur_r == 1)
             ):
                 self.step()
@@ -701,39 +734,58 @@ class LayerChain:
             else:
                 reach = min(self._A, self.p - p_floor + 1)
                 m = min(max(int(reach / rate), _CHUNK_MIN), chunk)
+            left = None
             if self.max_steps is not None:
-                m = min(m, self.max_steps - self.steps)
-            us = rng.block(2 * m)
-            ks = sizes(us[:m])
-            s = us[m:]
-            # swallows toward the old arc ('next'); a fresh step has k = 0
-            da = ks * (s < 0.5)
-            oka = self._A - da.cumsum()
-            okp = self.p + ((ks == 0) - ks).cumsum()
+                left = self.max_steps - self.steps
+                m = min(m, left)
+            us = rng.block(3 * m)
+            gs = gaps(us[:m])
+            ks = sizes(us[m : 2 * m])
+            ks += 1
+            # swallows toward the old arc ('next')
+            old = us[2 * m :] < 0.5
+            cg = gs.cumsum()
+            oka = self._A - (ks * old).cumsum()
+            okp = self.p + cg - ks.cumsum()
             bad = (oka < 1) | (okp - oka < 1) | (okp < p_floor)
+            # j whole events, then `tail` fresh steps of event j and, on a
+            # cut, its swallow
             j = int(bad.argmax())
-            if not bad[j]:
+            cut = bool(bad[j])
+            if not cut:
                 j = m
+            if left is not None and int(cg[-1]) + m > left:
+                # steps through event i: cg[i] + i + 1
+                whole = int(np.searchsorted(cg + np.arange(1, m + 1), left, side="right"))
+                if whole <= j:
+                    j, cut = whole, False
+            base = int(cg[j - 1]) + j if j else 0
+            if cut:
+                tail = int(gs[j])
+            elif j < m:
+                # the budget runs out inside event j
+                tail = left - base
+            else:
+                tail = 0
             if filler is not None:
-                # fills of the accepted steps and the cut step, in order
-                taken = ks[: j + 1]
-                holes = taken[taken > 0] + 1
-                self.v += len(taken) - len(holes) + filler.fill_volumes(holes, rng)
-            if j > 0:
+                # fresh steps, then the fills of the taken swallows in order
+                self.v += base - j + tail + filler.fill_volumes(ks[: j + cut] + 1, rng)
+            if j:
                 self._A = int(oka[j - 1])
                 self.p = int(okp[j - 1])
-                self._N = self.p - self._A
-                self.steps += j
-                self.block_steps += j
-            if j < m:
-                # step j was proposed from a clean state, so it is still
-                # an exact raw-law step; apply it with full case handling
+            self.p += tail
+            self._N = self.p - self._A
+            self.steps += base + tail
+            self.block_steps += base + tail
+            if cut:
+                # event j was drawn from a clean state, so its swallow is
+                # still an exact raw-law step; apply it with full case handling
                 k = int(ks[j])
-                self.p += 1 if k == 0 else -k
+                self.p -= k
                 self.steps += 1
                 self.block_steps += 1
                 _arc_step(
-                    self, k, "next" if s[j] < 0.5 else "prev", self.p,
+                    self, k, "next" if old[j] else "prev", self.p,
                     self.v if filler is not None else None,
                 )
         return self.hull

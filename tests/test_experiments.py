@@ -25,7 +25,7 @@ from tripeel.experiments import (
     run_volume_growth,
 )
 from tripeel.params import build_params
-from tripeel.peeling import LayerEngine
+from tripeel.peeling import LayerChain, LayerEngine
 from tripeel.rng import RngStream
 from tripeel.stats import mean_ci
 
@@ -99,6 +99,27 @@ def test_volume_growth_fast_path_reports_what_ran(p75):
     shallow = run_volume_growth(p75, RngStream(9), trials=2, r_max=2, window=(1, 2))
     assert deep["settings"]["fast_path"] is True
     assert shallow["settings"]["fast_path"] is False
+
+
+def test_reports_count_their_work(p75):
+    # results.work sums the steps, block steps and uniforms of the trial
+    # chains, each run on its own fork of the report's stream
+    def work(volume, depth):
+        chains = [LayerChain(p75, RngStream(9).fork(t), volume=volume) for t in range(2)]
+        for chain in chains:
+            chain.run_fast(depth)
+        return {
+            "steps": sum(c.steps for c in chains),
+            "block_steps": sum(c.block_steps for c in chains),
+            "uniforms": sum(c.rng.n_drawn for c in chains),
+        }
+
+    layers = run_layer_stats(p75, RngStream(9), trials=2, window=(4, 6))
+    volume = run_volume_growth(p75, RngStream(9), trials=2, r_max=5, window=(2, 5))
+    assert layers["results"]["work"] == work(False, 7)
+    assert volume["results"]["work"] == work(True, 6)
+    for rep in (layers, volume):
+        assert 0 < rep["results"]["work"]["block_steps"] < rep["results"]["work"]["steps"]
 
 
 def test_layer_stats_takes_the_block_path_at_alpha_four_fifths():

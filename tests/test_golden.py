@@ -14,27 +14,29 @@ from click.testing import CliRunner
 from tripeel import EXPERIMENTS, RngStream, build_params, report_to_json, run_experiment
 from tripeel.cli import cli
 
-# case id -> (experiment, coupling, seed, settings, sha256 of report_to_json)
+# case id -> (experiment, coupling, seed, settings, sha256 of report_to_json).
+# The layer-stats and volume-growth reports run LayerChain.run_fast, whose
+# block path draws one event (fresh steps, then a swallow) per three
+# uniforms: new draws, same law; they also record results.work
 REPORTS = {
-    # run_fast draws block-step fill volumes from the volume tables: new
-    # draws, same law, and the report records settings.fast_path
+    # block-step fill volumes come from the volume tables
     "volume-growth": (
         "volume-growth", {"alpha": "7/10"}, 1,
         {"trials": 6, "r_max": 6, "window": (2, 5)},
-        "f74e75c5d5ddf3f519555f6779acd4883cb0f26e9f8cd3b2451810b66478ad45",
+        "3ee5dfd968e7e72ff14dcac874074b1e1f2061b0e56997eaf4fbe065831a35bb",
     ),
     # alpha 3/4 passes the block floor within six layers: about 90% of
     # the steps are block steps, their fill volumes drawn from the tables
     "volume-growth-three-quarters": (
         "volume-growth", {"alpha": "3/4"}, 9,
         {"trials": 4, "r_max": 5, "window": (2, 5)},
-        "6db0eb8ae523bbaf60fda9528ac2b9b07536c295bcdf964570015356e11a4be9",
+        "0194427ac4c37576b06eb29bdfbb8488ad04905e963e4a7692723b703d97ce0f",
     ),
     # alpha 3/4 clamps the harmonic table, so run_fast takes the block path
     "layer-stats": (
         "layer-stats", {"alpha": "3/4"}, 2,
         {"trials": 4, "window": (4, 8)},
-        "a19ff65253d11caf6e339f4ae13cc007ebd4b798ccfae2d4367b39de39df65cd",
+        "29ec0b400ed6d6e30920596af72ac48f861b07714f2f4435190438e127bc0ac9",
     ),
     # alpha 0.68 clamps the harmonic table only at p = 570, past the initial
     # table, and caps block swallows at 430: scalar steps until the boundary
@@ -42,13 +44,13 @@ REPORTS = {
     "layer-stats-near-critical": (
         "layer-stats", {"alpha": "0.68"}, 5,
         {"trials": 3, "window": (8, 11)},
-        "4d56fa28a3ea34dd04952eed43b87db4854f38ac67cd3451952d4e1a51288f91",
+        "8e8b1addbf8a2b942226b1d8c74f15ad94dca1e8158c01400bb6c48da54ce79b",
     ),
     # alpha 4/5 clamps the harmonic table at p = 52, so the block path runs
     "layer-stats-four-fifths": (
         "layer-stats", {"alpha": "4/5"}, 8,
         {"trials": 3, "window": (3, 6)},
-        "0472562dc5e14404d04aeb2a7ff01acc90bf8a31187c7ae82312ceb37b3611b3",
+        "492d5c97dc11092a1db7e577f012350e1d18aecbd94c7f6e1ce30fe30deb86f7",
     ),
     # the step budget discards some trials
     "inv-degree": (

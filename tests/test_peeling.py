@@ -16,6 +16,7 @@ from tripeel import (
     build_params,
 )
 from tripeel import peeling
+from tripeel.params import q_step
 from tripeel.peeling import (
     LayerChain,
     LayerEngine,
@@ -230,14 +231,15 @@ def test_hull_series_export():
 
 
 def test_fast_chain_matches_scalar_when_disabled():
-    # this run's boundary never reaches the block switchover, so
-    # run_fast stays on the scalar path: identical run, identical draws
+    # this run's boundary never reaches the block floor (clamp index plus
+    # swallow cap plus 2), so run_fast stays on the scalar path:
+    # identical run, identical draws
     a = LayerChain(PAR, RngStream(73, (19,)), volume=False)
     peak = a.p
     while a.cur_r <= 3:
         a.step()
         peak = max(peak, a.p)
-    assert peak < peeling._P_FAST
+    assert peak < PAR.ctilde_clamp_index() + peeling._block_cap(PAR) + 2
     b = LayerChain(PAR, RngStream(73, (19,)), volume=False)
     b.run_fast(3)
     assert [(h.r, h.tau, h.perimeter) for h in a.hull] == [
@@ -292,31 +294,64 @@ def test_fast_chain_matches_scalar_in_law(monkeypatch):
 
 @pytest.mark.parametrize("alpha", ["3/4", "0.68"])
 def test_block_step_sizes_match_searchsorted(alpha):
-    # the guide-table inverse cdf gives the clipped searchsorted answer
-    # element by element, with the table grown past the cap
+    # each guide-table inverse cdf gives the searchsorted answer element
+    # by element, uniforms at and next to every cdf entry included: the
+    # raw step law clipped at the cap (with the table grown past it), the
+    # event gap law and the event swallow-size law; the event tables are
+    # within 1e-15 of their exact values
     par = build_params(alpha=alpha)
     cap = peeling._block_cap(par)
-    sizes = peeling._StepSizes(par, cap)
+    raw = peeling._InverseCdf(par.q_cumulative()[:cap])
+    gaps, sizes = peeling._event_laws(par, cap)
     par.ensure_q(cap + 100)
     q = np.asarray(par.q_cumulative())
-    qc = q[:cap]
-    edges = np.concatenate(
-        [[0.0, 1.0 - 2.0**-53], qc, np.nextafter(qc, 0.0), np.nextafter(qc, 1.0)]
-    )
-    edges = edges[edges < 1.0]
     draws = RngStream(3).block(200_000)
-    for u in (draws, draws.reshape(400, 500), edges):
-        want = np.minimum(np.searchsorted(q, u, side="right"), cap)
-        got = sizes(u)
-        assert got.shape == u.shape
-        assert np.array_equal(got, want)
+    for law, cdf, clip in (
+        (raw, q, cap),
+        (gaps, gaps._cdf, gaps._cdf.size),
+        (sizes, sizes._cdf, sizes._cdf.size),
+    ):
+        at = cdf[:clip]
+        edges = np.concatenate(
+            [[0.0, 1.0 - 2.0**-53], at, np.nextafter(at, 0.0), np.nextafter(at, 1.0)]
+        )
+        edges = edges[(edges >= 0.0) & (edges < 1.0)]
+        for u in (draws, draws.reshape(400, 500), edges):
+            want = np.minimum(np.searchsorted(cdf, u, side="right"), clip)
+            got = law(u)
+            assert got.shape == u.shape
+            assert np.array_equal(got, want)
+    a = Fraction(alpha)
+    n = gaps._cdf.size
+    assert a**n <= Fraction(1, 2**53) < a ** (n - 1)
+    assert max(abs(Fraction(x) - (1 - a ** (g + 1))) for g, x in enumerate(gaps._cdf)) <= 1e-15
+    assert sizes._cdf.size == cap - 1
+    swallowed = Fraction(0)
+    for k, x in enumerate(sizes._cdf, start=1):
+        swallowed += q_step(-k, a)
+        assert abs(Fraction(x) - swallowed / (1 - a)) <= 1e-15, k
+    # the mean swallow size that sizes the chunks
+    assert 1 + sizes.mean == pytest.approx(raw.mean / (1 - par.alpha), rel=1e-12)
+
+
+def _chunk_events(gaps, us, steps):
+    """Events of a block of 3m uniforms that a chunk of the given block
+    steps used: the number of whole events whose steps (gap plus one)
+    add up to it."""
+    m = us.size // 3
+    through = np.cumsum(gaps(us[:m]) + 1)
+    e = int(np.searchsorted(through, steps)) + 1
+    assert through[e - 1] == steps
+    return e
 
 
 def test_fast_chain_draws_only_what_it_uses(monkeypatch):
-    # a block step uses two uniforms; chunks sized from the chain state
-    # leave almost nothing unused, and the chunk at the start of a layer
-    # (new arc empty) is the smallest one
+    # a block event (a run of fresh steps, then a swallow) uses three
+    # uniforms; chunks sized from the chain state leave almost nothing
+    # unused, and the chunk at the start of a layer (new arc empty) is
+    # the smallest one
     par = build_params(alpha=Fraction(3, 4))
+    gaps, _ = peeling._event_laws(par, peeling._block_cap(par))
     chain = None
     scalar_draws = 0
     chunks = []
@@ -329,22 +364,79 @@ def test_fast_chain_draws_only_what_it_uses(monkeypatch):
         scalar_draws += c.rng.n_drawn - n0
 
     def recorded_block(rng, n):
-        chunks.append((chain._N, n))
-        return block(rng, n)
+        us = block(rng, n)
+        chunks.append((chain._N, us, chain.block_steps))
+        return us
 
     monkeypatch.setattr(LayerChain, "step", counted_step)
     monkeypatch.setattr(RngStream, "block", recorded_block)
     drawn = used = 0
+    sizes = []
     for t in range(4):
         chain = LayerChain(par, RngStream(103, (t,)), volume=False)
+        chunks.clear()
         chain.run_fast(9)
         drawn += chain.rng.n_drawn
-        used += 2 * chain.block_steps
+        ends = [b0 for _, _, b0 in chunks[1:]] + [chain.block_steps]
+        for (n_new, us, b0), b1 in zip(chunks, ends):
+            used += 3 * _chunk_events(gaps, us, b1 - b0)
+            sizes.append((n_new, us.size))
     used += scalar_draws
     assert used <= drawn <= 1.05 * used
-    assert any(n_new == 0 for n_new, _ in chunks)
-    assert all(n == 2 * peeling._CHUNK_MIN for n_new, n in chunks if n_new < peeling._N_SHORT)
-    assert max(n for _, n in chunks) > 2 * peeling._CHUNK_MIN
+    assert any(n_new == 0 for n_new, _ in sizes)
+    assert all(n == 3 * peeling._CHUNK_MIN for n_new, n in sizes if n_new < peeling._N_SHORT)
+    assert max(n for _, n in sizes) > 3 * peeling._CHUNK_MIN
+
+
+@pytest.mark.parametrize("volume", [False, True], ids=["volume-off", "volume-on"])
+def test_fast_chain_budget_cuts_inside_a_gap(monkeypatch, volume):
+    # a step budget that runs out inside a chunk takes the whole events
+    # before it, then as many fresh steps of the next event's gap as it
+    # leaves; the next budget check raises with the budget spent exactly
+    par = build_params(alpha=Fraction(3, 4))
+    gaps, sizes = peeling._event_laws(par, peeling._block_cap(par))
+    chain = None
+    chunks = []
+    block, fill_volumes = RngStream.block, peeling.BoltzmannFiller.fill_volumes
+
+    def recorded_block(rng, n):
+        us = block(rng, n)
+        chunks.append((chain.steps, chain.block_steps, chain.p, chain._A, us))
+        return us
+
+    def unrecorded_fills(filler, holes, rng):
+        n = len(chunks)
+        added = fill_volumes(filler, holes, rng)
+        del chunks[n:]
+        return added
+
+    monkeypatch.setattr(RngStream, "block", recorded_block)
+    monkeypatch.setattr(peeling.BoltzmannFiller, "fill_volumes", unrecorded_fills)
+    inside = 0
+    for budget in range(30_000, 30_200, 20):
+        chain = LayerChain(par, RngStream(127, (budget,)), volume=volume, max_steps=budget)
+        chunks.clear()
+        with pytest.raises(BudgetExceededError):
+            chain.run_fast(40)
+        assert chain.steps == budget
+        assert chain._A + chain._N == chain.p
+        assert chain.block_steps <= chain.steps
+        steps0, blocks0, p0, a0, us = chunks[-1]
+        left = budget - steps0
+        m = us.size // 3
+        gs, ks = gaps(us[:m]), sizes(us[m : 2 * m]) + 1
+        through = np.cumsum(gs + 1)
+        if chain.block_steps - blocks0 == left and left not in through:
+            # the last chunk ran out of budget inside the gap of event
+            # `whole`: the events before it were applied whole, then
+            # only fresh steps
+            whole = int(np.searchsorted(through, left))
+            done = through[whole - 1] if whole else 0
+            assert 0 < left - done <= gs[whole]
+            assert chain.p == p0 + (gs - ks)[:whole].sum() + left - done
+            assert chain._A == a0 - (ks * (us[2 * m :] < 0.5))[:whole].sum()
+            inside += 1
+    assert inside >= 3
 
 
 def test_fast_chain_invariants():
@@ -421,6 +513,42 @@ def test_fast_chain_with_volume_matches_scalar_in_law():
     def fast(t):
         chain = LayerChain(par, RngStream(109, (t,)))
         hull = chain.run_fast(7)
+        counts["steps"] += chain.steps
+        counts["block"] += chain.block_steps
+        return hull
+
+    block = series(fast)
+    assert counts["block"] > 0.4 * counts["steps"]
+    for key in scalar:
+        assert sps.ks_2samp(scalar[key], block[key]).pvalue > 1e-3, key
+
+
+@pytest.mark.slow
+def test_fast_chain_matches_scalar_in_law_near_critical():
+    # two-sample KS tests of (tau_r, P_{tau_r}) between run() and
+    # run_fast() at alpha 0.672, where the harmonic table clamps only at
+    # p = 1,430 and the swallow cap K is 1,027: the block floor is 2,459.
+    # By tau_14 about a tenth of the steps are block steps, by tau_18
+    # more than half
+    par = build_params(alpha=Fraction(84, 125))
+    trials = 300
+    depths = (14, 18)
+
+    def series(run):
+        out = {(r, f): [] for r in depths for f in ("tau", "perimeter")}
+        for t in range(trials):
+            hull = run(t)
+            for r in depths:
+                for f in ("tau", "perimeter"):
+                    out[r, f].append(getattr(hull[r - 1], f))
+        return out
+
+    scalar = series(lambda t: LayerChain(par, RngStream(131, (t,)), volume=False).run(18))
+    counts = {"steps": 0, "block": 0}
+
+    def fast(t):
+        chain = LayerChain(par, RngStream(137, (t,)), volume=False)
+        hull = chain.run_fast(18)
         counts["steps"] += chain.steps
         counts["block"] += chain.block_steps
         return hull
