@@ -588,9 +588,10 @@ class LayerChain:
     produce the identical hull series (and, through :func:`run_chain`,
     the identical perimeter and volume series); with volume disabled they
     skip the filler draws, which changes the realization but not the law
-    of (tau_r, P_{tau_r}).  :meth:`run_fast` draws in blocks, so its
-    realization differs from :meth:`run`'s on the same stream, its law
-    does not.
+    of (tau_r, P_{tau_r}).  :meth:`run_fast` draws wide boundaries in
+    blocks of events, each a geometric run of fresh steps and then one
+    swallow, so its realization differs from :meth:`run`'s on the same
+    stream, its law does not.
 
     With volume enabled it also knows ``root_degree``, the degree of the
     root edge's origin in the final map, from tau_1 on (None before, and
