@@ -252,56 +252,6 @@ class BoltzmannFiller:
                     push((k + 1, -1))
         return added, gained
 
-    # -- exhaustive small-map enumeration ----------------------------------
-
-    def enumerate_fillings(self, p: int, n_max: int) -> dict:
-        """All fillings of the p-gon with at most n_max internal vertices.
-
-        Walks the full decision tree, pruning branches once they commit
-        to more than n_max internal vertices.  Returns {canonical code:
-        (n_internal, probability)} where the probability is the product
-        of decision weights along the unique path that builds the map.
-        Each decision sequence yields a distinct rooted map, so the
-        number of codes at a given n doubles as a surgery-correctness
-        check against the closed counting formula.
-        """
-        base, inner = TriMap.polygon(p)
-        agenda = [(base, [(inner, p)], 0, 1.0)]
-        out: dict = {}
-        while agenda:
-            tmap, stack, n, prob = agenda.pop()
-            if not stack:
-                code = tmap.canonical_code()
-                if code in out:
-                    raise InvariantViolationError(
-                        "two decision paths built the same rooted map"
-                    )
-                out[code] = (n, prob)
-                continue
-            h, q = stack[-1]
-            cuts, decisions = self.row(q)
-            prev = 0.0
-            for cut, d in zip(cuts, decisions):
-                w = cut - prev
-                prev = cut
-                if d is _FRESH and n + 1 > n_max:
-                    continue
-                m2 = tmap.clone()
-                st2 = stack[:-1]
-                n2 = n
-                if d is _CLOSE:
-                    m2.close_two_gon(h)
-                elif d is _FRESH:
-                    c2, _, _ = m2.attach_fresh(h)
-                    n2 = n + 1
-                    st2 = st2 + [(c2, q + 1)]
-                else:
-                    k = d[1]
-                    cont, enclosed, _ = m2.open_swallow(h, k, "next")
-                    st2 = st2 + [(cont, q - k), (enclosed, k + 1)]
-                agenda.append((m2, st2, n2, prob * w))
-        return out
-
 
 # -- volume tables -------------------------------------------------------------
 

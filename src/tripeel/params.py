@@ -23,17 +23,16 @@ materializes:
   Off the critical point term ratios stay below ``4 g < 1``, and the
   table clamps at the first entry whose remainder is certified below
   ``2^-53`` of it;
-* polygon partition functions ``Z_p`` both in closed form and as a
-  weighted count series;
+* polygon partition functions ``Z_p`` in closed form;
 * expected internal volume of a Boltzmann-filled polygon.
 
-Both tables start at ``_TABLE0`` entries and grow lazily and
-deterministically: extending a table never changes an already readable
-entry, so a :class:`PeelParams` instance is logically immutable and safe
-to share between sequential trials.  No sampled quantity depends on how
-far the tables have grown, only on the coupling.  Growth is not
-synchronized: threads that share an instance must serialize their calls
-themselves.
+Both tables start from their first entries (``q_{-1}`` and ``C~_2``)
+and grow only when a reader asks for an entry past their end.  Growth
+is deterministic and never changes an already readable entry, so a
+:class:`PeelParams` instance is logically immutable and safe to share
+between sequential trials.  No sampled quantity depends on how far the
+tables have grown, only on the coupling.  Growth is not synchronized:
+threads that share an instance must serialize their calls themselves.
 """
 
 from __future__ import annotations
@@ -44,12 +43,7 @@ from fractions import Fraction
 from hashlib import sha256
 from typing import Optional, Union
 
-from .counting import catalan, count_ratio, count_triangulations
-from .errors import (
-    DomainError,
-    NumericalInstabilityError,
-    TableOverflowError,
-)
+from .errors import DomainError, TableOverflowError
 
 KAPPA_MAX = Fraction(2, 27)
 ALPHA_MIN = Fraction(2, 3)
@@ -62,8 +56,6 @@ DRIFT_RESIDUAL_TOL = 1e-8
 HARMONICITY_TOL = 1e-10
 
 _TABLE_HARD_CAP = 8_000_000
-# entries both tables start with (the harmonic table stops early where it clamps)
-_TABLE0 = 320
 
 
 def parse_rational(text: str) -> Fraction:
@@ -227,30 +219,6 @@ def q_tail_bound(alpha: float, k: int, q_k: float, weighted: bool = False) -> fl
     return q_k * (k * r / (1.0 - r) + r / (1.0 - r) ** 2)
 
 
-def c_tilde_table_exact(alpha: Fraction, p_max: int) -> list:
-    """Harmonic sequence C~_2 .. C~_{p_max} in exact rational arithmetic.
-
-    Entries are indexed by perimeter: result[p] = C~_p, with result[0] =
-    result[1] = 0.  Solves the harmonicity recursion on the exact step
-    law, so it is an independent reference for the closed form that
-    :class:`PeelParams` sums.  Intended for tests at modest p; cost
-    grows quadratically.
-    """
-    if not isinstance(alpha, Fraction):
-        raise DomainError("exact harmonic table needs a Fraction alpha")
-    _lin(alpha)
-    qn = [Fraction(0)]
-    for k in range(1, p_max):
-        qn.append(q_step(-k, alpha))
-    ct = [Fraction(0), Fraction(0), 1 / (alpha * alpha)]
-    for p in range(2, p_max):
-        s = Fraction(0)
-        for k in range(1, p - 1):
-            s += qn[k] * ct[p - k]
-        ct.append((ct[p] - s) / alpha)
-    return ct
-
-
 class PeelParams:
     """Frozen identity (kappa, alpha, beta, drift) plus lazily grown tables.
 
@@ -274,8 +242,9 @@ class PeelParams:
         self.ctilde_limit = math.inf if self.critical else 1.0 / (alpha * self.drift)
         self.q1 = alpha
 
-        self._qneg = [0.0]          # _qneg[k] = q_{-k}
-        self._qcum = [alpha]        # _qcum[k] = q_1 + sum_{j<=k} q_{-j}
+        qm1 = self.geo * (self.lin + 1.0)   # q_{-1}
+        self._qneg = [0.0, qm1]             # _qneg[k] = q_{-k}
+        self._qcum = [alpha, alpha + qm1]   # _qcum[k] = q_1 + sum_{j<=k} q_{-j}
         self._ct = [0.0, 0.0, 1.0 / (alpha * alpha)]   # _ct[p] = C~_p
         self._ct_term = self._ct[2]  # the series term that made the last entry
         self._ct_clamp: Optional[int] = None
@@ -285,8 +254,6 @@ class PeelParams:
         # the fill volume tables (boltzmann._volume_table), built on the
         # first block of fills and read only through BoltzmannFiller
         self._vol_table: Optional[tuple] = None
-        self.ensure_q(_TABLE0)
-        self.ensure_ctilde(_TABLE0)
 
     # -- step law -----------------------------------------------------
 
@@ -309,11 +276,6 @@ class PeelParams:
             )
         qn, qc = self._qneg, self._qcum
         k = len(qn) - 1
-        if k == 0:
-            q = 2.0 * 0.5 * self.geo * (self.lin + 1.0)
-            qn.append(q)
-            qc.append(qc[-1] + q)
-            k = 1
         q = qn[-1]
         lin = self.lin
         geo = self.geo
@@ -467,13 +429,13 @@ def build_params(
     kappa: Union[Number, str, None] = None,
     alpha: Union[Number, str, None] = None,
 ) -> PeelParams:
-    """Resolve (kappa, alpha) from either handle and materialize tables.
+    """Resolve (kappa, alpha) from either handle.
 
     Exactly one of the two must be given (see :func:`_coupling`); an exact
     alpha keeps the whole table pipeline anchored to exact derived
     constants (3 alpha - 2 is exactly zero at criticality).  The tables
-    start at ``_TABLE0`` entries and grow on demand; their size is not a
-    setting, since no result depends on it.
+    hold only their first entries and grow as they are read; they have
+    no start size, and no result depends on how far they have grown.
     """
     return PeelParams(*_coupling(kappa, alpha))
 
@@ -516,48 +478,17 @@ def harmonicity_residual(params: PeelParams, p: int) -> float:
 def z_partition(
     kappa: Union[Number, str, None] = None,
     p: int = 2,
-    method: str = "closed",
     *,
     alpha: Union[Number, str, None] = None,
-    rel_tol: float = 1e-10,
 ) -> float:
     """Partition function Z_p of Boltzmann-weighted fillings of a p-gon.
 
     Z_p sums kappa^(internal vertices) over all triangulations of the
-    p-gon; it is finite exactly on (0, 2/27].  'closed' evaluates the
-    product form inherited from the step law.  'series' sums the count
-    series directly with a certified geometric truncation (past the last
-    count ratio at or above 27/2, term ratios are bounded by 27 kappa / 2)
-    and exists as an independent oracle.
+    p-gon; it is finite exactly on (0, 2/27].  Evaluated in the product
+    form inherited from the step law.
     """
     if p < 2:
         raise DomainError(f"boundary length p={p} must be at least 2")
     alpha, kappa = _coupling(kappa, alpha)
     kf = float(kappa)
-    if method == "closed":
-        return _swallow_weight(p - 1, float(_lin(alpha)), (1.0 - float(alpha)) / (2.0 * kf))
-    if method == "series":
-        growth = 13.5 * kf
-        if growth >= 1.0 - 1e-12:
-            raise DomainError(
-                "series oracle needs a subcritical margin; term ratios "
-                f"approach 27 kappa / 2 = {growth}"
-            )
-        term = float(catalan(p - 2))
-        total = term
-        term = count_triangulations(1, p) * kf
-        total += term
-        n = 1
-        while True:
-            ratio = count_ratio(n, p)
-            # once a ratio is below 27/2 every later one is (count_ratio)
-            if ratio < 13.5:
-                tail_bound = term * growth / (1.0 - growth)
-                if tail_bound < rel_tol * total:
-                    return total + 0.5 * tail_bound
-            term *= ratio * kf
-            total += term
-            n += 1
-            if n > 2_000_000:
-                raise NumericalInstabilityError("series truncation never certified")
-    raise DomainError(f"unknown z_partition method {method!r}")
+    return _swallow_weight(p - 1, float(_lin(alpha)), (1.0 - float(alpha)) / (2.0 * kf))

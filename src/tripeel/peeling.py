@@ -42,7 +42,7 @@ from .errors import (
     InvariantViolationError,
     MisuseError,
 )
-from .params import _TABLE0, PeelParams, build_params, q_tail_bound
+from .params import PeelParams, build_params, q_tail_bound
 from .planarmap import FLAG_MAIN, TriMap
 from .rng import RngStream
 
@@ -167,13 +167,14 @@ class _InverseCdf:
 
 
 def _block_cap(params: PeelParams) -> int:
-    """Swallow-size cap K of the block path: the smallest size at least
-    ``_TABLE0`` whose certified step-law tail beyond it is at most 2^-53,
-    the spacing of the stream's uniforms.  Grows the table to K.
+    """Swallow-size cap K of the block path: the smallest size K >= 1
+    whose certified step-law tail beyond it is at most 2^-53, the spacing
+    of the stream's uniforms.  Grows the table to K.
 
-    Finite off the critical point, where the tail is geometric.
+    Finite off the critical point, where the tail is geometric.  K reads
+    the step law alone, never the tables' current length.
     """
-    k = _TABLE0
+    k = 1
     while q_tail_bound(params.alpha, k, params.q_neg(k)) > 2.0 ** -53:
         k += 1
     return k
@@ -668,7 +669,10 @@ class LayerChain:
         1.0, so while the perimeter stays at least clamp + K (K from
         :func:`_block_cap`, which caps a block's swallow sizes) the
         tilted kernel coincides with the raw step law, and whole chunks
-        of i.i.d. steps can be drawn at once.  Every other step is an
+        of i.i.d. steps can be drawn at once.  The floor clamp + K + 2
+        comes from the law alone: the clamp is the first entry whose
+        remainder is certified below 2^-53 of it, K the first size whose
+        tail is certified below 2^-53.  Every other step is an
         exact scalar :meth:`step`: before the table clamps (always, at
         the critical point), on narrow boundaries, and with volume
         tracked throughout layer 1, whose tau_1 fill gives

@@ -16,7 +16,7 @@ A position that lands on the explored boundary is a pioneer point: it
 is exactly there that fresh territory must be opened before the walk
 can continue, and the operational flag coincides with the geometric
 statement that the walker sits on the boundary of the hull of its past
-positions (:func:`pioneer_audit` verifies the equivalence on a trace).
+positions.
 
 Distances reported by a trace are measured inside the finally explored
 map.  They upper-bound true graph distances; the ``audit`` of the
@@ -34,7 +34,7 @@ import numpy as np
 from .errors import BudgetExceededError, DomainError
 from .params import PeelParams
 from .peeling import PeelEngine, complete_ball
-from .planarmap import FLAG_TRIANGLE, TriMap
+from .planarmap import TriMap
 from .rng import RngStream
 from .stats import batch_slopes, linfit, mean_ci
 
@@ -42,7 +42,6 @@ __all__ = [
     "WalkTrace",
     "run_walk_peeling",
     "speed_estimate",
-    "pioneer_audit",
 ]
 
 
@@ -169,71 +168,6 @@ def speed_estimate(trace: WalkTrace) -> dict:
         "r2": fit["r2"],
         "n": n,
     }
-
-
-# -- audits ----------------------------------------------------------------
-
-
-def pioneer_audit(trace: WalkTrace) -> dict:
-    """Check pioneer flags against the hull-boundary characterization.
-
-    For every position index m, the operational flag (X_m landed on the
-    explored boundary) must equal the geometric statement that X_m lies
-    on the boundary of the hull of X_1..X_{m-1}: the faces incident to
-    earlier positions plus the finite components they enclose.  The
-    audit closes every visited fan first so the hull is computable in
-    the final map, then rebuilds each hull's outer component directly.
-    """
-    engine = trace.engine
-    m = trace.map
-    for v in set(trace.positions):
-        while m.v_hole[v] != -1:
-            engine.peel_step(m.v_hole[v])
-
-    def face_of(h: int) -> int:
-        return min(h, m.nxt[h], m.nxt[m.nxt[h]])
-
-    def faces_at(v: int) -> list:
-        return [face_of(h) for h in m.out_half_edges(v)]
-
-    mismatches = []
-    for idx in range(1, len(trace.positions)):
-        x = trace.positions[idx]
-        past = trace.positions[1:idx]
-        if not past:
-            # the hull of nothing is the root edge; its boundary is both ends
-            geometric = x in (trace.x0, trace.positions[1])
-        else:
-            hull_faces = {f for v in set(past) for f in faces_at(v)}
-            # flood the complement from the unexplored side: a face is
-            # outside the hull iff it reaches the main hole off-hull
-            outside: set = set()
-            stack = []
-            for h in m.alive_half_edges():
-                if m.hflag[h] == FLAG_TRIANGLE:
-                    continue
-                t = m.twin[h]
-                if m.hflag[t] == FLAG_TRIANGLE:
-                    f = face_of(t)
-                    if f not in hull_faces and f not in outside:
-                        outside.add(f)
-                        stack.append(f)
-            while stack:
-                f = stack.pop()
-                for h in (f, m.nxt[f], m.nxt[m.nxt[f]]):
-                    t = m.twin[h]
-                    if m.hflag[t] != FLAG_TRIANGLE:
-                        continue
-                    g2 = face_of(t)
-                    if g2 not in hull_faces and g2 not in outside:
-                        outside.add(g2)
-                        stack.append(g2)
-            geometric = m.v_hole[x] != -1 or any(
-                f in outside for f in faces_at(x)
-            )
-        if bool(trace.pioneer[idx]) != bool(geometric):
-            mismatches.append(idx)
-    return {"checked": len(trace.positions) - 1, "mismatches": mismatches}
 
 
 def _ball_audit(trace: WalkTrace, radius: int, max_steps: Optional[int]) -> tuple:

@@ -1,0 +1,192 @@
+"""Independent reference computations that only the tests read.
+
+Each oracle recomputes something the package computes another way:
+
+* :func:`c_tilde_table_exact`, the harmonic sequence from its exact
+  recursion, against the closed-form running sum of ``PeelParams``;
+* :func:`z_partition_series`, the polygon partition function as a
+  certified count series, against the closed form of ``z_partition``;
+* :func:`enumerate_fillings`, every small filling of a polygon from the
+  filler's decision tree, against the closed counting formula;
+* :func:`pioneer_audit`, the walk's pioneer flags against the
+  hull-boundary characterization.
+"""
+
+from fractions import Fraction
+
+from tripeel.boltzmann import _CLOSE, _FRESH
+from tripeel.counting import catalan, count_ratio, count_triangulations
+from tripeel.errors import DomainError, InvariantViolationError, NumericalInstabilityError
+from tripeel.params import _coupling, _lin, q_step
+from tripeel.planarmap import FLAG_TRIANGLE, TriMap
+
+
+def c_tilde_table_exact(alpha: Fraction, p_max: int) -> list:
+    """Harmonic sequence C~_2 .. C~_{p_max} in exact rational arithmetic.
+
+    Entries are indexed by perimeter: result[p] = C~_p, with result[0] =
+    result[1] = 0.  Solves the harmonicity recursion on the exact step
+    law, so it is an independent reference for the closed form that
+    :class:`PeelParams` sums.  Intended for modest p; cost grows
+    quadratically.
+    """
+    if not isinstance(alpha, Fraction):
+        raise DomainError("exact harmonic table needs a Fraction alpha")
+    _lin(alpha)
+    qn = [Fraction(0)]
+    for k in range(1, p_max):
+        qn.append(q_step(-k, alpha))
+    ct = [Fraction(0), Fraction(0), 1 / (alpha * alpha)]
+    for p in range(2, p_max):
+        s = Fraction(0)
+        for k in range(1, p - 1):
+            s += qn[k] * ct[p - k]
+        ct.append((ct[p] - s) / alpha)
+    return ct
+
+
+def z_partition_series(kappa, p: int, *, rel_tol: float = 1e-10) -> float:
+    """Partition function Z_p summed as the weighted count series.
+
+    Sums the count series directly with a certified geometric truncation
+    (past the last count ratio at or above 27/2, term ratios are bounded
+    by 27 kappa / 2).
+    """
+    if p < 2:
+        raise DomainError(f"boundary length p={p} must be at least 2")
+    _, kappa = _coupling(kappa, None)
+    kf = float(kappa)
+    growth = 13.5 * kf
+    if growth >= 1.0 - 1e-12:
+        raise DomainError(
+            "series oracle needs a subcritical margin; term ratios "
+            f"approach 27 kappa / 2 = {growth}"
+        )
+    term = float(catalan(p - 2))
+    total = term
+    term = count_triangulations(1, p) * kf
+    total += term
+    n = 1
+    while True:
+        ratio = count_ratio(n, p)
+        # once a ratio is below 27/2 every later one is (count_ratio)
+        if ratio < 13.5:
+            tail_bound = term * growth / (1.0 - growth)
+            if tail_bound < rel_tol * total:
+                return total + 0.5 * tail_bound
+        term *= ratio * kf
+        total += term
+        n += 1
+        if n > 2_000_000:
+            raise NumericalInstabilityError("series truncation never certified")
+
+
+def enumerate_fillings(filler, p: int, n_max: int) -> dict:
+    """All fillings of the p-gon with at most n_max internal vertices.
+
+    Walks the filler's full decision tree, pruning branches once they
+    commit to more than n_max internal vertices.  Returns {canonical
+    code: (n_internal, probability)} where the probability is the
+    product of decision weights along the unique path that builds the
+    map.  Each decision sequence yields a distinct rooted map, so the
+    number of codes at a given n doubles as a surgery-correctness check
+    against the closed counting formula.
+    """
+    base, inner = TriMap.polygon(p)
+    agenda = [(base, [(inner, p)], 0, 1.0)]
+    out: dict = {}
+    while agenda:
+        tmap, stack, n, prob = agenda.pop()
+        if not stack:
+            code = tmap.canonical_code()
+            if code in out:
+                raise InvariantViolationError(
+                    "two decision paths built the same rooted map"
+                )
+            out[code] = (n, prob)
+            continue
+        h, q = stack[-1]
+        cuts, decisions = filler.row(q)
+        prev = 0.0
+        for cut, d in zip(cuts, decisions):
+            w = cut - prev
+            prev = cut
+            if d is _FRESH and n + 1 > n_max:
+                continue
+            m2 = tmap.clone()
+            st2 = stack[:-1]
+            n2 = n
+            if d is _CLOSE:
+                m2.close_two_gon(h)
+            elif d is _FRESH:
+                c2, _, _ = m2.attach_fresh(h)
+                n2 = n + 1
+                st2 = st2 + [(c2, q + 1)]
+            else:
+                k = d[1]
+                cont, enclosed, _ = m2.open_swallow(h, k, "next")
+                st2 = st2 + [(cont, q - k), (enclosed, k + 1)]
+            agenda.append((m2, st2, n2, prob * w))
+    return out
+
+
+def pioneer_audit(trace) -> dict:
+    """Check pioneer flags against the hull-boundary characterization.
+
+    For every position index m, the operational flag (X_m landed on the
+    explored boundary) must equal the geometric statement that X_m lies
+    on the boundary of the hull of X_1..X_{m-1}: the faces incident to
+    earlier positions plus the finite components they enclose.  The
+    audit closes every visited fan first so the hull is computable in
+    the final map, then rebuilds each hull's outer component directly.
+    """
+    engine = trace.engine
+    m = trace.map
+    for v in set(trace.positions):
+        while m.v_hole[v] != -1:
+            engine.peel_step(m.v_hole[v])
+
+    def face_of(h: int) -> int:
+        return min(h, m.nxt[h], m.nxt[m.nxt[h]])
+
+    def faces_at(v: int) -> list:
+        return [face_of(h) for h in m.out_half_edges(v)]
+
+    mismatches = []
+    for idx in range(1, len(trace.positions)):
+        x = trace.positions[idx]
+        past = trace.positions[1:idx]
+        if not past:
+            # the hull of nothing is the root edge; its boundary is both ends
+            geometric = x in (trace.x0, trace.positions[1])
+        else:
+            hull_faces = {f for v in set(past) for f in faces_at(v)}
+            # flood the complement from the unexplored side: a face is
+            # outside the hull iff it reaches the main hole off-hull
+            outside: set = set()
+            stack = []
+            for h in m.alive_half_edges():
+                if m.hflag[h] == FLAG_TRIANGLE:
+                    continue
+                t = m.twin[h]
+                if m.hflag[t] == FLAG_TRIANGLE:
+                    f = face_of(t)
+                    if f not in hull_faces and f not in outside:
+                        outside.add(f)
+                        stack.append(f)
+            while stack:
+                f = stack.pop()
+                for h in (f, m.nxt[f], m.nxt[m.nxt[f]]):
+                    t = m.twin[h]
+                    if m.hflag[t] != FLAG_TRIANGLE:
+                        continue
+                    g2 = face_of(t)
+                    if g2 not in hull_faces and g2 not in outside:
+                        outside.add(g2)
+                        stack.append(g2)
+            geometric = m.v_hole[x] != -1 or any(
+                f in outside for f in faces_at(x)
+            )
+        if bool(trace.pioneer[idx]) != bool(geometric):
+            mismatches.append(idx)
+    return {"checked": len(trace.positions) - 1, "mismatches": mismatches}

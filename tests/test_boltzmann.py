@@ -16,6 +16,8 @@ from tripeel.planarmap import TriMap
 from tripeel.rng import RngStream
 from tripeel.stats import chi2_two_sample
 
+from oracles import enumerate_fillings
+
 
 @pytest.fixture(scope="module")
 def quarter():
@@ -62,7 +64,7 @@ def test_enumeration_matches_counts(quarter):
     kf = float(quarter.kappa)
     for p, n_max in ((2, 3), (3, 2), (4, 2), (5, 1)):
         z = z_partition(quarter.kappa_exact, p)
-        fillings = filler.enumerate_fillings(p, n_max)
+        fillings = enumerate_fillings(filler, p, n_max)
         by_n = {}
         for code, (n, prob) in fillings.items():
             by_n.setdefault(n, []).append(prob)
@@ -77,7 +79,7 @@ def test_enumeration_probability_mass(quarter):
     kf = float(quarter.kappa)
     p, n_max = 3, 3
     z = z_partition(quarter.kappa_exact, p)
-    mass = sum(prob for _, prob in filler.enumerate_fillings(p, n_max).values())
+    mass = sum(prob for _, prob in enumerate_fillings(filler, p, n_max).values())
     expect = sum(count_triangulations(n, p) * kf**n for n in range(n_max + 1)) / z
     assert mass == pytest.approx(expect, rel=1e-9)
 

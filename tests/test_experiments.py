@@ -64,9 +64,9 @@ def test_reports_are_seed_deterministic(p75):
 
 
 def test_layer_stats_ignores_table_growth():
-    # alpha 0.68 clamps the harmonic table only at p = 570, past its
-    # initial size; the report must not depend on how far the shared
-    # tables have grown
+    # alpha 0.68 clamps the harmonic table only at p = 570; the report
+    # must not depend on how far the shared tables have grown, before
+    # the clamp or past it
     def fresh():
         return build_params(alpha="0.68")
 

@@ -17,30 +17,32 @@ from tripeel.cli import cli
 # case id -> (experiment, coupling, seed, settings, sha256 of report_to_json).
 # The layer-stats and volume-growth reports run LayerChain.run_fast, whose
 # block path draws one event (fresh steps, then a swallow) per three
-# uniforms: new draws, same law; they also record results.work
+# uniforms: new draws, same law; they also record results.work.  The
+# block floor (clamp index + swallow cap + 2) reads only the law, and
+# where it sits decides which steps are block steps
 REPORTS = {
     # block-step fill volumes come from the volume tables
     "volume-growth": (
         "volume-growth", {"alpha": "7/10"}, 1,
         {"trials": 6, "r_max": 6, "window": (2, 5)},
-        "3ee5dfd968e7e72ff14dcac874074b1e1f2061b0e56997eaf4fbe065831a35bb",
+        "341f62665764b155970336dc3acb116b1d62bc3ec1ef86faeceaae298f9bfb6a",
     ),
-    # alpha 3/4 passes the block floor within six layers: about 90% of
+    # alpha 3/4 passes the block floor within six layers: about 97% of
     # the steps are block steps, their fill volumes drawn from the tables
     "volume-growth-three-quarters": (
         "volume-growth", {"alpha": "3/4"}, 9,
         {"trials": 4, "r_max": 5, "window": (2, 5)},
-        "0194427ac4c37576b06eb29bdfbb8488ad04905e963e4a7692723b703d97ce0f",
+        "b0674f327e372fe4383a32d402a1843a0e98bd66b6d72732cdfe567ae180b083",
     ),
     # alpha 3/4 clamps the harmonic table, so run_fast takes the block path
     "layer-stats": (
         "layer-stats", {"alpha": "3/4"}, 2,
         {"trials": 4, "window": (4, 8)},
-        "29ec0b400ed6d6e30920596af72ac48f861b07714f2f4435190438e127bc0ac9",
+        "38da19bb4481f202b468dea6c3b4692baded45ab752b24e80e6477743e15c4a1",
     ),
-    # alpha 0.68 clamps the harmonic table only at p = 570, past the initial
-    # table, and caps block swallows at 430: scalar steps until the boundary
-    # is wide enough, blocks after
+    # alpha 0.68 clamps the harmonic table only at p = 570 and caps block
+    # swallows at 430: scalar steps until the boundary is wide enough,
+    # blocks after
     "layer-stats-near-critical": (
         "layer-stats", {"alpha": "0.68"}, 5,
         {"trials": 3, "window": (8, 11)},
@@ -50,7 +52,7 @@ REPORTS = {
     "layer-stats-four-fifths": (
         "layer-stats", {"alpha": "4/5"}, 8,
         {"trials": 3, "window": (3, 6)},
-        "492d5c97dc11092a1db7e577f012350e1d18aecbd94c7f6e1ce30fe30deb86f7",
+        "b7fa5b939cf89818ae8f398fd332e2612ae599e0f4003cfe8cbd9437700fa28f",
     ),
     # the step budget discards some trials
     "inv-degree": (

@@ -22,6 +22,8 @@ from tripeel.params import (
     q_tail_bound,
 )
 
+from oracles import c_tilde_table_exact, z_partition_series
+
 
 def exact_q_neg(k: int, alpha: Fraction) -> Fraction:
     """Independent exact step weight: 2 a_k ((1-a)/2a)^k ((3a-2)k + 1)."""
@@ -163,7 +165,7 @@ def test_harmonic_exact_table_matches_float():
     # the closed form stays within a few ulp of the exact recursion
     for alpha in ("2/3", "0.68", "7/10", "3/4", "9/10"):
         a = Fraction(alpha)
-        exact = tp.params.c_tilde_table_exact(a, 120)
+        exact = c_tilde_table_exact(a, 120)
         p = tp.build_params(alpha=a)
         for q in range(2, 121):
             assert math.isclose(p.ctilde(q), float(exact[q]), rel_tol=2e-15), (alpha, q)
@@ -255,7 +257,7 @@ def test_partition_series_agrees_with_closed():
     # certifies its tail only after the last of them
     for p in range(2, 13):
         closed = tp.z_partition("9/128", p)
-        series = tp.z_partition("9/128", p, method="series", rel_tol=1e-11)
+        series = z_partition_series("9/128", p, rel_tol=1e-11)
         assert math.isclose(closed, series, rel_tol=1e-9), p
 
 
@@ -273,7 +275,7 @@ def test_partition_split_identity():
 
 def test_partition_series_needs_margin():
     with pytest.raises(DomainError):
-        tp.z_partition(Fraction(2, 27), 3, method="series")
+        z_partition_series(Fraction(2, 27), 3)
 
 
 def test_partition_critical_closed_form_finite():
@@ -376,9 +378,14 @@ _PROBE_COUPLINGS = [
     ids=lambda c: "{}={}".format(*next(iter(c.items()))).replace("/", "_"),
 )
 def test_harmonic_growth_is_append_only(coupling):
+    # fresh tables hold one entry; grow in two stages, so each stage must
+    # keep every entry read before it
     p = tp.build_params(**coupling)
+    first = [p.ctilde(q) for q in range(2, p.p_max + 1)]
+    p.ensure_ctilde(320)
     before = [p.ctilde(q) for q in range(2, p.p_max + 1)]
     p.ensure_ctilde(1500)
     after = [p.ctilde(q) for q in range(2, 1501)]
+    assert before[: len(first)] == first
     assert after[: len(before)] == before
     assert all(b >= a for a, b in zip(after, after[1:]))

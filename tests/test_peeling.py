@@ -16,7 +16,7 @@ from tripeel import (
     build_params,
 )
 from tripeel import peeling
-from tripeel.params import q_step
+from tripeel.params import q_step, q_tail_bound
 from tripeel.peeling import (
     LayerChain,
     LayerEngine,
@@ -232,16 +232,16 @@ def test_hull_series_export():
 
 def test_fast_chain_matches_scalar_when_disabled():
     # this run's boundary never reaches the block floor (clamp index plus
-    # swallow cap plus 2), so run_fast stays on the scalar path:
-    # identical run, identical draws
+    # swallow cap plus 2, here 161; it peaks at 73), so run_fast stays on
+    # the scalar path: identical run, identical draws
     a = LayerChain(PAR, RngStream(73, (19,)), volume=False)
     peak = a.p
-    while a.cur_r <= 3:
+    while a.cur_r <= 2:
         a.step()
         peak = max(peak, a.p)
     assert peak < PAR.ctilde_clamp_index() + peeling._block_cap(PAR) + 2
     b = LayerChain(PAR, RngStream(73, (19,)), volume=False)
-    b.run_fast(3)
+    b.run_fast(2)
     assert [(h.r, h.tau, h.perimeter) for h in a.hull] == [
         (h.r, h.tau, h.perimeter) for h in b.hull
     ]
@@ -290,6 +290,25 @@ def test_fast_chain_matches_scalar_in_law(monkeypatch):
     assert calls["block"] == calls["all"] - calls["scalar"]
     for a, b in zip(scalar, block):
         assert sps.ks_2samp(a, b).pvalue > 1e-3
+
+
+@pytest.mark.parametrize(
+    "alpha, want",
+    [("0.672", 1027), ("0.68", 430), ("7/10", 178), ("3/4", 71), ("4/5", 42), ("9/10", 20)],
+)
+def test_block_cap_is_smallest_certified_size(alpha, want):
+    # the swallow cap is the first size whose certified step-law tail is
+    # at most 2^-53, whether the tables are fresh or grown far past it
+    par = build_params(alpha=alpha)
+    cap = peeling._block_cap(par)
+    assert cap == want
+    tails = [q_tail_bound(par.alpha, k, par.q_neg(k)) for k in range(1, cap + 1)]
+    assert tails[-1] <= 2.0**-53
+    assert all(t > 2.0**-53 for t in tails[:-1])
+    grown = build_params(alpha=alpha)
+    grown.ensure_q(4 * cap)
+    grown.ensure_ctilde(4 * cap)
+    assert peeling._block_cap(grown) == cap
 
 
 @pytest.mark.parametrize("alpha", ["3/4", "0.68"])
@@ -491,9 +510,9 @@ def test_fast_chain_counts_every_fill(monkeypatch):
 
 def test_fast_chain_with_volume_matches_scalar_in_law():
     # two-sample KS tests of (P, V, tau) at tau_5 and tau_7 between run()
-    # and run_fast() with volume at alpha 7/10.  The block floor is 548
-    # there: by tau_5 only about 6% of the steps are block steps, by
-    # tau_7 more than half, so both depths are compared
+    # and run_fast() with volume at alpha 7/10.  The block floor is 406
+    # there: by tau_5 only about 11% of the steps are block steps, by
+    # tau_7 about two thirds, so both depths are compared
     par = build_params(alpha=Fraction(7, 10))
     trials = 250
     depths = (5, 7)

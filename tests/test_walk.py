@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from tripeel import DomainError, RngStream, build_params
-from tripeel.walk import _ball_audit, pioneer_audit, run_walk_peeling, speed_estimate
+from tripeel.walk import _ball_audit, run_walk_peeling, speed_estimate
+
+from oracles import pioneer_audit
 
 PAR = build_params(kappa=Fraction(9, 128))
 
