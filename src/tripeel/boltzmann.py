@@ -121,27 +121,30 @@ class BoltzmannFiller:
         Returns the number of internal vertices added.  Split pushes the
         far piece and keeps working on the near piece, depth-first, so
         the decision order is a deterministic function of the stream.
+        Every piece ends in a close, after which the next pushed piece is
+        taken up; a 2-gon that closes at once never touches the stack.
         """
         rows, row, u = self._rows, self.row, rng.u
-        stack = [(hole_he, perimeter)]
-        push, pop = stack.append, stack.pop
+        stack: list = []
+        h, p = hole_he, perimeter
         added = 0
-        while stack:
-            h, p = pop()
+        while True:
             cuts, decisions = rows.get(p) or row(p)
             d = decisions[bisect_right(cuts, u())]
             if d is _CLOSE:
                 tmap.close_two_gon(h)
+                if not stack:
+                    return added
+                h, p = stack.pop()
             elif d is _FRESH:
-                c2, _, _ = tmap.attach_fresh(h)
+                h, _, _ = tmap.attach_fresh(h)
                 added += 1
-                push((c2, p + 1))
+                p += 1
             else:
                 k = d[1]
-                cont, enclosed, _ = tmap.open_swallow(h, k, "next")
-                push((cont, p - k))
-                push((enclosed, k + 1))
-        return added
+                cont, h, _ = tmap.open_swallow(h, k, "next")
+                stack.append((cont, p - k))
+                p = k + 1
 
     def fill_volume(self, perimeter: int, rng: RngStream) -> int:
         """Scorekeeping twin of :meth:`fill_hole`: same decisions, no map."""

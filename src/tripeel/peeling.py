@@ -74,6 +74,8 @@ __all__ = [
 
 # -- one peel event ------------------------------------------------------
 
+_FRESH_EVENT = ("fresh", 0, None)
+
 
 class StepSampler:
     """Exact sampler for the peel event at a given perimeter.
@@ -95,21 +97,27 @@ class StepSampler:
 
     def sample(self, p: int, rng: RngStream) -> tuple[str, int, Optional[str]]:
         """One event at perimeter p: ('fresh', 0, None) or
-        ('swallow', k, side)."""
+        ('swallow', k, side).
+
+        A first proposal below q_1 is the fresh event, returned before
+        any C~ entry is read; the tables grow only for a swallow
+        proposal."""
         if p < 2:
             raise MisuseError(f"cannot peel at perimeter {p}")
         par = self.params
+        qcum = par._qcum
+        u = rng.u
+        x = u()
+        if x < qcum[0]:
+            return _FRESH_EVENT
         ct = par._ct
         if p + 1 >= len(ct) and par._ct_clamp is None:
             par.ensure_ctilde(p + 1)
         # past the end of a clamped table C~ reads as its last entry
         last = len(ct) - 1
         denom = ct[p + 1 if p < last else last]
-        qcum = par._qcum
         nq = len(qcum)
-        u = rng.u
         while True:
-            x = u()
             idx = bisect_right(qcum, x)
             if idx >= nq:
                 while idx >= len(qcum) and par.i_max < p - 2:
@@ -117,20 +125,16 @@ class StepSampler:
                     par.ensure_q(min(p - 2, max(2 * par.i_max, 64)))
                     idx = bisect_right(qcum, x)
                 nq = len(qcum)
-                if idx >= nq:
-                    continue
             if idx == 0:
-                return "fresh", 0, None
-            k = idx
-            j = p - k
-            if j < 2:
-                # C~_j = 0: an illegal size, rejected without a coin
-                continue
-            acc = ct[j if j < last else last] / denom
-            if acc < 1.0 and u() >= acc:
-                continue
-            side = "next" if u() < 0.5 else "prev"
-            return "swallow", k, side
+                return _FRESH_EVENT
+            j = p - idx
+            # j < 2 (C~_j = 0, an illegal size) and mass beyond the table
+            # are rejected without a coin
+            if j >= 2 and idx < nq:
+                acc = ct[j if j < last else last] / denom
+                if acc >= 1.0 or u() < acc:
+                    return "swallow", idx, "next" if u() < 0.5 else "prev"
+            x = u()
 
 
 # an inverse cdf starts each search from one of _GUIDE buckets
@@ -272,7 +276,9 @@ class PeelEngine:
     Holds the arena, the event sampler, the pocket filler, and a cursor
     half-edge that is kept on the main hole across steps (fresh moves it
     to the edge closing on the old boundary, swallows to the replacement
-    edge).  Selectors may use the cursor or ignore it.
+    edge).  Selectors may use the cursor or ignore it.  A
+    :class:`StepRecord` is built for a step only when the engine records
+    (``record=True``); the walk engines do not.
     """
 
     def __init__(
@@ -305,34 +311,40 @@ class PeelEngine:
                 f"vertex budget {self.max_vertices} exhausted", partial=self
             )
 
-    def peel_step(self, edge: int) -> StepRecord:
-        """Peel one boundary edge of the main hole and resolve fallout."""
-        m = self.map
-        if not m.alive(edge) or m.hflag[edge] != FLAG_MAIN:
-            raise MisuseError(f"half-edge {edge} is not on the main boundary")
-        return self._peel(edge)
+    def peel_step(self, edge: int) -> Optional[StepRecord]:
+        """Peel one boundary edge of the main hole and resolve fallout.
 
-    def _peel(self, edge: int) -> StepRecord:
+        Returns the step's record when the engine records, else None.
+        """
+        hflag = self.map.hflag
+        if not 0 <= edge < len(hflag) or hflag[edge] != FLAG_MAIN:
+            raise MisuseError(f"half-edge {edge} is not on the main boundary")
+        self._peel(edge)
+        return self.records[-1] if self.records is not None else None
+
+    def _peel(self, edge: int) -> tuple[str, int, Optional[str]]:
         """The step body every engine shares: budget check, event,
-        surgery and filling, step record.  A fresh step leaves the cursor
-        on the edge leaving the new apex, so its origin is the apex."""
+        surgery and filling, and the step record when recording.  Returns
+        the event, as :meth:`StepSampler.sample` does.  A fresh step
+        leaves the cursor on the edge leaving the new apex, so its origin
+        is the apex."""
         m = self.map
-        self._check_budget()
-        kind, k, side = self.sampler.sample(m.perimeter, self.rng)
-        if kind == "fresh":
+        if self.max_steps is not None or self.max_vertices is not None:
+            self._check_budget()
+        event = kind, k, side = self.sampler.sample(m.perimeter, self.rng)
+        if k == 0:
             _, self.cursor, _ = m.attach_fresh(edge)
-            dperim, dvol, filler = 1, 1, 0
+            filler = 0
         else:
             self.cursor, enclosed, _ = m.open_swallow(edge, k, side)
             filler = self.filler.fill_hole(m, enclosed, k + 1, self.rng)
-            dperim, dvol = -k, filler
         self.steps += 1
-        rec = StepRecord(
-            self.steps, edge, kind, k, side, dperim, dvol, filler, m.perimeter, m.nv
-        )
         if self.records is not None:
-            self.records.append(rec)
-        return rec
+            dperim, dvol = (1, 1) if k == 0 else (-k, filler)
+            self.records.append(StepRecord(
+                self.steps, edge, kind, k, side, dperim, dvol, filler, m.perimeter, m.nv
+            ))
+        return event
 
 
 def _select_stay(engine: PeelEngine) -> int:
@@ -480,15 +492,16 @@ class LayerEngine(PeelEngine):
         self._N = 1
         self.seam = self.map.root
 
-    def step(self) -> StepRecord:
+    def step(self) -> Optional[StepRecord]:
+        """One layer step; returns its record when recording, else None."""
         m = self.map
         first = self.steps == 0
-        rec = self._peel(self.seam)
+        _, k, side = self._peel(self.seam)
         # the opening step (fresh, as perimeter 2 forces) hands the seam
         # to the reverse root side; after that the seam is the cursor
         self.seam = m.twin[m.root] if first else self.cursor
-        _arc_step(self, rec.k, rec.side, m.perimeter, m.nv)
-        return rec
+        _arc_step(self, k, side, m.perimeter, m.nv)
+        return self.records[-1] if self.records is not None else None
 
 
 def run_layers(
@@ -718,6 +731,9 @@ class LayerChain:
         chunk = _CHUNK if filler is None else _CHUNK_VOL
         while self.cur_r <= r_max:
             if sizes is None:
+                # the sampler reads C~ only for swallows; the clamp must show
+                # at the same step however far the shared table has grown
+                self.params.ensure_ctilde(self.p + 1)
                 clamp = self.params.ctilde_clamp_index()
                 if clamp is not None:
                     cap = _block_cap(self.params)
@@ -816,28 +832,34 @@ def complete_ball(
     distance array is exact out to the radius.  (Distances only shrink
     as the map grows, which is why each round must re-snapshot, and why
     stopping is sound the moment one snapshot comes up empty.)
+
+    The near vertices of a snapshot are the ones its search reached
+    within the radius that are on the main boundary (``v_hole`` set),
+    closed in order of distance, then id.  The main boundary is simple,
+    so that is each near boundary vertex once, and a round costs the
+    size of the ball, not of the boundary.
     """
     if radius < 0:
         raise DomainError(f"radius must be nonnegative, got {radius}")
     m = engine.map
+    v_hole = m.v_hole
     spent = 0
     while True:
-        dist = m.bfs_distances(center, max_dist=radius + 1)
+        reached: list = []
+        dist = m.bfs_distances(center, max_dist=radius + 1, reached=reached)
         near = sorted(
-            (dist[m.org[he]], m.org[he])
-            for he in m.hole_cycle(engine.cursor)
-            if 0 <= dist[m.org[he]] <= radius
+            (dist[v], v) for v in reached if v_hole[v] != -1 and dist[v] <= radius
         )
         if not near:
             return dist
         for _, v in near:
-            while m.v_hole[v] != -1:
+            while v_hole[v] != -1:
                 if max_steps is not None and spent >= max_steps:
                     raise BudgetExceededError(
                         f"ball completion exceeded {max_steps} peel steps",
                         partial=dist,
                     )
-                engine.peel_step(m.v_hole[v])
+                engine.peel_step(v_hole[v])
                 spent += 1
 
 

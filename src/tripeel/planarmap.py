@@ -15,7 +15,9 @@ Vertices are immortal integers.  ``v_out[v]`` is some alive half-edge
 leaving ``v``; ``v_hole[v]`` is the unique main-hole half-edge leaving
 ``v`` when ``v`` is on the main boundary (else -1), which makes "is this
 vertex still exposed" an O(1) query.  Dead half-edge ids are recycled
-through a free list.
+through a free list, most recently freed first: a surgery takes its new
+half-edges from the end of the list, then from the arena's tail.  Which
+id each half-edge gets shows in exported maps, so this order is fixed.
 
 Rotation around a vertex is ``rot(h) = nxt(twin(h))``, which steps to the
 next outgoing half-edge; one orbit enumerates the full fan, holes
@@ -239,11 +241,19 @@ class TriMap:
         v = self.nv
         # triangle a -> t1 -> t2 runs u -> w -> v -> u; c1 and c2 are the
         # twins of t1 and t2 on the hole
-        if self.free:
-            t1 = self._new_he(w, FLAG_TRIANGLE)
-            t2 = self._new_he(v, FLAG_TRIANGLE)
-            c1 = self._new_he(v, flag)
-            c2 = self._new_he(u, flag)
+        free = self.free
+        if free:
+            if len(free) >= 4:
+                # the ids four _new_he calls would take, in their order
+                t1, t2, c1, c2 = free.pop(), free.pop(), free.pop(), free.pop()
+                org[t1], org[t2], org[c1], org[c2] = w, v, v, u
+                hflag[t1] = hflag[t2] = FLAG_TRIANGLE
+                hflag[c1] = hflag[c2] = flag
+            else:
+                t1 = self._new_he(w, FLAG_TRIANGLE)
+                t2 = self._new_he(v, FLAG_TRIANGLE)
+                c1 = self._new_he(v, flag)
+                c2 = self._new_he(u, flag)
             twin[t1], twin[t2], twin[c1], twin[c2] = c1, c2, t1, t2
             nxt[t1], nxt[t2], nxt[c1], nxt[c2] = t2, a, x_next, c1
             prv[t1], prv[t2], prv[c1], prv[c2] = a, t1, c2, x_prev
@@ -320,11 +330,19 @@ class TriMap:
         else:
             x = org[first]
             fence_org, cont_org = u, x
-        if self.free:
-            s1 = self._new_he(w, FLAG_TRIANGLE)
-            s2 = self._new_he(x, FLAG_TRIANGLE)
-            fence = self._new_he(fence_org, FLAG_WORK)
-            cont = self._new_he(cont_org, flag)
+        free = self.free
+        if free:
+            if len(free) >= 4:
+                # the ids four _new_he calls would take, in their order
+                s1, s2, fence, cont = free.pop(), free.pop(), free.pop(), free.pop()
+                org[s1], org[s2], org[fence], org[cont] = w, x, fence_org, cont_org
+                hflag[s1] = hflag[s2] = FLAG_TRIANGLE
+                hflag[fence], hflag[cont] = FLAG_WORK, flag
+            else:
+                s1 = self._new_he(w, FLAG_TRIANGLE)
+                s2 = self._new_he(x, FLAG_TRIANGLE)
+                fence = self._new_he(fence_org, FLAG_WORK)
+                cont = self._new_he(cont_org, flag)
             inner, outer = (s1, s2) if fwd else (s2, s1)
             twin[inner], twin[fence] = fence, inner
             twin[outer], twin[cont] = cont, outer
@@ -402,18 +420,23 @@ class TriMap:
         start: int,
         max_dist: Optional[int] = None,
         out: Optional[list[int]] = None,
+        reached: Optional[list[int]] = None,
     ) -> list[int]:
         """Graph distances from a vertex over all alive edges.
 
         Unreached vertices (or those beyond max_dist) stay -1.  Distances
         are with respect to the explored map only; whether they equal the
         distances in the completed infinite map is the caller's problem.
+        A ``reached`` list is extended with every vertex given a distance,
+        in order of discovery.
         """
         dist = out if out is not None else [-1] * self.nv
         if len(dist) < self.nv:
             dist.extend([-1] * (self.nv - len(dist)))
         dist[start] = 0
         frontier = [start]
+        if reached is not None:
+            reached.append(start)
         d = 0
         twin, nxt, org = self.twin, self.nxt, self.org
         while frontier and (max_dist is None or d < max_dist):
@@ -431,6 +454,8 @@ class TriMap:
                     if h == h0:
                         break
             frontier = nxt_frontier
+            if reached is not None:
+                reached += frontier
         return dist
 
     # -- validation -------------------------------------------------------

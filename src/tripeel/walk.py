@@ -103,27 +103,36 @@ def run_walk_peeling(
         raise DomainError(f"need at least one walk step, got {n_steps}")
     engine = PeelEngine(params, rng, record=False, max_steps=max_peel_steps)
     m = engine.map
-    x0 = m.org[m.root]
-    x1 = m.target(m.root)
-    positions = [x0, x1]
-    pioneer = [False, m.v_hole[x1] != -1]
+    # the arena's lists are extended in place, so these stay current
+    v_hole, v_out, nxt, twin, org = m.v_hole, m.v_out, m.nxt, m.twin, m.org
+    peel, index = engine.peel_step, rng.index
+    x0 = org[m.root]
+    pos = org[twin[m.root]]
+    positions = [x0, pos]
+    pioneer = [False, v_hole[pos] != -1]
     move_edges = [m.root]
     g = 1
     x0_closed = None
     truncated = False
     try:
-        while g < n_steps or (close_final and m.v_hole[positions[-1]] != -1):
-            pos = positions[-1]
-            if m.v_hole[pos] != -1:
-                engine.peel_step(m.v_hole[pos])
-                if x0_closed is None and m.v_hole[x0] == -1:
+        while g < n_steps or (close_final and v_hole[pos] != -1):
+            if v_hole[pos] != -1:
+                peel(v_hole[pos])
+                if x0_closed is None and v_hole[x0] == -1:
                     x0_closed = g
             else:
-                fan = m.out_half_edges(pos)
-                he = fan[rng.index(len(fan))]
-                positions.append(m.target(he))
+                # the fan of pos, as TriMap.out_half_edges lists it
+                h0 = v_out[pos]
+                fan = [h0]
+                h = nxt[twin[h0]]
+                while h != h0:
+                    fan.append(h)
+                    h = nxt[twin[h]]
+                he = fan[index(len(fan))]
+                pos = org[twin[he]]
+                positions.append(pos)
                 move_edges.append(he)
-                pioneer.append(m.v_hole[positions[-1]] != -1)
+                pioneer.append(v_hole[pos] != -1)
                 g += 1
     except BudgetExceededError:
         truncated = True

@@ -9,14 +9,26 @@ Each oracle recomputes something the package computes another way:
 * :func:`enumerate_fillings`, every small filling of a polygon from the
   filler's decision tree, against the closed counting formula;
 * :func:`pioneer_audit`, the walk's pioneer flags against the
-  hull-boundary characterization.
+  hull-boundary characterization;
+* :func:`sample_event`, the step sampler's rejection loop as written
+  before its fresh shortcut, against :meth:`StepSampler.sample`;
+* :func:`complete_ball_by_hole_cycle`, ball completion that reads its
+  near vertices off the whole main hole cycle, against
+  :func:`complete_ball`.
 """
 
+from bisect import bisect_right
 from fractions import Fraction
 
 from tripeel.boltzmann import _CLOSE, _FRESH
 from tripeel.counting import catalan, count_ratio, count_triangulations
-from tripeel.errors import DomainError, InvariantViolationError, NumericalInstabilityError
+from tripeel.errors import (
+    BudgetExceededError,
+    DomainError,
+    InvariantViolationError,
+    MisuseError,
+    NumericalInstabilityError,
+)
 from tripeel.params import _coupling, _lin, q_step
 from tripeel.planarmap import FLAG_TRIANGLE, TriMap
 
@@ -190,3 +202,69 @@ def pioneer_audit(trace) -> dict:
         if bool(trace.pioneer[idx]) != bool(geometric):
             mismatches.append(idx)
     return {"checked": len(trace.positions) - 1, "mismatches": mismatches}
+
+
+def sample_event(par, p: int, rng) -> tuple:
+    """One peel event at perimeter p by the plain rejection loop.
+
+    Grows C~ to p + 1 before the first draw, then proposes by inverse
+    cdf and accepts a size-k proposal with probability C~_{p-k} /
+    C~_{p+1}, drawing every uniform in the order the package's sampler
+    must.
+    """
+    if p < 2:
+        raise MisuseError(f"cannot peel at perimeter {p}")
+    ct = par._ct
+    if p + 1 >= len(ct) and par._ct_clamp is None:
+        par.ensure_ctilde(p + 1)
+    last = len(ct) - 1
+    denom = ct[p + 1 if p < last else last]
+    qcum = par._qcum
+    nq = len(qcum)
+    u = rng.u
+    while True:
+        x = u()
+        idx = bisect_right(qcum, x)
+        if idx >= nq:
+            while idx >= len(qcum) and par.i_max < p - 2:
+                par.ensure_q(min(p - 2, max(2 * par.i_max, 64)))
+                idx = bisect_right(qcum, x)
+            nq = len(qcum)
+            if idx >= nq:
+                continue
+        if idx == 0:
+            return "fresh", 0, None
+        k = idx
+        j = p - k
+        if j < 2:
+            continue
+        acc = ct[j if j < last else last] / denom
+        if acc < 1.0 and u() >= acc:
+            continue
+        side = "next" if u() < 0.5 else "prev"
+        return "swallow", k, side
+
+
+def complete_ball_by_hole_cycle(engine, center: int, radius: int, *, max_steps=None) -> list:
+    """Peel until the radius ball around center is final, taking each
+    snapshot's near vertices from the whole main hole cycle (through
+    the engine's cursor), in order of distance, then id."""
+    m = engine.map
+    spent = 0
+    while True:
+        dist = m.bfs_distances(center, max_dist=radius + 1)
+        near = sorted(
+            (dist[m.org[he]], m.org[he])
+            for he in m.hole_cycle(engine.cursor)
+            if 0 <= dist[m.org[he]] <= radius
+        )
+        if not near:
+            return dist
+        for _, v in near:
+            while m.v_hole[v] != -1:
+                if max_steps is not None and spent >= max_steps:
+                    raise BudgetExceededError(
+                        f"ball completion exceeded {max_steps} peel steps", partial=dist
+                    )
+                engine.peel_step(m.v_hole[v])
+                spent += 1

@@ -34,6 +34,10 @@ from tripeel.peeling import (
     trace_to_csv,
     trace_to_json,
 )
+from tripeel.planarmap import TriMap
+from tripeel.walk import run_walk_peeling
+
+from oracles import complete_ball_by_hole_cycle, sample_event
 
 PAR = build_params(kappa=Fraction(9, 128))
 CRIT = build_params(kappa=Fraction(2, 27))
@@ -121,6 +125,34 @@ def test_sampler_legality():
         StepSampler(PAR).sample(1, RngStream(0))
 
 
+@pytest.mark.parametrize(
+    "handle, p",
+    [
+        ({"kappa": "9/128"}, 2),
+        ({"kappa": "9/128"}, 3),
+        ({"kappa": "9/128"}, 4),
+        ({"kappa": "9/128"}, 200),
+        ({"alpha": "3/4"}, 200),
+        ({"kappa": "2/27"}, 400),
+    ],
+    ids=["p2", "p3", "p4", "past_clamp_kappa", "past_clamp_alpha", "q_growth_critical"],
+)
+def test_sampler_shortcut_matches_reference_draw_for_draw(handle, p):
+    # each sampler gets its own freshly built tables, so both grow them
+    # while they sample
+    ours, ref = build_params(**handle), build_params(**handle)
+    sampler = StepSampler(ours)
+    rng_ours, rng_ref = RngStream(53, (p,)), RngStream(53, (p,))
+    for _ in range(3000):
+        assert sampler.sample(p, rng_ours) == sample_event(ref, p, rng_ref)
+        assert rng_ours.n_drawn == rng_ref.n_drawn
+    assert ours._qcum == ref._qcum
+    if p == 200:
+        assert ours.ctilde_clamp_index() < p
+    if p == 400:
+        assert ours.ctilde_clamp_index() is None and ours.i_max > 64
+
+
 def test_sampler_frequencies_match_transition_kernel():
     rng = RngStream(37, (9,))
     sampler = StepSampler(PAR)
@@ -154,6 +186,42 @@ def test_budget_guards():
     assert res.truncated
     assert res.meta["truncated"]
     assert len(res.hull) < 50
+
+
+@pytest.mark.parametrize("selector", ["stay", "uniform"])
+def test_record_modes_peel_the_same_map(selector):
+    # a record is built only when recording; the map, the cursor and the
+    # stream do not depend on it
+    select = peeling.SELECTORS[selector]
+    engines = [PeelEngine(PAR, RngStream(59, (3,)), record=r) for r in (False, True)]
+    for eng in engines:
+        for _ in range(400):
+            rec = eng.peel_step(select(eng))
+            if eng.records is None:
+                assert rec is None
+            else:
+                assert rec is eng.records[-1]
+                assert (rec.step, rec.perimeter, rec.volume) == (
+                    eng.steps, eng.map.perimeter, eng.map.nv
+                )
+    lean, full = engines
+    for name in TriMap.__slots__:
+        assert getattr(lean.map, name) == getattr(full.map, name), name
+    assert (lean.cursor, lean.steps, lean.rng.n_drawn) == (
+        full.cursor, full.steps, full.rng.n_drawn
+    )
+    assert len(full.records) == 400
+
+
+def test_layer_step_returns_its_record_only_when_recording():
+    lean = LayerEngine(PAR, RngStream(61, (4,)))
+    full = LayerEngine(PAR, RngStream(61, (4,)), record=True)
+    for _ in range(300):
+        assert lean.step() is None
+        assert full.step() is full.records[-1]
+    assert lean.hull == full.hull
+    for name in TriMap.__slots__:
+        assert getattr(lean.map, name) == getattr(full.map, name), name
 
 
 def test_selector_misuse():
@@ -597,3 +665,19 @@ def test_complete_ball_budget():
     eng = PeelEngine(PAR, RngStream(89, (22,)))
     with pytest.raises(BudgetExceededError):
         complete_ball(eng, eng.map.org[eng.map.root], 10, max_steps=5)
+
+
+@pytest.mark.parametrize("radius", [2, 3, 4, 5])
+def test_complete_ball_matches_hole_cycle_reference(radius):
+    # one walk, run twice from one stream; each copy's ball is completed
+    # under one of the two near-set rules, and every peel step must agree
+    walks = [run_walk_peeling(PAR, 400, RngStream(67, (radius,))) for _ in range(2)]
+    walked = walks[0].engine.steps
+    ours = complete_ball(walks[0].engine, walks[0].x0, radius)
+    ref = complete_ball_by_hole_cycle(walks[1].engine, walks[1].x0, radius)
+    assert ours == ref
+    a, b = walks[0].engine, walks[1].engine
+    assert a.steps == b.steps > walked
+    assert a.rng.n_drawn == b.rng.n_drawn
+    for name in TriMap.__slots__:
+        assert getattr(a.map, name) == getattr(b.map, name), name

@@ -183,6 +183,55 @@ def test_fill_two_gon_by_hand():
     assert (m.nv, m.ne, m.n_tri, m.perimeter) == (3, 4, 2, 2)
 
 
+# -- id recycling -------------------------------------------------------------
+
+
+def _free_slots(m, n):
+    """Append n dead slots to the arena and free them in shuffled order,
+    as a run of 2-gon closes leaves them."""
+    base = len(m.org)
+    for arr in (m.twin, m.nxt, m.prv, m.org, m.hflag):
+        arr.extend([-1] * n)
+    ids = list(range(base, base + n))
+    random.Random(n).shuffle(ids)
+    m.free.extend(ids)
+
+
+def _expected_ids(m):
+    """The four ids a surgery must take: the most recently freed first,
+    then the arena's tail; four _new_he calls take the same."""
+    n = len(m.free)
+    want = m.free[::-1][:4] + list(range(len(m.org), len(m.org) + max(0, 4 - n)))
+    ref = m.clone()
+    assert [ref._new_he(0, FLAG_TRIANGLE) for _ in range(4)] == want
+    return want, m.free[: max(0, n - 4)]
+
+
+@pytest.mark.parametrize("n_free", [0, 1, 2, 3, 4, 6])
+def test_attach_fresh_recycles_ids_in_order(n_free):
+    m, a = fresh_ring(2)
+    _free_slots(m, n_free)
+    want, left = _expected_ids(m)
+    c2, c1, _ = m.attach_fresh(a)
+    # triangle a -> t1 -> t2, and the hole edges c1, c2
+    assert [m.nxt[a], m.prv[a], c1, c2] == want
+    assert m.free == left
+    m.validate()
+
+
+@pytest.mark.parametrize("side", ["next", "prev"])
+@pytest.mark.parametrize("n_free", [0, 1, 2, 3, 4, 6])
+def test_open_swallow_recycles_ids_in_order(n_free, side):
+    m, a = fresh_ring(3)
+    _free_slots(m, n_free)
+    want, left = _expected_ids(m)
+    cont, fence, _ = m.open_swallow(a, 2, side)
+    # triangle a -> s1 -> s2, the fence on the work hole, cont on the main
+    assert [m.nxt[a], m.prv[a], fence, cont] == want
+    assert m.free == left
+    m.validate(allow_work_holes=True)
+
+
 # -- randomized surgery fuzz -------------------------------------------------
 
 
