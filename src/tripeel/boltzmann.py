@@ -205,10 +205,12 @@ class BoltzmannFiller:
         added, change in the degree of the vertex at index ``mark``).
         Each stack entry carries the mark's index in that hole, or -1
         when the vertex is not on it; a split apex lies on both pieces.
-        The per-decision rules follow the surgeries :meth:`fill_hole`
-        makes: a fresh triangle adds an edge at indices 0 and 1, a split
-        at k adds one at 0 and 1 and two at the apex k + 1, and closing a
-        2-gon merges its two edges.
+        A piece without it goes to :meth:`fill_volume`, which fills it
+        whole before anything below it on the stack, as this loop would,
+        with the same draws.  The rules follow the surgeries
+        :meth:`fill_hole` makes: a fresh triangle adds an edge at indices
+        0 and 1, a split at k adds one at 0 and 1 and two at the apex
+        k + 1, and closing a 2-gon merges its two edges.
         """
         rows, row, u = self._rows, self.row, rng.u
         stack = [(perimeter, mark)]
@@ -217,15 +219,17 @@ class BoltzmannFiller:
         gained = 0
         while stack:
             p, i = pop()
+            if i < 0:
+                added += self.fill_volume(p, rng)
+                continue
             cuts, decisions = rows.get(p) or row(p)
             d = decisions[bisect_right(cuts, u())]
             if d is _CLOSE:
-                if i >= 0:
-                    gained -= 1
+                gained -= 1
             elif d is _FRESH:
                 added += 1
                 # the apex becomes index 1 and pushes the rest along
-                if i == 0 or i == 1:
+                if i <= 1:
                     gained += 1
                 if i > 0:
                     i += 1
@@ -234,10 +238,7 @@ class BoltzmannFiller:
                 k = d[1]
                 # the continuing (p - k)-hole runs root origin, apex,
                 # k + 2, ...; the enclosed (k + 1)-hole runs apex, 1..k
-                if i < 0:
-                    push((p - k, -1))
-                    push((k + 1, -1))
-                elif i == 0:
+                if i == 0:
                     gained += 1
                     push((p - k, 0))
                     push((k + 1, -1))

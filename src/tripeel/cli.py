@@ -33,10 +33,9 @@ from .experiments import (
     run_experiment,
 )
 from .params import build_params
-from .peeling import hull_to_csv, run_layers, trace_to_csv, trace_to_json
+from .peeling import _trace_doc, hull_to_csv, run_layers, trace_to_csv
 from .rng import RngStream
 
-EXIT_OK = 0
 EXIT_DOMAIN = 2
 EXIT_BUDGET = 3
 EXIT_INTERNAL = 4
@@ -137,7 +136,7 @@ def sample_map(kappa, alpha, seed, radius, budget_steps, budget_vertices, out, f
         doc = {
             "schema": SAMPLE_SCHEMA,
             "truncated": trace.truncated,
-            "trace": json.loads(trace_to_json(trace)),
+            "trace": _trace_doc(trace),
             "canonical_code": list(trace.map.canonical_code()),
         }
         _emit(json.dumps(doc, sort_keys=True, indent=2) + "\n", out)

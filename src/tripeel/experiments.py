@@ -34,7 +34,7 @@ from .params import (
 from .peeling import LayerChain, _InverseCdf, _json_object, complete_ball, run_chain
 from .planarmap import FLAG_TRIANGLE, extract_submap
 from .rng import RngStream
-from .stats import chi2_two_sample, linfit, mean_ci, proportion_lower_bound
+from .stats import MIN_EXPECTED, chi2_two_sample, linfit, mean_ci, proportion_lower_bound
 from .walk import _ball_audit, run_walk_peeling, speed_estimate
 
 REPORT_SCHEMA = "tripeel-report-v1"
@@ -45,6 +45,11 @@ _SURVIVAL_POINTS = 20
 _REROOTINGS = ("walk", "reversed", "null")
 # stationarity's chi-square keeps the 39 most frequent ball codes, pools the rest
 _MAX_BALL_CATEGORIES = 40
+# walk-speed's peel step budget for completing one audit ball
+_MAX_BALL_STEPS = 500_000
+# law-equivalence's selector test: steps to the joint law, and its categories
+_JOINT_STEPS = 5
+_MAX_JOINT_CATEGORIES = 64
 
 __all__ = [
     "EXPERIMENTS",
@@ -276,8 +281,8 @@ def run_volume_growth(
         )
         vp_vals.append(vol[r_max] / per[r_max])
     results = {
-        "boundary_ratio": mean_ci(ratio_vals, level=0.99),
-        "volume_per_boundary": mean_ci(vp_vals, level=0.99),
+        "boundary_ratio": mean_ci(ratio_vals),
+        "volume_per_boundary": mean_ci(vp_vals),
         "targets": targets,
         "per_trial": [
             {"trial": t, "boundary_ratio": r, "volume_per_boundary": v}
@@ -334,7 +339,7 @@ def run_layer_stats(
             )
         )
     results = {
-        "layer_time_ratio": mean_ci(vals, level=0.99),
+        "layer_time_ratio": mean_ci(vals),
         "target": None if params.critical else growth_targets(params)["layer_time_ratio"],
         "per_trial": [{"trial": t, "layer_time_ratio": v} for t, v in enumerate(vals)],
         "work": work,
@@ -356,7 +361,6 @@ def run_walk_speed(
     n_steps: int = 10_000,
     audit_trials: int = 10,
     audit_radius: int = 6,
-    max_ball_steps: int = 500_000,
 ) -> dict:
     """Displacement growth of the walk along its own peeling.
 
@@ -389,7 +393,7 @@ def run_walk_speed(
             }
         )
         if w < audit_trials:
-            tot, bad = _ball_audit(trace, audit_radius, max_ball_steps)
+            tot, bad = _ball_audit(trace, audit_radius, _MAX_BALL_STEPS)
             audited += tot
             mismatched += bad
             per_audit.append([tot, bad])
@@ -397,7 +401,7 @@ def run_walk_speed(
     half = n_steps // 2
     pooled = linfit(list(range(half, n_steps + 1)), mean_curve[half:].tolist())
     results = {
-        "speed": mean_ci(speeds, level=0.99),
+        "speed": mean_ci(speeds),
         "pooled_fit": pooled,
         "per_walk": per_walk,
         "audit": {
@@ -442,15 +446,14 @@ def run_inv_degree(
     for t in range(trials):
         chain = LayerChain(params, rng.fork(t), max_steps=max_steps_per_trial)
         try:
-            while chain.cur_r == 1:
-                chain.step()
+            chain.run(1)
         except BudgetExceededError:
             discarded += 1
             continue
         vals.append(1.0 / chain.root_degree)
     if len(vals) < 2:
         raise DomainError("too few completed trials for an estimate")
-    est = mean_ci(vals, level=0.99)
+    est = mean_ci(vals)
     est.update({"trials": trials, "used": len(vals), "discarded": discarded})
     results = {"inv_degree": est, "target": 1.0 / 6.0 if params.critical else None}
     settings = {"trials": trials, "max_steps_per_trial": max_steps_per_trial}
@@ -500,7 +503,7 @@ def run_intersection(
     freqs = [f for _, f in survival]
     results = {
         "frequency": survive_end / used,
-        "low_99": proportion_lower_bound(survive_end, used, level=0.99),
+        "low_99": proportion_lower_bound(survive_end, used),
         "survival": survival,
         "non_increasing": all(a >= b for a, b in zip(freqs, freqs[1:])),
         "n_steps": n_steps,
@@ -634,11 +637,8 @@ def run_law_equivalence(
     rng: RngStream,
     *,
     runs: int = 100_000,
-    joint_steps: int = 5,
     horizon: int = 10,
     survive_horizon: int = 150,
-    min_expected: float = 5.0,
-    max_categories: int = 64,
 ) -> dict:
     """Two distribution-equality tests on the perimeter chain.
 
@@ -651,31 +651,24 @@ def run_law_equivalence(
     """
     if runs < 1000:
         raise DomainError("law comparisons need at least 1000 runs per arm")
-    if joint_steps < 1 or horizon < 1:
-        raise DomainError(
-            f"joint_steps={joint_steps} and horizon={horizon} must both be at least 1"
-        )
+    if horizon < 1:
+        raise DomainError(f"horizon={horizon} must be at least 1")
     joint_counts = []
     for arm_i, selector in enumerate(("stay", "uniform")):
         arm = rng.fork(arm_i)
         c: Counter = Counter()
         for _ in range(runs):
-            out = run_chain(params, joint_steps, arm, selector_draws=selector)
+            out = run_chain(params, _JOINT_STEPS, arm, selector_draws=selector)
             c[f"{out['perimeters'][-1]},{out['volumes'][-1]}"] += 1
         joint_counts.append(c)
-    selector_test = chi2_two_sample(
-        joint_counts[0],
-        joint_counts[1],
-        min_expected=min_expected,
-        max_categories=max_categories,
-    )
+    selector_test = chi2_two_sample(*joint_counts, max_categories=_MAX_JOINT_CATEGORIES)
 
     arm = rng.fork(2)
     cp: Counter = Counter()
     for _ in range(runs):
         cp[str(run_chain(params, horizon, arm)["perimeters"][-1])] += 1
     cx, proposed = _rejection_counts(params, rng.fork(3), runs, horizon, survive_horizon)
-    conditioned_test = chi2_two_sample(cp, cx, min_expected=min_expected)
+    conditioned_test = chi2_two_sample(cp, cx)
     conditioned_test.update(
         {
             "accepted": runs,
@@ -689,11 +682,11 @@ def run_law_equivalence(
     }
     settings = {
         "runs": runs,
-        "joint_steps": joint_steps,
+        "joint_steps": _JOINT_STEPS,
         "horizon": horizon,
         "survive_horizon": survive_horizon,
-        "min_expected": min_expected,
-        "max_categories": max_categories,
+        "min_expected": MIN_EXPECTED,
+        "max_categories": _MAX_JOINT_CATEGORIES,
     }
     return _report("law-equivalence", params, rng, settings, results)
 

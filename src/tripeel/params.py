@@ -451,16 +451,16 @@ def _tail_cut(params: PeelParams, tol: float, weighted: bool) -> int:
     return k
 
 
-def normalization_residual(params: PeelParams, tol: float = NORMALIZATION_TOL) -> float:
+def normalization_residual(params: PeelParams) -> float:
     """|1 - q_1 - sum q_{-k}| over a table sized by the certified tail bound."""
-    k = _tail_cut(params, tol, weighted=False)
+    k = _tail_cut(params, NORMALIZATION_TOL, weighted=False)
     total = params.q1 + math.fsum(params._qneg[1 : k + 1])
     return abs(1.0 - total)
 
 
-def drift_sum_residual(params: PeelParams, tol: float = DRIFT_RESIDUAL_TOL) -> float:
+def drift_sum_residual(params: PeelParams) -> float:
     """|drift - (q_1 - sum k q_{-k})| with a certified weighted tail."""
-    k = _tail_cut(params, tol, weighted=True)
+    k = _tail_cut(params, DRIFT_RESIDUAL_TOL, weighted=True)
     s = params.q1 - math.fsum(j * params._qneg[j] for j in range(1, k + 1))
     return abs(s - params.drift)
 

@@ -267,6 +267,15 @@ def _check_records(records: list) -> None:
         prev_p, prev_v = rec.perimeter, rec.volume
 
 
+def _check_hull(hull: Sequence[HullRecord]) -> None:
+    """Hull records come at increasing tau, each at perimeter 2 or more."""
+    prev_tau = 0
+    for rec in hull:
+        if rec.tau <= prev_tau or rec.perimeter < 2:
+            raise InvariantViolationError(f"inconsistent hull record {rec}")
+        prev_tau = rec.tau
+
+
 # -- the map-backed engine ----------------------------------------------
 
 
@@ -926,14 +935,16 @@ def trace_from_csv(text: str) -> PeelTrace:
     return PeelTrace(meta=meta, records=records, truncated=bool(meta.get("truncated")))
 
 
-def trace_to_json(trace: PeelTrace) -> str:
-    doc = {
-        "meta": trace.meta,
-        "records": [asdict(r) for r in trace.records],
-    }
+def _trace_doc(trace: PeelTrace) -> dict:
+    """The JSON document of a trace: its metadata, step records and hull."""
+    doc = {"meta": trace.meta, "records": [asdict(r) for r in trace.records]}
     if trace.hull is not None:
         doc["hull"] = [asdict(h) for h in trace.hull]
-    return json.dumps(doc, sort_keys=True)
+    return doc
+
+
+def trace_to_json(trace: PeelTrace) -> str:
+    return json.dumps(_trace_doc(trace), sort_keys=True)
 
 
 def trace_from_json(text: str) -> PeelTrace:
@@ -945,6 +956,7 @@ def trace_from_json(text: str) -> PeelTrace:
         records = [StepRecord(**d) for d in doc["records"]]
         hull = [HullRecord(**h) for h in doc["hull"]] if "hull" in doc else None
         _check_records(records)
+        _check_hull(hull or ())
     except (KeyError, TypeError) as exc:
         raise DomainError(f"malformed trace record: {exc!r}") from None
     return PeelTrace(
@@ -963,18 +975,12 @@ def hull_to_csv(hull: Sequence[HullRecord], meta: Optional[dict] = None) -> str:
 
 def hull_from_csv(text: str) -> tuple[list, dict]:
     meta, rows = _csv_rows(text, HULL_SCHEMA, _HULL_COLUMNS, "hull")
-    out = []
-    prev_tau = 0
-    for f in rows:
-        try:
-            rec = HullRecord(int(f[0]), int(f[1]), int(f[2]), int(f[3]) if f[3] else None)
-        except ValueError as exc:
-            raise DomainError(f"malformed hull row: {exc}") from None
-        if rec.tau <= prev_tau or rec.perimeter < 2:
-            raise InvariantViolationError(f"inconsistent hull record {rec}")
-        prev_tau = rec.tau
-        out.append(rec)
-    return out, meta
+    try:
+        hull = [HullRecord(*map(int, f[:3]), int(f[3]) if f[3] else None) for f in rows]
+    except ValueError as exc:
+        raise DomainError(f"malformed hull row: {exc}") from None
+    _check_hull(hull)
+    return hull, meta
 
 
 def _recorded_params(ident: dict, digest: str) -> Optional[PeelParams]:

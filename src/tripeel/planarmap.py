@@ -419,7 +419,6 @@ class TriMap:
         self,
         start: int,
         max_dist: Optional[int] = None,
-        out: Optional[list[int]] = None,
         reached: Optional[list[int]] = None,
     ) -> list[int]:
         """Graph distances from a vertex over all alive edges.
@@ -430,9 +429,7 @@ class TriMap:
         A ``reached`` list is extended with every vertex given a distance,
         in order of discovery.
         """
-        dist = out if out is not None else [-1] * self.nv
-        if len(dist) < self.nv:
-            dist.extend([-1] * (self.nv - len(dist)))
+        dist = [-1] * self.nv
         dist[start] = 0
         frontier = [start]
         if reached is not None:

@@ -27,10 +27,14 @@ __all__ = [
 ]
 
 _BATCHES = 8
+# the confidence level of every interval and bound the reports give
+LEVEL = 0.99
+# chi2_two_sample pools cells until every expected count reaches this
+MIN_EXPECTED = 5.0
 
 
-def mean_ci(xs: Sequence[float], level: float = 0.99) -> dict:
-    """Sample mean with a two-sided t confidence interval."""
+def mean_ci(xs: Sequence[float]) -> dict:
+    """Sample mean with a two-sided t confidence interval at ``LEVEL``."""
     arr = np.asarray(xs, dtype=float)
     n = arr.size
     if n < 2:
@@ -40,20 +44,20 @@ def mean_ci(xs: Sequence[float], level: float = 0.99) -> dict:
     # the Student t quantile; scipy.stats.t.ppf computes this same call
     from scipy.special import stdtrit
 
-    half = float(stdtrit(n - 1, 0.5 + level / 2)) * se
+    half = float(stdtrit(n - 1, 0.5 + LEVEL / 2)) * se
     return {"mean": mean, "se": se, "low": mean - half, "high": mean + half,
-            "level": level, "n": n}
+            "level": LEVEL, "n": n}
 
 
-def proportion_lower_bound(successes: int, n: int, level: float = 0.99) -> float:
-    """One-sided Clopper-Pearson lower bound for a binomial proportion."""
+def proportion_lower_bound(successes: int, n: int) -> float:
+    """One-sided Clopper-Pearson lower bound at ``LEVEL`` for a proportion."""
     if not 0 <= successes <= n or n <= 0:
         raise DomainError(f"bad binomial data {successes}/{n}")
     if successes == 0:
         return 0.0
     from scipy.stats import beta
 
-    return float(beta.ppf(1 - level, successes, n - successes + 1))
+    return float(beta.ppf(1 - LEVEL, successes, n - successes + 1))
 
 
 def linfit(xs: Sequence[float], ys: Sequence[float]) -> dict:
@@ -89,13 +93,12 @@ def batch_slopes(ns: Sequence[int], ys: Sequence[float]) -> list:
 def chi2_two_sample(
     counts_a: Mapping,
     counts_b: Mapping,
-    min_expected: float = 5.0,
     max_categories: Optional[int] = None,
 ) -> dict:
     """Two-sample chi-square test of homogeneity with automatic pooling.
 
     Categories are pooled (rarest first, by combined count) until every
-    expected cell count reaches min_expected; max_categories, when
+    expected cell count reaches ``MIN_EXPECTED``; max_categories, when
     given, additionally pools everything outside the most frequent
     types.  Returns the statistic, degrees of freedom, p-value, and the
     pooled table actually tested.
@@ -121,8 +124,8 @@ def chi2_two_sample(
     def too_small() -> bool:
         tot = na + nb
         return any(
-            (a[i] + b[i]) * na / tot < min_expected
-            or (a[i] + b[i]) * nb / tot < min_expected
+            (a[i] + b[i]) * na / tot < MIN_EXPECTED
+            or (a[i] + b[i]) * nb / tot < MIN_EXPECTED
             for i in range(len(a))
         )
 

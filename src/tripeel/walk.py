@@ -66,7 +66,7 @@ class WalkTrace:
     x0: int
     truncated: bool = False
     x0_closed: Optional[int] = None
-    _disp: Optional[np.ndarray] = field(default=None, repr=False)
+    _disp: Optional[np.ndarray] = field(default=None, init=False, repr=False)
 
     @property
     def n_steps(self) -> int:
@@ -165,7 +165,7 @@ def speed_estimate(trace: WalkTrace) -> dict:
     ns = list(range(half, n + 1))
     ys = d[half:].tolist()
     slopes = batch_slopes(ns, ys)
-    ci = mean_ci(slopes, level=0.99)
+    ci = mean_ci(slopes)
     fit = linfit(ns, ys)
     return {
         "speed": ci["mean"],

@@ -1,6 +1,9 @@
 """Experiment runners: report shape, determinism, round-trips."""
 
+import ast
+import inspect
 import json
+import textwrap
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +11,7 @@ from hypothesis import strategies as st
 
 from tripeel.errors import BudgetExceededError, DomainError
 from tripeel.experiments import (
+    EXPERIMENTS,
     REPORT_SCHEMA,
     constants_report,
     growth_targets,
@@ -172,9 +176,8 @@ def test_law_equivalence_small(p75):
     assert sum(cw["table"][1]) == 2000
     with pytest.raises(DomainError):
         run_law_equivalence(p75, RngStream(5), runs=10)
-    for steps in ({"joint_steps": 0}, {"horizon": 0}):
-        with pytest.raises(DomainError):
-            run_law_equivalence(p75, RngStream(5), runs=1000, **steps)
+    with pytest.raises(DomainError):
+        run_law_equivalence(p75, RngStream(5), runs=1000, horizon=0)
 
 
 def test_enumeration_table():
@@ -203,6 +206,32 @@ def test_run_experiment_rejects_keywords_the_runner_lacks(crit):
         run_experiment("inv-degree", crit, RngStream(0), radius=3)
     with pytest.raises(DomainError, match="not take trials; it takes max_total"):
         run_experiment("enumerate", None, None, trials=3)
+
+
+def _settings_keys(fn: ast.FunctionDef) -> set:
+    """Keys of the settings dict literal a runner passes to _report,
+    inline or through the name it was assigned to."""
+    call = next(
+        n for n in ast.walk(fn)
+        if isinstance(n, ast.Call) and getattr(n.func, "id", None) == "_report"
+    )
+    settings = call.args[3]
+    if isinstance(settings, ast.Name):
+        settings = next(
+            n.value for n in ast.walk(fn)
+            if isinstance(n, ast.Assign)
+            and [getattr(t, "id", None) for t in n.targets] == [settings.id]
+        )
+    return {k.value for k in settings.keys}
+
+
+@pytest.mark.parametrize("name", sorted(EXPERIMENTS))
+def test_runner_keywords_are_reported_settings(name):
+    """A keyword a caller can set is echoed in the report's settings;
+    read from the source, so no experiment runs."""
+    fn = ast.parse(textwrap.dedent(inspect.getsource(EXPERIMENTS[name]))).body[0]
+    takes = {a.arg for a in fn.args.kwonlyargs}
+    assert takes <= _settings_keys(fn)
 
 
 def test_intersection_experiment(k9):
@@ -297,7 +326,7 @@ def _inv_degree_on_maps(params, trials, rng, max_steps_per_trial):
             discarded += 1
             continue
         vals.append(1.0 / m.degree(origin))
-    ci = mean_ci(vals, level=0.99)
+    ci = mean_ci(vals)
     ci.update({"trials": trials, "used": len(vals), "discarded": discarded})
     return ci
 

@@ -1,6 +1,8 @@
 """Engine-level tests: couplings, layer bookkeeping, replay, budgets."""
 
+import json
 import math
+from dataclasses import asdict, replace
 from fractions import Fraction
 
 import numpy as np
@@ -296,6 +298,20 @@ def test_hull_series_export():
     ]
     assert [h.r for h in hull] == list(range(1, 6))
     assert all(b.tau > a.tau for a, b in zip(hull, hull[1:]))
+
+
+@pytest.mark.parametrize(
+    "edit", [{"tau": 1}, {"perimeter": 1}], ids=["tau-backwards", "perimeter-1"]
+)
+def test_both_hull_imports_reject_an_inconsistent_hull(edit):
+    res = run_layers(PAR, 3, RngStream(61, (15,)), record=True)
+    bad = [replace(h, **edit) if h.r == 3 else h for h in res.hull]
+    doc = json.loads(trace_to_json(res))
+    doc["hull"] = [asdict(h) for h in bad]
+    with pytest.raises(InvariantViolationError, match="inconsistent hull record"):
+        trace_from_json(json.dumps(doc))
+    with pytest.raises(InvariantViolationError, match="inconsistent hull record"):
+        hull_from_csv(hull_to_csv(bad))
 
 
 def test_fast_chain_matches_scalar_when_disabled():
