@@ -26,7 +26,6 @@ from .params import (
     PeelParams,
     alpha_from_kappa,
     build_params,
-    drift,
     kappa_from_alpha,
     mean_hole_volume,
     q_step,
@@ -73,7 +72,6 @@ __all__ = [
     "constants_report",
     "count_decomposition",
     "count_triangulations",
-    "drift",
     "growth_targets",
     "kappa_from_alpha",
     "mean_hole_volume",

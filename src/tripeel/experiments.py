@@ -372,6 +372,10 @@ def run_walk_speed(
     """
     if walks < 2:
         raise DomainError("need at least two walks")
+    if audit_trials < 0:
+        raise DomainError(f"audit_trials={audit_trials} must be nonnegative")
+    if audit_radius < 0:
+        raise DomainError(f"audit_radius={audit_radius} must be nonnegative")
     speeds = []
     per_walk = []
     mean_curve = np.zeros(n_steps + 1)
@@ -604,8 +608,6 @@ def _rejection_counts(
 ) -> tuple:
     """Raw-step walks from 2 kept while min >= 2; counts of the value at
     the readout time, by block rejection sampling."""
-    if survive_horizon < horizon:
-        raise DomainError("survival horizon shorter than the readout time")
     counts: Counter = Counter()
     accepted = 0
     proposed = 0
@@ -653,6 +655,8 @@ def run_law_equivalence(
         raise DomainError("law comparisons need at least 1000 runs per arm")
     if horizon < 1:
         raise DomainError(f"horizon={horizon} must be at least 1")
+    if survive_horizon < horizon:
+        raise DomainError("survival horizon shorter than the readout time")
     joint_counts = []
     for arm_i, selector in enumerate(("stay", "uniform")):
         arm = rng.fork(arm_i)

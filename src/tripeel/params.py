@@ -142,14 +142,6 @@ def alpha_from_kappa(kappa: Number) -> float:
     return a
 
 
-def drift(alpha: Number) -> float:
-    """Mean of the one-step peeling law, sqrt(alpha (3 alpha - 2)).
-
-    Zero exactly at the critical point alpha = 2/3.
-    """
-    return math.sqrt(float(alpha * _lin(alpha)))
-
-
 def _swallow_weight(k: int, lin: float, geo: float) -> float:
     """a_k geo^k (lin k + 1) with a_k = (2k-2)! / ((k-1)! (k+1)!), in log
     space (stable for k up to 1e6).

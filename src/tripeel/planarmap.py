@@ -14,10 +14,8 @@ exactly one face cycle, and each cycle is either a triangle or a hole:
 Vertices are immortal integers.  ``v_out[v]`` is some alive half-edge
 leaving ``v``; ``v_hole[v]`` is the unique main-hole half-edge leaving
 ``v`` when ``v`` is on the main boundary (else -1), which makes "is this
-vertex still exposed" an O(1) query.  Dead half-edge ids are recycled
-through a free list, most recently freed first: a surgery takes its new
-half-edges from the end of the list, then from the arena's tail.  Which
-id each half-edge gets shows in exported maps, so this order is fixed.
+vertex still exposed" an O(1) query.  New half-edges come from the
+arena's tail; dead ones keep their ids, flagged ``DEAD``.
 
 Rotation around a vertex is ``rot(h) = nxt(twin(h))``, which steps to the
 next outgoing half-edge; one orbit enumerates the full fan, holes
@@ -53,7 +51,6 @@ class TriMap:
         "hflag",
         "v_out",
         "v_hole",
-        "free",
         "nv",
         "ne",
         "n_tri",
@@ -69,7 +66,6 @@ class TriMap:
         self.hflag: list[int] = []
         self.v_out: list[int] = []
         self.v_hole: list[int] = []
-        self.free: list[int] = []
         self.nv = 0
         self.ne = 0
         self.n_tri = 0
@@ -138,7 +134,6 @@ class TriMap:
         m.hflag = self.hflag[:]
         m.v_out = self.v_out[:]
         m.v_hole = self.v_hole[:]
-        m.free = self.free[:]
         m.nv, m.ne, m.n_tri = self.nv, self.ne, self.n_tri
         m.perimeter, m.root = self.perimeter, self.root
         return m
@@ -152,12 +147,6 @@ class TriMap:
         return self.nv - 1
 
     def _new_he(self, org: int, flag: int) -> int:
-        if self.free:
-            h = self.free.pop()
-            self.org[h] = org
-            self.hflag[h] = flag
-            self.twin[h] = self.nxt[h] = self.prv[h] = -1
-            return h
         self.twin.append(-1)
         self.nxt.append(-1)
         self.prv.append(-1)
@@ -180,7 +169,7 @@ class TriMap:
         return self.nxt[self.twin[h]]
 
     def n_half_edges(self) -> int:
-        return len(self.org) - len(self.free)
+        return 2 * self.ne
 
     # -- iteration ------------------------------------------------------
 
@@ -240,32 +229,14 @@ class TriMap:
             raise InvariantViolationError("hole cycle of length 1")
         v = self.nv
         # triangle a -> t1 -> t2 runs u -> w -> v -> u; c1 and c2 are the
-        # twins of t1 and t2 on the hole
-        free = self.free
-        if free:
-            if len(free) >= 4:
-                # the ids four _new_he calls would take, in their order
-                t1, t2, c1, c2 = free.pop(), free.pop(), free.pop(), free.pop()
-                org[t1], org[t2], org[c1], org[c2] = w, v, v, u
-                hflag[t1] = hflag[t2] = FLAG_TRIANGLE
-                hflag[c1] = hflag[c2] = flag
-            else:
-                t1 = self._new_he(w, FLAG_TRIANGLE)
-                t2 = self._new_he(v, FLAG_TRIANGLE)
-                c1 = self._new_he(v, flag)
-                c2 = self._new_he(u, flag)
-            twin[t1], twin[t2], twin[c1], twin[c2] = c1, c2, t1, t2
-            nxt[t1], nxt[t2], nxt[c1], nxt[c2] = t2, a, x_next, c1
-            prv[t1], prv[t2], prv[c1], prv[c2] = a, t1, c2, x_prev
-        else:
-            # no dead ids to recycle: the four are the next ones in the arena
-            t1 = len(org)
-            t2, c1, c2 = t1 + 1, t1 + 2, t1 + 3
-            twin += (c1, c2, t1, t2)
-            nxt += (t2, a, x_next, c1)
-            prv += (a, t1, c2, x_prev)
-            org += (w, v, v, u)
-            hflag += (FLAG_TRIANGLE, FLAG_TRIANGLE, flag, flag)
+        # twins of t1 and t2 on the hole, all four from the arena's tail
+        t1 = len(org)
+        t2, c1, c2 = t1 + 1, t1 + 2, t1 + 3
+        twin += (c1, c2, t1, t2)
+        nxt += (t2, a, x_next, c1)
+        prv += (a, t1, c2, x_prev)
+        org += (w, v, v, u)
+        hflag += (FLAG_TRIANGLE, FLAG_TRIANGLE, flag, flag)
         hflag[a] = FLAG_TRIANGLE
         nxt[a] = t1
         prv[a] = t2
@@ -321,42 +292,24 @@ class TriMap:
         before, after = prv[head], nxt[tail]
         if after == head:
             raise MisuseError(f"swallow k={k} leaves no hole edge")
-        # triangle a -> s1 -> s2 runs u -> w -> x -> u; the twin of inner
-        # (fence) closes the eaten run into the work hole, the twin of
-        # outer (cont) bridges the cut in the ambient hole
+        # triangle a -> s1 -> s2 runs u -> w -> x -> u; fence, the twin of
+        # s1 ('next') or s2 ('prev'), closes the eaten run into the work
+        # hole, and cont, the twin of the other, bridges the cut in the
+        # ambient hole
         if fwd:
             x = org[twin[last]]
             fence_org, cont_org = x, u
         else:
             x = org[first]
             fence_org, cont_org = u, x
-        free = self.free
-        if free:
-            if len(free) >= 4:
-                # the ids four _new_he calls would take, in their order
-                s1, s2, fence, cont = free.pop(), free.pop(), free.pop(), free.pop()
-                org[s1], org[s2], org[fence], org[cont] = w, x, fence_org, cont_org
-                hflag[s1] = hflag[s2] = FLAG_TRIANGLE
-                hflag[fence], hflag[cont] = FLAG_WORK, flag
-            else:
-                s1 = self._new_he(w, FLAG_TRIANGLE)
-                s2 = self._new_he(x, FLAG_TRIANGLE)
-                fence = self._new_he(fence_org, FLAG_WORK)
-                cont = self._new_he(cont_org, flag)
-            inner, outer = (s1, s2) if fwd else (s2, s1)
-            twin[inner], twin[fence] = fence, inner
-            twin[outer], twin[cont] = cont, outer
-            nxt[s1], nxt[s2], nxt[fence], nxt[cont] = s2, a, first, after
-            prv[s1], prv[s2], prv[fence], prv[cont] = a, s1, last, before
-        else:
-            # no dead ids to recycle: the four are the next ones in the arena
-            s1 = len(org)
-            s2, fence, cont = s1 + 1, s1 + 2, s1 + 3
-            twin += (fence, cont, s1, s2) if fwd else (cont, fence, s2, s1)
-            nxt += (s2, a, first, after)
-            prv += (a, s1, last, before)
-            org += (w, x, fence_org, cont_org)
-            hflag += (FLAG_TRIANGLE, FLAG_TRIANGLE, FLAG_WORK, flag)
+        # the four new half-edges come from the arena's tail
+        s1 = len(org)
+        s2, fence, cont = s1 + 1, s1 + 2, s1 + 3
+        twin += (fence, cont, s1, s2) if fwd else (cont, fence, s2, s1)
+        nxt += (s2, a, first, after)
+        prv += (a, s1, last, before)
+        org += (w, x, fence_org, cont_org)
+        hflag += (FLAG_TRIANGLE, FLAG_TRIANGLE, FLAG_WORK, flag)
         hflag[a] = FLAG_TRIANGLE
         nxt[a] = s1
         prv[a] = s2
@@ -404,12 +357,11 @@ class TriMap:
             self.root = t2
         elif self.root == g2:
             self.root = t1
-        # g and g2 die; their ids go to the free list
+        # g and g2 die; their ids stay in the arena, flagged DEAD
         prv = self.prv
         hflag[g] = hflag[g2] = DEAD
         twin[g] = nxt[g] = prv[g] = org[g] = -1
         twin[g2] = nxt[g2] = prv[g2] = org[g2] = -1
-        self.free += (g, g2)
         self.ne -= 1
         return t1
 

