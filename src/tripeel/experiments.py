@@ -32,7 +32,6 @@ from .params import (
     z_partition,
 )
 from .peeling import LayerChain, _InverseCdf, _json_object, complete_ball, run_chain
-from .planarmap import FLAG_TRIANGLE, extract_submap
 from .rng import RngStream
 from .stats import MIN_EXPECTED, chi2_two_sample, linfit, mean_ci, proportion_lower_bound
 from .walk import _ball_audit, run_walk_peeling, speed_estimate
@@ -47,6 +46,10 @@ _REROOTINGS = ("walk", "reversed", "null")
 _MAX_BALL_CATEGORIES = 40
 # walk-speed's peel step budget for completing one audit ball
 _MAX_BALL_STEPS = 500_000
+# per-trial peel step budgets of volume-growth, layer-stats and stationarity
+_VOLUME_STEPS = 5_000_000
+_LAYER_STEPS = 100_000_000
+_REROOT_STEPS = 200_000
 # law-equivalence's selector test: steps to the joint law, and its categories
 _JOINT_STEPS = 5
 _MAX_JOINT_CATEGORIES = 64
@@ -248,7 +251,6 @@ def run_volume_growth(
     trials: int = 50,
     r_max: int = 12,
     window: Sequence[int] = (8, 12),
-    max_steps: int = 5_000_000,
 ) -> dict:
     """Hull growth by layers: boundary ratios and bulk per unit boundary.
 
@@ -271,7 +273,7 @@ def run_volume_growth(
     ratio_vals, vp_vals = [], []
     work = dict.fromkeys(_WORK, 0)
     for t in range(trials):
-        chain = LayerChain(params, rng.fork(t), volume=True, max_steps=max_steps)
+        chain = LayerChain(params, rng.fork(t), volume=True, max_steps=_VOLUME_STEPS)
         hull = chain.run_fast(r_max + 1)
         _chain_work(work, chain)
         per = {rec.r: rec.perimeter for rec in hull}
@@ -294,7 +296,7 @@ def run_volume_growth(
         "trials": trials,
         "r_max": r_max,
         "window": [lo, hi],
-        "max_steps": max_steps,
+        "max_steps": _VOLUME_STEPS,
         "fast_path": work["block_steps"] > 0,
     }
     return _report("volume-growth", params, rng, settings, results)
@@ -306,7 +308,6 @@ def run_layer_stats(
     *,
     trials: int = 50,
     window: Sequence[int] = (6, 10),
-    max_steps: int = 100_000_000,
 ) -> dict:
     """Steps per layer: mean of (tau_{r+1} - tau_r)/P_{tau_r} over a window.
 
@@ -324,7 +325,7 @@ def run_layer_stats(
     vals = []
     work = dict.fromkeys(_WORK, 0)
     for t in range(trials):
-        chain = LayerChain(params, rng.fork(t), volume=False, max_steps=max_steps)
+        chain = LayerChain(params, rng.fork(t), volume=False, max_steps=_LAYER_STEPS)
         hull = chain.run_fast(hi + 1)
         _chain_work(work, chain)
         by_r = {rec.r: rec for rec in hull}
@@ -347,7 +348,7 @@ def run_layer_stats(
     settings = {
         "trials": trials,
         "window": [lo, hi],
-        "max_steps": max_steps,
+        "max_steps": _LAYER_STEPS,
         "fast_path": work["block_steps"] > 0,
     }
     return _report("layer-stats", params, rng, settings, results)
@@ -532,7 +533,6 @@ def run_stationarity(
     n_steps: int = 64,
     k: int = 5,
     radius: int = 2,
-    max_peel_steps: int = 200_000,
 ) -> dict:
     """Re-rooting tests of the local law around the root edge.
 
@@ -547,13 +547,15 @@ def run_stationarity(
     """
     if k < 0 or n_steps < k + 1:
         raise DomainError(f"need n_steps > k, got n_steps={n_steps} k={k}")
+    if radius < 1:
+        raise DomainError(f"radius={radius} must be at least 1")
     out = {}
     for i, mode in enumerate(_REROOTINGS):
         arm = rng.fork(i)
         counts = (Counter(), Counter())
         discarded = 0
         for t in range(trials):
-            trace = run_walk_peeling(params, n_steps, arm.fork(t), max_peel_steps=max_peel_steps)
+            trace = run_walk_peeling(params, n_steps, arm.fork(t), max_peel_steps=_REROOT_STEPS)
             if trace.truncated:
                 discarded += 1
                 continue
@@ -564,18 +566,11 @@ def run_stationarity(
             elif t % 2 and mode == "reversed":
                 root_he = m.twin[m.root]
             try:
-                dist = complete_ball(trace.engine, m.org[root_he], radius, max_steps=max_peel_steps)
+                dist = complete_ball(trace.engine, m.org[root_he], radius, max_steps=_REROOT_STEPS)
             except BudgetExceededError:
                 discarded += 1
                 continue
-            keep = {
-                h
-                for h in m.alive_half_edges()
-                if m.hflag[h] == FLAG_TRIANGLE
-                and all(0 <= dist[m.org[e]] <= radius for e in (h, m.nxt[h], m.nxt[m.nxt[h]]))
-            }
-            sub, hmap = extract_submap(m, keep, root_he)
-            counts[t % 2][sub.canonical_code(hmap[root_he])] += 1
+            counts[t % 2][m.ball_code(root_he, dist, radius)] += 1
         report = chi2_two_sample(*counts, max_categories=_MAX_BALL_CATEGORIES)
         del report["labels"]  # ball codes are unwieldy; table order is by frequency
         report.update({
@@ -594,7 +589,7 @@ def run_stationarity(
         "k": k,
         "radius": radius,
         "modes": list(_REROOTINGS),
-        "max_peel_steps": max_peel_steps,
+        "max_peel_steps": _REROOT_STEPS,
     }
     return _report("stationarity", params, rng, settings, {"modes": out})
 

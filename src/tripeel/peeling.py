@@ -242,15 +242,13 @@ class HullRecord:
 class PeelTrace:
     """A peeling run: metadata sufficient to replay it, the per-step
     records, and the final map.  A layer run also carries its hull
-    series, its engine (arcs, seam) and whether a budget
-    stopped it before r_max."""
+    series and whether a budget stopped it before r_max."""
 
     meta: dict
     records: list
     hull: Optional[list] = None
     map: Optional[TriMap] = None
     truncated: bool = False
-    engine: Optional["LayerEngine"] = None
 
 
 def _check_records(records: list) -> None:
@@ -274,6 +272,13 @@ def _check_hull(hull: Sequence[HullRecord]) -> None:
         if rec.tau <= prev_tau or rec.perimeter < 2:
             raise InvariantViolationError(f"inconsistent hull record {rec}")
         prev_tau = rec.tau
+
+
+def _budget(name: str, value: Optional[int]) -> Optional[int]:
+    """A step or vertex budget: None for none, else a nonnegative count."""
+    if value is not None and value < 0:
+        raise DomainError(f"{name} must be nonnegative, got {value}")
+    return value
 
 
 # -- the map-backed engine ----------------------------------------------
@@ -307,8 +312,8 @@ class PeelEngine:
         self.steps = 0
         self.records: Optional[list] = [] if record else None
         self.cursor = self.map.root
-        self.max_steps = max_steps
-        self.max_vertices = max_vertices
+        self.max_steps = _budget("max_steps", max_steps)
+        self.max_vertices = _budget("max_vertices", max_vertices)
 
     def _check_budget(self) -> None:
         if self.max_steps is not None and self.steps >= self.max_steps:
@@ -526,7 +531,7 @@ def run_layers(
     """Explore with the layers selector until tau_{r_max} (or n_steps).
 
     Returns the trace (records empty unless recording) with the hull
-    series, final map and engine attached.  A budget overrun returns the
+    series and final map attached.  A budget overrun returns the
     partial series with ``truncated=True``.
     """
     if r_max < 1:
@@ -553,7 +558,6 @@ def run_layers(
         hull=engine.hull,
         map=engine.map,
         truncated=truncated,
-        engine=engine,
     )
     trace.meta["truncated"] = truncated
     return trace
@@ -647,7 +651,7 @@ class LayerChain:
         self._A = 1
         self._N = 1
         self.hull: list = []
-        self.max_steps = max_steps
+        self.max_steps = _budget("max_steps", max_steps)
         self.root_degree: Optional[int] = None
 
     def _check_budget(self) -> None:
@@ -850,6 +854,7 @@ def complete_ball(
     """
     if radius < 0:
         raise DomainError(f"radius must be nonnegative, got {radius}")
+    _budget("max_steps", max_steps)
     m = engine.map
     v_hole = m.v_hole
     spent = 0
@@ -1006,8 +1011,9 @@ def replay_trace(source: Union[PeelTrace, str]) -> dict:
 
     Accepts a PeelTrace or an exported string (CSV or JSON form).  The
     run is reconstructed from the recorded parameters, seed and
-    selector; every reproduced step record must match the stored one.
-    Returns the final map, its canonical code, and the verified trace.
+    selector; every reproduced step record must match the stored one,
+    and so must the hull series when the trace carries one.  Returns the
+    final map, its canonical code, and the verified trace.
     """
     if isinstance(source, str):
         stripped = source.lstrip()
@@ -1035,6 +1041,8 @@ def replay_trace(source: Union[PeelTrace, str]) -> dict:
         rerun = run_algorithm(params, meta.get("selector", "stay"), n, rng)
     if rerun.records != trace.records:
         raise InvariantViolationError("replay diverged from the recorded trace")
+    if trace.hull is not None and rerun.hull != trace.hull:
+        raise InvariantViolationError("replay hull differs from the recorded hull")
     return {
         "map": rerun.map,
         "canonical_code": rerun.map.canonical_code(),

@@ -17,9 +17,9 @@ leaving ``v``; ``v_hole[v]`` is the unique main-hole half-edge leaving
 vertex still exposed" an O(1) query.  New half-edges come from the
 arena's tail; dead ones keep their ids, flagged ``DEAD``.
 
-Rotation around a vertex is ``rot(h) = nxt(twin(h))``, which steps to the
-next outgoing half-edge; one orbit enumerates the full fan, holes
-included, so vertex degrees count multi-edges correctly.
+Rotation around a vertex, ``h -> nxt(twin(h))``, steps to the next
+outgoing half-edge; one orbit enumerates the full fan, holes included,
+so vertex degrees count multi-edges correctly.
 
 The three surgeries (`attach_fresh`, `open_swallow`, `close_two_gon`)
 are the only mutations.  Each keeps the counters (vertices, edges,
@@ -163,10 +163,6 @@ class TriMap:
 
     def target(self, h: int) -> int:
         return self.org[self.twin[h]]
-
-    def rot(self, h: int) -> int:
-        """Next outgoing half-edge around org(h)."""
-        return self.nxt[self.twin[h]]
 
     def n_half_edges(self) -> int:
         return 2 * self.ne
@@ -564,60 +560,39 @@ class TriMap:
             (index[self.nxt[h]], index[self.twin[h]], self.hflag[h]) for h in order
         )
 
+    def ball_code(self, root: int, dist: list, radius: int) -> tuple:
+        """:meth:`canonical_code` of the radius ball as a map of its own,
+        read off the arena without copying it.
 
-def extract_submap(tmap: TriMap, keep: set, root: int) -> tuple[TriMap, dict]:
-    """Copy the triangles whose half-edges are listed in ``keep``.
+        The ball is the triangles whose three corners have ``dist`` in
+        [0, radius], rooted at ``root``.  A main-hole half-edge ``~h``
+        closes each ball half-edge h with no ball triangle across: its
+        twin is h, its successor ``~prv[x]`` for x the first ball
+        half-edge met turning ``x = nxt[twin[x]]`` from ``nxt[twin[h]]``.
+        """
+        twin, nxt, prv, org, hflag = self.twin, self.nxt, self.prv, self.org, self.hflag
 
-    ``keep`` must be closed under face cycles (whole triangles only).
-    Edges whose other side is not kept get fresh hole half-edges; the
-    complement may leave several holes and those holes may revisit a
-    vertex, so the result should be validated with relaxed expectations.
-    Returns the new map plus the old-to-new half-edge mapping.
-    """
-    if root not in keep:
-        raise MisuseError("submap root must be among the kept half-edges")
-    for h in keep:
-        if tmap.hflag[h] != FLAG_TRIANGLE:
-            raise MisuseError("submap extraction keeps triangles only")
-        if tmap.nxt[h] not in keep:
-            raise MisuseError("kept set not closed under face cycles")
-    m = TriMap()
-    vmap: dict[int, int] = {}
-    hmap: dict[int, int] = {}
-    for h in sorted(keep):
-        v = tmap.org[h]
-        if v not in vmap:
-            vmap[v] = m._new_vertex()
-        hmap[h] = m._new_he(vmap[v], FLAG_TRIANGLE)
-    for h in keep:
-        m._link(hmap[h], hmap[tmap.nxt[h]])
-        t = tmap.twin[h]
-        if t in keep:
-            m.twin[hmap[h]] = hmap[t]
-    # fence the exposed edges with hole half-edges
-    boundary = [h for h in sorted(keep) if tmap.twin[h] not in keep]
-    bmap: dict[int, int] = {}
-    for h in boundary:
-        b = m._new_he(vmap[tmap.org[tmap.twin[h]]], FLAG_MAIN)
-        bmap[h] = b
-        m.twin[hmap[h]] = b
-        m.twin[b] = hmap[h]
-    for h in boundary:
-        # successor of bar(h) leaves org(h): rotate around org(h) through
-        # the un-kept gap until the next kept outgoing half-edge
-        x = tmap.rot(h)
-        while x not in keep:
-            x = tmap.rot(x)
-        h2 = tmap.prv[x]
-        m._link(bmap[h], bmap[h2])
-    m.ne = (len(keep) + len(boundary)) // 2
-    m.n_tri = len(keep) // 3
-    m.root = hmap[root]
-    for v_old, v_new in vmap.items():
-        m.v_out[v_new] = hmap[next(h for h in tmap.out_half_edges(v_old) if h in keep)]
-    # best-effort hole index; only authoritative when the complement is a
-    # single hole visiting each vertex once, which strict validation checks
-    for h in boundary:
-        m.v_hole[m.org[bmap[h]]] = bmap[h]
-    m.perimeter = len(boundary)
-    return m, hmap
+        def in_ball(h: int) -> bool:
+            n = nxt[h]
+            near = (0 <= dist[org[e]] <= radius for e in (h, n, nxt[n]))
+            return hflag[h] == FLAG_TRIANGLE and all(near)
+
+        if not (self.alive(root) and in_ball(root)):
+            raise MisuseError("ball root must be on a ball triangle")
+        order, index, code = [root], {root: 0}, []
+        for h in order:  # the loop also visits what it appends
+            if h >= 0:
+                a, b, flag = nxt[h], twin[h], FLAG_TRIANGLE
+                if not in_ball(b):
+                    b = ~h
+            else:
+                x = nxt[twin[~h]]
+                while not in_ball(x):
+                    x = nxt[twin[x]]
+                a, b, flag = ~prv[x], ~h, FLAG_MAIN
+            for g in (a, b):
+                if g not in index:
+                    index[g] = len(order)
+                    order.append(g)
+            code.append((index[a], index[b], flag))
+        return tuple(code)

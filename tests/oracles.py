@@ -14,7 +14,10 @@ Each oracle recomputes something the package computes another way:
   before its fresh shortcut, against :meth:`StepSampler.sample`;
 * :func:`complete_ball_by_hole_cycle`, ball completion that reads its
   near vertices off the whole main hole cycle, against
-  :func:`complete_ball`.
+  :func:`complete_ball`;
+* :func:`extract_submap`, a copy of a map's kept triangles as a map of
+  its own, whose canonical code is checked against
+  :meth:`TriMap.ball_code`.
 """
 
 from bisect import bisect_right
@@ -30,7 +33,7 @@ from tripeel.errors import (
     NumericalInstabilityError,
 )
 from tripeel.params import _coupling, _lin, q_step
-from tripeel.planarmap import FLAG_TRIANGLE, TriMap
+from tripeel.planarmap import FLAG_MAIN, FLAG_TRIANGLE, TriMap
 
 
 def c_tilde_table_exact(alpha: Fraction, p_max: int) -> list:
@@ -268,3 +271,61 @@ def complete_ball_by_hole_cycle(engine, center: int, radius: int, *, max_steps=N
                     )
                 engine.peel_step(m.v_hole[v])
                 spent += 1
+
+
+def extract_submap(tmap: TriMap, keep: set, root: int) -> tuple[TriMap, dict]:
+    """Copy the triangles whose half-edges are listed in ``keep``.
+
+    ``keep`` must be closed under face cycles (whole triangles only).
+    Edges whose other side is not kept get fresh hole half-edges; the
+    complement may leave several holes and those holes may revisit a
+    vertex, so the result should be validated with relaxed expectations.
+    Returns the new map plus the old-to-new half-edge mapping.
+    """
+    if root not in keep:
+        raise MisuseError("submap root must be among the kept half-edges")
+    for h in keep:
+        if tmap.hflag[h] != FLAG_TRIANGLE:
+            raise MisuseError("submap extraction keeps triangles only")
+        if tmap.nxt[h] not in keep:
+            raise MisuseError("kept set not closed under face cycles")
+    m = TriMap()
+    vmap: dict[int, int] = {}
+    hmap: dict[int, int] = {}
+    for h in sorted(keep):
+        v = tmap.org[h]
+        if v not in vmap:
+            vmap[v] = m._new_vertex()
+        hmap[h] = m._new_he(vmap[v], FLAG_TRIANGLE)
+    for h in keep:
+        m._link(hmap[h], hmap[tmap.nxt[h]])
+        t = tmap.twin[h]
+        if t in keep:
+            m.twin[hmap[h]] = hmap[t]
+    # fence the exposed edges with hole half-edges
+    boundary = [h for h in sorted(keep) if tmap.twin[h] not in keep]
+    bmap: dict[int, int] = {}
+    for h in boundary:
+        b = m._new_he(vmap[tmap.org[tmap.twin[h]]], FLAG_MAIN)
+        bmap[h] = b
+        m.twin[hmap[h]] = b
+        m.twin[b] = hmap[h]
+    for h in boundary:
+        # successor of bar(h) leaves org(h): rotate around org(h) through
+        # the un-kept gap until the next kept outgoing half-edge
+        x = tmap.nxt[tmap.twin[h]]
+        while x not in keep:
+            x = tmap.nxt[tmap.twin[x]]
+        h2 = tmap.prv[x]
+        m._link(bmap[h], bmap[h2])
+    m.ne = (len(keep) + len(boundary)) // 2
+    m.n_tri = len(keep) // 3
+    m.root = hmap[root]
+    for v_old, v_new in vmap.items():
+        m.v_out[v_new] = hmap[next(h for h in tmap.out_half_edges(v_old) if h in keep)]
+    # best-effort hole index; only authoritative when the complement is a
+    # single hole visiting each vertex once, which strict validation checks
+    for h in boundary:
+        m.v_hole[m.org[bmap[h]]] = bmap[h]
+    m.perimeter = len(boundary)
+    return m, hmap

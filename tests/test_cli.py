@@ -160,11 +160,17 @@ def test_experiment_flag_validation():
         ("experiment", "--experiment", "law-equivalence", "--alpha", "3/4",
          "--trials", "1000", "--steps", "0"),
         ("experiment", "--experiment", "walk-speed", "--kappa", "9/128", "--radius", "-1"),
+        ("experiment", "--experiment", "stationarity", "--kappa", "9/128", "--radius", "0"),
+        ("sample-map", "--kappa", "9/128", "--radius", "3", "--budget-steps", "-5"),
+        ("sample-map", "--kappa", "9/128", "--radius", "3", "--budget-vertices", "-1"),
     ],
     ids=[
         "constants-negative-head",
         "law-equivalence-zero-horizon",
         "walk-speed-negative-radius",
+        "stationarity-zero-radius",
+        "sample-map-negative-step-budget",
+        "sample-map-negative-vertex-budget",
     ],
 )
 def test_out_of_range_settings_exit_2(args):

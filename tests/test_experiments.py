@@ -295,6 +295,16 @@ def test_stationarity_modes(k9):
         run_experiment("stationarity", k9, RngStream(0), trials=10, modes=("sideways",))
 
 
+@pytest.mark.parametrize("radius", [0, -1])
+def test_stationarity_rejects_radius_before_any_walk(k9, monkeypatch, radius):
+    def no_walk(*args, **kwargs):
+        raise AssertionError("a walk ran before the radius was checked")
+
+    monkeypatch.setattr(experiments, "run_walk_peeling", no_walk)
+    with pytest.raises(DomainError, match="radius"):
+        run_stationarity(k9, RngStream(0), trials=4, n_steps=8, k=3, radius=radius)
+
+
 def test_constants_report_critical_vs_not(p75, crit):
     sub = constants_report(p75, head=4)["results"]
     assert sub["ctilde_limit"] == pytest.approx(3.079201, abs=1e-4)

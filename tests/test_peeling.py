@@ -190,6 +190,21 @@ def test_budget_guards():
     assert len(res.hull) < 50
 
 
+def test_negative_budgets_are_domain_errors():
+    for budget in ({"max_steps": -5}, {"max_vertices": -1}):
+        with pytest.raises(DomainError, match="nonnegative"):
+            PeelEngine(PAR, RngStream(0), **budget)
+    with pytest.raises(DomainError, match="nonnegative"):
+        LayerChain(PAR, RngStream(0), max_steps=-1)
+    eng = PeelEngine(PAR, RngStream(0))
+    with pytest.raises(DomainError, match="nonnegative"):
+        complete_ball(eng, eng.map.org[eng.map.root], 1, max_steps=-1)
+    # a zero budget stays legal and stops the first step
+    with pytest.raises(BudgetExceededError):
+        PeelEngine(PAR, RngStream(0), max_steps=0).peel_step(0)
+    assert run_layers(PAR, 2, RngStream(0), max_steps=0).truncated
+
+
 @pytest.mark.parametrize("selector", ["stay", "uniform"])
 def test_record_modes_peel_the_same_map(selector):
     # a record is built only when recording; the map, the cursor and the
@@ -270,6 +285,22 @@ def test_layer_trace_replay():
     code = res.map.canonical_code()
     replayed = replay_trace(trace_to_json(res))
     assert replayed["canonical_code"] == code
+
+
+@pytest.mark.parametrize(
+    "tamper",
+    [
+        lambda hull: hull[1].update(perimeter=hull[1]["perimeter"] + 7),
+        lambda hull: hull[-1].update(volume=1),
+        lambda hull: hull.pop(),
+    ],
+    ids=["perimeter", "volume", "dropped-layer"],
+)
+def test_replay_checks_the_stored_hull(tamper):
+    doc = json.loads(trace_to_json(run_layers(PAR, 3, RngStream(59, (14,)), record=True)))
+    tamper(doc["hull"])
+    with pytest.raises(InvariantViolationError, match="hull"):
+        replay_trace(json.dumps(doc))
 
 
 # float couplings whose other handle does not round-trip: the float root

@@ -5,14 +5,19 @@ import random
 import pytest
 
 from tripeel.errors import DomainError, InvariantViolationError, MisuseError
+from tripeel.params import build_params
+from tripeel.peeling import complete_ball
 from tripeel.planarmap import (
     DEAD,
     FLAG_MAIN,
     FLAG_TRIANGLE,
     FLAG_WORK,
     TriMap,
-    extract_submap,
 )
+from tripeel.rng import RngStream
+from tripeel.walk import run_walk_peeling
+
+from oracles import extract_submap
 
 
 def fresh_ring(n):
@@ -365,6 +370,36 @@ def test_extract_guards():
     bad = set(list(keep)[:1])
     with pytest.raises(MisuseError):
         extract_submap(m, bad, next(iter(bad)))
+
+
+def test_ball_code_matches_submap_copy():
+    """ball_code encodes a radius ball where it sits exactly as the
+    canonical code of its copy does: radius 1-3 around the root, the
+    reversed root and the 4th walk edge of 15 walks, 135 balls."""
+    par = build_params(kappa="9/128")
+    balls = 0
+    for t in range(15):
+        trace = run_walk_peeling(par, 16, RngStream(211, (t,)))
+        m = trace.map
+        for root in (m.root, m.twin[m.root], trace.move_edges[4]):
+            for radius in (1, 2, 3):
+                dist = complete_ball(trace.engine, m.org[root], radius)
+                keep = {
+                    h
+                    for h in m.alive_half_edges()
+                    if m.hflag[h] == FLAG_TRIANGLE
+                    and all(0 <= dist[m.org[e]] <= radius for e in (h, m.nxt[h], m.nxt[m.nxt[h]]))
+                }
+                sub, hmap = extract_submap(m, keep, root)
+                assert m.ball_code(root, dist, radius) == sub.canonical_code(hmap[root])
+                balls += 1
+    assert balls == 135
+    # roots off the ball's triangles: a main-hole half-edge, an id past
+    # the arena, and any root of a radius-0 ball, which has no triangle
+    hole = next(h for h in m.alive_half_edges() if m.hflag[h] == FLAG_MAIN)
+    for bad, r in ((hole, 3), (len(m.org), 3), (root, 0)):
+        with pytest.raises(MisuseError):
+            m.ball_code(bad, dist, r)
 
 
 # -- validator sensitivity ------------------------------------------------------------
