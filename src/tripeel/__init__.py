@@ -7,7 +7,6 @@ from .errors import (
     DomainError,
     InvariantViolationError,
     MisuseError,
-    NumericalInstabilityError,
     TableOverflowError,
     TripeelError,
 )
@@ -92,7 +91,6 @@ __all__ = [
     "DomainError",
     "MisuseError",
     "BudgetExceededError",
-    "NumericalInstabilityError",
     "TableOverflowError",
     "InvariantViolationError",
 ]

@@ -14,8 +14,11 @@ one of
 The three weights sum to one exactly (the splitting identity of the
 partition functions); the implementation checks the float sum at table
 build time.  All ratios are computed through the one-sided step weights
-q_{-k} = 2 beta^k Z_{k+1}, which keeps every intermediate quantity well
-scaled however large p gets.
+q_{-k} = 2 beta^k Z_{k+1}, held as a mantissa in [1/2, 1) and a binary
+exponent: q_{-k} shrinks like (4g)^k, g = (1 - alpha) / (2 alpha), and
+turns subnormal at k of a few hundred to a few thousand off the critical
+point, but in each ratio the powers cancel, so the mantissas keep every
+intermediate quantity well scaled however large p gets.
 
 Three drivers consume the same decision stream:
 :meth:`BoltzmannFiller.fill_hole` performs the surgeries on a map,
@@ -39,6 +42,7 @@ different draws.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from typing import Optional
 
@@ -88,17 +92,23 @@ class BoltzmannFiller:
             raise DomainError(f"hole perimeter p={p} must be at least 2")
         params = self.params
         params.ensure_q(p)
-        qn = params._qneg
+        # q_{-k} = qm[k] 2^qe[k]: the ratios below take the mantissas and
+        # shift by the exponents, which stays exact where q_{-k} is
+        # subnormal, and is the plain ratio of the q_{-k} bit for bit
+        # while every q_{-k} and every product is a normal double
+        qm, qe = params._qman, params._qexp
+        ldexp = math.ldexp
         decisions = []
         probs = []
         if p == 2:
             decisions.append(_CLOSE)
-            probs.append(2.0 * params.beta / qn[1])
+            probs.append(2.0 * params.beta / params._qneg[1])
         decisions.append(_FRESH)
-        probs.append(params.alpha * qn[p] / qn[p - 1])
+        probs.append(ldexp(params.alpha * qm[p] / qm[p - 1], qe[p] - qe[p - 1]))
+        m_top, e_top = 2.0 * qm[p - 1], qe[p - 1]
         for k in range(1, p - 1):
             decisions.append(("split", k))
-            probs.append(qn[k] * qn[p - 1 - k] / (2.0 * qn[p - 1]))
+            probs.append(ldexp(qm[k] * qm[p - 1 - k] / m_top, qe[k] + qe[p - 1 - k] - e_top))
         total = sum(probs)
         if abs(total - 1.0) > _ROW_TOL:
             raise InvariantViolationError(

@@ -25,10 +25,6 @@ class BudgetExceededError(TripeelError):
         self.partial = partial
 
 
-class NumericalInstabilityError(TripeelError):
-    """A certified numerical routine lost its accuracy guarantee."""
-
-
 class TableOverflowError(TripeelError):
     """A lazily grown parameter table hit its configured hard cap."""
 

@@ -255,9 +255,10 @@ def run_volume_growth(
     """Hull growth by layers: boundary ratios and bulk per unit boundary.
 
     Per trial one layer chain runs to depth r_max + 1 with volume
-    tracking, through :meth:`LayerChain.run_fast`: once the harmonic
-    table clamps (off the critical point) wide boundaries take block
-    steps, their fill volumes drawn from the filler's volume tables.
+    tracking, through :meth:`LayerChain.run_fast`: after layer 1, whose
+    scalar steps give the root degree, every boundary of perimeter 4 or
+    more takes block steps (with acceptance coins below the block
+    floor), their fill volumes drawn from the filler's volume tables.
     The trial statistic is the mean boundary ratio over the window plus
     the volume/boundary quotient at r_max.  ``results.work`` sums the
     trials' steps, block steps and uniforms (see :func:`_chain_work`),
@@ -311,11 +312,13 @@ def run_layer_stats(
 ) -> dict:
     """Steps per layer: mean of (tau_{r+1} - tau_r)/P_{tau_r} over a window.
 
-    Volume draws are skipped, so once the harmonic table clamps (off the
-    critical point) wide boundaries go through the block sampler of
-    :meth:`LayerChain.run_fast`.  ``results.work`` sums the trials'
-    steps, block steps and uniforms (see :func:`_chain_work`), and
-    ``settings.fast_path`` records whether any trial took a block step.
+    Volume draws are skipped, and off the critical point every boundary
+    of perimeter 4 or more goes through the block sampler of
+    :meth:`LayerChain.run_fast` (with acceptance coins below the block
+    floor); at the critical point every step is scalar.
+    ``results.work`` sums the trials' steps, block steps and uniforms
+    (see :func:`_chain_work`), and ``settings.fast_path`` records
+    whether any trial took a block step.
     """
     if trials < 2:
         raise DomainError("need at least two trials")
@@ -402,6 +405,8 @@ def run_walk_speed(
             audited += tot
             mismatched += bad
             per_audit.append([tot, bad])
+        # release this walk's map before the next walk builds its own
+        del trace
     mean_curve /= walks
     half = n_steps // 2
     pooled = linfit(list(range(half, n_steps + 1)), mean_curve[half:].tolist())

@@ -237,6 +237,11 @@ class PeelParams:
         qm1 = self.geo * (self.lin + 1.0)   # q_{-1}
         self._qneg = [0.0, qm1]             # _qneg[k] = q_{-k}
         self._qcum = [alpha, alpha + qm1]   # _qcum[k] = q_1 + sum_{j<=k} q_{-j}
+        # q_{-k} = _qman[k] * 2^_qexp[k], with _qman[k] in [0.5, 1): stays
+        # accurate where q_{-k} itself turns subnormal
+        man, exp = math.frexp(qm1)
+        self._qman = [0.0, man]
+        self._qexp = [0, exp]
         self._ct = [0.0, 0.0, 1.0 / (alpha * alpha)]   # _ct[p] = C~_p
         self._ct_term = self._ct[2]  # the series term that made the last entry
         self._ct_clamp: Optional[int] = None
@@ -246,6 +251,9 @@ class PeelParams:
         # the fill volume tables (boltzmann._volume_table), built on the
         # first block of fills and read only through BoltzmannFiller
         self._vol_table: Optional[tuple] = None
+        # the block path's swallow cap and event laws (peeling._block_laws),
+        # built on the first block chunk; they read only the step law
+        self._block_laws: Optional[tuple] = None
 
     # -- step law -----------------------------------------------------
 
@@ -266,16 +274,23 @@ class PeelParams:
             raise TableOverflowError(
                 f"step-law table request {k_target} beyond hard cap {_TABLE_HARD_CAP}"
             )
-        qn, qc = self._qneg, self._qcum
+        qn, qc, qm, qe = self._qneg, self._qcum, self._qman, self._qexp
         k = len(qn) - 1
-        q = qn[-1]
+        man, exp = qm[-1], qe[-1]
         lin = self.lin
         geo = self.geo
+        frexp, ldexp = math.frexp, math.ldexp
         while k < k_target:
             ratio = ((2.0 * k) * (2.0 * k - 1.0)) / (k * (k + 2.0)) * geo
             if lin:
                 ratio *= (lin * (k + 1) + 1.0) / (lin * k + 1.0)
-            q *= ratio
+            # scaling by a power of two is exact, so while q_{-k} is a
+            # normal double this is q_{-k} * ratio bit for bit
+            man, shift = frexp(man * ratio)
+            exp += shift
+            q = ldexp(man, exp)
+            qm.append(man)
+            qe.append(exp)
             qn.append(q)
             qc.append(qc[-1] + q)
             k += 1
@@ -334,7 +349,8 @@ class PeelParams:
 
         From this index on C~ reads as one value, so the tilt ratios
         C~_{p-k} / C~_{p+1} are exactly 1.0, which is what lets the block
-        chains sample the raw step law without an acceptance draw.
+        chain sample the raw step law without an acceptance coin from
+        the block floor on.
         """
         return self._ct_clamp
 

@@ -18,8 +18,8 @@ Contents:
 * :class:`LayerEngine` and :func:`run_layers`: a :class:`PeelEngine`
   driven by the layer selector, the cyclic exploration that
   materializes hulls of balls around the root origin;
-* :class:`LayerChain`, the one map-free twin, with a vectorized fast
-  path for deep layer runs, and :func:`run_chain`, its perimeter and
+* :class:`LayerChain`, the one map-free twin, with a vectorized block
+  path off the critical point, and :func:`run_chain`, its perimeter and
   volume series;
 * :func:`complete_ball`, targeted peeling until a metric ball of the
   infinite map is provably complete;
@@ -166,7 +166,7 @@ class _InverseCdf:
     def __call__(self, u: np.ndarray) -> np.ndarray:
         ks = self._guide[(u * _GUIDE).astype(np.intp)]
         fix = self._next[ks] <= u
-        ks[fix] = np.searchsorted(self._cdf, u[fix], side="right")
+        ks[fix] = self._cdf.searchsorted(u[fix], side="right")
         return ks
 
 
@@ -185,15 +185,18 @@ def _block_cap(params: PeelParams) -> int:
 
 
 def _event_laws(params: PeelParams, cap: int) -> tuple:
-    """The two laws of a block event, the raw step law's fresh steps up
-    to and including the next swallow: the gap G, the number of fresh
-    steps, with P(G = g) = q_0^g (1 - q_0), and the swallow size less
-    one, with P(k) = q_{-k} / (1 - q_0), as :class:`_InverseCdf`.
+    """The two laws of a block event, the raw step law's proposals up to
+    and including the next swallow proposal: the gap G, the number of
+    fresh proposals, with P(G = g) = q_0^g (1 - q_0), and the proposed
+    swallow size less one, with P(k) = q_{-k} / (1 - q_0), as
+    :class:`_InverseCdf`.  A fresh proposal is always accepted, so the
+    gap is that many fresh steps; whether the swallow is accepted is the
+    block path's business (:meth:`LayerChain.run_fast`).
 
     The gap is clipped at the first n with q_0^n <= 2^-53 and the size
-    at ``cap``: per step the size clip moves the step law's tail beyond
-    cap, as a raw-law clip at cap does, and per event the gap clip moves
-    at most 2^-53.
+    at ``cap``: per proposal the size clip moves the step law's tail
+    beyond cap, as a raw-law clip at cap does, and per event the gap
+    clip moves at most 2^-53.
     """
     q0 = params.q_cumulative()[0]
     n = 1
@@ -205,6 +208,17 @@ def _event_laws(params: PeelParams, cap: int) -> tuple:
     tail = np.cumsum(params._qneg[cap:1:-1])[::-1]
     sizes = _InverseCdf(1.0 - tail / (1.0 - q0))
     return gaps, sizes
+
+
+def _block_laws(params: PeelParams) -> tuple:
+    """(K, gaps, sizes): :func:`_block_cap` and :func:`_event_laws` of the
+    coupling, built on the first call and kept on the parameters, since
+    they read only the step law.  Off the critical point only."""
+    laws = params._block_laws
+    if laws is None:
+        cap = _block_cap(params)
+        laws = params._block_laws = (cap, *_event_laws(params, cap))
+    return laws
 
 
 # -- trace containers ----------------------------------------------------
@@ -592,17 +606,19 @@ def run_chain(
     return {"perimeters": ps, "volumes": vs, "steps": chain.steps}
 
 
-# run_fast samples in blocks once the perimeter reaches the floor the
-# clamp index and the swallow cap set, one event (a geometric run of
-# fresh steps, then one swallow) per three uniforms, in chunks of
-# _CHUNK_MIN to _CHUNK events sized from the chain state; while the new
-# arc is shorter than _N_SHORT a swallow toward it may cut at once, so
-# the chunk is _CHUNK_MIN.  With volume tracked a chunk holds at most
-# _CHUNK_VOL events, which keeps the fill blocks and their peak RSS small
+# run_fast draws events (a geometric run of fresh steps, then one swallow
+# proposal) in chunks of _CHUNK_MIN to _CHUNK events sized from the chain
+# state: three uniforms an event at or above the block floor, four below
+# it, where each swallow proposal carries an acceptance coin.  While the
+# new arc is shorter than _N_SHORT a swallow toward it may cut at once,
+# so the chunk is _CHUNK_MIN.  With volume tracked a chunk holds at most
+# _CHUNK_VOL events, which keeps the fill blocks and their peak RSS small.
+# Perimeters below _P_BLOCK take scalar steps
 _CHUNK = 1 << 14
 _CHUNK_VOL = 1 << 11
 _CHUNK_MIN = 64
 _N_SHORT = 16
+_P_BLOCK = 4
 
 
 class LayerChain:
@@ -615,10 +631,10 @@ class LayerChain:
     produce the identical hull series (and, through :func:`run_chain`,
     the identical perimeter and volume series); with volume disabled they
     skip the filler draws, which changes the realization but not the law
-    of (tau_r, P_{tau_r}).  :meth:`run_fast` draws wide boundaries in
-    blocks of events, each a geometric run of fresh steps and then one
-    swallow, so its realization differs from :meth:`run`'s on the same
-    stream, its law does not.
+    of (tau_r, P_{tau_r}).  :meth:`run_fast` draws in blocks of events,
+    each a geometric run of fresh steps and then one swallow proposal,
+    from perimeter 4 on and off the critical point, so its realization
+    differs from :meth:`run`'s on the same stream, its law does not.
 
     With volume enabled it also knows ``root_degree``, the degree of the
     root edge's origin in the final map, from tau_1 on (None before, and
@@ -685,38 +701,51 @@ class LayerChain:
             self.step()
         return self.hull
 
-    # -- vectorized deep-layer path ------------------------------------
+    # -- vectorized path -------------------------------------------------
 
     def run_fast(self, r_max: int) -> list:
-        """Layer run that switches to block sampling on wide boundaries.
+        """Layer run that draws its steps in blocks of events.
 
-        Once the harmonic table has clamped, every acceptance ratio
-        C~_{p-k} / C~_{p+1} with p - k past the clamp index is exactly
-        1.0, so while the perimeter stays at least clamp + K (K from
-        :func:`_block_cap`, which caps a block's swallow sizes) the
-        tilted kernel coincides with the raw step law, and whole chunks
-        of i.i.d. steps can be drawn at once.  The floor clamp + K + 2
-        comes from the law alone: the clamp is the first entry whose
-        remainder is certified below 2^-53 of it, K the first size whose
-        tail is certified below 2^-53.  Every other step is an
-        exact scalar :meth:`step`: before the table clamps (always, at
-        the critical point), on narrow boundaries, and with volume
-        tracked throughout layer 1, whose tau_1 fill gives
-        ``root_degree``.
+        An event is G fresh proposals, G geometric with P(G = g) =
+        q_0^g (1 - q_0), then one swallow proposal of size k with
+        probability q_{-k} / (1 - q_0) and its side (laws from
+        :func:`_event_laws`).  That is the raw step law, proposal for
+        proposal, up to a moved mass of at most 2^-53 per proposal (the
+        size clip at K, from :func:`_block_cap`) or per event (the gap
+        clip).  A fresh proposal is always accepted, so the gap is G
+        fresh steps.  A chunk of events is drawn at once, assuming every
+        swallow is accepted, so event j proposes its swallow at perimeter
+        p'_j = p + sum_{i<=j} G_i - sum_{i<j} k_i.
 
-        A block draws events, not steps: an event is G fresh steps, G
-        geometric with P(G = g) = q_0^g (1 - q_0), then one swallow of
-        size k with probability q_{-k} / (1 - q_0) and its side, three
-        uniforms in all (laws from :func:`_event_laws`).  That is the raw
-        step law, step for step, up to a moved mass of at most 2^-53 per
-        step (the size clip at K, as a raw-law clip at K) or per event
-        (the gap clip).  A fresh step only lengthens the new arc and the
-        perimeter, so no step inside a gap can empty an arc or leave the
-        floor; the chunk is cut at the first event whose swallow could,
-        and that event's gap is applied, then its swallow with the full
-        arc rule.  Under a step budget a chunk that would pass it takes
-        its whole events, then as many fresh steps of the next gap as
-        the budget leaves, and the next budget check raises.
+        Below the block floor clamp + K + 2 (clamp the harmonic table's
+        clamp index) each event also draws a fourth uniform c, its
+        acceptance coin: the swallow is rejected if p'_j - k_j < 2 or
+        c >= C~_{p'_j - k_j} / C~_{p'_j + 1}, that ratio computed as
+        :meth:`StepSampler.sample` computes it, clamp plateau included.
+        The chunk is cut at the first rejected event: its fresh steps are
+        taken and its swallow is not.  A rejected proposal leaves the
+        state as it was in the scalar sampler too, so every event taken
+        was drawn at its true state.  C~ is grown with
+        :meth:`PeelParams.ensure_ctilde` to the chunk's largest p' + 1
+        and read through a numpy copy.  From the floor on every ratio
+        with k <= K is exactly 1.0 (the clamp index is the first entry
+        whose remainder is certified below 2^-53 of it), so chunks that
+        start there draw three uniforms an event and no coin, and are
+        cut at the first event whose swallow would take the perimeter
+        below clamp + K; that event's swallow is still exact.
+
+        A fresh step only lengthens the new arc and the perimeter, so no
+        step inside a gap can empty an arc.  The chunk is also cut at the
+        first event whose swallow could (an arc cut): its gap is applied,
+        then its swallow with the full arc rule.  Under a step budget a
+        chunk that would pass it takes its whole events, then as many
+        fresh steps of the next gap as the budget leaves, and the next
+        budget check raises.  Events past a cut are never looked at.
+
+        Scalar :meth:`step` calls remain at perimeters below 4, with
+        volume tracked throughout layer 1, whose tau_1 fill gives
+        ``root_degree``, and at the critical point, where no finite K
+        exists; there :meth:`run_fast` is :meth:`run`, draw for draw.
 
         With volume tracked, the swallows of a chunk's taken events are
         filled after the events are drawn, in law exactly as
@@ -726,64 +755,77 @@ class LayerChain:
         larger hole.  With volume off no filler draw is made.
 
         Each chunk is sized from the state at its start only: the old
-        arc A, the new arc N, the margin above the floor and the mean
-        swallow size mu.  The old arc loses mu / 2 an event on average,
-        so a chunk holds min(A, p - floor + 1) / (mu / 2) events,
-        clipped to [_CHUNK_MIN, _CHUNK] (_CHUNK_VOL with volume
-        tracked), and _CHUNK_MIN while N < _N_SHORT (right after tau_r,
-        N = 0).  Events past a cut are never looked at, so sizing the
-        next chunk from the state leaves every step an i.i.d. raw-law
-        draw, and few uniforms are drawn past a cut.
+        arc A, the new arc N, the margin above the floor (coin-free
+        chunks) and the mean swallow size mu.  The old arc loses mu / 2
+        an event on average, so a chunk holds A / (mu / 2) events, or
+        min(A, p - floor + 1) / (mu / 2) without coins, clipped to
+        [_CHUNK_MIN, _CHUNK] (_CHUNK_VOL with volume tracked), and
+        _CHUNK_MIN while N < _N_SHORT (right after tau_r, N = 0).
 
-        So the run depends only on the coupling and the stream, never on
-        how far the shared tables have grown.
+        K and the event laws are built once per :class:`PeelParams`
+        (:func:`_block_laws`), and the tables grow by the law alone, so
+        the run depends only on the coupling and the stream, never on how
+        far the shared tables have grown.
         """
+        par = self.params
+        if par.critical:
+            return self.run(r_max)
         rng = self.rng
         filler = self.filler
-        sizes = None  # the event laws, once the table has clamped
+        cap, gaps, sizes = _block_laws(par)
+        # mean arc loss of an event: half its mean swallow
+        rate = (1.0 + sizes.mean) / 2
         chunk = _CHUNK if filler is None else _CHUNK_VOL
+        ct = np.array(par._ct)
         while self.cur_r <= r_max:
-            if sizes is None:
-                # the sampler reads C~ only for swallows; the clamp must show
-                # at the same step however far the shared table has grown
-                self.params.ensure_ctilde(self.p + 1)
-                clamp = self.params.ctilde_clamp_index()
-                if clamp is not None:
-                    cap = _block_cap(self.params)
-                    gaps, sizes = _event_laws(self.params, cap)
-                    # mean arc loss of an event: half its mean swallow
-                    rate = (1.0 + sizes.mean) / 2
-                    # a pre-step perimeter at or above the floor is exact
-                    p_floor = clamp + cap
-            if (
-                sizes is None
-                or self.p < p_floor + 2
-                or (filler is not None and self.cur_r == 1)
-            ):
+            p = self.p
+            if p < _P_BLOCK or (filler is not None and self.cur_r == 1):
                 self.step()
                 continue
             self._check_budget()
+            # whether the chunk needs coins must not depend on how far the
+            # shared table has grown: from p + 1 on, the clamp shows if it
+            # is at or below p - K - 2
+            par.ensure_ctilde(p + 1)
+            clamp = par.ctilde_clamp_index()
+            coins = clamp is None or p < clamp + cap + 2
             if self._N < _N_SHORT:
                 m = _CHUNK_MIN
             else:
-                reach = min(self._A, self.p - p_floor + 1)
+                reach = self._A if coins else min(self._A, p - clamp - cap + 1)
                 m = min(max(int(reach / rate), _CHUNK_MIN), chunk)
             left = None
             if self.max_steps is not None:
                 left = self.max_steps - self.steps
                 m = min(m, left)
-            us = rng.block(3 * m)
+            us = rng.block((4 if coins else 3) * m)
             gs = gaps(us[:m])
             ks = sizes(us[m : 2 * m])
             ks += 1
             # swallows toward the old arc ('next')
-            old = us[2 * m :] < 0.5
+            old = us[2 * m : 3 * m] < 0.5
             cg = gs.cumsum()
             oka = self._A - (ks * old).cumsum()
-            okp = self.p + cg - ks.cumsum()
-            bad = (oka < 1) | (okp - oka < 1) | (okp < p_floor)
+            okp = p + cg - ks.cumsum()
+            bad = (oka < 1) | (okp - oka < 1)
+            if coins:
+                # okp + ks: the perimeter at each swallow proposal
+                top = int((okp + ks).max()) + 1
+                if top >= len(ct):
+                    par.ensure_ctilde(top)
+                    ct = np.array(par._ct)
+                # past the end of a clamped table C~ reads as its last
+                # entry; C~_0 = C~_1 = 0 rejects the illegal sizes
+                last = len(ct) - 1
+                num = np.minimum(np.maximum(okp, 0), last)
+                den = np.minimum(np.maximum(okp + ks + 1, 2), last)
+                acc = ct[num] / ct[den]
+                rejected = us[3 * m :] >= acc
+                bad |= rejected
+            else:
+                bad |= okp < clamp + cap
             # j whole events, then `tail` fresh steps of event j and, on a
-            # cut, its swallow
+            # cut, its swallow unless its coin rejected it
             j = int(bad.argmax())
             cut = bool(bad[j])
             if not cut:
@@ -793,6 +835,7 @@ class LayerChain:
                 whole = int(np.searchsorted(cg + np.arange(1, m + 1), left, side="right"))
                 if whole <= j:
                     j, cut = whole, False
+            swallow = cut and not (coins and rejected[j])
             base = int(cg[j - 1]) + j if j else 0
             if cut:
                 tail = int(gs[j])
@@ -803,7 +846,7 @@ class LayerChain:
                 tail = 0
             if filler is not None:
                 # fresh steps, then the fills of the taken swallows in order
-                self.v += base - j + tail + filler.fill_volumes(ks[: j + cut] + 1, rng)
+                self.v += base - j + tail + filler.fill_volumes(ks[: j + swallow] + 1, rng)
             if j:
                 self._A = int(oka[j - 1])
                 self.p = int(okp[j - 1])
@@ -811,9 +854,9 @@ class LayerChain:
             self._N = self.p - self._A
             self.steps += base + tail
             self.block_steps += base + tail
-            if cut:
-                # event j was drawn from a clean state, so its swallow is
-                # still an exact raw-law step; apply it with full case handling
+            if swallow:
+                # event j was drawn at its true state, so its swallow is
+                # an exact step; apply it with full case handling
                 k = int(ks[j])
                 self.p -= k
                 self.steps += 1

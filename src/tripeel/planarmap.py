@@ -30,7 +30,7 @@ is used liberally in tests, never in hot loops.
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
+from typing import Optional
 
 from .errors import DomainError, InvariantViolationError, MisuseError
 
@@ -124,20 +124,6 @@ class TriMap:
         m.root = outer[0]
         return m, inner[0]
 
-    def clone(self) -> "TriMap":
-        """Independent copy preserving half-edge and vertex ids."""
-        m = TriMap()
-        m.twin = self.twin[:]
-        m.nxt = self.nxt[:]
-        m.prv = self.prv[:]
-        m.org = self.org[:]
-        m.hflag = self.hflag[:]
-        m.v_out = self.v_out[:]
-        m.v_hole = self.v_hole[:]
-        m.nv, m.ne, m.n_tri = self.nv, self.ne, self.n_tri
-        m.perimeter, m.root = self.perimeter, self.root
-        return m
-
     # -- low-level ------------------------------------------------------
 
     def _new_vertex(self) -> int:
@@ -161,18 +147,10 @@ class TriMap:
     def alive(self, h: int) -> bool:
         return 0 <= h < len(self.org) and self.hflag[h] != DEAD
 
-    def target(self, h: int) -> int:
-        return self.org[self.twin[h]]
-
     def n_half_edges(self) -> int:
         return 2 * self.ne
 
     # -- iteration ------------------------------------------------------
-
-    def alive_half_edges(self) -> Iterator[int]:
-        for h, f in enumerate(self.hflag):
-            if f != DEAD:
-                yield h
 
     def hole_cycle(self, h: int) -> list[int]:
         """The full face cycle through h, in nxt order."""
@@ -197,9 +175,6 @@ class TriMap:
             fan.append(h)
             h = nxt[twin[h]]
         return fan
-
-    def degree(self, v: int) -> int:
-        return len(self.out_half_edges(v))
 
     # -- surgeries ------------------------------------------------------
 

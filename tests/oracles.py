@@ -12,12 +12,17 @@ Each oracle recomputes something the package computes another way:
   hull-boundary characterization;
 * :func:`sample_event`, the step sampler's rejection loop as written
   before its fresh shortcut, against :meth:`StepSampler.sample`;
+* :func:`block_chunk`, one chunk of the block chain replayed event by
+  event with scalar arithmetic, against :meth:`LayerChain.run_fast`;
 * :func:`complete_ball_by_hole_cycle`, ball completion that reads its
   near vertices off the whole main hole cycle, against
   :func:`complete_ball`;
 * :func:`extract_submap`, a copy of a map's kept triangles as a map of
   its own, whose canonical code is checked against
   :meth:`TriMap.ball_code`.
+
+A few map queries only the tests need live here too: :func:`clone`,
+:func:`target`, :func:`degree` and :func:`alive_half_edges`.
 """
 
 from bisect import bisect_right
@@ -30,10 +35,41 @@ from tripeel.errors import (
     DomainError,
     InvariantViolationError,
     MisuseError,
-    NumericalInstabilityError,
 )
 from tripeel.params import _coupling, _lin, q_step
-from tripeel.planarmap import FLAG_MAIN, FLAG_TRIANGLE, TriMap
+from tripeel.peeling import _block_laws
+from tripeel.planarmap import DEAD, FLAG_MAIN, FLAG_TRIANGLE, TriMap
+
+
+class SeriesTruncationError(ArithmeticError):
+    """The count series oracle found no certified truncation point."""
+
+
+# -- map queries that only the tests read ----------------------------------
+
+
+def alive_half_edges(tmap: TriMap):
+    """The ids of the map's alive half-edges, in increasing order."""
+    return (h for h, f in enumerate(tmap.hflag) if f != DEAD)
+
+
+def target(tmap: TriMap, h: int) -> int:
+    """The vertex half-edge h points to."""
+    return tmap.org[tmap.twin[h]]
+
+
+def degree(tmap: TriMap, v: int) -> int:
+    """The number of half-edges leaving v, multi-edges counted."""
+    return len(tmap.out_half_edges(v))
+
+
+def clone(tmap: TriMap) -> TriMap:
+    """Independent copy preserving half-edge and vertex ids."""
+    m = TriMap()
+    for name in TriMap.__slots__:
+        value = getattr(tmap, name)
+        setattr(m, name, value[:] if isinstance(value, list) else value)
+    return m
 
 
 def c_tilde_table_exact(alpha: Fraction, p_max: int) -> list:
@@ -93,7 +129,7 @@ def z_partition_series(kappa, p: int, *, rel_tol: float = 1e-10) -> float:
         total += term
         n += 1
         if n > 2_000_000:
-            raise NumericalInstabilityError("series truncation never certified")
+            raise SeriesTruncationError("series truncation never certified")
 
 
 def enumerate_fillings(filler, p: int, n_max: int) -> dict:
@@ -128,7 +164,7 @@ def enumerate_fillings(filler, p: int, n_max: int) -> dict:
             prev = cut
             if d is _FRESH and n + 1 > n_max:
                 continue
-            m2 = tmap.clone()
+            m2 = clone(tmap)
             st2 = stack[:-1]
             n2 = n
             if d is _CLOSE:
@@ -180,7 +216,7 @@ def pioneer_audit(trace) -> dict:
             # outside the hull iff it reaches the main hole off-hull
             outside: set = set()
             stack = []
-            for h in m.alive_half_edges():
+            for h in alive_half_edges(m):
                 if m.hflag[h] == FLAG_TRIANGLE:
                     continue
                 t = m.twin[h]
@@ -246,6 +282,57 @@ def sample_event(par, p: int, rng) -> tuple:
             continue
         side = "next" if u() < 0.5 else "prev"
         return "swallow", k, side
+
+
+def block_chunk(par, p: int, a: int, us, coins: bool, left=None) -> dict:
+    """Replay one chunk of :meth:`LayerChain.run_fast` event by event.
+
+    ``us`` is the chunk's block of uniforms: gaps, sizes, sides and, with
+    ``coins``, acceptance coins, m of each.  Starting from perimeter p
+    and old arc a, each event takes its gap of fresh steps and then its
+    swallow proposal: rejected (and the chunk cut) when p' - k < 2 or
+    the coin is at or above C~_{p'-k} / C~_{p'+1}, read through
+    :meth:`PeelParams.ctilde`; else applied, cutting the chunk after it
+    when it empties an arc (full arc rule) or, without coins, leaves the
+    perimeter below the clamp index plus the swallow cap.  With a step
+    budget ``left``, the first event that does not fit takes only the
+    fresh steps the budget leaves.  Returns the events read, how the
+    chunk ended ('rejected', 'arc', 'floor', 'budget' or 'whole'), the
+    steps taken and the final perimeter and old arc.
+    """
+    cap, gaps, sizes = _block_laws(par)
+    m = len(us) // (4 if coins else 3)
+    floor = None if coins else par.ctilde_clamp_index() + cap
+    steps, events, end = 0, m, "whole"
+    for i in range(m):
+        g = bisect_right(gaps._cdf, us[i])
+        k = bisect_right(sizes._cdf, us[m + i]) + 1
+        toward_old = us[2 * m + i] < 0.5
+        if left is not None and steps + g + 1 > left:
+            steps, p = left, p + left - steps
+            events, end = i + 1, "budget"
+            break
+        steps += g
+        p += g
+        if coins and not us[3 * m + i] < par.ctilde(p - k) / par.ctilde(p + 1):
+            events, end = i + 1, "rejected"
+            break
+        n = p - a
+        steps += 1
+        p -= k
+        if toward_old and k >= a:
+            a, n = n - (k - a), 0
+        elif not toward_old and k >= n:
+            a, n = a - (k - n), 0
+        elif toward_old:
+            a -= k
+        if a < 1 or p - a < 1:
+            events, end = i + 1, "arc"
+            break
+        if floor is not None and p < floor:
+            events, end = i + 1, "floor"
+            break
+    return {"events": events, "end": end, "steps": steps, "p": p, "a": a}
 
 
 def complete_ball_by_hole_cycle(engine, center: int, radius: int, *, max_steps=None) -> list:

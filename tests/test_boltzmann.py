@@ -1,5 +1,6 @@
 """Polygon filler: decision weights, surgery enumeration, coupling."""
 
+import itertools
 import math
 from collections import Counter
 from fractions import Fraction
@@ -16,7 +17,7 @@ from tripeel.planarmap import TriMap
 from tripeel.rng import RngStream
 from tripeel.stats import chi2_two_sample
 
-from oracles import enumerate_fillings
+from oracles import degree, enumerate_fillings
 
 
 @pytest.fixture(scope="module")
@@ -48,6 +49,54 @@ def test_row_golden_values(quarter):
     assert decisions3[0] == ("fresh",)
     assert cuts3[0] == pytest.approx((9 / 128) * (3584 / 729) / (128 / 81), rel=1e-12)
     assert cuts3[1] == 1.0
+
+
+def _exact_cuts(alpha: Fraction, p: int) -> list:
+    """The decision row at hole perimeter p in exact rationals, from the
+    exact step weights q_{-k} (by their term ratio)."""
+    g, lin = (1 - alpha) / (2 * alpha), 3 * alpha - 2
+    q = [Fraction(0), g * (lin + 1)]
+    for k in range(1, p):
+        q.append(q[-1] * Fraction(2 * k * (2 * k - 1), k * (k + 2)) * g * (lin * (k + 1) + 1) / (lin * k + 1))
+    probs = [2 * alpha * (1 - alpha) / 2 / q[1]] if p == 2 else []
+    probs.append(alpha * q[p] / q[p - 1])
+    probs += [q[k] * q[p - 1 - k] / (2 * q[p - 1]) for k in range(1, p - 1)]
+    assert sum(probs) == 1
+    cuts, acc = [], Fraction(0)
+    for w in probs:
+        acc += w
+        cuts.append(acc)
+    return cuts
+
+
+# the perimeter at which q_{-k} products went subnormal and the rows
+# built from the plain q_{-k} failed their sum check
+_OLD_ROW_FAILURE = {"3/4": 1745, "4/5": 1025, "9/10": 474, "19/20": 318, "99/100": 185}
+
+
+@pytest.mark.parametrize("alpha", [*_OLD_ROW_FAILURE, "2/3"])
+def test_rows_hold_at_large_perimeters(alpha):
+    # q_{-k} shrinks like (4g)^k and turns subnormal, but the rows divide
+    # the powers out: every row up to p = 3,000 builds, and its cuts stay
+    # within 1e-14 of the exact ones, at and past where the plain
+    # q_{-k} rows broke
+    par = build_params(alpha=alpha)
+    filler = BoltzmannFiller(par)
+    old = _OLD_ROW_FAILURE.get(alpha, 3000)
+    for p in sorted({2, 3, 40, old - 1, old, 3000}):
+        cuts, decisions = filler.row(p)
+        assert cuts[-1] == 1.0 and len(decisions) == (2 if p == 2 else p - 1)
+    for p in (2, 3, 40, old - 1, old) if alpha == "9/10" else (3, old - 1):
+        exact = _exact_cuts(Fraction(alpha), p)
+        cuts = filler.row(p)[0]
+        assert max(abs(Fraction(c) - e) for c, e in zip(cuts, exact)) < 1e-14, p
+    # well below the old failure the rows are those of the plain q_{-k},
+    # bit for bit
+    qn = par._qneg
+    for p in (3, 40, old // 2):
+        plain = [par.alpha * qn[p] / qn[p - 1]]
+        plain += [qn[k] * qn[p - 1 - k] / (2.0 * qn[p - 1]) for k in range(1, p - 1)]
+        assert filler.row(p)[0][:-1] == list(itertools.accumulate(plain))[:-1]
 
 
 def test_decide_two_gon_frequencies(quarter):
@@ -126,10 +175,10 @@ def test_degree_driver_follows_the_map(quarter, critical):
                     for _ in range(mark):
                         h = tmap.nxt[h]
                     v = tmap.org[h]
-                    before = tmap.degree(v)
+                    before = degree(tmap, v)
                     added = filler.fill_hole(tmap, inner, p, r1)
                     got = filler.fill_degree(p, mark, r2)
-                    assert got == (added, tmap.degree(v) - before), (p, mark, trial)
+                    assert got == (added, degree(tmap, v) - before), (p, mark, trial)
                     assert r1.n_drawn == r2.n_drawn
 
 

@@ -3,13 +3,14 @@
 import ast
 import inspect
 import json
+import math
 import textwrap
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tripeel import experiments
+from tripeel import experiments, peeling
 from tripeel.errors import BudgetExceededError, DomainError
 from tripeel.experiments import (
     EXPERIMENTS,
@@ -34,6 +35,8 @@ from tripeel.params import build_params
 from tripeel.peeling import LayerChain, LayerEngine
 from tripeel.rng import RngStream
 from tripeel.stats import mean_ci
+
+from oracles import degree
 
 
 @pytest.fixture(scope="module")
@@ -90,21 +93,29 @@ def test_layer_stats_ignores_table_growth():
 
 
 def test_layer_stats_fast_path_reports_what_ran():
-    # alpha 0.6667 clamps the harmonic table too late for these short
-    # runs: every step is scalar, and the report must say so
+    # the critical point has no finite swallow cap, so every step is
+    # scalar, and the report must say so.  Alpha 0.6667 clamps the
+    # harmonic table too late for these short runs, but block chunks with
+    # acceptance coins carry its boundaries from perimeter 4 on
+    crit = run_layer_stats(build_params(kappa="2/27"), RngStream(5), trials=3, window=(6, 10))
+    assert crit["settings"]["fast_path"] is False
+    assert crit["results"]["work"]["block_steps"] == 0
     p = build_params(alpha="0.6667")
     rep = run_layer_stats(p, RngStream(5), trials=3, window=(6, 10))
-    assert rep["settings"]["fast_path"] is False
+    assert rep["settings"]["fast_path"] is True
     assert p.ctilde_clamp_index() is None
 
 
-def test_volume_growth_fast_path_reports_what_ran(p75):
-    # at alpha 3/4 the boundary passes the block floor by depth 6; by
-    # depth 3 it never does, and the report must say so
+def test_volume_growth_fast_path_reports_what_ran(p75, monkeypatch):
+    # at alpha 3/4 block steps carry the layers after the first; with the
+    # block path held off (no perimeter reaches its start) every step is
+    # scalar, and the report must say so
     deep = run_volume_growth(p75, RngStream(9), trials=2, r_max=5, window=(2, 5))
-    shallow = run_volume_growth(p75, RngStream(9), trials=2, r_max=2, window=(1, 2))
     assert deep["settings"]["fast_path"] is True
-    assert shallow["settings"]["fast_path"] is False
+    monkeypatch.setattr(peeling, "_P_BLOCK", math.inf)
+    held = run_volume_growth(p75, RngStream(9), trials=2, r_max=5, window=(2, 5))
+    assert held["settings"]["fast_path"] is False
+    assert held["results"]["work"]["block_steps"] == 0
 
 
 def test_reports_count_their_work(p75):
@@ -358,7 +369,7 @@ def _inv_degree_on_maps(params, trials, rng, max_steps_per_trial):
         except BudgetExceededError:
             discarded += 1
             continue
-        vals.append(1.0 / m.degree(origin))
+        vals.append(1.0 / degree(m, origin))
     ci = mean_ci(vals)
     ci.update({"trials": trials, "used": len(vals), "discarded": discarded})
     return ci

@@ -16,43 +16,46 @@ from tripeel.cli import cli
 
 # case id -> (experiment, coupling, seed, settings, sha256 of report_to_json).
 # The layer-stats and volume-growth reports run LayerChain.run_fast, whose
-# block path draws one event (fresh steps, then a swallow) per three
-# uniforms: new draws, same law; they also record results.work.  The
-# block floor (clamp index + swallow cap + 2) reads only the law, and
-# where it sits decides which steps are block steps
+# block path draws one event (fresh steps, then a swallow proposal) per
+# three uniforms at or above the block floor (clamp index + swallow cap
+# + 2) and per four below it, the fourth the swallow's acceptance coin:
+# new draws, same law; they also record results.work.  Scalar steps
+# remain below perimeter 4, in layer 1 with volume tracked and at the
+# critical point
 REPORTS = {
+    # below the block floor, 406 here, chunks carry acceptance coins;
     # block-step fill volumes come from the volume tables
     "volume-growth": (
         "volume-growth", {"alpha": "7/10"}, 1,
         {"trials": 6, "r_max": 6, "window": (2, 5)},
-        "341f62665764b155970336dc3acb116b1d62bc3ec1ef86faeceaae298f9bfb6a",
+        "f6c0cc1b3eec9a8328739caaf68e36d97a173d4c166d6d4f59d3767aa519804e",
     ),
-    # alpha 3/4 passes the block floor within six layers: about 97% of
-    # the steps are block steps, their fill volumes drawn from the tables
+    # alpha 3/4 passes the block floor, 161, within six layers; fill
+    # volumes are drawn from the tables
     "volume-growth-three-quarters": (
         "volume-growth", {"alpha": "3/4"}, 9,
         {"trials": 4, "r_max": 5, "window": (2, 5)},
-        "b0674f327e372fe4383a32d402a1843a0e98bd66b6d72732cdfe567ae180b083",
+        "6f887a482723279c6f74b94b3fd7d70e27f5b8a046611ea95b67d6b6affd0f5a",
     ),
-    # alpha 3/4 clamps the harmonic table, so run_fast takes the block path
+    # alpha 3/4: chunks without coins carry the deep layers
     "layer-stats": (
         "layer-stats", {"alpha": "3/4"}, 2,
         {"trials": 4, "window": (4, 8)},
-        "38da19bb4481f202b468dea6c3b4692baded45ab752b24e80e6477743e15c4a1",
+        "950500848b67213dcb777b09a150db52ce5379856d83441a25ecbb7834aefca3",
     ),
     # alpha 0.68 clamps the harmonic table only at p = 570 and caps block
-    # swallows at 430: scalar steps until the boundary is wide enough,
-    # blocks after
+    # swallows at 430: chunks with coins until the boundary reaches the
+    # floor, 1,002, chunks without after
     "layer-stats-near-critical": (
         "layer-stats", {"alpha": "0.68"}, 5,
         {"trials": 3, "window": (8, 11)},
-        "8e8b1addbf8a2b942226b1d8c74f15ad94dca1e8158c01400bb6c48da54ce79b",
+        "e82047d043488425af468cd76b3e8cd2fc18d3da40bee59b74c3f72121604832",
     ),
-    # alpha 4/5 clamps the harmonic table at p = 52, so the block path runs
+    # alpha 4/5 clamps the harmonic table at p = 52, block floor 96
     "layer-stats-four-fifths": (
         "layer-stats", {"alpha": "4/5"}, 8,
         {"trials": 3, "window": (3, 6)},
-        "b7fa5b939cf89818ae8f398fd332e2612ae599e0f4003cfe8cbd9437700fa28f",
+        "352f4d71c7f878021c43edf3b8182c9e5f5739f5d4f2564dda6cc2a1bcceb9d0",
     ),
     # the step budget discards some trials
     "inv-degree": (

@@ -2,6 +2,7 @@
 
 import json
 import math
+from collections import Counter
 from dataclasses import asdict, replace
 from fractions import Fraction
 
@@ -39,7 +40,7 @@ from tripeel.peeling import (
 from tripeel.planarmap import TriMap
 from tripeel.walk import run_walk_peeling
 
-from oracles import complete_ball_by_hole_cycle, sample_event
+from oracles import block_chunk, complete_ball_by_hole_cycle, sample_event
 
 PAR = build_params(kappa=Fraction(9, 128))
 CRIT = build_params(kappa=Fraction(2, 27))
@@ -346,29 +347,27 @@ def test_both_hull_imports_reject_an_inconsistent_hull(edit):
 
 
 def test_fast_chain_matches_scalar_when_disabled():
-    # this run's boundary never reaches the block floor (clamp index plus
-    # swallow cap plus 2, here 161; it peaks at 73), so run_fast stays on
-    # the scalar path: identical run, identical draws
-    a = LayerChain(PAR, RngStream(73, (19,)), volume=False)
-    peak = a.p
-    while a.cur_r <= 2:
-        a.step()
-        peak = max(peak, a.p)
-    assert peak < PAR.ctilde_clamp_index() + peeling._block_cap(PAR) + 2
-    b = LayerChain(PAR, RngStream(73, (19,)), volume=False)
-    b.run_fast(2)
-    assert [(h.r, h.tau, h.perimeter) for h in a.hull] == [
-        (h.r, h.tau, h.perimeter) for h in b.hull
-    ]
-    assert a.rng.n_drawn == b.rng.n_drawn
+    # run_fast keeps the scalar step where it must: at the critical point
+    # (no finite swallow cap) every step, and with volume tracked all of
+    # layer 1, whose tau_1 fill gives the root degree.  There it is run(),
+    # draw for draw
+    for volume in (False, True):
+        a = LayerChain(CRIT, RngStream(73, (19,)), volume=volume)
+        b = LayerChain(CRIT, RngStream(73, (19,)), volume=volume)
+        assert a.run(5) == b.run_fast(5)
+        assert (a.steps, a.rng.n_drawn, b.block_steps) == (b.steps, b.rng.n_drawn, 0)
+    for t in range(20):
+        a = LayerChain(PAR, RngStream(73, (t,)))
+        b = LayerChain(PAR, RngStream(73, (t,)))
+        assert a.run(1) == b.run_fast(1)
+        assert a.root_degree == b.root_degree is not None
+        assert (a.steps, a.rng.n_drawn, b.block_steps) == (b.steps, b.rng.n_drawn, 0)
 
 
 def test_fast_chain_matches_scalar_in_law(monkeypatch):
     # two-sample KS tests of the scalar chain against run_fast with the
-    # block path on.  Alpha 3/4 clamps early, so by depth 6 the block
-    # path carries most steps.  Alpha 7/10 barely reaches the block path
-    # by depth 7, and the near-critical alpha 0.672 (clamp index 1430)
-    # would need depths too costly for this suite.
+    # block path on.  Alpha 3/4 clamps early, so by depth 6 chunks
+    # without coins, above the block floor 161, carry most steps.
     par = build_params(alpha=Fraction(3, 4))
     trials = 250
 
@@ -468,109 +467,183 @@ def test_block_step_sizes_match_searchsorted(alpha):
     assert 1 + sizes.mean == pytest.approx(raw.mean / (1 - par.alpha), rel=1e-12)
 
 
-def _chunk_events(gaps, us, steps):
-    """Events of a block of 3m uniforms that a chunk of the given block
-    steps used: the number of whole events whose steps (gap plus one)
-    add up to it."""
-    m = us.size // 3
-    through = np.cumsum(gaps(us[:m]) + 1)
-    e = int(np.searchsorted(through, steps)) + 1
-    assert through[e - 1] == steps
-    return e
+def _chunk_log(monkeypatch) -> list:
+    """Log the chains that run_fast runs: a snapshot (kind, steps, block
+    steps, perimeter, old arc, uniforms drawn, block) before each chunk's
+    block of uniforms ('block', with the block; fill blocks are not
+    logged), before each scalar step ('step') and when run_fast returns
+    or raises ('end')."""
+    log, running = [], []
+    step, block, run_fast = LayerChain.step, RngStream.block, LayerChain.run_fast
+    fill_volumes = peeling.BoltzmannFiller.fill_volumes
+
+    def snap(kind, chain, us=None):
+        log.append((kind, chain.steps, chain.block_steps, chain.p, chain._A, chain.rng.n_drawn, us))
+
+    def logged_step(chain):
+        snap("step", chain)
+        step(chain)
+
+    def logged_block(rng, n):
+        if running[-1] is None:
+            return block(rng, n)
+        snap("block", running[-1])
+        us = block(rng, n)
+        log[-1] = log[-1][:-1] + (us,)
+        return us
+
+    def unlogged_fills(filler, holes, rng):
+        running.append(None)
+        try:
+            return fill_volumes(filler, holes, rng)
+        finally:
+            running.pop()
+
+    def logged_run_fast(chain, r_max):
+        running.append(chain)
+        try:
+            return run_fast(chain, r_max)
+        finally:
+            snap("end", chain)
+
+    monkeypatch.setattr(LayerChain, "step", logged_step)
+    monkeypatch.setattr(RngStream, "block", logged_block)
+    monkeypatch.setattr(LayerChain, "run_fast", logged_run_fast)
+    monkeypatch.setattr(peeling.BoltzmannFiller, "fill_volumes", unlogged_fills)
+    return log
+
+
+def _replayed_chunks(par, log, max_steps=None):
+    """Each chunk of a log: its start (steps, block steps, perimeter, old
+    arc, uniforms drawn), the snapshot after it, its uniforms, whether it
+    carries coins, and its event-by-event replay (oracles.block_chunk).
+    A chunk carries coins below the block floor clamp + K + 2."""
+    cap = peeling._block_laws(par)[0]
+    for (kind, *start, us), after in zip(log, log[1:]):
+        if kind != "block":
+            continue
+        steps, _, p, a, _ = start
+        par.ensure_ctilde(p + 1)
+        clamp = par.ctilde_clamp_index()
+        coins = clamp is None or p < clamp + cap + 2
+        left = None if max_steps is None else max_steps - steps
+        yield start, after[1:6], us, coins, block_chunk(par, p, a, us, coins, left)
+
+
+@pytest.mark.parametrize("alpha, depth", [("7/10", 6), ("3/4", 7)])
+def test_block_chunks_replay_event_by_event(monkeypatch, alpha, depth):
+    # every chunk, with coins (below the block floor) or without, ends
+    # where the scalar replay of its events ends: same steps, perimeter
+    # and old arc, and the chunk's block is all it drew.  Both kinds of
+    # chunk are seen, and every way a chunk can end.  Boundaries soon
+    # grow far past the floor, so chains started right on it (in layer
+    # 2, arcs of equal length) show the cut that leaves it
+    par = build_params(alpha=alpha)
+    cap = peeling._block_laws(par)[0]
+    log = _chunk_log(monkeypatch)
+    for t in range(6):
+        LayerChain(par, RngStream(139, (t,)), volume=False).run_fast(depth)
+        chain = LayerChain(par, RngStream(139, (t, 1)), volume=False)
+        par.ensure_ctilde(par.ctilde_clamp_index() or 10**4)
+        chain.p = par.ctilde_clamp_index() + cap + 2
+        chain._A = chain.p // 2
+        chain._N = chain.p - chain._A
+        chain.cur_r = 2
+        chain.run_fast(3)
+    ends = Counter()
+    for (steps, blocks, _, _, drawn), after, us, coins, rep in _replayed_chunks(par, log):
+        assert us.size == (4 if coins else 3) * (us.size // (4 if coins else 3))
+        assert after == (
+            steps + rep["steps"], blocks + rep["steps"], rep["p"], rep["a"], drawn + us.size
+        )
+        ends[rep["end"], coins] += 1
+    assert {end for end, coins in ends if coins} == {"rejected", "arc", "whole"}
+    assert {end for end, coins in ends if not coins} == {"arc", "floor", "whole"}
+
+
+def test_rejection_cut_takes_the_gap_and_skips_the_swallow(monkeypatch):
+    # a chunk cut by a rejected swallow proposal: its events before the
+    # cut are taken whole, the cut event's fresh steps are taken, its
+    # swallow is not, and the chunk drew its four uniforms an event and
+    # nothing else
+    par = build_params(alpha=Fraction(7, 10))
+    _, gaps, sizes = peeling._block_laws(par)
+    log = _chunk_log(monkeypatch)
+    for t in range(20):
+        LayerChain(par, RngStream(149, (t,)), volume=False).run_fast(3)
+    seen = 0
+    for (steps, blocks, p, a, drawn), after, us, coins, rep in _replayed_chunks(par, log):
+        if rep["end"] != "rejected":
+            continue
+        seen += 1
+        m, e = us.size // 4, rep["events"]
+        gs, ks = gaps(us[:m])[:e], sizes(us[m : 2 * m])[:e] + 1
+        toward_old = us[2 * m : 3 * m][:e] < 0.5
+        # the cut event proposed its swallow at p', and its coin rejected it
+        p_cut = p + gs.sum() - ks[:-1].sum()
+        assert not us[3 * m + e - 1] < par.ctilde(p_cut - ks[-1]) / par.ctilde(p_cut + 1)
+        taken = gs.sum() + e - 1
+        assert after == (
+            steps + taken, blocks + taken, p_cut, a - (ks * toward_old)[:-1].sum(), drawn + 4 * m
+        )
+    assert seen >= 20
 
 
 def test_fast_chain_draws_only_what_it_uses(monkeypatch):
-    # a block event (a run of fresh steps, then a swallow) uses three
-    # uniforms; chunks sized from the chain state leave almost nothing
-    # unused, and the chunk at the start of a layer (new arc empty) is
-    # the smallest one
+    # a block event (a run of fresh steps, then a swallow proposal) uses
+    # three uniforms, and four below the block floor, where it carries
+    # its acceptance coin; chunks sized from the chain state leave almost
+    # nothing unused, and the chunk at the start of a layer (new arc
+    # empty) is the smallest one
     par = build_params(alpha=Fraction(3, 4))
-    gaps, _ = peeling._event_laws(par, peeling._block_cap(par))
-    chain = None
-    scalar_draws = 0
-    chunks = []
-    step, block = LayerChain.step, RngStream.block
-
-    def counted_step(c):
-        nonlocal scalar_draws
-        n0 = c.rng.n_drawn
-        step(c)
-        scalar_draws += c.rng.n_drawn - n0
-
-    def recorded_block(rng, n):
-        us = block(rng, n)
-        chunks.append((chain._N, us, chain.block_steps))
-        return us
-
-    monkeypatch.setattr(LayerChain, "step", counted_step)
-    monkeypatch.setattr(RngStream, "block", recorded_block)
-    drawn = used = 0
-    sizes = []
+    log = _chunk_log(monkeypatch)
+    drawn = 0
     for t in range(4):
         chain = LayerChain(par, RngStream(103, (t,)), volume=False)
-        chunks.clear()
         chain.run_fast(9)
         drawn += chain.rng.n_drawn
-        ends = [b0 for _, _, b0 in chunks[1:]] + [chain.block_steps]
-        for (n_new, us, b0), b1 in zip(chunks, ends):
-            used += 3 * _chunk_events(gaps, us, b1 - b0)
-            sizes.append((n_new, us.size))
-    used += scalar_draws
+    used = sum(
+        after[-1] - before[-1]
+        for (kind, *before, _), (_, *after, _) in zip(log, log[1:])
+        if kind == "step"
+    )
+    sizes = []
+    for (_, _, p, a, _), _, us, coins, rep in _replayed_chunks(par, log):
+        used += (4 if coins else 3) * rep["events"]
+        sizes.append((p - a, us.size // (4 if coins else 3)))
     assert used <= drawn <= 1.05 * used
     assert any(n_new == 0 for n_new, _ in sizes)
-    assert all(n == 3 * peeling._CHUNK_MIN for n_new, n in sizes if n_new < peeling._N_SHORT)
-    assert max(n for _, n in sizes) > 3 * peeling._CHUNK_MIN
+    assert all(m == peeling._CHUNK_MIN for n_new, m in sizes if n_new < peeling._N_SHORT)
+    assert max(m for _, m in sizes) > peeling._CHUNK_MIN
 
 
 @pytest.mark.parametrize("volume", [False, True], ids=["volume-off", "volume-on"])
 def test_fast_chain_budget_cuts_inside_a_gap(monkeypatch, volume):
     # a step budget that runs out inside a chunk takes the whole events
     # before it, then as many fresh steps of the next event's gap as it
-    # leaves; the next budget check raises with the budget spent exactly
-    par = build_params(alpha=Fraction(3, 4))
-    gaps, sizes = peeling._event_laws(par, peeling._block_cap(par))
-    chain = None
-    chunks = []
-    block, fill_volumes = RngStream.block, peeling.BoltzmannFiller.fill_volumes
-
-    def recorded_block(rng, n):
-        us = block(rng, n)
-        chunks.append((chain.steps, chain.block_steps, chain.p, chain._A, us))
-        return us
-
-    def unrecorded_fills(filler, holes, rng):
-        n = len(chunks)
-        added = fill_volumes(filler, holes, rng)
-        del chunks[n:]
-        return added
-
-    monkeypatch.setattr(RngStream, "block", recorded_block)
-    monkeypatch.setattr(peeling.BoltzmannFiller, "fill_volumes", unrecorded_fills)
-    inside = 0
-    for budget in range(30_000, 30_200, 20):
-        chain = LayerChain(par, RngStream(127, (budget,)), volume=volume, max_steps=budget)
-        chunks.clear()
-        with pytest.raises(BudgetExceededError):
-            chain.run_fast(40)
-        assert chain.steps == budget
-        assert chain._A + chain._N == chain.p
-        assert chain.block_steps <= chain.steps
-        steps0, blocks0, p0, a0, us = chunks[-1]
-        left = budget - steps0
-        m = us.size // 3
-        gs, ks = gaps(us[:m]), sizes(us[m : 2 * m]) + 1
-        through = np.cumsum(gs + 1)
-        if chain.block_steps - blocks0 == left and left not in through:
-            # the last chunk ran out of budget inside the gap of event
-            # `whole`: the events before it were applied whole, then
-            # only fresh steps
-            whole = int(np.searchsorted(through, left))
-            done = through[whole - 1] if whole else 0
-            assert 0 < left - done <= gs[whole]
-            assert chain.p == p0 + (gs - ks)[:whole].sum() + left - done
-            assert chain._A == a0 - (ks * (us[2 * m :] < 0.5))[:whole].sum()
-            inside += 1
-    assert inside >= 3
+    # leaves, as the event-by-event replay does, and the next budget
+    # check raises with the budget spent exactly.  Short budgets at alpha
+    # 7/10 end in chunks with coins, below the block floor; long ones at
+    # alpha 3/4 in chunks without
+    log = _chunk_log(monkeypatch)
+    inside = Counter()
+    for alpha, budgets, seed in (
+        ("7/10", range(300, 2300, 100), 151), ("3/4", range(30_000, 30_200, 20), 127)
+    ):
+        par = build_params(alpha=alpha)
+        for budget in budgets:
+            chain = LayerChain(par, RngStream(seed, (budget,)), volume=volume, max_steps=budget)
+            del log[:]
+            with pytest.raises(BudgetExceededError):
+                chain.run_fast(40)
+            assert chain.steps == budget
+            assert chain._A + chain._N == chain.p
+            assert chain.block_steps <= chain.steps
+            *_, (start, after, _, coins, rep) = _replayed_chunks(par, log, max_steps=budget)
+            assert after[:4] == (start[0] + rep["steps"], start[1] + rep["steps"], rep["p"], rep["a"])
+            if rep["end"] == "budget":
+                inside[alpha, coins] += 1
+    assert inside["7/10", True] >= 5 and inside["3/4", False] >= 3
 
 
 def test_fast_chain_invariants():
@@ -623,11 +696,49 @@ def test_fast_chain_counts_every_fill(monkeypatch):
                 assert h.volume == 2 + h.tau + m * (h.tau - h.perimeter + 2), (fast, h)
 
 
+@pytest.mark.parametrize(
+    "alpha, volume, depths, trials",
+    [("7/10", True, (2, 4, 6), 250), ("0.67", False, (4, 8, 12), 200)],
+    ids=["seven-tenths-volume", "near-critical"],
+)
+def test_coin_chunks_match_scalar_in_law(alpha, volume, depths, trials):
+    # two-sample KS tests of (tau_r, P_{tau_r}) and, with volume, V_{tau_r}
+    # between run() and run_fast() where chunks with acceptance coins
+    # carry the block steps: the block floor is 406 at alpha 7/10 and
+    # 3,894 at alpha 0.67, far above these boundaries
+    par = build_params(alpha=alpha)
+    fields = ("tau", "perimeter", "volume") if volume else ("tau", "perimeter")
+
+    def series(run):
+        out = {(r, f): [] for r in depths for f in fields}
+        for t in range(trials):
+            hull = run(t)
+            for r, f in out:
+                out[r, f].append(getattr(hull[r - 1], f))
+        return out
+
+    r_max = depths[-1]
+    scalar = series(lambda t: LayerChain(par, RngStream(157, (t,)), volume=volume).run(r_max))
+    counts = {"steps": 0, "block": 0}
+
+    def fast(t):
+        chain = LayerChain(par, RngStream(163, (t,)), volume=volume)
+        hull = chain.run_fast(r_max)
+        counts["steps"] += chain.steps
+        counts["block"] += chain.block_steps
+        return hull
+
+    block = series(fast)
+    assert counts["block"] > 0.9 * counts["steps"]
+    for key in scalar:
+        assert sps.ks_2samp(scalar[key], block[key]).pvalue > 1e-3, key
+
+
 def test_fast_chain_with_volume_matches_scalar_in_law():
     # two-sample KS tests of (P, V, tau) at tau_5 and tau_7 between run()
     # and run_fast() with volume at alpha 7/10.  The block floor is 406
-    # there: by tau_5 only about 11% of the steps are block steps, by
-    # tau_7 about two thirds, so both depths are compared
+    # there: chunks with acceptance coins carry the block steps below it
+    # and chunks without above it, and by tau_7 both kinds run
     par = build_params(alpha=Fraction(7, 10))
     trials = 250
     depths = (5, 7)
@@ -662,8 +773,8 @@ def test_fast_chain_matches_scalar_in_law_near_critical():
     # two-sample KS tests of (tau_r, P_{tau_r}) between run() and
     # run_fast() at alpha 0.672, where the harmonic table clamps only at
     # p = 1,430 and the swallow cap K is 1,027: the block floor is 2,459.
-    # By tau_14 about a tenth of the steps are block steps, by tau_18
-    # more than half
+    # Chunks with acceptance coins carry the block steps below it, by
+    # tau_18 chunks without coins above it
     par = build_params(alpha=Fraction(84, 125))
     trials = 300
     depths = (14, 18)

@@ -17,7 +17,7 @@ from tripeel.planarmap import (
 from tripeel.rng import RngStream
 from tripeel.walk import run_walk_peeling
 
-from oracles import extract_submap
+from oracles import alive_half_edges, clone, degree, extract_submap, target
 
 
 def fresh_ring(n):
@@ -53,8 +53,8 @@ def test_polygon_shape():
 
 def test_polygon_two_gon_is_a_double_edge():
     m, _ = TriMap.polygon(2)
-    assert m.degree(0) == 2
-    assert [m.target(h) for h in m.out_half_edges(0)] == [1, 1]
+    assert degree(m, 0) == 2
+    assert [target(m, h) for h in m.out_half_edges(0)] == [1, 1]
 
 
 # -- fresh attachment ----------------------------------------------------
@@ -124,7 +124,7 @@ def test_open_swallow_apex_identity():
     e = a
     for _ in range(3):
         e = m.nxt[e]
-    expected_next = m.target(e)
+    expected_next = target(m, e)
     _, _, apex = m.open_swallow(a, 3, "next")
     assert apex == expected_next
 
@@ -208,7 +208,7 @@ def _after_closes(n_closed, perimeter):
 def _check_arena(m, dead):
     # closed ids keep their slots, dead for good, and count as no half-edge
     assert all(m.hflag[h] == DEAD and not m.alive(h) for h in dead)
-    assert m.n_half_edges() == 2 * m.ne == len(list(m.alive_half_edges()))
+    assert m.n_half_edges() == 2 * m.ne == len(list(alive_half_edges(m)))
 
 
 @pytest.mark.parametrize("n_closed", [0, 1, 2, 3, 4, 6])
@@ -254,7 +254,7 @@ def test_random_surgery_stays_valid():
         if step % 25 == 24:
             m.validate(allow_work_holes=True)
     m.validate(allow_work_holes=True)
-    assert m.n_half_edges() == len(list(m.alive_half_edges()))
+    assert m.n_half_edges() == len(list(alive_half_edges(m)))
 
 
 # -- distances ---------------------------------------------------------------
@@ -280,7 +280,7 @@ def test_canonical_code_ignores_arena_ids():
     m = grown_map(35, seed=3)
     perm = list(range(len(m.org)))
     random.Random(5).shuffle(perm)
-    m2 = m.clone()
+    m2 = clone(m)
     for h, g in enumerate(perm):
         m2.twin[g], m2.nxt[g], m2.prv[g] = perm[m.twin[h]], perm[m.nxt[h]], perm[m.prv[h]]
         m2.org[g], m2.hflag[g] = m.org[h], m.hflag[h]
@@ -334,7 +334,7 @@ def grown_map(n_ops, seed=7):
 def test_extract_everything_is_identity():
     # a map whose only hole is the main one: extraction reproduces it
     m, _ = fresh_ring(30)
-    keep = {h for h in m.alive_half_edges() if m.hflag[h] == FLAG_TRIANGLE}
+    keep = {h for h in alive_half_edges(m) if m.hflag[h] == FLAG_TRIANGLE}
     sub, hmap = extract_submap(m, keep, m.root)
     sub.validate()
     assert sub.n_tri == m.n_tri
@@ -343,7 +343,7 @@ def test_extract_everything_is_identity():
 
 def test_extract_with_pockets_stays_valid():
     m = grown_map(40)
-    keep = {h for h in m.alive_half_edges() if m.hflag[h] == FLAG_TRIANGLE}
+    keep = {h for h in alive_half_edges(m) if m.hflag[h] == FLAG_TRIANGLE}
     sub, hmap = extract_submap(m, keep, m.root)
     sub.validate(expect_main_holes=None, require_simple_main=False)
     assert sub.n_tri == m.n_tri
@@ -364,9 +364,9 @@ def test_extract_star_of_a_vertex():
 
 def test_extract_guards():
     m = grown_map(10)
-    keep = {h for h in m.alive_half_edges() if m.hflag[h] == FLAG_TRIANGLE}
+    keep = {h for h in alive_half_edges(m) if m.hflag[h] == FLAG_TRIANGLE}
     with pytest.raises(MisuseError):
-        extract_submap(m, keep, next(h for h in m.alive_half_edges() if h not in keep))
+        extract_submap(m, keep, next(h for h in alive_half_edges(m) if h not in keep))
     bad = set(list(keep)[:1])
     with pytest.raises(MisuseError):
         extract_submap(m, bad, next(iter(bad)))
@@ -386,7 +386,7 @@ def test_ball_code_matches_submap_copy():
                 dist = complete_ball(trace.engine, m.org[root], radius)
                 keep = {
                     h
-                    for h in m.alive_half_edges()
+                    for h in alive_half_edges(m)
                     if m.hflag[h] == FLAG_TRIANGLE
                     and all(0 <= dist[m.org[e]] <= radius for e in (h, m.nxt[h], m.nxt[m.nxt[h]]))
                 }
@@ -396,7 +396,7 @@ def test_ball_code_matches_submap_copy():
     assert balls == 135
     # roots off the ball's triangles: a main-hole half-edge, an id past
     # the arena, and any root of a radius-0 ball, which has no triangle
-    hole = next(h for h in m.alive_half_edges() if m.hflag[h] == FLAG_MAIN)
+    hole = next(h for h in alive_half_edges(m) if m.hflag[h] == FLAG_MAIN)
     for bad, r in ((hole, 3), (len(m.org), 3), (root, 0)):
         with pytest.raises(MisuseError):
             m.ball_code(bad, dist, r)

@@ -8,7 +8,7 @@ import pytest
 from tripeel import DomainError, RngStream, build_params
 from tripeel.walk import _ball_audit, run_walk_peeling, speed_estimate
 
-from oracles import pioneer_audit
+from oracles import pioneer_audit, target
 
 PAR = build_params(kappa=Fraction(9, 128))
 
@@ -17,7 +17,7 @@ def test_counters_and_start_convention():
     trace = run_walk_peeling(PAR, 200, RngStream(101, (0,)))
     m = trace.map
     assert trace.positions[0] == trace.x0 == m.org[m.root]
-    assert trace.positions[1] == m.target(m.root)
+    assert trace.positions[1] == target(m, m.root)
     assert trace.pioneer[0] is False
     assert trace.pioneer[1] is True  # the first pioneer point
     assert trace.n_steps == 200
@@ -26,7 +26,7 @@ def test_counters_and_start_convention():
     # stable (a 2-gon closure can move the root), the moves' ids are
     for i in range(1, trace.n_steps):
         he = trace.move_edges[i]
-        assert (m.org[he], m.target(he)) == (trace.positions[i], trace.positions[i + 1])
+        assert (m.org[he], target(m, he)) == (trace.positions[i], trace.positions[i + 1])
     m.validate()
 
 
