@@ -315,7 +315,8 @@ def run_layer_stats(
     Volume draws are skipped, and off the critical point every boundary
     of perimeter 4 or more goes through the block sampler of
     :meth:`LayerChain.run_fast` (with acceptance coins below the block
-    floor); at the critical point every step is scalar.
+    floor); at the critical point, and for alpha within about 3e-5 of
+    it, where no swallow cap is affordable, every step is scalar.
     ``results.work`` sums the trials' steps, block steps and uniforms
     (see :func:`_chain_work`), and ``settings.fast_path`` records
     whether any trial took a block step.

@@ -170,18 +170,30 @@ class _InverseCdf:
         return ks
 
 
-def _block_cap(params: PeelParams) -> int:
+# A coupling whose swallow cap would pass _CAP_MAX (alpha within about
+# 3e-5 of 2/3) takes scalar steps, like the critical point.  K grows like
+# 1 / (alpha - 2/3), and so do its search and the tables it fills: K is
+# 117,893 at alpha 0.6667 and 970,039 at 0.66667 (1.6 s and 178 MiB
+# before the first step, on one core of a shared x86 host), and within
+# about 3e-7 of 2/3 it passes the tables' hard cap
+_CAP_MAX = 1 << 17
+
+
+def _block_cap(params: PeelParams) -> Optional[int]:
     """Swallow-size cap K of the block path: the smallest size K >= 1
     whose certified step-law tail beyond it is at most 2^-53, the spacing
     of the stream's uniforms.  Grows the table to K.
 
-    Finite off the critical point, where the tail is geometric.  K reads
-    the step law alone, never the tables' current length.
+    None at the critical point, where the tail is not geometric, and
+    where no K up to _CAP_MAX is certified.  K reads the step law alone,
+    never the tables' current length.
     """
-    k = 1
-    while q_tail_bound(params.alpha, k, params.q_neg(k)) > 2.0 ** -53:
-        k += 1
-    return k
+    if params.critical:
+        return None
+    for k in range(1, _CAP_MAX + 1):
+        if q_tail_bound(params.alpha, k, params.q_neg(k)) <= 2.0 ** -53:
+            return k
+    return None
 
 
 def _event_laws(params: PeelParams, cap: int) -> tuple:
@@ -213,11 +225,12 @@ def _event_laws(params: PeelParams, cap: int) -> tuple:
 def _block_laws(params: PeelParams) -> tuple:
     """(K, gaps, sizes): :func:`_block_cap` and :func:`_event_laws` of the
     coupling, built on the first call and kept on the parameters, since
-    they read only the step law.  Off the critical point only."""
+    they read only the step law.  (None, None, None) where K is None."""
     laws = params._block_laws
     if laws is None:
         cap = _block_cap(params)
-        laws = params._block_laws = (cap, *_event_laws(params, cap))
+        laws = (None, None, None) if cap is None else (cap, *_event_laws(params, cap))
+        params._block_laws = laws
     return laws
 
 
@@ -726,13 +739,15 @@ class LayerChain:
         taken and its swallow is not.  A rejected proposal leaves the
         state as it was in the scalar sampler too, so every event taken
         was drawn at its true state.  C~ is grown with
-        :meth:`PeelParams.ensure_ctilde` to the chunk's largest p' + 1
-        and read through a numpy copy.  From the floor on every ratio
-        with k <= K is exactly 1.0 (the clamp index is the first entry
-        whose remainder is certified below 2^-53 of it), so chunks that
-        start there draw three uniforms an event and no coin, and are
-        cut at the first event whose swallow would take the perimeter
-        below clamp + K; that event's swallow is still exact.
+        :meth:`PeelParams.ensure_ctilde` to twice the chunk's largest
+        p' + 1 and read through a numpy copy.  From the floor on every
+        ratio with k <= K is exactly 1.0 (the clamp index is the first
+        entry whose remainder is certified below 2^-53 of it), so chunks
+        that start there draw three uniforms an event and no coin, and
+        are cut at the first event whose swallow would take the perimeter
+        below clamp + K; that event's swallow is still exact.  Coins
+        there would be exact too, but slow the deep layers of
+        ``layer-stats`` by about 30%.
 
         A fresh step only lengthens the new arc and the perimeter, so no
         step inside a gap can empty an arc.  The chunk is also cut at the
@@ -744,8 +759,10 @@ class LayerChain:
 
         Scalar :meth:`step` calls remain at perimeters below 4, with
         volume tracked throughout layer 1, whose tau_1 fill gives
-        ``root_degree``, and at the critical point, where no finite K
-        exists; there :meth:`run_fast` is :meth:`run`, draw for draw.
+        ``root_degree``, and where :func:`_block_cap` finds no K: at the
+        critical point, where no finite K exists, and for alpha within
+        about 3e-5 of it, where K would pass _CAP_MAX.  There
+        :meth:`run_fast` is :meth:`run`, draw for draw.
 
         With volume tracked, the swallows of a chunk's taken events are
         filled after the events are drawn, in law exactly as
@@ -768,11 +785,11 @@ class LayerChain:
         far the shared tables have grown.
         """
         par = self.params
-        if par.critical:
+        cap, gaps, sizes = _block_laws(par)
+        if cap is None:
             return self.run(r_max)
         rng = self.rng
         filler = self.filler
-        cap, gaps, sizes = _block_laws(par)
         # mean arc loss of an event: half its mean swallow
         rate = (1.0 + sizes.mean) / 2
         chunk = _CHUNK if filler is None else _CHUNK_VOL
@@ -812,10 +829,15 @@ class LayerChain:
                 # okp + ks: the perimeter at each swallow proposal
                 top = int((okp + ks).max()) + 1
                 if top >= len(ct):
-                    par.ensure_ctilde(top)
-                    ct = np.array(par._ct)
+                    # grown with headroom, and copied only when the table
+                    # is longer than the copy
+                    par.ensure_ctilde(2 * top)
+                    if len(par._ct) > len(ct):
+                        ct = np.array(par._ct)
                 # past the end of a clamped table C~ reads as its last
-                # entry; C~_0 = C~_1 = 0 rejects the illegal sizes
+                # entry; C~_0 = C~_1 = 0 rejects the illegal sizes.  Events
+                # past a cut may read p' < 2: the clips keep their unused
+                # ratios finite
                 last = len(ct) - 1
                 num = np.minimum(np.maximum(okp, 0), last)
                 den = np.minimum(np.maximum(okp + ks + 1, 2), last)

@@ -298,12 +298,14 @@ def block_chunk(par, p: int, a: int, us, coins: bool, left=None) -> dict:
     budget ``left``, the first event that does not fit takes only the
     fresh steps the budget leaves.  Returns the events read, how the
     chunk ended ('rejected', 'arc', 'floor', 'budget' or 'whole'), the
-    steps taken and the final perimeter and old arc.
+    steps taken, the final perimeter and old arc, and ``unsure``, the
+    swallow proposals without a coin at a perimeter p' where some size
+    up to the cap K has acceptance below 1, C~_{p'-K} < C~_{p'+1}.
     """
     cap, gaps, sizes = _block_laws(par)
     m = len(us) // (4 if coins else 3)
     floor = None if coins else par.ctilde_clamp_index() + cap
-    steps, events, end = 0, m, "whole"
+    steps, events, end, unsure = 0, m, "whole", 0
     for i in range(m):
         g = bisect_right(gaps._cdf, us[i])
         k = bisect_right(sizes._cdf, us[m + i]) + 1
@@ -317,6 +319,7 @@ def block_chunk(par, p: int, a: int, us, coins: bool, left=None) -> dict:
         if coins and not us[3 * m + i] < par.ctilde(p - k) / par.ctilde(p + 1):
             events, end = i + 1, "rejected"
             break
+        unsure += not coins and par.ctilde(p - cap) < par.ctilde(p + 1)
         n = p - a
         steps += 1
         p -= k
@@ -332,7 +335,7 @@ def block_chunk(par, p: int, a: int, us, coins: bool, left=None) -> dict:
         if floor is not None and p < floor:
             events, end = i + 1, "floor"
             break
-    return {"events": events, "end": end, "steps": steps, "p": p, "a": a}
+    return {"events": events, "end": end, "steps": steps, "p": p, "a": a, "unsure": unsure}
 
 
 def complete_ball_by_hole_cycle(engine, center: int, radius: int, *, max_steps=None) -> list:

@@ -3,14 +3,13 @@
 import ast
 import inspect
 import json
-import math
 import textwrap
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tripeel import experiments, peeling
+from tripeel import experiments
 from tripeel.errors import BudgetExceededError, DomainError
 from tripeel.experiments import (
     EXPERIMENTS,
@@ -93,27 +92,29 @@ def test_layer_stats_ignores_table_growth():
 
 
 def test_layer_stats_fast_path_reports_what_ran():
-    # the critical point has no finite swallow cap, so every step is
-    # scalar, and the report must say so.  Alpha 0.6667 clamps the
-    # harmonic table too late for these short runs, but block chunks with
-    # acceptance coins carry its boundaries from perimeter 4 on
-    crit = run_layer_stats(build_params(kappa="2/27"), RngStream(5), trials=3, window=(6, 10))
-    assert crit["settings"]["fast_path"] is False
-    assert crit["results"]["work"]["block_steps"] == 0
+    # the critical point has no finite swallow cap, and alpha 0.666667 no
+    # affordable one, so every step is scalar, and the report must say
+    # so.  Alpha 0.6667 clamps the harmonic table too late for these
+    # short runs, but block chunks with acceptance coins carry its
+    # boundaries from perimeter 4 on
+    for scalar in (build_params(kappa="2/27"), build_params(alpha="0.666667")):
+        rep = run_layer_stats(scalar, RngStream(5), trials=3, window=(6, 10))
+        assert rep["settings"]["fast_path"] is False
+        assert rep["results"]["work"]["block_steps"] == 0
     p = build_params(alpha="0.6667")
     rep = run_layer_stats(p, RngStream(5), trials=3, window=(6, 10))
     assert rep["settings"]["fast_path"] is True
     assert p.ctilde_clamp_index() is None
 
 
-def test_volume_growth_fast_path_reports_what_ran(p75, monkeypatch):
-    # at alpha 3/4 block steps carry the layers after the first; with the
-    # block path held off (no perimeter reaches its start) every step is
+def test_volume_growth_fast_path_reports_what_ran(p75):
+    # at alpha 3/4 block steps carry the layers after the first; at alpha
+    # 0.666667, which has no affordable swallow cap, every step is
     # scalar, and the report must say so
     deep = run_volume_growth(p75, RngStream(9), trials=2, r_max=5, window=(2, 5))
     assert deep["settings"]["fast_path"] is True
-    monkeypatch.setattr(peeling, "_P_BLOCK", math.inf)
-    held = run_volume_growth(p75, RngStream(9), trials=2, r_max=5, window=(2, 5))
+    near = build_params(alpha="0.666667")
+    held = run_volume_growth(near, RngStream(9), trials=2, r_max=3, window=(2, 3))
     assert held["settings"]["fast_path"] is False
     assert held["results"]["work"]["block_steps"] == 0
 

@@ -530,22 +530,26 @@ def _replayed_chunks(par, log, max_steps=None):
         yield start, after[1:6], us, coins, block_chunk(par, p, a, us, coins, left)
 
 
-@pytest.mark.parametrize("alpha, depth", [("7/10", 6), ("3/4", 7)])
-def test_block_chunks_replay_event_by_event(monkeypatch, alpha, depth):
+@pytest.mark.parametrize("alpha, depth, floor", [("7/10", 6, 406), ("3/4", 7, 161)])
+def test_block_chunks_replay_event_by_event(monkeypatch, alpha, depth, floor):
     # every chunk, with coins (below the block floor) or without, ends
     # where the scalar replay of its events ends: same steps, perimeter
-    # and old arc, and the chunk's block is all it drew.  Both kinds of
-    # chunk are seen, and every way a chunk can end.  Boundaries soon
-    # grow far past the floor, so chains started right on it (in layer
-    # 2, arcs of equal length) show the cut that leaves it
+    # and old arc, and the chunk's block is all it drew.  Every swallow
+    # proposal of a chunk without coins is at a perimeter where every size
+    # up to the cap has acceptance exactly 1.0, read from C~ itself, so
+    # the floor, pinned here, is not too low.  Both kinds of chunk are
+    # seen, and every way a chunk can end.  Boundaries soon grow far past
+    # the floor, so chains started right on it (in layer 2, arcs of equal
+    # length) show the cut that leaves it
+    probe = build_params(alpha=alpha)
+    probe.ensure_ctilde(10**4)
+    assert probe.ctilde_clamp_index() + peeling._block_laws(probe)[0] + 2 == floor
     par = build_params(alpha=alpha)
-    cap = peeling._block_laws(par)[0]
     log = _chunk_log(monkeypatch)
     for t in range(6):
         LayerChain(par, RngStream(139, (t,)), volume=False).run_fast(depth)
         chain = LayerChain(par, RngStream(139, (t, 1)), volume=False)
-        par.ensure_ctilde(par.ctilde_clamp_index() or 10**4)
-        chain.p = par.ctilde_clamp_index() + cap + 2
+        chain.p = floor
         chain._A = chain.p // 2
         chain._N = chain.p - chain._A
         chain.cur_r = 2
@@ -556,6 +560,7 @@ def test_block_chunks_replay_event_by_event(monkeypatch, alpha, depth):
         assert after == (
             steps + rep["steps"], blocks + rep["steps"], rep["p"], rep["a"], drawn + us.size
         )
+        assert rep["unsure"] == 0
         ends[rep["end"], coins] += 1
     assert {end for end, coins in ends if coins} == {"rejected", "arc", "whole"}
     assert {end for end, coins in ends if not coins} == {"arc", "floor", "whole"}
@@ -652,15 +657,21 @@ def test_fast_chain_invariants():
     assert [h.r for h in hull] == list(range(1, 11))
     assert all(b.tau > a.tau for a, b in zip(hull, hull[1:]))
     assert all(h.perimeter >= 2 for h in hull)
-    # the table never clamps at criticality: there run_fast takes every
-    # step through step(), draw for draw, with or without volume
-    for volume in (False, True):
-        a = LayerChain(CRIT, RngStream(79, (21,)), volume=volume)
-        b = LayerChain(CRIT, RngStream(79, (21,)), volume=volume)
-        assert a.run(6) == b.run_fast(6)
-        assert a.steps == b.steps
-        assert b.block_steps == 0
-        assert a.rng.n_drawn == b.rng.n_drawn
+    # the table never clamps at criticality, and alpha 0.666667 would
+    # need a swallow cap of about 7.7 M sizes, so its search stops at
+    # _CAP_MAX: at both run_fast takes every step through step(), draw
+    # for draw, with or without volume
+    near = build_params(alpha="0.666667")
+    assert peeling._block_laws(near) == (None, None, None)
+    assert near.i_max <= peeling._CAP_MAX
+    for par in (CRIT, near):
+        for volume in (False, True):
+            a = LayerChain(par, RngStream(79, (21,)), volume=volume)
+            b = LayerChain(par, RngStream(79, (21,)), volume=volume)
+            assert a.run(6) == b.run_fast(6)
+            assert a.steps == b.steps
+            assert b.block_steps == 0
+            assert a.rng.n_drawn == b.rng.n_drawn
     # with volume tracked, layer 1 stays scalar, so tau_1's hull record
     # and the root degree are run()'s; deeper layers take block steps
     a = LayerChain(PAR, RngStream(79, (21,)))
