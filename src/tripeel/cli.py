@@ -12,7 +12,6 @@ exceeded, 4 internal invariant violation.
 from __future__ import annotations
 
 import functools
-import json
 import sys
 
 import click
@@ -33,14 +32,12 @@ from .experiments import (
     run_experiment,
 )
 from .params import build_params
-from .peeling import _trace_doc, hull_to_csv, run_layers, trace_to_csv
+from .peeling import hull_to_csv, run_layers, trace_to_csv, trace_to_json
 from .rng import RngStream
 
 EXIT_DOMAIN = 2
 EXIT_BUDGET = 3
 EXIT_INTERNAL = 4
-
-SAMPLE_SCHEMA = "tripeel-sample-v1"
 
 
 def _guard(fn):
@@ -115,12 +112,14 @@ def constants(kappa, alpha, head, out, fmt):
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json", show_default=True)
 @_guard
 def sample_map(kappa, alpha, seed, radius, budget_steps, budget_vertices, out, fmt):
-    """Peel one map to a hull depth; write the replayable trace, the hull
-    series, and the canonical encoding of the final map.
+    """Peel one map to a hull depth; write its tripeel-trace-v2 trace.
 
-    With --format csv and a file path the hull series goes to a second
-    file at OUT.hull.csv; a budget overrun still writes the partial run
-    and exits 3.
+    JSON is one document: meta (with map_digest, a hash of the final
+    map's canonical code), step records without arena ids, the hull
+    series and the canonical code.  CSV puts the hull series after the
+    trace, or with a file path in OUT.hull.csv.  replay_trace reads each
+    form and refuses a tripeel-trace-v1 trace.  A budget overrun still
+    writes the partial run and exits 3.
     """
     params = build_params(kappa=kappa, alpha=alpha)
     trace = run_layers(
@@ -131,21 +130,14 @@ def sample_map(kappa, alpha, seed, radius, budget_steps, budget_vertices, out, f
         max_steps=budget_steps,
         max_vertices=budget_vertices,
     )
-    hull_meta = {"schema_of": SAMPLE_SCHEMA, "truncated": trace.truncated}
     if fmt == "json":
-        doc = {
-            "schema": SAMPLE_SCHEMA,
-            "truncated": trace.truncated,
-            "trace": _trace_doc(trace),
-            "canonical_code": list(trace.map.canonical_code()),
-        }
-        _emit(json.dumps(doc, sort_keys=True, indent=2) + "\n", out)
+        _emit(trace_to_json(trace), out)
     elif out == "-":
-        _emit(trace_to_csv(trace) + hull_to_csv(trace.hull, hull_meta), out)
+        _emit(trace_to_csv(trace) + hull_to_csv(trace.hull), out)
     else:
         _emit(trace_to_csv(trace), out)
-        _emit(hull_to_csv(trace.hull, hull_meta), f"{out}.hull.csv")
-    if trace.truncated:
+        _emit(hull_to_csv(trace.hull), f"{out}.hull.csv")
+    if trace.meta["truncated"]:
         click.echo("budget exhausted before the requested depth; wrote the partial run", err=True)
         sys.exit(EXIT_BUDGET)
 

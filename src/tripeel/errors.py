@@ -14,7 +14,7 @@ class MisuseError(TripeelError):
 
 
 class BudgetExceededError(TripeelError):
-    """A step, vertex or memory budget was exhausted.
+    """A step or vertex budget was exhausted.
 
     Carries the partial result when one is well defined, so callers can
     inspect how far the computation got before the budget tripped.

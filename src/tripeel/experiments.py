@@ -31,7 +31,7 @@ from .params import (
     q_step,
     z_partition,
 )
-from .peeling import LayerChain, _InverseCdf, _json_object, complete_ball, run_chain
+from .peeling import LayerChain, _InverseCdf, _check_schema, _json_object, complete_ball, run_chain
 from .rng import RngStream
 from .stats import MIN_EXPECTED, chi2_two_sample, linfit, mean_ci, proportion_lower_bound
 from .walk import _ball_audit, run_walk_peeling, speed_estimate
@@ -121,8 +121,7 @@ def report_to_json(report: dict) -> str:
 
 def report_from_json(text: str) -> dict:
     doc = _json_object(text, "report")
-    if doc.get("schema") != REPORT_SCHEMA:
-        raise DomainError("not a report document")
+    _check_schema(doc.get("schema"), REPORT_SCHEMA, "report")
     return doc
 
 
@@ -171,8 +170,7 @@ def report_from_csv(text: str) -> dict:
             node[parts[-1]] = json.loads(val)
         except ValueError:
             raise DomainError(f"report cell {path!r} is not valid JSON") from None
-    if doc.get("schema") != REPORT_SCHEMA:
-        raise DomainError("not a report document")
+    _check_schema(doc.get("schema"), REPORT_SCHEMA, "report")
     return doc
 
 

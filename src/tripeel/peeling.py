@@ -23,7 +23,12 @@ Contents:
   volume series;
 * :func:`complete_ball`, targeted peeling until a metric ball of the
   infinite map is provably complete;
-* trace and hull-series containers with CSV/JSON export and replay.
+* traces (``tripeel-trace-v2``): each step's event and running perimeter
+  and volume, no arena id; metadata to replay the run, with
+  ``map_digest`` (16 hex digits of the sha256 of the final map's
+  canonical code); one JSON document with the hull series and the
+  canonical code, or CSV with an optional hull block.  :func:`replay_trace`
+  reads both and refuses a ``tripeel-trace-v1`` trace by name.
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ from __future__ import annotations
 import json
 from bisect import bisect_right
 from dataclasses import asdict, dataclass
+from hashlib import sha256
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -46,7 +52,7 @@ from .params import PeelParams, build_params, q_tail_bound
 from .planarmap import FLAG_MAIN, TriMap
 from .rng import RngStream
 
-TRACE_SCHEMA = "tripeel-trace-v1"
+TRACE_SCHEMA = "tripeel-trace-v2"
 HULL_SCHEMA = "tripeel-hull-v1"
 
 __all__ = [
@@ -239,17 +245,12 @@ def _block_laws(params: PeelParams) -> tuple:
 
 @dataclass(slots=True)
 class StepRecord:
-    """One peel step: what was peeled, what happened, and the running
-    perimeter and volume after the step (volume counts vertices)."""
+    """One peel step: its event (fresh with k = 0, or a swallow of k edges
+    on a side), then the running perimeter and volume (in vertices)."""
 
-    step: int
-    edge: int
     kind: str
     k: int
     side: Optional[str]
-    dperim: int
-    dvol: int
-    filler: int
     perimeter: int
     volume: int
 
@@ -269,27 +270,26 @@ class HullRecord:
 class PeelTrace:
     """A peeling run: metadata sufficient to replay it, the per-step
     records, and the final map.  A layer run also carries its hull
-    series and whether a budget stopped it before r_max."""
+    series; ``meta["truncated"]`` says whether a budget cut it short."""
 
     meta: dict
     records: list
     hull: Optional[list] = None
     map: Optional[TriMap] = None
-    truncated: bool = False
 
 
 def _check_records(records: list) -> None:
-    prev_p, prev_v = 2, 2
+    """Each record follows from its event and the record before it."""
+    p, v = 2, 2
     for rec in records:
         if rec.kind == "fresh":
-            ok = rec.dperim == 1 and rec.k == 0
+            ok = rec.k == 0 and rec.side is None and rec.volume == v + 1
         else:
-            ok = rec.dperim == -rec.k and rec.k >= 1
-        if not ok or rec.perimeter != prev_p + rec.dperim or rec.perimeter < 2:
+            ok = rec.kind == "swallow" and rec.k >= 1 and rec.side in ("next", "prev")
+        p += 1 if rec.k == 0 else -rec.k
+        if not ok or rec.perimeter != p or p < 2 or rec.volume < v:
             raise InvariantViolationError(f"inconsistent step record {rec}")
-        if rec.volume != prev_v + rec.dvol or rec.dvol < 0:
-            raise InvariantViolationError(f"volume went backwards at {rec}")
-        prev_p, prev_v = rec.perimeter, rec.volume
+        v = rec.volume
 
 
 def _check_hull(hull: Sequence[HullRecord]) -> None:
@@ -375,16 +375,12 @@ class PeelEngine:
         event = kind, k, side = self.sampler.sample(m.perimeter, self.rng)
         if k == 0:
             _, self.cursor, _ = m.attach_fresh(edge)
-            filler = 0
         else:
             self.cursor, enclosed, _ = m.open_swallow(edge, k, side)
-            filler = self.filler.fill_hole(m, enclosed, k + 1, self.rng)
+            self.filler.fill_hole(m, enclosed, k + 1, self.rng)
         self.steps += 1
         if self.records is not None:
-            dperim, dvol = (1, 1) if k == 0 else (-k, filler)
-            self.records.append(StepRecord(
-                self.steps, edge, kind, k, side, dperim, dvol, filler, m.perimeter, m.nv
-            ))
+            self.records.append(StepRecord(kind, k, side, m.perimeter, m.nv))
         return event
 
 
@@ -413,9 +409,8 @@ def _trace_meta(
     rng: RngStream,
     *,
     selector: str,
-    driver: str,
-    n_steps: Optional[int] = None,
     r_max: Optional[int] = None,
+    truncated: bool = False,
 ) -> dict:
     return {
         "schema": TRACE_SCHEMA,
@@ -424,9 +419,8 @@ def _trace_meta(
         "seed": rng.seed,
         "spawn_key": list(rng.spawn_key),
         "selector": selector,
-        "driver": driver,
-        "n_steps": n_steps,
         "r_max": r_max,
+        "truncated": truncated,
     }
 
 
@@ -451,7 +445,7 @@ def run_algorithm(
     for _ in range(n_steps):
         engine.peel_step(select(engine))
     return PeelTrace(
-        meta=_trace_meta(params, rng, selector=algorithm, driver="steps", n_steps=n_steps),
+        meta=_trace_meta(params, rng, selector=algorithm),
         records=engine.records,
         map=engine.map,
     )
@@ -559,7 +553,7 @@ def run_layers(
 
     Returns the trace (records empty unless recording) with the hull
     series and final map attached.  A budget overrun returns the
-    partial series with ``truncated=True``.
+    partial series with ``meta["truncated"]`` true.
     """
     if r_max < 1:
         raise DomainError(f"r_max must be at least 1, got {r_max}")
@@ -576,18 +570,12 @@ def run_layers(
             engine.step()
     except BudgetExceededError:
         truncated = True
-    trace = PeelTrace(
-        meta=_trace_meta(
-            params, rng, selector="layers", driver="layers",
-            n_steps=n_steps, r_max=r_max,
-        ),
+    return PeelTrace(
+        meta=_trace_meta(params, rng, selector="layers", r_max=r_max, truncated=truncated),
         records=engine.records if engine.records is not None else [],
         hull=engine.hull,
         map=engine.map,
-        truncated=truncated,
     )
-    trace.meta["truncated"] = truncated
-    return trace
 
 
 # -- map-free twins ------------------------------------------------------
@@ -944,20 +932,28 @@ def complete_ball(
 
 # -- export, import, replay ----------------------------------------------
 
-_COLUMNS = ("step", "edge", "kind", "k", "side", "dperim", "dvol", "filler",
-            "perimeter", "volume")
+_COLUMNS = ("kind", "k", "side", "perimeter", "volume")
 _HULL_COLUMNS = ("r", "tau", "perimeter", "volume")
 
 
+def _code_digest(code) -> str:
+    """map_digest: 16 hex digits of the sha256 of a canonical code's JSON."""
+    return sha256(json.dumps(code).encode()).hexdigest()[:16]
+
+
+def _export_meta(trace: PeelTrace) -> tuple[dict, Optional[tuple]]:
+    """Meta as written, with map_digest; the map's canonical code or None."""
+    if trace.map is None:
+        return trace.meta, None
+    code = trace.map.canonical_code()
+    return {**trace.meta, "map_digest": _code_digest(code)}, code
+
+
 def trace_to_csv(trace: PeelTrace) -> str:
-    head = json.dumps(trace.meta, sort_keys=True)
-    lines = [f"#{TRACE_SCHEMA} {head}", ",".join(_COLUMNS)]
+    meta, _ = _export_meta(trace)
+    lines = [f"#{TRACE_SCHEMA} {json.dumps(meta, sort_keys=True)}", ",".join(_COLUMNS)]
     for r in trace.records:
-        side = r.side if r.side is not None else ""
-        lines.append(
-            f"{r.step},{r.edge},{r.kind},{r.k},{side},{r.dperim},"
-            f"{r.dvol},{r.filler},{r.perimeter},{r.volume}"
-        )
+        lines.append(f"{r.kind},{r.k},{r.side or ''},{r.perimeter},{r.volume}")
     return "\n".join(lines) + "\n"
 
 
@@ -972,13 +968,20 @@ def _json_object(text: str, what: str) -> dict:
     return doc
 
 
+def _check_schema(found, schema: str, what: str) -> None:
+    """DomainError unless found is schema; another schema is named."""
+    if found != schema:
+        raise DomainError(f"this version reads {schema} {what} exports, not {found}"
+                          if isinstance(found, str) else f"not a {what} export")
+
+
 def _csv_rows(text: str, schema: str, columns: tuple, what: str) -> tuple[dict, list]:
     """Header metadata and data rows of a CSV export, each row split into
     one field per column."""
     lines = [ln for ln in text.splitlines() if ln]
-    if not lines or not lines[0].startswith(f"#{schema} "):
-        raise DomainError(f"not a {what} export")
-    meta = _json_object(lines[0].split(" ", 1)[1], f"{what} header")
+    head, _, rest = lines[0].partition(" ") if lines else ("", "", "")
+    _check_schema(head[1:] if head.startswith("#") else None, schema, what)
+    meta = _json_object(rest, f"{what} header")
     if lines[1:2] != [",".join(columns)]:
         raise DomainError(f"unexpected {what} column schema")
     rows = [ln.split(",") for ln in lines[2:]]
@@ -989,39 +992,41 @@ def _csv_rows(text: str, schema: str, columns: tuple, what: str) -> tuple[dict, 
 
 
 def trace_from_csv(text: str) -> PeelTrace:
+    """A CSV trace, with its hull series when a hull block follows it
+    (sample-map's CSV on stdout, or its CSV file and OUT.hull.csv
+    joined in that order)."""
+    text, cut, tail = text.partition(f"\n#{HULL_SCHEMA} ")
+    hull = hull_from_csv(cut[1:] + tail)[0] if cut else None
     meta, rows = _csv_rows(text, TRACE_SCHEMA, _COLUMNS, "trace")
     try:
         records = [
-            StepRecord(
-                step=int(f[0]), edge=int(f[1]), kind=f[2], k=int(f[3]),
-                side=f[4] or None, dperim=int(f[5]), dvol=int(f[6]),
-                filler=int(f[7]), perimeter=int(f[8]), volume=int(f[9]),
-            )
-            for f in rows
+            StepRecord(kind, int(k), side or None, int(p), int(v))
+            for kind, k, side, p, v in rows
         ]
     except ValueError as exc:
         raise DomainError(f"malformed trace row: {exc}") from None
     _check_records(records)
-    return PeelTrace(meta=meta, records=records, truncated=bool(meta.get("truncated")))
-
-
-def _trace_doc(trace: PeelTrace) -> dict:
-    """The JSON document of a trace: its metadata, step records and hull."""
-    doc = {"meta": trace.meta, "records": [asdict(r) for r in trace.records]}
-    if trace.hull is not None:
-        doc["hull"] = [asdict(h) for h in trace.hull]
-    return doc
+    return PeelTrace(meta=meta, records=records, hull=hull)
 
 
 def trace_to_json(trace: PeelTrace) -> str:
-    return json.dumps(_trace_doc(trace), sort_keys=True)
+    """The one JSON trace document, as ``tripeel sample-map`` writes it:
+    meta, records, hull series (if any) and final canonical code."""
+    meta, code = _export_meta(trace)
+    doc = {"meta": meta, "records": [asdict(r) for r in trace.records]}
+    if trace.hull is not None:
+        doc["hull"] = [asdict(h) for h in trace.hull]
+    if code is not None:
+        doc["canonical_code"] = code
+    return json.dumps(doc, sort_keys=True) + "\n"
 
 
 def trace_from_json(text: str) -> PeelTrace:
     doc = _json_object(text, "trace")
     meta = doc.get("meta")
-    if not isinstance(meta, dict) or meta.get("schema") != TRACE_SCHEMA:
-        raise DomainError("not a trace export")
+    meta = meta if isinstance(meta, dict) else {}
+    # a v1 sample-map document named its own schema at the top
+    _check_schema(meta.get("schema", doc.get("schema")), TRACE_SCHEMA, "trace")
     try:
         records = [StepRecord(**d) for d in doc["records"]]
         hull = [HullRecord(**h) for h in doc["hull"]] if "hull" in doc else None
@@ -1029,9 +1034,7 @@ def trace_from_json(text: str) -> PeelTrace:
         _check_hull(hull or ())
     except (KeyError, TypeError) as exc:
         raise DomainError(f"malformed trace record: {exc!r}") from None
-    return PeelTrace(
-        meta=meta, records=records, hull=hull, truncated=bool(meta.get("truncated"))
-    )
+    return PeelTrace(meta=meta, records=records, hull=hull)
 
 
 def hull_to_csv(hull: Sequence[HullRecord], meta: Optional[dict] = None) -> str:
@@ -1072,28 +1075,26 @@ def _recorded_params(ident: dict, digest: str) -> Optional[PeelParams]:
 
 
 def replay_trace(source: Union[PeelTrace, str]) -> dict:
-    """Re-run an exported trace and verify it step for step.
+    """Re-run a trace and verify it step for step.
 
-    Accepts a PeelTrace or an exported string (CSV or JSON form).  The
-    run is reconstructed from the recorded parameters, seed and
+    Accepts a PeelTrace or any form ``tripeel sample-map`` writes: the
+    JSON document, a CSV trace, or a CSV trace followed by its hull
+    block.  The run is rebuilt from the recorded parameters, seed and
     selector; every reproduced step record must match the stored one,
-    and so must the hull series when the trace carries one.  Returns the
-    final map, its canonical code, and the verified trace.
+    so must the hull series when the trace carries one, and the final
+    map's canonical code must hash to the recorded ``map_digest``.
+    Returns the final map, its canonical code, and the verified trace.
     """
+    trace = source
     if isinstance(source, str):
-        stripped = source.lstrip()
-        trace = (
-            trace_from_json(source) if stripped.startswith("{") else trace_from_csv(source)
-        )
-    else:
-        trace = source
-    meta = trace.meta
-    if meta.get("digest") is None or meta.get("seed") is None:
+        trace = (trace_from_json if source.lstrip().startswith("{") else trace_from_csv)(source)
+    meta, _ = _export_meta(trace)
+    if any(meta.get(key) is None for key in ("digest", "seed", "map_digest")):
         raise DomainError("trace metadata is incomplete; cannot replay")
     try:
         params = _recorded_params(meta["params"], meta["digest"])
         rng = RngStream(meta["seed"], tuple(meta.get("spawn_key", ())))
-        layers = meta["driver"] == "layers"
+        layers = meta["selector"] == "layers"
         r_max = int(meta["r_max"]) if layers else None
     except (KeyError, TypeError, ValueError) as exc:
         raise DomainError(f"malformed trace metadata; cannot replay: {exc!r}") from None
@@ -1103,13 +1104,12 @@ def replay_trace(source: Union[PeelTrace, str]) -> dict:
     if layers:
         rerun = run_layers(params, r_max, rng, n_steps=n, record=True)
     else:
-        rerun = run_algorithm(params, meta.get("selector", "stay"), n, rng)
+        rerun = run_algorithm(params, meta["selector"], n, rng)
     if rerun.records != trace.records:
         raise InvariantViolationError("replay diverged from the recorded trace")
     if trace.hull is not None and rerun.hull != trace.hull:
         raise InvariantViolationError("replay hull differs from the recorded hull")
-    return {
-        "map": rerun.map,
-        "canonical_code": rerun.map.canonical_code(),
-        "trace": rerun,
-    }
+    code = rerun.map.canonical_code()
+    if _code_digest(code) != meta["map_digest"]:
+        raise InvariantViolationError("replay map differs from the recorded map_digest")
+    return {"map": rerun.map, "canonical_code": code, "trace": rerun}

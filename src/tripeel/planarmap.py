@@ -96,53 +96,7 @@ class TriMap:
         m.root = 0
         return m
 
-    @classmethod
-    def polygon(cls, p: int) -> tuple["TriMap", int]:
-        """Simple p-gon: a work hole inside, the main hole outside.
-
-        Returns the map and the inner half-edge at the root edge; the map
-        root is the outer (main hole) half-edge of the same edge, so the
-        finished object is rooted on its boundary with the filled
-        interior on the root's left.
-        """
-        if p < 2:
-            raise DomainError(f"polygon needs p >= 2, got {p}")
-        m = cls()
-        verts = [m._new_vertex() for _ in range(p)]
-        inner = [m._new_he(verts[i], FLAG_WORK) for i in range(p)]
-        outer = [m._new_he(verts[(i + 1) % p], FLAG_MAIN) for i in range(p)]
-        for i in range(p):
-            j = (i + 1) % p
-            m.twin[inner[i]] = outer[i]
-            m.twin[outer[i]] = inner[i]
-            m._link(inner[i], inner[j])
-            m._link(outer[j], outer[i])
-            m.v_out[verts[i]] = inner[i]
-            m.v_hole[verts[j]] = outer[i]
-        m.ne = p
-        m.perimeter = p
-        m.root = outer[0]
-        return m, inner[0]
-
     # -- low-level ------------------------------------------------------
-
-    def _new_vertex(self) -> int:
-        self.v_out.append(-1)
-        self.v_hole.append(-1)
-        self.nv += 1
-        return self.nv - 1
-
-    def _new_he(self, org: int, flag: int) -> int:
-        self.twin.append(-1)
-        self.nxt.append(-1)
-        self.prv.append(-1)
-        self.org.append(org)
-        self.hflag.append(flag)
-        return len(self.org) - 1
-
-    def _link(self, a: int, b: int) -> None:
-        self.nxt[a] = b
-        self.prv[b] = a
 
     def alive(self, h: int) -> bool:
         return 0 <= h < len(self.org) and self.hflag[h] != DEAD

@@ -21,8 +21,10 @@ Each oracle recomputes something the package computes another way:
   its own, whose canonical code is checked against
   :meth:`TriMap.ball_code`.
 
-A few map queries only the tests need live here too: :func:`clone`,
-:func:`target`, :func:`degree` and :func:`alive_half_edges`.
+A few map queries and constructors only the tests need live here too:
+:func:`clone`, :func:`target`, :func:`degree`, :func:`alive_half_edges`
+and :func:`polygon`, with the arena appends it and
+:func:`extract_submap` build on.
 """
 
 from bisect import bisect_right
@@ -38,7 +40,7 @@ from tripeel.errors import (
 )
 from tripeel.params import _coupling, _lin, q_step
 from tripeel.peeling import _block_laws
-from tripeel.planarmap import DEAD, FLAG_MAIN, FLAG_TRIANGLE, TriMap
+from tripeel.planarmap import DEAD, FLAG_MAIN, FLAG_TRIANGLE, FLAG_WORK, TriMap
 
 
 class SeriesTruncationError(ArithmeticError):
@@ -70,6 +72,55 @@ def clone(tmap: TriMap) -> TriMap:
         value = getattr(tmap, name)
         setattr(m, name, value[:] if isinstance(value, list) else value)
     return m
+
+
+def _new_vertex(m: TriMap) -> int:
+    m.v_out.append(-1)
+    m.v_hole.append(-1)
+    m.nv += 1
+    return m.nv - 1
+
+
+def _new_he(m: TriMap, org: int, flag: int) -> int:
+    m.twin.append(-1)
+    m.nxt.append(-1)
+    m.prv.append(-1)
+    m.org.append(org)
+    m.hflag.append(flag)
+    return len(m.org) - 1
+
+
+def _link(m: TriMap, a: int, b: int) -> None:
+    m.nxt[a] = b
+    m.prv[b] = a
+
+
+def polygon(p: int) -> tuple[TriMap, int]:
+    """Simple p-gon: a work hole inside, the main hole outside.
+
+    Returns the map and the inner half-edge at the root edge; the map
+    root is the outer (main hole) half-edge of the same edge, so the
+    finished object is rooted on its boundary with the filled interior
+    on the root's left.
+    """
+    if p < 2:
+        raise DomainError(f"polygon needs p >= 2, got {p}")
+    m = TriMap()
+    verts = [_new_vertex(m) for _ in range(p)]
+    inner = [_new_he(m, verts[i], FLAG_WORK) for i in range(p)]
+    outer = [_new_he(m, verts[(i + 1) % p], FLAG_MAIN) for i in range(p)]
+    for i in range(p):
+        j = (i + 1) % p
+        m.twin[inner[i]] = outer[i]
+        m.twin[outer[i]] = inner[i]
+        _link(m, inner[i], inner[j])
+        _link(m, outer[j], outer[i])
+        m.v_out[verts[i]] = inner[i]
+        m.v_hole[verts[j]] = outer[i]
+    m.ne = p
+    m.perimeter = p
+    m.root = outer[0]
+    return m, inner[0]
 
 
 def c_tilde_table_exact(alpha: Fraction, p_max: int) -> list:
@@ -143,7 +194,7 @@ def enumerate_fillings(filler, p: int, n_max: int) -> dict:
     number of codes at a given n doubles as a surgery-correctness check
     against the closed counting formula.
     """
-    base, inner = TriMap.polygon(p)
+    base, inner = polygon(p)
     agenda = [(base, [(inner, p)], 0, 1.0)]
     out: dict = {}
     while agenda:
@@ -385,10 +436,10 @@ def extract_submap(tmap: TriMap, keep: set, root: int) -> tuple[TriMap, dict]:
     for h in sorted(keep):
         v = tmap.org[h]
         if v not in vmap:
-            vmap[v] = m._new_vertex()
-        hmap[h] = m._new_he(vmap[v], FLAG_TRIANGLE)
+            vmap[v] = _new_vertex(m)
+        hmap[h] = _new_he(m, vmap[v], FLAG_TRIANGLE)
     for h in keep:
-        m._link(hmap[h], hmap[tmap.nxt[h]])
+        _link(m, hmap[h], hmap[tmap.nxt[h]])
         t = tmap.twin[h]
         if t in keep:
             m.twin[hmap[h]] = hmap[t]
@@ -396,7 +447,7 @@ def extract_submap(tmap: TriMap, keep: set, root: int) -> tuple[TriMap, dict]:
     boundary = [h for h in sorted(keep) if tmap.twin[h] not in keep]
     bmap: dict[int, int] = {}
     for h in boundary:
-        b = m._new_he(vmap[tmap.org[tmap.twin[h]]], FLAG_MAIN)
+        b = _new_he(m, vmap[tmap.org[tmap.twin[h]]], FLAG_MAIN)
         bmap[h] = b
         m.twin[hmap[h]] = b
         m.twin[b] = hmap[h]
@@ -407,7 +458,7 @@ def extract_submap(tmap: TriMap, keep: set, root: int) -> tuple[TriMap, dict]:
         while x not in keep:
             x = tmap.nxt[tmap.twin[x]]
         h2 = tmap.prv[x]
-        m._link(bmap[h], bmap[h2])
+        _link(m, bmap[h], bmap[h2])
     m.ne = (len(keep) + len(boundary)) // 2
     m.n_tri = len(keep) // 3
     m.root = hmap[root]

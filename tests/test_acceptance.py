@@ -44,9 +44,10 @@ from tripeel.peeling import (
     trace_to_csv,
     trace_to_json,
 )
-from tripeel.planarmap import TriMap
 from tripeel.rng import RngStream
 from tripeel.walk import run_walk_peeling
+
+from oracles import polygon
 
 SEED = 7
 
@@ -307,7 +308,7 @@ def test_structural_validation_and_replay():
         walk = run_walk_peeling(params, 300, RngStream(SEED, (i, 8)))
         walk.map.validate()
         maps += 1
-        filled, inner = TriMap.polygon(6)
+        filled, inner = polygon(6)
         BoltzmannFiller(params).fill_hole(filled, inner, 6, RngStream(SEED, (i, 9)))
         filled.validate()
         maps += 1

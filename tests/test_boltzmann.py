@@ -13,11 +13,10 @@ from tripeel.boltzmann import BoltzmannFiller, volume_row
 from tripeel.counting import count_ratio, count_triangulations
 from tripeel.errors import DomainError
 from tripeel.params import build_params, q_step, z_partition
-from tripeel.planarmap import TriMap
 from tripeel.rng import RngStream
 from tripeel.stats import chi2_two_sample
 
-from oracles import degree, enumerate_fillings
+from oracles import degree, enumerate_fillings, polygon
 
 
 @pytest.fixture(scope="module")
@@ -138,7 +137,7 @@ def test_sampled_maps_are_valid_triangulations(quarter):
     rng = RngStream(99)
     for trial in range(60):
         p = 2 + trial % 5
-        tmap, inner = TriMap.polygon(p)
+        tmap, inner = polygon(p)
         n = filler.fill_hole(tmap, inner, p, rng)
         tmap.validate()
         assert tmap.perimeter == p
@@ -154,7 +153,7 @@ def test_two_drivers_consume_identical_streams(quarter, critical):
             for trial in range(40):
                 r1 = RngStream(7000 + trial, (p,))
                 r2 = RngStream(7000 + trial, (p,))
-                tmap, inner = TriMap.polygon(p)
+                tmap, inner = polygon(p)
                 added_map = filler.fill_hole(tmap, inner, p, r1)
                 added_twin = filler.fill_volume(p, r2)
                 assert added_map == added_twin
@@ -170,7 +169,7 @@ def test_degree_driver_follows_the_map(quarter, critical):
                 for trial in range(12):
                     r1 = RngStream(8000 + trial, (p, mark))
                     r2 = RngStream(8000 + trial, (p, mark))
-                    tmap, inner = TriMap.polygon(p)
+                    tmap, inner = polygon(p)
                     h = inner
                     for _ in range(mark):
                         h = tmap.nxt[h]

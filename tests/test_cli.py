@@ -7,7 +7,7 @@ import pytest
 from click.testing import CliRunner
 
 from tripeel.cli import _EXPERIMENT_FLAGS, cli
-from tripeel.errors import DomainError
+from tripeel.errors import DomainError, InvariantViolationError
 from tripeel.experiments import EXPERIMENTS, report_from_csv, report_from_json
 from tripeel.params import build_params
 from tripeel.peeling import (
@@ -73,8 +73,8 @@ def test_sample_map_bytes_reproducible():
     assert first.exit_code == 0
     assert first.output == second.output
     doc = json.loads(first.output)
-    assert doc["truncated"] is False
-    hull = doc["trace"]["hull"]
+    assert doc["meta"]["truncated"] is False
+    hull = doc["hull"]
     assert [h["r"] for h in hull] == [1, 2, 3]
     assert all(h["perimeter"] > 0 for h in hull)
 
@@ -88,16 +88,99 @@ def test_sample_map_csv_files_replayable(tmp_path):
     assert res.exit_code == 0
     trace = trace_from_csv(out.read_text())
     assert trace.records[0].kind == "fresh"
-    hull, meta = hull_from_csv((tmp_path / "map.csv.hull.csv").read_text())
-    assert meta["truncated"] is False
-    assert [h.perimeter for h in hull] == [
-        r.perimeter for r in trace.records if r.step in {h.tau for h in hull}
-    ]
+    assert trace.meta["truncated"] is False
+    hull, _ = hull_from_csv((tmp_path / "map.csv.hull.csv").read_text())
+    assert [h.perimeter for h in hull] == [trace.records[h.tau - 1].perimeter for h in hull]
     replayed = replay_trace(out.read_text())
     direct = json.loads(invoke(
         "sample-map", "--alpha", "0.75", "--seed", "11", "--radius", "3"
     ).output)
     assert [list(t) for t in replayed["canonical_code"]] == direct["canonical_code"]
+
+
+def test_replay_reads_every_sample_map_form(tmp_path):
+    args = ("sample-map", "--alpha", "3/4", "--seed", "11", "--radius", "3")
+    assert invoke(*args, "--out", str(tmp_path / "map.json")).exit_code == 0
+    assert invoke(*args, "--format", "csv", "--out", str(tmp_path / "map.csv")).exit_code == 0
+    stdout = invoke(*args, "--format", "csv")
+    assert stdout.exit_code == 0
+    as_json = (tmp_path / "map.json").read_text()
+    doc = json.loads(as_json)
+    forms = {
+        "json-file": as_json,
+        # a CSV file followed by its hull file is the stdout form
+        "csv-files": (tmp_path / "map.csv").read_text()
+        + (tmp_path / "map.csv.hull.csv").read_text(),
+        "csv-stdout": stdout.output,
+    }
+    assert forms["csv-files"] == forms["csv-stdout"]
+    for form, text in forms.items():
+        replayed = replay_trace(text)
+        assert [list(t) for t in replayed["canonical_code"]] == doc["canonical_code"], form
+    # the hull block on stdout is read and verified, not skipped
+    last = stdout.output.rstrip("\n").rsplit("\n", 1)[1]
+    r, tau, perim, vol = last.split(",")
+    tampered = stdout.output.replace(last, f"{r},{tau},{int(perim) + 2},{vol}")
+    with pytest.raises(InvariantViolationError, match="hull"):
+        replay_trace(tampered)
+
+
+def test_replay_checks_the_map_digest():
+    args = ("sample-map", "--alpha", "3/4", "--seed", "11", "--radius", "2")
+    doc = json.loads(invoke(*args).output)
+    doc["meta"]["map_digest"] = "0" * 16
+    with pytest.raises(InvariantViolationError, match="map_digest"):
+        replay_trace(json.dumps(doc))
+    del doc["meta"]["map_digest"]
+    with pytest.raises(DomainError, match="incomplete"):
+        replay_trace(json.dumps(doc))
+
+
+# a three-step run as tripeel-trace-v1 wrote it, meta cut to the keys v2
+# kept: `edge` held arena ids, and `step`, `dperim`, `dvol` and `filler`
+# repeated the other columns
+_V1_META = (
+    '{"digest": "63f7adccb693c37b", "params": '
+    '{"alpha": "0.75", "alpha_exact": "3/4", "kappa": "0.0703125", "kappa_exact": '
+    '"9/128", "schema": "tripeel-params-v1", "tolerances": {"drift_residual": 1e-08, '
+    '"harmonicity": 1e-10, "normalization": 1e-09}}, "r_max": null, "schema": '
+    '"tripeel-trace-v1", "seed": 1, "selector": "stay", "spawn_key": []}'
+)
+_V1_CSV = (
+    f"#tripeel-trace-v1 {_V1_META}\n"
+    "step,edge,kind,k,side,dperim,dvol,filler,perimeter,volume\n"
+    "1,0,fresh,0,,1,1,0,3,3\n"
+    "2,4,swallow,1,prev,-1,0,0,2,3\n"
+    "3,9,fresh,0,,1,1,0,3,4\n"
+)
+_V1_JSON = (
+    f'{{"meta": {_V1_META}, "records": ['
+    '{"dperim": 1, "dvol": 1, "edge": 0, "filler": 0, "k": 0, "kind": "fresh", '
+    '"perimeter": 3, "side": null, "step": 1, "volume": 3}, '
+    '{"dperim": -1, "dvol": 0, "edge": 4, "filler": 0, "k": 1, "kind": "swallow", '
+    '"perimeter": 2, "side": "prev", "step": 2, "volume": 3}, '
+    '{"dperim": 1, "dvol": 1, "edge": 9, "filler": 0, "k": 0, "kind": "fresh", '
+    '"perimeter": 3, "side": null, "step": 3, "volume": 4}]}'
+)
+# the v1 sample-map JSON wrapped its trace under a schema of its own
+_V1_SAMPLE = json.dumps({
+    "canonical_code": [], "schema": "tripeel-sample-v1",
+    "trace": json.loads(_V1_JSON), "truncated": False,
+})
+
+
+@pytest.mark.parametrize(
+    "text, version",
+    [
+        (_V1_JSON, "tripeel-trace-v1"),
+        (_V1_CSV, "tripeel-trace-v1"),
+        (_V1_SAMPLE, "tripeel-sample-v1"),
+    ],
+    ids=["json", "csv", "sample-json"],
+)
+def test_replay_refuses_a_v1_trace_by_name(text, version):
+    with pytest.raises(DomainError, match=version):
+        replay_trace(text)
 
 
 def test_sample_map_budget_partial(tmp_path):
@@ -108,8 +191,8 @@ def test_sample_map_budget_partial(tmp_path):
     )
     assert res.exit_code == 3
     doc = json.loads(out.read_text())
-    assert doc["truncated"] is True
-    assert len(doc["trace"]["records"]) == 40
+    assert doc["meta"]["truncated"] is True
+    assert len(doc["records"]) == 40
 
 
 def test_experiment_enumerate_formats_agree():
@@ -211,17 +294,17 @@ def _edited_trace(edit):
     return json.dumps(doc)
 
 
-_TRACE_HEAD = "#tripeel-trace-v1 {}\n"
+_TRACE_HEAD = "#tripeel-trace-v2 {}\n"
 _HULL_HEAD = "#tripeel-hull-v1 {}\n"
-_TRACE_COLUMNS = "step,edge,kind,k,side,dperim,dvol,filler,perimeter,volume\n"
+_TRACE_COLUMNS = "kind,k,side,perimeter,volume\n"
 
 
 @pytest.mark.parametrize(
     "reader, text",
     [
         (trace_from_csv, _TRACE_HEAD),
-        (trace_from_csv, _TRACE_HEAD + _TRACE_COLUMNS + "1,0,fresh\n"),
-        (trace_from_csv, "#tripeel-trace-v1 {oops\n" + _TRACE_COLUMNS),
+        (trace_from_csv, _TRACE_HEAD + _TRACE_COLUMNS + "fresh,0\n"),
+        (trace_from_csv, "#tripeel-trace-v2 {oops\n" + _TRACE_COLUMNS),
         (hull_from_csv, _HULL_HEAD),
         (hull_from_csv, _HULL_HEAD + "r,tau,perimeter,volume\n1,2\n"),
         (hull_from_csv, "#tripeel-hull-v1 {oops\nr,tau,perimeter,volume\n"),
@@ -231,7 +314,7 @@ _TRACE_COLUMNS = "step,edge,kind,k,side,dperim,dvol,filler,perimeter,volume\n"
         (replay_trace, lambda: _edited_trace(lambda d: d["meta"].update(selector="sideways"))),
         (replay_trace, lambda: _edited_trace(lambda d: d["meta"].pop("params"))),
         (replay_trace, lambda: _edited_trace(
-            lambda d: d["meta"].update(driver="layers", r_max=None))),
+            lambda d: d["meta"].update(selector="layers", r_max=None))),
         (report_from_json, "{oops"),
         (report_from_csv, "#tripeel-report-v1\npath,value\n/schema,{oops\n"),
         (report_from_csv, "#tripeel-report-v1\npath,value\n/a,1\n/a/b,2\n"),

@@ -98,26 +98,26 @@ REPORTS = {
 
 # case id -> (sample-map arguments, expected exit code, sha256 of the files
 # written: the output file, then OUT.hull.csv when the format is csv).
-# The trace's `edge` column holds arena ids: new half-edges come from the
-# arena's tail and dead ids are never reused.  The map, its canonical
-# code and the hull series do not depend on these ids
+# Trace v2 records each step's event and running perimeter and volume,
+# no arena id and no column another one determines, and the JSON is one
+# document (meta with map_digest, records, hull, canonical code)
 SAMPLES = {
     "json": (
         ("--alpha", "3/4", "--seed", "11", "--radius", "4"), 0,
-        "05ed8a61f26132c1c8cf158440cd5fe3fdd5f58e089cd35a9e1a20ade9042720",
+        "155b8982015229fd7501af7588c0b512e42259a9d35e57477f778772bb8c475f",
     ),
     "csv": (
         ("--alpha", "3/4", "--seed", "11", "--radius", "4", "--format", "csv"), 0,
-        "8cf70d923037bb04cb5c3bac0ca1102718f4293a5720210dd58ab73afaefbf79",
+        "2e0ed465ac6415c501c7ecb475c86b991205954cdd24179c72f235428c44b109",
     ),
     "critical-json": (
         ("--kappa", "2/27", "--seed", "12", "--radius", "3"), 0,
-        "1fe472abe64fc8c2c6f27d300c569de6a4f0346b303d409c74904860480e671a",
+        "d89226c19afbf22cbd71f43fc1a45a90409c434d38e9287c2f9a5c78dbcc8729",
     ),
     # the step budget stops the run before the requested depth
     "budget-json": (
         ("--alpha", "7/10", "--seed", "13", "--radius", "6", "--budget-steps", "60"), 3,
-        "fbb0cf0be75dec962261a8943575fe03d6f5fef4cf93a2cf533049fba8997cdb",
+        "95696dacc90d87979ae6a823dcbcdc6aeafe9abab9e7bcfe75b149c8850d1da9",
     ),
 }
 

@@ -17,7 +17,7 @@ from tripeel.planarmap import (
 from tripeel.rng import RngStream
 from tripeel.walk import run_walk_peeling
 
-from oracles import alive_half_edges, clone, degree, extract_submap, target
+from oracles import alive_half_edges, clone, degree, extract_submap, polygon, target
 
 
 def fresh_ring(n):
@@ -41,18 +41,18 @@ def test_root_edge_shape():
 
 def test_polygon_shape():
     for p in (2, 3, 7):
-        m, inner = TriMap.polygon(p)
+        m, inner = polygon(p)
         m.validate(allow_work_holes=True)
         assert (m.nv, m.ne, m.n_tri, m.perimeter) == (p, p, 0, p)
         assert len(m.hole_cycle(inner)) == p
         assert m.hflag[inner] == FLAG_WORK
         assert m.hflag[m.root] == FLAG_MAIN
     with pytest.raises(DomainError):
-        TriMap.polygon(1)
+        polygon(1)
 
 
 def test_polygon_two_gon_is_a_double_edge():
-    m, _ = TriMap.polygon(2)
+    m, _ = polygon(2)
     assert degree(m, 0) == 2
     assert [target(m, h) for h in m.out_half_edges(0)] == [1, 1]
 
@@ -153,7 +153,7 @@ def test_open_swallow_guards():
 
 
 def test_close_two_gon_identifies_edges():
-    m, inner = TriMap.polygon(2)
+    m, inner = polygon(2)
     survivor = m.close_two_gon(inner)
     m.validate()
     assert (m.nv, m.ne, m.n_tri, m.perimeter) == (2, 1, 0, 2)
@@ -163,7 +163,7 @@ def test_close_two_gon_identifies_edges():
 
 
 def test_close_two_gon_guards():
-    m, inner = TriMap.polygon(3)
+    m, inner = polygon(3)
     with pytest.raises(MisuseError):
         m.close_two_gon(inner)  # not a 2-gon
     m2 = TriMap.root_edge()
@@ -175,7 +175,7 @@ def test_fill_two_gon_by_hand():
     # fresh apex in a 2-gon, then zip both sides of the resulting 3-gon
     # split: one internal vertex, three edges... the smallest nontrivial
     # filled polygon
-    m, inner = TriMap.polygon(2)
+    m, inner = polygon(2)
     c2, c1, v = m.attach_fresh(inner)
     m.validate(allow_work_holes=True)
     assert len(m.hole_cycle(c2)) == 3
@@ -263,7 +263,7 @@ def test_random_surgery_stays_valid():
 def test_bfs_distances_on_wheel():
     # fresh attachments around a 2-gon interior make a fan whose hub is
     # the first apex
-    m, inner = TriMap.polygon(5)
+    m, inner = polygon(5)
     dist = m.bfs_distances(0)
     assert dist[0] == 0
     assert sorted(dist) == [0, 1, 1, 2, 2]
@@ -293,24 +293,24 @@ def test_canonical_code_ignores_arena_ids():
 
 
 def test_canonical_code_sees_hole_flags():
-    m1, inner1 = TriMap.polygon(3)
-    m2, inner2 = TriMap.polygon(3)
+    m1, inner1 = polygon(3)
+    m2, inner2 = polygon(3)
     for h in m2.hole_cycle(inner2):
         m2.hflag[h] = FLAG_MAIN
     assert m1.canonical_code(root=inner1) != m2.canonical_code(root=inner2)
 
 
 def test_canonical_code_separates_roots():
-    m, inner = TriMap.polygon(4)
+    m, inner = polygon(4)
     m.attach_fresh(inner)
-    m2, inner2 = TriMap.polygon(4)
+    m2, inner2 = polygon(4)
     m2.attach_fresh(m2.nxt[inner2])
     # same underlying map, but rooted relative to different hole edges
     assert m.canonical_code() != m2.canonical_code()
 
 
 def test_canonical_code_polygon_rotation_symmetry():
-    m, _ = TriMap.polygon(6)
+    m, _ = polygon(6)
     codes = {m.canonical_code(root=h) for h in m.hole_cycle(m.root)}
     assert len(codes) == 1
 
