@@ -251,8 +251,9 @@ class PeelParams:
         # the fill volume tables (boltzmann._volume_table), built on the
         # first block of fills and read only through BoltzmannFiller
         self._vol_table: Optional[tuple] = None
-        # the block path's swallow cap and event laws (peeling._block_laws),
-        # built on the first block chunk; they read only the step law
+        # the block path's frozen law (peeling._block_laws): swallow cap,
+        # event laws, block floor and C~ through its clamp index, built
+        # once, before the first block chunk, from the step law alone
         self._block_laws: Optional[tuple] = None
 
     # -- step law -----------------------------------------------------

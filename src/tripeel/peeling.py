@@ -228,16 +228,28 @@ def _event_laws(params: PeelParams, cap: int) -> tuple:
     return gaps, sizes
 
 
-def _block_laws(params: PeelParams) -> tuple:
-    """(K, gaps, sizes): :func:`_block_cap` and :func:`_event_laws` of the
-    coupling, built on the first call and kept on the parameters, since
-    they read only the step law.  (None, None, None) where K is None."""
+def _block_laws(params: PeelParams) -> Optional[tuple]:
+    """(K, gaps, sizes, floor, ct), the whole law the block path reads:
+    :func:`_block_cap`, :func:`_event_laws`, the block floor clamp + K + 2
+    and C~ through its clamp index as a numpy array.  None where K is
+    None.  Built on the first call and kept on the parameters, since it
+    reads only the step law.
+
+    Off the critical point the table's later term ratios stay below
+    4 geo < 1, so it always reaches its clamp index, grown there through
+    :meth:`PeelParams.ensure_ctilde`.
+    """
     laws = params._block_laws
     if laws is None:
         cap = _block_cap(params)
-        laws = (None, None, None) if cap is None else (cap, *_event_laws(params, cap))
+        laws = ()  # no block path
+        if cap is not None:
+            while params.ctilde_clamp_index() is None:
+                params.ensure_ctilde(2 * params.p_max)
+            floor = params.ctilde_clamp_index() + cap + 2
+            laws = (cap, *_event_laws(params, cap), floor, np.array(params._ct))
         params._block_laws = laws
-    return laws
+    return laws or None
 
 
 # -- trace containers ----------------------------------------------------
@@ -718,32 +730,39 @@ class LayerChain:
         swallow is accepted, so event j proposes its swallow at perimeter
         p'_j = p + sum_{i<=j} G_i - sum_{i<j} k_i.
 
-        Below the block floor clamp + K + 2 (clamp the harmonic table's
-        clamp index) each event also draws a fourth uniform c, its
+        The chunk loop reads one frozen law, :func:`_block_laws`: K, the
+        two event laws, the block floor clamp + K + 2 (clamp the harmonic
+        table's clamp index) and C~ through its clamp index.  It is built
+        once per :class:`PeelParams` from the step law alone, so the run
+        depends only on the coupling and the stream.
+
+        Below the floor each event also draws a fourth uniform c, its
         acceptance coin: the swallow is rejected if p'_j - k_j < 2 or
-        c >= C~_{p'_j - k_j} / C~_{p'_j + 1}, that ratio computed as
-        :meth:`StepSampler.sample` computes it, clamp plateau included.
+        c >= C~_{p'_j - k_j} / C~_{p'_j + 1}, C~ read past its clamp index
+        as its last entry, the plateau :meth:`StepSampler.sample` reads.
         The chunk is cut at the first rejected event: its fresh steps are
         taken and its swallow is not.  A rejected proposal leaves the
         state as it was in the scalar sampler too, so every event taken
-        was drawn at its true state.  C~ is grown with
-        :meth:`PeelParams.ensure_ctilde` to twice the chunk's largest
-        p' + 1 and read through a numpy copy.  From the floor on every
-        ratio with k <= K is exactly 1.0 (the clamp index is the first
-        entry whose remainder is certified below 2^-53 of it), so chunks
-        that start there draw three uniforms an event and no coin, and
-        are cut at the first event whose swallow would take the perimeter
-        below clamp + K; that event's swallow is still exact.  Coins
-        there would be exact too, but slow the deep layers of
-        ``layer-stats`` by about 30%.
+        was drawn at its true state.  From the floor on every ratio with
+        k <= K is exactly 1.0 (the clamp index is the first entry whose
+        remainder is certified below 2^-53 of it), so chunks that start
+        there draw three uniforms an event and no coin, and are cut at
+        the first event whose swallow would take the perimeter below
+        clamp + K; that event's swallow is still exact.  Coins there
+        would be exact too, but slow the deep layers of ``layer-stats``
+        by about 30%.
 
         A fresh step only lengthens the new arc and the perimeter, so no
         step inside a gap can empty an arc.  The chunk is also cut at the
         first event whose swallow could (an arc cut): its gap is applied,
-        then its swallow with the full arc rule.  Under a step budget a
-        chunk that would pass it takes its whole events, then as many
-        fresh steps of the next gap as the budget leaves, and the next
-        budget check raises.  Events past a cut are never looked at.
+        then its swallow with the full arc rule.  Events past a cut are
+        never looked at.
+
+        An event takes at most the gap clip + 1 steps, so under a step
+        budget a chunk holds at most the remaining budget over that many
+        events and never passes the budget.  Where not one event fits,
+        the run takes a scalar :meth:`step`, which spends the budget
+        exactly and then raises.
 
         Scalar :meth:`step` calls remain at perimeters below 4, with
         volume tracked throughout layer 1, whose tau_1 fill gives
@@ -763,46 +782,38 @@ class LayerChain:
         arc A, the new arc N, the margin above the floor (coin-free
         chunks) and the mean swallow size mu.  The old arc loses mu / 2
         an event on average, so a chunk holds A / (mu / 2) events, or
-        min(A, p - floor + 1) / (mu / 2) without coins, clipped to
+        min(A, p - floor + 3) / (mu / 2) without coins, clipped to
         [_CHUNK_MIN, _CHUNK] (_CHUNK_VOL with volume tracked), and
         _CHUNK_MIN while N < _N_SHORT (right after tau_r, N = 0).
-
-        K and the event laws are built once per :class:`PeelParams`
-        (:func:`_block_laws`), and the tables grow by the law alone, so
-        the run depends only on the coupling and the stream, never on how
-        far the shared tables have grown.
         """
-        par = self.params
-        cap, gaps, sizes = _block_laws(par)
-        if cap is None:
+        laws = _block_laws(self.params)
+        if laws is None:
             return self.run(r_max)
+        _, gaps, sizes, floor, ct = laws
         rng = self.rng
         filler = self.filler
         # mean arc loss of an event: half its mean swallow
         rate = (1.0 + sizes.mean) / 2
         chunk = _CHUNK if filler is None else _CHUNK_VOL
-        ct = np.array(par._ct)
+        # the most steps an event takes: its clipped gap, then its swallow
+        event_max = gaps._cdf.size + 1
+        last = ct.size - 1
         while self.cur_r <= r_max:
             p = self.p
             if p < _P_BLOCK or (filler is not None and self.cur_r == 1):
                 self.step()
                 continue
-            self._check_budget()
-            # whether the chunk needs coins must not depend on how far the
-            # shared table has grown: from p + 1 on, the clamp shows if it
-            # is at or below p - K - 2
-            par.ensure_ctilde(p + 1)
-            clamp = par.ctilde_clamp_index()
-            coins = clamp is None or p < clamp + cap + 2
+            coins = p < floor
             if self._N < _N_SHORT:
                 m = _CHUNK_MIN
             else:
-                reach = self._A if coins else min(self._A, p - clamp - cap + 1)
+                reach = self._A if coins else min(self._A, p - floor + 3)
                 m = min(max(int(reach / rate), _CHUNK_MIN), chunk)
-            left = None
             if self.max_steps is not None:
-                left = self.max_steps - self.steps
-                m = min(m, left)
+                m = min(m, (self.max_steps - self.steps) // event_max)
+                if not m:
+                    self.step()
+                    continue
             us = rng.block((4 if coins else 3) * m)
             gs = gaps(us[:m])
             ks = sizes(us[m : 2 * m])
@@ -814,63 +825,39 @@ class LayerChain:
             okp = p + cg - ks.cumsum()
             bad = (oka < 1) | (okp - oka < 1)
             if coins:
-                # okp + ks: the perimeter at each swallow proposal
-                top = int((okp + ks).max()) + 1
-                if top >= len(ct):
-                    # grown with headroom, and copied only when the table
-                    # is longer than the copy
-                    par.ensure_ctilde(2 * top)
-                    if len(par._ct) > len(ct):
-                        ct = np.array(par._ct)
-                # past the end of a clamped table C~ reads as its last
-                # entry; C~_0 = C~_1 = 0 rejects the illegal sizes.  Events
-                # past a cut may read p' < 2: the clips keep their unused
-                # ratios finite
-                last = len(ct) - 1
+                # okp + ks: the perimeter at each swallow proposal.
+                # C~_0 = C~_1 = 0 rejects the illegal sizes.  Events past a
+                # cut may read p' < 2: the clips keep their unused ratios
+                # finite
                 num = np.minimum(np.maximum(okp, 0), last)
                 den = np.minimum(np.maximum(okp + ks + 1, 2), last)
-                acc = ct[num] / ct[den]
-                rejected = us[3 * m :] >= acc
+                rejected = us[3 * m :] >= ct[num] / ct[den]
                 bad |= rejected
             else:
-                bad |= okp < clamp + cap
-            # j whole events, then `tail` fresh steps of event j and, on a
-            # cut, its swallow unless its coin rejected it
+                bad |= okp < floor - 2
+            # j whole events, then on a cut event j's fresh steps and its
+            # swallow unless its coin rejected it
             j = int(bad.argmax())
-            cut = bool(bad[j])
-            if not cut:
-                j = m
-            if left is not None and int(cg[-1]) + m > left:
-                # steps through event i: cg[i] + i + 1
-                whole = int(np.searchsorted(cg + np.arange(1, m + 1), left, side="right"))
-                if whole <= j:
-                    j, cut = whole, False
-            swallow = cut and not (coins and rejected[j])
-            base = int(cg[j - 1]) + j if j else 0
-            if cut:
-                tail = int(gs[j])
-            elif j < m:
-                # the budget runs out inside event j
-                tail = left - base
+            if bad[j]:
+                fresh = int(cg[j])
+                swallow = not (coins and rejected[j])
             else:
-                tail = 0
+                j, fresh, swallow = m, int(cg[-1]), False
+            taken = fresh + j + swallow
             if filler is not None:
                 # fresh steps, then the fills of the taken swallows in order
-                self.v += base - j + tail + filler.fill_volumes(ks[: j + swallow] + 1, rng)
+                self.v += fresh + filler.fill_volumes(ks[: j + swallow] + 1, rng)
             if j:
                 self._A = int(oka[j - 1])
-                self.p = int(okp[j - 1])
-            self.p += tail
+            self.p = p + fresh - int(ks[:j].sum())
             self._N = self.p - self._A
-            self.steps += base + tail
-            self.block_steps += base + tail
+            self.steps += taken
+            self.block_steps += taken
             if swallow:
                 # event j was drawn at its true state, so its swallow is
                 # an exact step; apply it with full case handling
                 k = int(ks[j])
                 self.p -= k
-                self.steps += 1
-                self.block_steps += 1
                 _arc_step(
                     self, k, "next" if old[j] else "prev", self.p,
                     self.v if filler is not None else None,
@@ -996,7 +983,7 @@ def trace_from_csv(text: str) -> PeelTrace:
     (sample-map's CSV on stdout, or its CSV file and OUT.hull.csv
     joined in that order)."""
     text, cut, tail = text.partition(f"\n#{HULL_SCHEMA} ")
-    hull = hull_from_csv(cut[1:] + tail)[0] if cut else None
+    hull = hull_from_csv(cut[1:] + tail) if cut else None
     meta, rows = _csv_rows(text, TRACE_SCHEMA, _COLUMNS, "trace")
     try:
         records = [
@@ -1037,23 +1024,22 @@ def trace_from_json(text: str) -> PeelTrace:
     return PeelTrace(meta=meta, records=records, hull=hull)
 
 
-def hull_to_csv(hull: Sequence[HullRecord], meta: Optional[dict] = None) -> str:
-    head = json.dumps(meta or {}, sort_keys=True)
-    lines = [f"#{HULL_SCHEMA} {head}", ",".join(_HULL_COLUMNS)]
+def hull_to_csv(hull: Sequence[HullRecord]) -> str:
+    lines = [f"#{HULL_SCHEMA} {{}}", ",".join(_HULL_COLUMNS)]
     for h in hull:
         vol = h.volume if h.volume is not None else ""
         lines.append(f"{h.r},{h.tau},{h.perimeter},{vol}")
     return "\n".join(lines) + "\n"
 
 
-def hull_from_csv(text: str) -> tuple[list, dict]:
-    meta, rows = _csv_rows(text, HULL_SCHEMA, _HULL_COLUMNS, "hull")
+def hull_from_csv(text: str) -> list:
+    _, rows = _csv_rows(text, HULL_SCHEMA, _HULL_COLUMNS, "hull")
     try:
         hull = [HullRecord(*map(int, f[:3]), int(f[3]) if f[3] else None) for f in rows]
     except ValueError as exc:
         raise DomainError(f"malformed hull row: {exc}") from None
     _check_hull(hull)
-    return hull, meta
+    return hull
 
 
 def _recorded_params(ident: dict, digest: str) -> Optional[PeelParams]:
@@ -1083,7 +1069,9 @@ def replay_trace(source: Union[PeelTrace, str]) -> dict:
     selector; every reproduced step record must match the stored one,
     so must the hull series when the trace carries one, and the final
     map's canonical code must hash to the recorded ``map_digest``.
-    Returns the final map, its canonical code, and the verified trace.
+    Returns the final map, its canonical code, and the verified trace:
+    the recorded meta (``map_digest`` and ``truncated`` included), records
+    and hull, with the rebuilt map, so a JSON source re-exports to itself.
     """
     trace = source
     if isinstance(source, str):
@@ -1112,4 +1100,5 @@ def replay_trace(source: Union[PeelTrace, str]) -> dict:
     code = rerun.map.canonical_code()
     if _code_digest(code) != meta["map_digest"]:
         raise InvariantViolationError("replay map differs from the recorded map_digest")
-    return {"map": rerun.map, "canonical_code": code, "trace": rerun}
+    verified = PeelTrace(meta=meta, records=trace.records, hull=trace.hull, map=rerun.map)
+    return {"map": rerun.map, "canonical_code": code, "trace": verified}

@@ -462,7 +462,7 @@ class TriMap:
 
     # -- canonical encoding ----------------------------------------------
 
-    def canonical_code(self, root: Optional[int] = None) -> tuple:
+    def canonical_code(self) -> tuple:
         """Root-anchored isomorphism invariant.
 
         Half-edges are numbered in BFS discovery order from the root,
@@ -470,7 +470,7 @@ class TriMap:
         half-edge in that numbering.  Two maps get equal codes exactly
         when a root-preserving isomorphism matches them.
         """
-        start = self.root if root is None else root
+        start = self.root
         if not self.alive(start):
             raise MisuseError("canonical code needs an alive root")
         index = {start: 0}

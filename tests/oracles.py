@@ -335,7 +335,7 @@ def sample_event(par, p: int, rng) -> tuple:
         return "swallow", k, side
 
 
-def block_chunk(par, p: int, a: int, us, coins: bool, left=None) -> dict:
+def block_chunk(par, p: int, a: int, us, coins: bool) -> dict:
     """Replay one chunk of :meth:`LayerChain.run_fast` event by event.
 
     ``us`` is the chunk's block of uniforms: gaps, sizes, sides and, with
@@ -345,15 +345,14 @@ def block_chunk(par, p: int, a: int, us, coins: bool, left=None) -> dict:
     the coin is at or above C~_{p'-k} / C~_{p'+1}, read through
     :meth:`PeelParams.ctilde`; else applied, cutting the chunk after it
     when it empties an arc (full arc rule) or, without coins, leaves the
-    perimeter below the clamp index plus the swallow cap.  With a step
-    budget ``left``, the first event that does not fit takes only the
-    fresh steps the budget leaves.  Returns the events read, how the
-    chunk ended ('rejected', 'arc', 'floor', 'budget' or 'whole'), the
-    steps taken, the final perimeter and old arc, and ``unsure``, the
-    swallow proposals without a coin at a perimeter p' where some size
-    up to the cap K has acceptance below 1, C~_{p'-K} < C~_{p'+1}.
+    perimeter below the clamp index plus the swallow cap.  Returns the
+    events read, how the chunk ended ('rejected', 'arc', 'floor' or
+    'whole'), the steps taken, the final perimeter and old arc, and
+    ``unsure``, the swallow proposals without a coin at a perimeter p'
+    where some size up to the cap K has acceptance below 1,
+    C~_{p'-K} < C~_{p'+1}.
     """
-    cap, gaps, sizes = _block_laws(par)
+    cap, gaps, sizes, *_ = _block_laws(par)
     m = len(us) // (4 if coins else 3)
     floor = None if coins else par.ctilde_clamp_index() + cap
     steps, events, end, unsure = 0, m, "whole", 0
@@ -361,10 +360,6 @@ def block_chunk(par, p: int, a: int, us, coins: bool, left=None) -> dict:
         g = bisect_right(gaps._cdf, us[i])
         k = bisect_right(sizes._cdf, us[m + i]) + 1
         toward_old = us[2 * m + i] < 0.5
-        if left is not None and steps + g + 1 > left:
-            steps, p = left, p + left - steps
-            events, end = i + 1, "budget"
-            break
         steps += g
         p += g
         if coins and not us[3 * m + i] < par.ctilde(p - k) / par.ctilde(p + 1):

@@ -89,7 +89,7 @@ def test_sample_map_csv_files_replayable(tmp_path):
     trace = trace_from_csv(out.read_text())
     assert trace.records[0].kind == "fresh"
     assert trace.meta["truncated"] is False
-    hull, _ = hull_from_csv((tmp_path / "map.csv.hull.csv").read_text())
+    hull = hull_from_csv((tmp_path / "map.csv.hull.csv").read_text())
     assert [h.perimeter for h in hull] == [trace.records[h.tau - 1].perimeter for h in hull]
     replayed = replay_trace(out.read_text())
     direct = json.loads(invoke(

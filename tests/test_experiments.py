@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tripeel import experiments
+from tripeel import experiments, peeling
 from tripeel.errors import BudgetExceededError, DomainError
 from tripeel.experiments import (
     EXPERIMENTS,
@@ -94,9 +94,10 @@ def test_layer_stats_ignores_table_growth():
 def test_layer_stats_fast_path_reports_what_ran():
     # the critical point has no finite swallow cap, and alpha 0.666667 no
     # affordable one, so every step is scalar, and the report must say
-    # so.  Alpha 0.6667 clamps the harmonic table too late for these
-    # short runs, but block chunks with acceptance coins carry its
-    # boundaries from perimeter 4 on
+    # so.  At alpha 0.6667 block chunks carry the boundaries from
+    # perimeter 4 on, and every one of them carries acceptance coins: a
+    # chain's perimeter is at most 2 plus its steps, and the run's steps
+    # stay far below the block floor clamp + K + 2
     for scalar in (build_params(kappa="2/27"), build_params(alpha="0.666667")):
         rep = run_layer_stats(scalar, RngStream(5), trials=3, window=(6, 10))
         assert rep["settings"]["fast_path"] is False
@@ -104,7 +105,9 @@ def test_layer_stats_fast_path_reports_what_ran():
     p = build_params(alpha="0.6667")
     rep = run_layer_stats(p, RngStream(5), trials=3, window=(6, 10))
     assert rep["settings"]["fast_path"] is True
-    assert p.ctilde_clamp_index() is None
+    work = rep["results"]["work"]
+    assert work["block_steps"] > 0
+    assert peeling._block_laws(p)[3] == 229_300 + 117_893 + 2 > work["steps"] + 2
 
 
 def test_volume_growth_fast_path_reports_what_ran(p75):

@@ -292,6 +292,18 @@ def test_layer_trace_replay():
     assert replayed["canonical_code"] == code
 
 
+@pytest.mark.parametrize("max_steps", [None, 60], ids=["full", "budget-cut"])
+def test_replayed_trace_reexports_to_its_source(max_steps):
+    # the replayed trace keeps the recorded meta (map_digest, and truncated
+    # for a budget-cut run) with the rebuilt map, so it writes back the
+    # document it was read from
+    res = run_layers(build_params(alpha="7/10"), 6, RngStream(13), record=True,
+                     max_steps=max_steps)
+    assert res.meta["truncated"] is (max_steps is not None)
+    doc = trace_to_json(res)
+    assert trace_to_json(replay_trace(doc)["trace"]) == doc
+
+
 @pytest.mark.parametrize(
     "tamper",
     [
@@ -326,9 +338,9 @@ def test_float_coupling_trace_replay(coupling):
 
 def test_hull_series_export():
     res = run_layers(PAR, 5, RngStream(61, (15,)))
-    text = hull_to_csv(res.hull, {"digest": PAR.digest()})
-    hull, meta = hull_from_csv(text)
-    assert meta["digest"] == PAR.digest()
+    text = hull_to_csv(res.hull)
+    assert text.startswith("#tripeel-hull-v1 {}\n")
+    hull = hull_from_csv(text)
     assert [(h.r, h.tau, h.perimeter, h.volume) for h in hull] == [
         (h.r, h.tau, h.perimeter, h.volume) for h in res.hull
     ]
@@ -517,21 +529,19 @@ def _chunk_log(monkeypatch) -> list:
     return log
 
 
-def _replayed_chunks(par, log, max_steps=None):
+def _replayed_chunks(par, log):
     """Each chunk of a log: its start (steps, block steps, perimeter, old
     arc, uniforms drawn), the snapshot after it, its uniforms, whether it
     carries coins, and its event-by-event replay (oracles.block_chunk).
     A chunk carries coins below the block floor clamp + K + 2."""
     cap = peeling._block_laws(par)[0]
+    clamp = par.ctilde_clamp_index()
     for (kind, *start, us), after in zip(log, log[1:]):
         if kind != "block":
             continue
-        steps, _, p, a, _ = start
-        par.ensure_ctilde(p + 1)
-        clamp = par.ctilde_clamp_index()
-        coins = clamp is None or p < clamp + cap + 2
-        left = None if max_steps is None else max_steps - steps
-        yield start, after[1:6], us, coins, block_chunk(par, p, a, us, coins, left)
+        _, _, p, a, _ = start
+        coins = p < clamp + cap + 2
+        yield start, after[1:6], us, coins, block_chunk(par, p, a, us, coins)
 
 
 @pytest.mark.parametrize("alpha, depth, floor", [("7/10", 6, 406), ("3/4", 7, 161)])
@@ -547,7 +557,8 @@ def test_block_chunks_replay_event_by_event(monkeypatch, alpha, depth, floor):
     # length) show the cut that leaves it
     probe = build_params(alpha=alpha)
     probe.ensure_ctilde(10**4)
-    assert probe.ctilde_clamp_index() + peeling._block_laws(probe)[0] + 2 == floor
+    laws = peeling._block_laws(probe)
+    assert probe.ctilde_clamp_index() + laws[0] + 2 == laws[3] == floor
     par = build_params(alpha=alpha)
     log = _chunk_log(monkeypatch)
     for t in range(6):
@@ -576,7 +587,7 @@ def test_rejection_cut_takes_the_gap_and_skips_the_swallow(monkeypatch):
     # swallow is not, and the chunk drew its four uniforms an event and
     # nothing else
     par = build_params(alpha=Fraction(7, 10))
-    _, gaps, sizes = peeling._block_laws(par)
+    _, gaps, sizes, *_ = peeling._block_laws(par)
     log = _chunk_log(monkeypatch)
     for t in range(20):
         LayerChain(par, RngStream(149, (t,)), volume=False).run_fast(3)
@@ -627,15 +638,16 @@ def test_fast_chain_draws_only_what_it_uses(monkeypatch):
 
 
 @pytest.mark.parametrize("volume", [False, True], ids=["volume-off", "volume-on"])
-def test_fast_chain_budget_cuts_inside_a_gap(monkeypatch, volume):
-    # a step budget that runs out inside a chunk takes the whole events
-    # before it, then as many fresh steps of the next event's gap as it
-    # leaves, as the event-by-event replay does, and the next budget
-    # check raises with the budget spent exactly.  Short budgets at alpha
-    # 7/10 end in chunks with coins, below the block floor; long ones at
-    # alpha 3/4 in chunks without
+def test_fast_chain_budget_is_spent_exactly(monkeypatch, volume):
+    # an event takes at most its clipped gap and its swallow, so a chunk
+    # holds no more events than the budget has room for at that count:
+    # no chunk ends past the budget, and each ends where its event-by-event
+    # replay does.  The scalar steps that follow spend the budget exactly,
+    # the budget check raises, and the arcs still add up to the perimeter.
+    # Short budgets at alpha 7/10 end below the block floor, in chunks with
+    # coins; long ones at alpha 3/4 above it, in chunks without
     log = _chunk_log(monkeypatch)
-    inside = Counter()
+    last = Counter()
     for alpha, budgets, seed in (
         ("7/10", range(300, 2300, 100), 151), ("3/4", range(30_000, 30_200, 20), 127)
     ):
@@ -643,16 +655,20 @@ def test_fast_chain_budget_cuts_inside_a_gap(monkeypatch, volume):
         for budget in budgets:
             chain = LayerChain(par, RngStream(seed, (budget,)), volume=volume, max_steps=budget)
             del log[:]
-            with pytest.raises(BudgetExceededError):
+            with pytest.raises(BudgetExceededError) as err:
                 chain.run_fast(40)
+            assert err.value.partial is chain
             assert chain.steps == budget
-            assert chain._A + chain._N == chain.p
+            assert chain._A >= 1 and chain._A + chain._N == chain.p
             assert chain.block_steps <= chain.steps
-            *_, (start, after, _, coins, rep) = _replayed_chunks(par, log, max_steps=budget)
-            assert after[:4] == (start[0] + rep["steps"], start[1] + rep["steps"], rep["p"], rep["a"])
-            if rep["end"] == "budget":
-                inside[alpha, coins] += 1
-    assert inside["7/10", True] >= 5 and inside["3/4", False] >= 3
+            chunks = list(_replayed_chunks(par, log))
+            for start, after, _, _, rep in chunks:
+                assert after[:4] == (
+                    start[0] + rep["steps"], start[1] + rep["steps"], rep["p"], rep["a"]
+                )
+                assert after[0] <= budget
+            last[alpha, chunks[-1][3]] += 1
+    assert last["7/10", True] >= 5 and last["3/4", False] >= 3
 
 
 def test_fast_chain_invariants():
@@ -666,7 +682,7 @@ def test_fast_chain_invariants():
     # _CAP_MAX: at both run_fast takes every step through step(), draw
     # for draw, with or without volume
     near = build_params(alpha="0.666667")
-    assert peeling._block_laws(near) == (None, None, None)
+    assert peeling._block_laws(near) is None
     assert near.i_max <= peeling._CAP_MAX
     for par in (CRIT, near):
         for volume in (False, True):
@@ -685,6 +701,19 @@ def test_fast_chain_invariants():
     assert b.block_steps > 0
     assert b.hull[0] == a.hull[0]
     assert b.root_degree == a.root_degree is not None
+
+
+@pytest.mark.parametrize("alpha", ["7/10", "0.68"])
+def test_fast_chain_coin_ratios_stay_finite(alpha):
+    # events past a cut may propose their swallows at p' < 2; the clips on
+    # the coin ratios' indices keep those unused ratios finite, so block
+    # chunks with coins raise no floating-point error, with volume
+    # tracked or not
+    par = build_params(alpha=alpha)
+    with np.errstate(all="raise"):
+        for t in range(4):
+            for volume in (False, True):
+                LayerChain(par, RngStream(157, (t,)), volume=volume).run_fast(8)
 
 
 def test_fast_chain_counts_every_fill(monkeypatch):

@@ -297,7 +297,8 @@ def test_canonical_code_sees_hole_flags():
     m2, inner2 = polygon(3)
     for h in m2.hole_cycle(inner2):
         m2.hflag[h] = FLAG_MAIN
-    assert m1.canonical_code(root=inner1) != m2.canonical_code(root=inner2)
+    m1.root, m2.root = inner1, inner2
+    assert m1.canonical_code() != m2.canonical_code()
 
 
 def test_canonical_code_separates_roots():
@@ -311,7 +312,10 @@ def test_canonical_code_separates_roots():
 
 def test_canonical_code_polygon_rotation_symmetry():
     m, _ = polygon(6)
-    codes = {m.canonical_code(root=h) for h in m.hole_cycle(m.root)}
+    codes = set()
+    for h in m.hole_cycle(m.root):
+        m.root = h
+        codes.add(m.canonical_code())
     assert len(codes) == 1
 
 
@@ -391,7 +395,8 @@ def test_ball_code_matches_submap_copy():
                     and all(0 <= dist[m.org[e]] <= radius for e in (h, m.nxt[h], m.nxt[m.nxt[h]]))
                 }
                 sub, hmap = extract_submap(m, keep, root)
-                assert m.ball_code(root, dist, radius) == sub.canonical_code(hmap[root])
+                assert m.ball_code(root, dist, radius) == sub.canonical_code()
+                assert sub.root == hmap[root]
                 balls += 1
     assert balls == 135
     # roots off the ball's triangles: a main-hole half-edge, an id past
