@@ -270,7 +270,7 @@ class BoltzmannFiller:
 # -- volume tables -------------------------------------------------------------
 
 
-def volume_row(params: PeelParams, p: int) -> Optional[np.ndarray]:
+def volume_row(params: PeelParams, p: int, width: int = _VOL_N) -> Optional[np.ndarray]:
     """P(n | p) = count(n, p) kappa^n / Z_p for n = 0..N, the fill volume
     law of a p-hole cut at its certified length N; None when N would
     exceed ``_VOL_N`` (or at the critical point, where no cut is
@@ -282,22 +282,30 @@ def volume_row(params: PeelParams, p: int) -> Optional[np.ndarray]:
     r = 27 kappa / 2 < 1: from there on every ratio is below r (see
     :func:`~tripeel.counting.count_ratio`), so the mass past N is at most
     P(N | p) (r + r^2 + ...), below the spacing of the stream's uniforms.
+
+    Entries are computed in a window of ``width`` >= 1, doubled while no
+    cut is certified in it; the cut reads only entries up to it, so the
+    row does not depend on the width.
     """
     kappa = params.kappa
     r = 13.5 * kappa
     if not r < 1.0:
         return None
-    n = np.arange(_VOL_N, dtype=float)
-    b = 2 * p + 3 * n
-    # count_ratio(n, p): numerator and denominator are exact below 2^53
-    ratio = 2 * (b - 1) * (b - 2) * (b - 3) / ((n + 1) * (2 * p + 2 * n) * (2 * p + 2 * n - 1))
     z = _swallow_weight(p - 1, params.lin, (1.0 - params.alpha) / (2.0 * kappa))
-    probs = np.cumprod(np.concatenate(([catalan(p - 2) / z], kappa * ratio)))
-    certified = (ratio < 13.5) & (probs[:-1] * (r / (1.0 - r)) <= 2.0**-53)
-    cut = int(certified.argmax())
-    if not certified[cut]:
-        return None
-    return probs[: cut + 1]
+    head = catalan(p - 2) / z
+    while True:
+        n = np.arange(min(width, _VOL_N), dtype=float)
+        b = 2 * p + 3 * n
+        # count_ratio(n, p): numerator and denominator are exact below 2^53
+        ratio = 2 * (b - 1) * (b - 2) * (b - 3) / ((n + 1) * (2 * p + 2 * n) * (2 * p + 2 * n - 1))
+        probs = np.cumprod(np.concatenate(([head], kappa * ratio)))
+        certified = (ratio < 13.5) & (probs[:-1] * (r / (1.0 - r)) <= 2.0**-53)
+        cut = int(certified.argmax())
+        if certified[cut]:
+            return probs[: cut + 1]
+        if width >= _VOL_N:
+            return None
+        width *= 2
 
 
 def _volume_table(params: PeelParams) -> tuple:
@@ -313,8 +321,9 @@ def _volume_table(params: PeelParams) -> tuple:
     """
     keys = np.empty((_VOL_P - 1) * _VOL_N, dtype=np.uint64)
     starts, size = [0, 0], 0
+    width = _VOL_N // 8
     for p in range(2, _VOL_P + 1):
-        row = volume_row(params, p)
+        row = volume_row(params, p, width)
         if row is None:
             break
         cdf = np.cumsum(row, out=row)
@@ -326,5 +335,6 @@ def _volume_table(params: PeelParams) -> tuple:
         seg += np.uint64(p) << np.uint64(_U_BITS)
         starts.append(size)
         size += len(cdf)
+        width = len(cdf) + len(cdf) // 8  # rows lengthen slowly with p
     keys.resize(size, refcheck=False)
     return keys, np.array(starts, dtype=np.intp)

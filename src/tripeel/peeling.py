@@ -619,19 +619,26 @@ def run_chain(
     return {"perimeters": ps, "volumes": vs, "steps": chain.steps}
 
 
-# run_fast draws events (a geometric run of fresh steps, then one swallow
-# proposal) in chunks of _CHUNK_MIN to _CHUNK events sized from the chain
-# state: three uniforms an event at or above the block floor, four below
-# it, where each swallow proposal carries an acceptance coin.  While the
-# new arc is shorter than _N_SHORT a swallow toward it may cut at once,
-# so the chunk is _CHUNK_MIN.  With volume tracked a chunk holds at most
-# _CHUNK_VOL events, which keeps the fill blocks and their peak RSS small.
-# Perimeters below _P_BLOCK take scalar steps
+# run_fast chunks hold _CHUNK_MIN to _CHUNK events, sized to run to the
+# layer's end; the cap keeps the blocks (with volume, the fill blocks too)
+# and their peak RSS small.  Perimeters below _P_BLOCK take scalar steps
 _CHUNK = 1 << 14
-_CHUNK_VOL = 1 << 11
 _CHUNK_MIN = 64
-_N_SHORT = 16
 _P_BLOCK = 4
+
+
+def _event_arcs(a: int, n: int, gs, ks, old) -> tuple:
+    """(oka, okn): the arcs after each event (gs fresh steps, a size-ks
+    swallow toward the old arc where ``old``) from arcs (a, n), all taken.
+    N follows Lindley's recursion n_j = max(0, n_{j-1} + g_j - k_j): what
+    a swallow takes past its end comes off A.  Exact up to tau_r, oka < 1."""
+    oka = a - (ks * old).cumsum()
+    okn = n + (gs - ks * ~old).cumsum()
+    if okn.min() < 0:
+        over = np.minimum.accumulate(np.minimum(okn, 0))
+        okn -= over
+        oka += over
+    return oka, okn
 
 
 class LayerChain:
@@ -683,14 +690,9 @@ class LayerChain:
         self.max_steps = _budget("max_steps", max_steps)
         self.root_degree: Optional[int] = None
 
-    def _check_budget(self) -> None:
-        if self.max_steps is not None and self.steps >= self.max_steps:
-            raise BudgetExceededError(
-                f"peel step budget {self.max_steps} exhausted", partial=self
-            )
-
     def step(self) -> None:
-        self._check_budget()
+        if self.max_steps is not None and self.steps >= self.max_steps:
+            raise BudgetExceededError(f"peel step budget {self.max_steps} exhausted", partial=self)
         kind, k, side = self.sampler.sample(self.p, self.rng)
         if kind == "fresh":
             self.p += 1
@@ -752,11 +754,16 @@ class LayerChain:
         would be exact too, but slow the deep layers of ``layer-stats``
         by about 30%.
 
-        A fresh step only lengthens the new arc and the perimeter, so no
-        step inside a gap can empty an arc.  The chunk is also cut at the
-        first event whose swallow could (an arc cut): its gap is applied,
-        then its swallow with the full arc rule.  Events past a cut are
-        never looked at.
+        Both arcs follow in closed form (:func:`_event_arcs`): a swallow
+        past the new arc's end eats into the old arc, which only moves
+        length between them, so p'_j, coins and floor test are unchanged.
+        The chunk is also cut at tau_r, the first swallow toward the old
+        arc that takes all of it, applied with the full arc rule and its
+        hull record.  Events past a cut are never looked at.  So a chunk
+        runs to about the layer's end: sized from the state at its start,
+        it holds reach / (mu / 2) events clipped to [_CHUNK_MIN, _CHUNK],
+        the reach the old arc A (min(A, p - floor + 3) without coins) and
+        mu / 2 its mean loss an event, mu the mean swallow size.
 
         An event takes at most the gap clip + 1 steps, so under a step
         budget a chunk holds at most the remaining budget over that many
@@ -772,19 +779,9 @@ class LayerChain:
         :meth:`run_fast` is :meth:`run`, draw for draw.
 
         With volume tracked, the swallows of a chunk's taken events are
-        filled after the events are drawn, in law exactly as
-        :meth:`step` fills them, through
-        :meth:`BoltzmannFiller.fill_volumes`: one more block of uniforms
-        for the holes its tables cover, then a scalar fill for each
-        larger hole.  With volume off no filler draw is made.
-
-        Each chunk is sized from the state at its start only: the old
-        arc A, the new arc N, the margin above the floor (coin-free
-        chunks) and the mean swallow size mu.  The old arc loses mu / 2
-        an event on average, so a chunk holds A / (mu / 2) events, or
-        min(A, p - floor + 3) / (mu / 2) without coins, clipped to
-        [_CHUNK_MIN, _CHUNK] (_CHUNK_VOL with volume tracked), and
-        _CHUNK_MIN while N < _N_SHORT (right after tau_r, N = 0).
+        then filled, in law as :meth:`step` fills them, through
+        :meth:`BoltzmannFiller.fill_volumes`.  With volume off no filler
+        draw is made.
         """
         laws = _block_laws(self.params)
         if laws is None:
@@ -794,7 +791,6 @@ class LayerChain:
         filler = self.filler
         # mean arc loss of an event: half its mean swallow
         rate = (1.0 + sizes.mean) / 2
-        chunk = _CHUNK if filler is None else _CHUNK_VOL
         # the most steps an event takes: its clipped gap, then its swallow
         event_max = gaps._cdf.size + 1
         last = ct.size - 1
@@ -804,11 +800,8 @@ class LayerChain:
                 self.step()
                 continue
             coins = p < floor
-            if self._N < _N_SHORT:
-                m = _CHUNK_MIN
-            else:
-                reach = self._A if coins else min(self._A, p - floor + 3)
-                m = min(max(int(reach / rate), _CHUNK_MIN), chunk)
+            reach = self._A if coins else min(self._A, p - floor + 3)
+            m = min(max(int(reach / rate), _CHUNK_MIN), _CHUNK)
             if self.max_steps is not None:
                 m = min(m, (self.max_steps - self.steps) // event_max)
                 if not m:
@@ -820,10 +813,10 @@ class LayerChain:
             ks += 1
             # swallows toward the old arc ('next')
             old = us[2 * m : 3 * m] < 0.5
-            cg = gs.cumsum()
-            oka = self._A - (ks * old).cumsum()
-            okp = p + cg - ks.cumsum()
-            bad = (oka < 1) | (okp - oka < 1)
+            oka, okn = _event_arcs(self._A, self._N, gs, ks, old)
+            okp = oka + okn
+            # tau_r: a swallow toward the old arc takes all of it
+            bad = oka < 1
             if coins:
                 # okp + ks: the perimeter at each swallow proposal.
                 # C~_0 = C~_1 = 0 rejects the illegal sizes.  Events past a
@@ -837,12 +830,9 @@ class LayerChain:
                 bad |= okp < floor - 2
             # j whole events, then on a cut event j's fresh steps and its
             # swallow unless its coin rejected it
-            j = int(bad.argmax())
-            if bad[j]:
-                fresh = int(cg[j])
-                swallow = not (coins and rejected[j])
-            else:
-                j, fresh, swallow = m, int(cg[-1]), False
+            j = int(bad.argmax()) if bad.any() else m
+            swallow = j < m and not (coins and rejected[j])
+            fresh = int(gs[: j + 1].sum())
             taken = fresh + j + swallow
             if filler is not None:
                 # fresh steps, then the fills of the taken swallows in order

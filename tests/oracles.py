@@ -14,6 +14,9 @@ Each oracle recomputes something the package computes another way:
   before its fresh shortcut, against :meth:`StepSampler.sample`;
 * :func:`block_chunk`, one chunk of the block chain replayed event by
   event with scalar arithmetic, against :meth:`LayerChain.run_fast`;
+* :func:`volume_table_full_width`, the fill volume tables with every
+  row computed over all ``_VOL_N`` entries, against the windowed rows
+  of ``boltzmann._volume_table``;
 * :func:`complete_ball_by_hole_cycle`, ball completion that reads its
   near vertices off the whole main hole cycle, against
   :func:`complete_ball`;
@@ -30,7 +33,9 @@ and :func:`polygon`, with the arena appends it and
 from bisect import bisect_right
 from fractions import Fraction
 
-from tripeel.boltzmann import _CLOSE, _FRESH
+import numpy as np
+
+from tripeel.boltzmann import _CLOSE, _FRESH, _U_BITS, _VOL_N, _VOL_P
 from tripeel.counting import catalan, count_ratio, count_triangulations
 from tripeel.errors import (
     BudgetExceededError,
@@ -38,7 +43,7 @@ from tripeel.errors import (
     InvariantViolationError,
     MisuseError,
 )
-from tripeel.params import _coupling, _lin, q_step
+from tripeel.params import _coupling, _lin, _swallow_weight, q_step
 from tripeel.peeling import _block_laws
 from tripeel.planarmap import DEAD, FLAG_MAIN, FLAG_TRIANGLE, FLAG_WORK, TriMap
 
@@ -343,11 +348,13 @@ def block_chunk(par, p: int, a: int, us, coins: bool) -> dict:
     and old arc a, each event takes its gap of fresh steps and then its
     swallow proposal: rejected (and the chunk cut) when p' - k < 2 or
     the coin is at or above C~_{p'-k} / C~_{p'+1}, read through
-    :meth:`PeelParams.ctilde`; else applied, cutting the chunk after it
-    when it empties an arc (full arc rule) or, without coins, leaves the
-    perimeter below the clamp index plus the swallow cap.  Returns the
-    events read, how the chunk ended ('rejected', 'arc', 'floor' or
-    'whole'), the steps taken, the final perimeter and old arc, and
+    :meth:`PeelParams.ctilde`; else applied by the arc rule, a swallow
+    past the new arc's end eating into the old arc, and cutting the chunk
+    after it when it fires tau_r (a swallow toward the old arc that takes
+    all of it) or, without coins, leaves the perimeter below the clamp
+    index plus the swallow cap.  Returns the events read, how the chunk
+    ended ('rejected', 'layer', 'floor' or 'whole'), the steps taken, the
+    final perimeter and old arc, and
     ``unsure``, the swallow proposals without a coin at a perimeter p'
     where some size up to the cap K has acceptance below 1,
     C~_{p'-K} < C~_{p'+1}.
@@ -370,18 +377,43 @@ def block_chunk(par, p: int, a: int, us, coins: bool) -> dict:
         steps += 1
         p -= k
         if toward_old and k >= a:
-            a, n = n - (k - a), 0
-        elif not toward_old and k >= n:
-            a, n = a - (k - n), 0
-        elif toward_old:
-            a -= k
-        if a < 1 or p - a < 1:
-            events, end = i + 1, "arc"
+            # tau_r: what is left of the new arc becomes the old arc
+            events, end, a = i + 1, "layer", n - (k - a)
             break
+        if toward_old:
+            a -= k
+        elif k > n:
+            a -= k - n
         if floor is not None and p < floor:
             events, end = i + 1, "floor"
             break
     return {"events": events, "end": end, "steps": steps, "p": p, "a": a, "unsure": unsure}
+
+
+def volume_table_full_width(params) -> tuple:
+    """(keys, starts) of the fill volume tables, each row P(n | p)
+    computed at all ``_VOL_N`` entries and cut at its first certified
+    length: row p's keys are (p << 53) + ceil(cdf * 2^53), its cdf
+    clipped to 1 and ending at 1, rows p = 2, 3, ... until one is not
+    certified within ``_VOL_N`` entries or p passes ``_VOL_P``."""
+    kappa = params.kappa
+    r = 13.5 * kappa
+    n = np.arange(_VOL_N, dtype=float)
+    rows, starts, size = [np.empty(0, np.uint64)], [0, 0], 0
+    for p in range(2, _VOL_P + 1 if r < 1.0 else 2):
+        b = 2 * p + 3 * n
+        ratio = 2 * (b - 1) * (b - 2) * (b - 3) / ((n + 1) * (2 * p + 2 * n) * (2 * p + 2 * n - 1))
+        z = _swallow_weight(p - 1, params.lin, (1.0 - params.alpha) / (2.0 * kappa))
+        probs = np.cumprod(np.concatenate(([catalan(p - 2) / z], kappa * ratio)))
+        certified = (ratio < 13.5) & (probs[:-1] * (r / (1.0 - r)) <= 2.0**-53)
+        if not certified.any():
+            break
+        cdf = np.minimum(np.cumsum(probs[: certified.argmax() + 1]), 1.0)
+        cdf[-1] = 1.0
+        rows.append(np.ceil(cdf * 2.0**_U_BITS).astype(np.uint64) + (np.uint64(p) << np.uint64(_U_BITS)))
+        starts.append(size)
+        size += len(cdf)
+    return np.concatenate(rows), np.array(starts, dtype=np.intp)
 
 
 def complete_ball_by_hole_cycle(engine, center: int, radius: int, *, max_steps=None) -> list:

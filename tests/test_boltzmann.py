@@ -16,7 +16,7 @@ from tripeel.params import build_params, q_step, z_partition
 from tripeel.rng import RngStream
 from tripeel.stats import chi2_two_sample
 
-from oracles import degree, enumerate_fillings, polygon
+from oracles import degree, enumerate_fillings, polygon, volume_table_full_width
 
 
 @pytest.fixture(scope="module")
@@ -248,6 +248,18 @@ def test_volume_table_is_certified_and_sorted(alpha):
             if ratio < 13.5 and term * r / (1 - r) < 1e-30:
                 break
         assert tail <= 2.0**-53, (p, tail)
+
+
+@pytest.mark.parametrize("alpha", ["7/10", "3/4", "4/5", "0.69"])
+def test_windowed_volume_rows_match_full_width(alpha):
+    # each row is computed in a window from the last row's length and
+    # widened while uncertified; its cut reads only entries up to it, so
+    # the table is bit for bit the one built from full-width rows
+    keys, starts = boltzmann._volume_table(build_params(alpha=alpha))
+    want_keys, want_starts = volume_table_full_width(build_params(alpha=alpha))
+    assert len(starts) == boltzmann._VOL_P + 1
+    assert np.array_equal(keys, want_keys)
+    assert np.array_equal(starts, want_starts)
 
 
 def test_volume_table_draws_match_fill_volume():

@@ -21,27 +21,31 @@ from tripeel.cli import cli
 # + 2) and per four below it, the fourth the swallow's acceptance coin:
 # new draws, same law; they also record results.work.  Scalar steps
 # remain below perimeter 4, in layer 1 with volume tracked and at the
-# critical point
+# critical point.  A chunk ends only at tau_r, a rejected coin, the block
+# floor or its last event (a swallow past the new arc's end eats into the
+# old arc in closed form, with no cut), and chunks are sized from the old
+# arc alone: the realization moved, the law did not, so these five
+# digests were re-pinned
 REPORTS = {
     # below the block floor, 406 here, chunks carry acceptance coins;
     # block-step fill volumes come from the volume tables
     "volume-growth": (
         "volume-growth", {"alpha": "7/10"}, 1,
         {"trials": 6, "r_max": 6, "window": (2, 5)},
-        "f6c0cc1b3eec9a8328739caaf68e36d97a173d4c166d6d4f59d3767aa519804e",
+        "a30593bd8e9b254e0e4219449df820b18c0e3f59255c876ebec0355cd72d0452",
     ),
     # alpha 3/4 passes the block floor, 161, within six layers; fill
     # volumes are drawn from the tables
     "volume-growth-three-quarters": (
         "volume-growth", {"alpha": "3/4"}, 9,
         {"trials": 4, "r_max": 5, "window": (2, 5)},
-        "6f887a482723279c6f74b94b3fd7d70e27f5b8a046611ea95b67d6b6affd0f5a",
+        "e0f61bf9d8e07fd58a53caf031e832761c8bf0d867f5d22d125c68a0d65d28a6",
     ),
     # alpha 3/4: chunks without coins carry the deep layers
     "layer-stats": (
         "layer-stats", {"alpha": "3/4"}, 2,
         {"trials": 4, "window": (4, 8)},
-        "950500848b67213dcb777b09a150db52ce5379856d83441a25ecbb7834aefca3",
+        "b608924d940b40a5ea38ff03fe6d3c2fe1fc8e072c93c332d083a617fa39a1c6",
     ),
     # alpha 0.68 clamps the harmonic table only at p = 570 and caps block
     # swallows at 430: chunks with coins until the boundary reaches the
@@ -49,13 +53,13 @@ REPORTS = {
     "layer-stats-near-critical": (
         "layer-stats", {"alpha": "0.68"}, 5,
         {"trials": 3, "window": (8, 11)},
-        "e82047d043488425af468cd76b3e8cd2fc18d3da40bee59b74c3f72121604832",
+        "5232f82853558da78b83e7647a4d67bbb4e6f664662913cf21bf97d43643c69e",
     ),
     # alpha 4/5 clamps the harmonic table at p = 52, block floor 96
     "layer-stats-four-fifths": (
         "layer-stats", {"alpha": "4/5"}, 8,
         {"trials": 3, "window": (3, 6)},
-        "352f4d71c7f878021c43edf3b8182c9e5f5739f5d4f2564dda6cc2a1bcceb9d0",
+        "71d46a8c065cca35fe6e925dcc5ccdd2610f697641ea40bff6dc13deb8b20404",
     ),
     # the step budget discards some trials
     "inv-degree": (

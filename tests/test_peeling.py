@@ -5,9 +5,12 @@ import math
 from collections import Counter
 from dataclasses import asdict, replace
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats as sps
 
 from tripeel import (
@@ -483,6 +486,35 @@ def test_block_step_sizes_match_searchsorted(alpha):
     assert 1 + sizes.mean == pytest.approx(raw.mean / (1 - par.alpha), rel=1e-12)
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    a=st.integers(1, 30),
+    n=st.integers(0, 3),
+    events=st.lists(
+        st.tuples(st.integers(0, 4), st.integers(1, 12), st.booleans()), min_size=1, max_size=40
+    ),
+)
+def test_event_arcs_match_the_arc_rule(a, n, events):
+    # the closed-form arcs after each event of a chunk are the arc rule
+    # applied step by step, from a start whose new arc may be empty (as
+    # right after tau_r), up to the first swallow toward the old arc that
+    # takes all of it: there, and not before, the old arc reads below 1.
+    # Events are replayed while their swallows leave a perimeter >= 2
+    gs, ks, old = map(np.array, zip(*events))
+    oka, okn = peeling._event_arcs(a, n, gs, ks, old)
+    chain = SimpleNamespace(_A=a, _N=n, steps=0, hull=[], cur_r=1)
+    for j, (g, k, toward_old) in enumerate(events):
+        p = chain._A + chain._N + g
+        if p - k < 2:
+            break
+        chain._N += g
+        peeling._arc_step(chain, k, "next" if toward_old else "prev", p - k, None)
+        if chain.hull:
+            assert oka[j] < 1
+            break
+        assert (oka[j], okn[j]) == (chain._A, chain._N)
+
+
 def _chunk_log(monkeypatch) -> list:
     """Log the chains that run_fast runs: a snapshot (kind, steps, block
     steps, perimeter, old arc, uniforms drawn, block) before each chunk's
@@ -577,8 +609,8 @@ def test_block_chunks_replay_event_by_event(monkeypatch, alpha, depth, floor):
         )
         assert rep["unsure"] == 0
         ends[rep["end"], coins] += 1
-    assert {end for end, coins in ends if coins} == {"rejected", "arc", "whole"}
-    assert {end for end, coins in ends if not coins} == {"arc", "floor", "whole"}
+    assert {end for end, coins in ends if coins} == {"rejected", "layer", "whole"}
+    assert {end for end, coins in ends if not coins} == {"layer", "floor", "whole"}
 
 
 def test_rejection_cut_takes_the_gap_and_skips_the_swallow(monkeypatch):
@@ -598,14 +630,12 @@ def test_rejection_cut_takes_the_gap_and_skips_the_swallow(monkeypatch):
         seen += 1
         m, e = us.size // 4, rep["events"]
         gs, ks = gaps(us[:m])[:e], sizes(us[m : 2 * m])[:e] + 1
-        toward_old = us[2 * m : 3 * m][:e] < 0.5
-        # the cut event proposed its swallow at p', and its coin rejected it
+        # the cut event proposed its swallow at p', and its coin rejected it;
+        # the old arc is the one the events before it left
         p_cut = p + gs.sum() - ks[:-1].sum()
         assert not us[3 * m + e - 1] < par.ctilde(p_cut - ks[-1]) / par.ctilde(p_cut + 1)
         taken = gs.sum() + e - 1
-        assert after == (
-            steps + taken, blocks + taken, p_cut, a - (ks * toward_old)[:-1].sum(), drawn + 4 * m
-        )
+        assert after == (steps + taken, blocks + taken, p_cut, rep["a"], drawn + 4 * m)
     assert seen >= 20
 
 
@@ -613,9 +643,13 @@ def test_fast_chain_draws_only_what_it_uses(monkeypatch):
     # a block event (a run of fresh steps, then a swallow proposal) uses
     # three uniforms, and four below the block floor, where it carries
     # its acceptance coin; chunks sized from the chain state leave almost
-    # nothing unused, and the chunk at the start of a layer (new arc
-    # empty) is the smallest one
+    # nothing unused.  Each chunk holds reach / rate events, clipped: the
+    # reach is the old arc (with coins) or min(A, p - floor + 3) (without),
+    # the rate the old arc's mean loss an event, with no special size at
+    # the start of a layer (new arc empty)
     par = build_params(alpha=Fraction(3, 4))
+    _, _, law, floor, _ = peeling._block_laws(par)
+    rate = (1.0 + law.mean) / 2
     log = _chunk_log(monkeypatch)
     drawn = 0
     for t in range(4):
@@ -630,10 +664,12 @@ def test_fast_chain_draws_only_what_it_uses(monkeypatch):
     sizes = []
     for (_, _, p, a, _), _, us, coins, rep in _replayed_chunks(par, log):
         used += (4 if coins else 3) * rep["events"]
-        sizes.append((p - a, us.size // (4 if coins else 3)))
+        m = us.size // (4 if coins else 3)
+        reach = a if coins else min(a, p - floor + 3)
+        assert m == min(max(int(reach / rate), peeling._CHUNK_MIN), peeling._CHUNK)
+        sizes.append((p - a, m))
     assert used <= drawn <= 1.05 * used
     assert any(n_new == 0 for n_new, _ in sizes)
-    assert all(m == peeling._CHUNK_MIN for n_new, m in sizes if n_new < peeling._N_SHORT)
     assert max(m for _, m in sizes) > peeling._CHUNK_MIN
 
 
