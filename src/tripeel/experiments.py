@@ -248,26 +248,27 @@ def run_volume_growth(
     *,
     trials: int = 50,
     r_max: int = 12,
-    window: Sequence[int] = (8, 12),
+    window: Optional[Sequence[int]] = None,
 ) -> dict:
     """Hull growth by layers: boundary ratios and bulk per unit boundary.
 
     Per trial one layer chain runs to depth r_max + 1 with volume
     tracking, through :meth:`LayerChain.run_fast`: after layer 1, whose
     scalar steps give the root degree, every boundary of perimeter 4 or
-    more takes block steps (with acceptance coins below the block
-    floor), their fill volumes drawn from the filler's volume tables.
-    The trial statistic is the mean boundary ratio over the window plus
-    the volume/boundary quotient at r_max.  ``results.work`` sums the
-    trials' steps, block steps and uniforms (see :func:`_chain_work`),
-    and ``settings.fast_path`` records whether any trial took a block
-    step.
+    more takes block steps (with an acceptance coin for each swallow
+    that leaves the perimeter below the clamp index), their fill volumes
+    drawn from the filler's volume tables.  The trial statistic is the
+    mean boundary ratio over the window (by default the last five layers
+    up to r_max) plus the volume/boundary quotient at r_max.
+    ``results.work`` sums the trials' steps, block steps and uniforms
+    (see :func:`_chain_work`), and ``settings.fast_path`` records whether
+    any trial took a block step.
     """
     if trials < 2:
         raise DomainError("need at least two trials")
-    lo, hi = window
+    lo, hi = window or (max(1, r_max - 4), r_max)
     if not 1 <= lo <= hi <= r_max:
-        raise DomainError(f"window {tuple(window)} outside [1, {r_max}]")
+        raise DomainError(f"window {(lo, hi)} outside [1, {r_max}]")
     targets = growth_targets(params)
     ratio_vals, vp_vals = [], []
     work = dict.fromkeys(_WORK, 0)
@@ -312,9 +313,10 @@ def run_layer_stats(
 
     Volume draws are skipped, and off the critical point every boundary
     of perimeter 4 or more goes through the block sampler of
-    :meth:`LayerChain.run_fast` (with acceptance coins below the block
-    floor); at the critical point, and for alpha within about 3e-5 of
-    it, where no swallow cap is affordable, every step is scalar.
+    :meth:`LayerChain.run_fast` (with an acceptance coin for each swallow
+    that leaves the perimeter below the clamp index); at the critical
+    point, and for alpha within about 3e-5 of it, where no swallow cap is
+    affordable, every step is scalar.
     ``results.work`` sums the trials' steps, block steps and uniforms
     (see :func:`_chain_work`), and ``settings.fast_path`` records
     whether any trial took a block step.

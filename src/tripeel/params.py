@@ -251,9 +251,9 @@ class PeelParams:
         # the fill volume tables (boltzmann._volume_table), built on the
         # first block of fills and read only through BoltzmannFiller
         self._vol_table: Optional[tuple] = None
-        # the block path's frozen law (peeling._block_laws): swallow cap,
-        # event laws, block floor and C~ through its clamp index, built
-        # once, before the first block chunk, from the step law alone
+        # the block path's frozen law (peeling._block_laws): event laws and
+        # C~ through its clamp index, built once, before the first block
+        # chunk, from the step law alone
         self._block_laws: Optional[tuple] = None
 
     # -- step law -----------------------------------------------------
@@ -349,9 +349,9 @@ class PeelParams:
         (always, at the critical point).
 
         From this index on C~ reads as one value, so the tilt ratios
-        C~_{p-k} / C~_{p+1} are exactly 1.0, which is what lets the block
-        chain sample the raw step law without an acceptance coin from
-        the block floor on.
+        C~_{p-k} / C~_{p+1} are exactly 1.0 for p - k at or past it, which
+        is what lets the block chain take those swallow proposals without
+        an acceptance coin.
         """
         return self._ct_clamp
 

@@ -229,9 +229,9 @@ def _event_laws(params: PeelParams, cap: int) -> tuple:
 
 
 def _block_laws(params: PeelParams) -> Optional[tuple]:
-    """(K, gaps, sizes, floor, ct), the whole law the block path reads:
-    :func:`_block_cap`, :func:`_event_laws`, the block floor clamp + K + 2
-    and C~ through its clamp index as a numpy array.  None where K is
+    """(gaps, sizes, ct), the whole law the block path reads:
+    :func:`_event_laws` at the swallow cap of :func:`_block_cap`, and C~
+    through its clamp index as a numpy array.  None where the cap is
     None.  Built on the first call and kept on the parameters, since it
     reads only the step law.
 
@@ -246,8 +246,7 @@ def _block_laws(params: PeelParams) -> Optional[tuple]:
         if cap is not None:
             while params.ctilde_clamp_index() is None:
                 params.ensure_ctilde(2 * params.p_max)
-            floor = params.ctilde_clamp_index() + cap + 2
-            laws = (cap, *_event_laws(params, cap), floor, np.array(params._ct))
+            laws = (*_event_laws(params, cap), np.array(params._ct))
         params._block_laws = laws
     return laws or None
 
@@ -732,38 +731,34 @@ class LayerChain:
         swallow is accepted, so event j proposes its swallow at perimeter
         p'_j = p + sum_{i<=j} G_i - sum_{i<j} k_i.
 
-        The chunk loop reads one frozen law, :func:`_block_laws`: K, the
-        two event laws, the block floor clamp + K + 2 (clamp the harmonic
-        table's clamp index) and C~ through its clamp index.  It is built
-        once per :class:`PeelParams` from the step law alone, so the run
-        depends only on the coupling and the stream.
+        The chunk loop reads one frozen law, :func:`_block_laws`: the two
+        event laws and C~ through its clamp index.  It is built once per
+        :class:`PeelParams` from the step law alone, so the run depends
+        only on the coupling and the stream.
 
-        Below the floor each event also draws a fourth uniform c, its
-        acceptance coin: the swallow is rejected if p'_j - k_j < 2 or
-        c >= C~_{p'_j - k_j} / C~_{p'_j + 1}, C~ read past its clamp index
-        as its last entry, the plateau :meth:`StepSampler.sample` reads.
-        The chunk is cut at the first rejected event: its fresh steps are
-        taken and its swallow is not.  A rejected proposal leaves the
-        state as it was in the scalar sampler too, so every event taken
-        was drawn at its true state.  From the floor on every ratio with
-        k <= K is exactly 1.0 (the clamp index is the first entry whose
-        remainder is certified below 2^-53 of it), so chunks that start
-        there draw three uniforms an event and no coin, and are cut at
-        the first event whose swallow would take the perimeter below
-        clamp + K; that event's swallow is still exact.  Coins there
-        would be exact too, but slow the deep layers of ``layer-stats``
-        by about 30%.
+        The swallow of event j is accepted with probability
+        C~_{p'_j - k_j} / C~_{p'_j + 1}, C~ read past its clamp index as
+        its last entry, the plateau :meth:`StepSampler.sample` reads, and
+        C~_0 = C~_1 = 0.  Where p'_j - k_j is at or past the clamp index
+        both entries read the plateau, the ratio is exactly 1.0 and the
+        event draws no coin.  The other events each draw one coin c, in
+        event order, from a second block drawn after the chunk's three
+        uniforms an event, and their swallow is rejected if c is at or
+        above the ratio.  The chunk is cut at the first rejected event:
+        its fresh steps are taken and its swallow is not.  A rejected
+        proposal leaves the state as it was in the scalar sampler too, so
+        every event taken was drawn at its true state.
 
         Both arcs follow in closed form (:func:`_event_arcs`): a swallow
         past the new arc's end eats into the old arc, which only moves
-        length between them, so p'_j, coins and floor test are unchanged.
-        The chunk is also cut at tau_r, the first swallow toward the old
-        arc that takes all of it, applied with the full arc rule and its
-        hull record.  Events past a cut are never looked at.  So a chunk
-        runs to about the layer's end: sized from the state at its start,
-        it holds reach / (mu / 2) events clipped to [_CHUNK_MIN, _CHUNK],
-        the reach the old arc A (min(A, p - floor + 3) without coins) and
-        mu / 2 its mean loss an event, mu the mean swallow size.
+        length between them, so p'_j and the coins are unchanged.  The
+        chunk is also cut at tau_r, the first swallow toward the old arc
+        that takes all of it, applied with the full arc rule and its hull
+        record.  Events past a cut are never looked at.  So a chunk runs
+        to about the layer's end: sized from the state at its start, it
+        holds A / (mu / 2) events clipped to [_CHUNK_MIN, _CHUNK], A the
+        old arc and mu / 2 its mean loss an event, mu the mean swallow
+        size.
 
         An event takes at most the gap clip + 1 steps, so under a step
         budget a chunk holds at most the remaining budget over that many
@@ -786,7 +781,7 @@ class LayerChain:
         laws = _block_laws(self.params)
         if laws is None:
             return self.run(r_max)
-        _, gaps, sizes, floor, ct = laws
+        gaps, sizes, ct = laws
         rng = self.rng
         filler = self.filler
         # mean arc loss of an event: half its mean swallow
@@ -799,39 +794,36 @@ class LayerChain:
             if p < _P_BLOCK or (filler is not None and self.cur_r == 1):
                 self.step()
                 continue
-            coins = p < floor
-            reach = self._A if coins else min(self._A, p - floor + 3)
-            m = min(max(int(reach / rate), _CHUNK_MIN), _CHUNK)
+            m = min(max(int(self._A / rate), _CHUNK_MIN), _CHUNK)
             if self.max_steps is not None:
                 m = min(m, (self.max_steps - self.steps) // event_max)
                 if not m:
                     self.step()
                     continue
-            us = rng.block((4 if coins else 3) * m)
+            us = rng.block(3 * m)
             gs = gaps(us[:m])
             ks = sizes(us[m : 2 * m])
             ks += 1
             # swallows toward the old arc ('next')
-            old = us[2 * m : 3 * m] < 0.5
+            old = us[2 * m :] < 0.5
             oka, okn = _event_arcs(self._A, self._N, gs, ks, old)
             okp = oka + okn
-            # tau_r: a swallow toward the old arc takes all of it
-            bad = oka < 1
-            if coins:
-                # okp + ks: the perimeter at each swallow proposal.
-                # C~_0 = C~_1 = 0 rejects the illegal sizes.  Events past a
-                # cut may read p' < 2: the clips keep their unused ratios
-                # finite
-                num = np.minimum(np.maximum(okp, 0), last)
-                den = np.minimum(np.maximum(okp + ks + 1, 2), last)
-                rejected = us[3 * m :] >= ct[num] / ct[den]
-                bad |= rejected
-            else:
-                bad |= okp < floor - 2
-            # j whole events, then on a cut event j's fresh steps and its
-            # swallow unless its coin rejected it
-            j = int(bad.argmax()) if bad.any() else m
-            swallow = j < m and not (coins and rejected[j])
+            # j whole events, then event j's fresh steps and its swallow:
+            # a cut at tau_r, a swallow toward the old arc that takes all
+            # of it, takes the swallow; a cut at a rejected coin does not
+            layer = oka < 1
+            j = int(layer.argmax()) if layer.any() else m
+            swallow = j < m
+            # one coin for each event whose swallow leaves the perimeter
+            # below the clamp index.  Events past a cut may read p' < 2:
+            # the clips keep their unused ratios finite
+            at = np.flatnonzero(okp < last)
+            if at.size:
+                okc = okp[at]
+                den = np.minimum(np.maximum(okc + ks[at] + 1, 2), last)
+                no = at[rng.block(at.size) >= ct[np.maximum(okc, 0)] / ct[den]]
+                if no.size and no[0] <= j:
+                    j, swallow = int(no[0]), False
             fresh = int(gs[: j + 1].sum())
             taken = fresh + j + swallow
             if filler is not None:

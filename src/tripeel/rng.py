@@ -1,10 +1,11 @@
 """Deterministic uniform streams with reproducible per-trial spawning.
 
-Every random decision in the package flows through :class:`RngStream.u`,
-one float in [0, 1) at a time.  That discipline is what makes two
-different engines driven by the same stream land on the same outcomes
-draw for draw, and what makes a recorded master seed enough to replay a
-whole experiment.
+Every random decision in the package flows through an :class:`RngStream`:
+one float in [0, 1) at a time through :meth:`RngStream.u`, or a numpy
+block of them through :meth:`RngStream.block` on the vectorized paths.
+That discipline is what makes two different engines driven by the same
+stream land on the same outcomes draw for draw, and what makes a
+recorded master seed enough to replay a whole experiment.
 
 A stream's PCG64 is seeded with exactly the words numpy's
 ``SeedSequence(seed, spawn_key=key).generate_state(4, uint64)`` gives,
@@ -24,10 +25,10 @@ import numpy as np
 
 from .errors import DomainError
 
-# scalar draws come in windows of _WINDOW doubles, generated in fills of
-# _FILL0, _FILL0, 2 _FILL0, 4 _FILL0, ... that tile each window exactly
-_WINDOW = 8192
+# scalar draws are generated in fills of the doubles generated so far,
+# clipped to [_FILL0, _FILL_MAX]: 64, 64, 128, ..., 4,096, 4,096, ...
 _FILL0 = 64
+_FILL_MAX = 4096
 
 # SeedSequence's hash constants, pool size and word mask
 _INIT_A = 0x43B0D7E5
@@ -148,20 +149,16 @@ class RngStream:
     for a chunk of sibling keys at once and cached per parent prefix
     (see the module docstring).
 
-    Scalar draws are served as Python floats from a list.  They are
-    taken from the generator in windows of 8,192 doubles.  A window opens
-    at the first scalar draw after the previous one is used up, and it
-    holds the next 8,192 doubles of the generator.  This window
-    invariant is what fixes every value a mix of scalar and block draws
-    sees (see :meth:`block`).  Within a window the doubles are generated
-    lazily, 64 first and then fills that double the part generated so
-    far (64, 128, ..., 4,096), so a stream that draws a few dozen
-    uniforms never pays for 8,192.  PCG64 emits its doubles in one
-    sequence, so how a window is split into fills does not change a
-    single value.
+    Scalar draws are served as Python floats from a list, generated
+    lazily in fills as large as everything generated so far, at least 64
+    and at most 4,096 doubles (64, 64, 128, ..., 4,096, 4,096, ...), so a
+    stream that draws a few dozen uniforms never pays for thousands.
+    PCG64 emits its doubles in one sequence, so how the scalar draws are
+    split into fills does not change a single value: a stream that draws
+    only scalars reads the generator's doubles in order.
     """
 
-    __slots__ = ("seed", "spawn_key", "_gen", "_it", "_left", "_end")
+    __slots__ = ("seed", "spawn_key", "_gen", "_it", "_end")
 
     def __init__(self, seed: int, spawn_key: Sequence[int] = ()):
         self.seed = seed = int(seed)
@@ -179,8 +176,7 @@ class RngStream:
             row = _state(_pool(_digits(seed)))[0]
         self._gen = np.random.Generator(np.random.PCG64(_row_seed()(row)))
         self._it = iter(())    # generated scalar draws not yet served
-        self._left = 0         # doubles of the current window not yet generated
-        self._end = 0          # n_drawn once _it is spent
+        self._end = 0          # doubles generated, n_drawn once _it is spent
 
     @property
     def n_drawn(self) -> int:
@@ -188,12 +184,9 @@ class RngStream:
         return self._end - self._it.__length_hint__()
 
     def _fill(self) -> None:
-        """Serve the next fill of the current window, opening a new
-        window when the current one is all generated."""
-        left = self._left or _WINDOW
-        n = _WINDOW - left or _FILL0
+        """Generate the next fill of scalar draws."""
+        n = min(max(self._end, _FILL0), _FILL_MAX)
         self._it = iter(self._gen.random(n).tolist())
-        self._left = left - n
         self._end += n
 
     def u(self) -> float:
@@ -214,25 +207,17 @@ class RngStream:
     def block(self, n: int) -> np.ndarray:
         """Array of n uniforms pulled directly from the generator.
 
-        The block comes from where the generator stands after the current
-        scalar window, never from inside it.  The rest of the window is
-        generated into the scalar list first, so the block holds the same
-        values as it would if the whole window had been generated at its
-        first draw, and the scalar draws that follow go on through the
-        window unchanged.
-
-        Interleaving block and scalar draws is thus reproducible only if
-        the call order itself is fixed.  Consumers that mix the two (the
-        vectorized chains) own their whole stream and never share it with
-        a coupled twin.
+        The block holds the generator's next n doubles after everything
+        generated so far; scalar draws already generated but not yet
+        served stay in the list and are served first.  Which doubles a
+        block gets thus depends on the fills before it, so interleaving
+        block and scalar draws is reproducible only if the call order
+        itself is fixed.  Consumers that mix the two (the vectorized
+        chains) own their whole stream and never share it with a coupled
+        twin.
         """
         if n < 0:
             raise DomainError(f"block size must be nonnegative, got n={n}")
-        if self._left:
-            rest = self._gen.random(self._left).tolist()
-            self._it = iter(list(self._it) + rest)
-            self._end += self._left
-            self._left = 0
         self._end += n
         return self._gen.random(n)
 

@@ -340,54 +340,68 @@ def sample_event(par, p: int, rng) -> tuple:
         return "swallow", k, side
 
 
-def block_chunk(par, p: int, a: int, us, coins: bool) -> dict:
+def block_chunk(par, p: int, a: int, us, coins) -> dict:
     """Replay one chunk of :meth:`LayerChain.run_fast` event by event.
 
-    ``us`` is the chunk's block of uniforms: gaps, sizes, sides and, with
-    ``coins``, acceptance coins, m of each.  Starting from perimeter p
-    and old arc a, each event takes its gap of fresh steps and then its
-    swallow proposal: rejected (and the chunk cut) when p' - k < 2 or
-    the coin is at or above C~_{p'-k} / C~_{p'+1}, read through
-    :meth:`PeelParams.ctilde`; else applied by the arc rule, a swallow
-    past the new arc's end eating into the old arc, and cutting the chunk
-    after it when it fires tau_r (a swallow toward the old arc that takes
-    all of it) or, without coins, leaves the perimeter below the clamp
-    index plus the swallow cap.  Returns the events read, how the chunk
-    ended ('rejected', 'layer', 'floor' or 'whole'), the steps taken, the
-    final perimeter and old arc, and
-    ``unsure``, the swallow proposals without a coin at a perimeter p'
-    where some size up to the cap K has acceptance below 1,
-    C~_{p'-K} < C~_{p'+1}.
+    ``us`` is the chunk's block of uniforms, m gaps, m sizes and m sides,
+    and ``coins`` its block of acceptance coins.  Starting from perimeter
+    p and old arc a, each event takes its gap of fresh steps and then its
+    swallow proposal of size k at perimeter p'.  Where p' - k is below
+    the clamp index the event takes the next coin, and its swallow is
+    rejected (and the chunk cut) when the coin is at or above
+    C~_{p'-k} / C~_{p'+1}, read through :meth:`PeelParams.ctilde`.  An
+    accepted swallow is applied by the arc rule, a swallow past the new
+    arc's end eating into the old arc, and cuts the chunk after it when
+    it fires tau_r (a swallow toward the old arc that takes all of it).
+
+    Returns the events read, how the chunk ended ('rejected', 'layer' or
+    'whole'), the steps taken, the final perimeter and old arc, ``coins``,
+    the coins the chunk draws (its events, all taken as accepted, whose
+    p' - k is below the clamp index), ``free``, the events read without a
+    coin, and ``unsure``, those of them at which C~_{p'-k} != C~_{p'+1}.
     """
-    cap, gaps, sizes, *_ = _block_laws(par)
-    m = len(us) // (4 if coins else 3)
-    floor = None if coins else par.ctilde_clamp_index() + cap
-    steps, events, end, unsure = 0, m, "whole", 0
-    for i in range(m):
-        g = bisect_right(gaps._cdf, us[i])
-        k = bisect_right(sizes._cdf, us[m + i]) + 1
-        toward_old = us[2 * m + i] < 0.5
+    gaps, sizes, _ = _block_laws(par)
+    last = par.ctilde_clamp_index()
+    m = len(us) // 3
+    events = [
+        (
+            bisect_right(gaps._cdf, us[i]),
+            bisect_right(sizes._cdf, us[m + i]) + 1,
+            us[2 * m + i] < 0.5,
+        )
+        for i in range(m)
+    ]
+    drawn, q = 0, p
+    for g, k, _ in events:
+        q += g - k
+        drawn += q < last
+    coins = iter(coins)
+    steps, read, end, free, unsure = 0, m, "whole", 0, 0
+    for i, (g, k, toward_old) in enumerate(events):
         steps += g
         p += g
-        if coins and not us[3 * m + i] < par.ctilde(p - k) / par.ctilde(p + 1):
-            events, end = i + 1, "rejected"
-            break
-        unsure += not coins and par.ctilde(p - cap) < par.ctilde(p + 1)
+        if p - k < last:
+            if not next(coins) < par.ctilde(p - k) / par.ctilde(p + 1):
+                read, end = i + 1, "rejected"
+                break
+        else:
+            free += 1
+            unsure += par.ctilde(p - k) != par.ctilde(p + 1)
         n = p - a
         steps += 1
         p -= k
         if toward_old and k >= a:
             # tau_r: what is left of the new arc becomes the old arc
-            events, end, a = i + 1, "layer", n - (k - a)
+            read, end, a = i + 1, "layer", n - (k - a)
             break
         if toward_old:
             a -= k
         elif k > n:
             a -= k - n
-        if floor is not None and p < floor:
-            events, end = i + 1, "floor"
-            break
-    return {"events": events, "end": end, "steps": steps, "p": p, "a": a, "unsure": unsure}
+    return {
+        "events": read, "end": end, "steps": steps, "p": p, "a": a,
+        "coins": drawn, "free": free, "unsure": unsure,
+    }
 
 
 def volume_table_full_width(params) -> tuple:

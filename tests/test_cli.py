@@ -218,6 +218,19 @@ def test_experiment_seeded_and_deterministic():
     assert doc["params"]["digest"]
 
 
+def test_volume_growth_window_follows_radius():
+    # the default window is the last five layers up to --radius, so a
+    # radius below the default depth still runs
+    res = invoke(
+        "experiment", "--experiment", "volume-growth", "--alpha", "7/10",
+        "--radius", "6", "--trials", "2",
+    )
+    assert res.exit_code == 0, res.output
+    doc = json.loads(res.output)
+    assert doc["settings"]["r_max"] == 6
+    assert doc["settings"]["window"] == [2, 6]
+
+
 def test_experiment_flag_validation():
     res = invoke(
         "experiment", "--experiment", "inv-degree", "--kappa", "2/27",

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tripeel import experiments, peeling
+from tripeel import experiments
 from tripeel.errors import BudgetExceededError, DomainError
 from tripeel.experiments import (
     EXPERIMENTS,
@@ -95,9 +95,9 @@ def test_layer_stats_fast_path_reports_what_ran():
     # the critical point has no finite swallow cap, and alpha 0.666667 no
     # affordable one, so every step is scalar, and the report must say
     # so.  At alpha 0.6667 block chunks carry the boundaries from
-    # perimeter 4 on, and every one of them carries acceptance coins: a
+    # perimeter 4 on, and every event in them draws an acceptance coin: a
     # chain's perimeter is at most 2 plus its steps, and the run's steps
-    # stay far below the block floor clamp + K + 2
+    # stay far below the clamp index
     for scalar in (build_params(kappa="2/27"), build_params(alpha="0.666667")):
         rep = run_layer_stats(scalar, RngStream(5), trials=3, window=(6, 10))
         assert rep["settings"]["fast_path"] is False
@@ -107,7 +107,7 @@ def test_layer_stats_fast_path_reports_what_ran():
     assert rep["settings"]["fast_path"] is True
     work = rep["results"]["work"]
     assert work["block_steps"] > 0
-    assert peeling._block_laws(p)[3] == 229_300 + 117_893 + 2 > work["steps"] + 2
+    assert p.ctilde_clamp_index() == 229_300 > work["steps"] + 2
 
 
 def test_volume_growth_fast_path_reports_what_ran(p75):

@@ -17,49 +17,50 @@ from tripeel.cli import cli
 # case id -> (experiment, coupling, seed, settings, sha256 of report_to_json).
 # The layer-stats and volume-growth reports run LayerChain.run_fast, whose
 # block path draws one event (fresh steps, then a swallow proposal) per
-# three uniforms at or above the block floor (clamp index + swallow cap
-# + 2) and per four below it, the fourth the swallow's acceptance coin:
-# new draws, same law; they also record results.work.  Scalar steps
-# remain below perimeter 4, in layer 1 with volume tracked and at the
-# critical point.  A chunk ends only at tau_r, a rejected coin, the block
-# floor or its last event (a swallow past the new arc's end eats into the
-# old arc in closed form, with no cut), and chunks are sized from the old
-# arc alone: the realization moved, the law did not, so these five
-# digests were re-pinned
+# three uniforms, and then, from a second block, one acceptance coin for
+# each event whose swallow leaves the perimeter below the harmonic
+# table's clamp index (past it the acceptance is exactly 1.0); they also
+# record results.work.  Scalar steps remain below perimeter 4, in layer 1
+# with volume tracked and at the critical point.  A chunk ends only at
+# tau_r, a rejected coin or its last event, and is sized from the old arc
+# alone.  RngStream takes each block right after the doubles generated so
+# far, with no scalar window to skip, so streams that mix scalar and
+# block draws read new values.  New draws, same law: these five digests
+# were re-pinned
 REPORTS = {
-    # below the block floor, 406 here, chunks carry acceptance coins;
-    # block-step fill volumes come from the volume tables
+    # the clamp index is 226 here, so in these shallow layers most events
+    # carry a coin; block-step fill volumes come from the volume tables
     "volume-growth": (
         "volume-growth", {"alpha": "7/10"}, 1,
         {"trials": 6, "r_max": 6, "window": (2, 5)},
-        "a30593bd8e9b254e0e4219449df820b18c0e3f59255c876ebec0355cd72d0452",
+        "4dc8c80b249dfb3d063b670b0e728722502f46fa98dc5698033f7b6654bafed3",
     ),
-    # alpha 3/4 passes the block floor, 161, within six layers; fill
+    # alpha 3/4 passes its clamp index, 88, within six layers; fill
     # volumes are drawn from the tables
     "volume-growth-three-quarters": (
         "volume-growth", {"alpha": "3/4"}, 9,
         {"trials": 4, "r_max": 5, "window": (2, 5)},
-        "e0f61bf9d8e07fd58a53caf031e832761c8bf0d867f5d22d125c68a0d65d28a6",
+        "bdb5155cb53a143fa0b3293beab613f6a3286839ff0b7e77daa6c2488a7c8513",
     ),
-    # alpha 3/4: chunks without coins carry the deep layers
+    # alpha 3/4: events without coins carry the deep layers
     "layer-stats": (
         "layer-stats", {"alpha": "3/4"}, 2,
         {"trials": 4, "window": (4, 8)},
-        "b608924d940b40a5ea38ff03fe6d3c2fe1fc8e072c93c332d083a617fa39a1c6",
+        "eb6f6c76200be2bb434d6a75cc8b4a3e3616eddf9a12404f654e4146f2ff83ee",
     ),
     # alpha 0.68 clamps the harmonic table only at p = 570 and caps block
-    # swallows at 430: chunks with coins until the boundary reaches the
-    # floor, 1,002, chunks without after
+    # swallows at 430: events carry coins until the boundary passes the
+    # clamp index, and ever fewer of them after
     "layer-stats-near-critical": (
         "layer-stats", {"alpha": "0.68"}, 5,
         {"trials": 3, "window": (8, 11)},
-        "5232f82853558da78b83e7647a4d67bbb4e6f664662913cf21bf97d43643c69e",
+        "76aba89166542e27ac18bfc1b1e3cc5a705a875cf3d99bbde69daf9f62f67264",
     ),
-    # alpha 4/5 clamps the harmonic table at p = 52, block floor 96
+    # alpha 4/5 clamps the harmonic table at p = 52
     "layer-stats-four-fifths": (
         "layer-stats", {"alpha": "4/5"}, 8,
         {"trials": 3, "window": (3, 6)},
-        "71d46a8c065cca35fe6e925dcc5ccdd2610f697641ea40bff6dc13deb8b20404",
+        "07713e88c7afcb3a37f41f6c778eb448dfe5eb2837d6508114e78fc705c01b2a",
     ),
     # the step budget discards some trials
     "inv-degree": (

@@ -385,8 +385,8 @@ def test_fast_chain_matches_scalar_when_disabled():
 
 def test_fast_chain_matches_scalar_in_law(monkeypatch):
     # two-sample KS tests of the scalar chain against run_fast with the
-    # block path on.  Alpha 3/4 clamps early, so by depth 6 chunks
-    # without coins, above the block floor 161, carry most steps.
+    # block path on.  Alpha 3/4 clamps early, at p = 88, so by depth 6
+    # events without coins, past the clamp index, carry most steps.
     par = build_params(alpha=Fraction(3, 4))
     trials = 250
 
@@ -518,9 +518,13 @@ def test_event_arcs_match_the_arc_rule(a, n, events):
 def _chunk_log(monkeypatch) -> list:
     """Log the chains that run_fast runs: a snapshot (kind, steps, block
     steps, perimeter, old arc, uniforms drawn, block) before each chunk's
-    block of uniforms ('block', with the block; fill blocks are not
-    logged), before each scalar step ('step') and when run_fast returns
-    or raises ('end')."""
+    block of events ('block', with the block) and before its block of
+    coins ('coins', with the block; fill blocks are not logged), before
+    each scalar step ('step') and when run_fast returns or raises
+    ('end').  A chunk's coin block is the block that follows its event
+    block with the chain unchanged and no draw between them; a chunk
+    without coins takes at least one step, so the next chunk's event
+    block never looks like that."""
     log, running = [], []
     step, block, run_fast = LayerChain.step, RngStream.block, LayerChain.run_fast
     fill_volumes = peeling.BoltzmannFiller.fill_volumes
@@ -533,11 +537,16 @@ def _chunk_log(monkeypatch) -> list:
         step(chain)
 
     def logged_block(rng, n):
-        if running[-1] is None:
+        chain = running[-1]
+        if chain is None:
             return block(rng, n)
-        snap("block", running[-1])
+        prev = log[-1] if log else ("end",)
+        snap("block", chain)
+        now = log[-1]
+        if prev[0] == "block" and prev[1:5] == now[1:5] and prev[5] + prev[6].size == now[5]:
+            now = ("coins",) + now[1:]
         us = block(rng, n)
-        log[-1] = log[-1][:-1] + (us,)
+        log[-1] = now[:-1] + (us,)
         return us
 
     def unlogged_fills(filler, holes, rng):
@@ -563,63 +572,65 @@ def _chunk_log(monkeypatch) -> list:
 
 def _replayed_chunks(par, log):
     """Each chunk of a log: its start (steps, block steps, perimeter, old
-    arc, uniforms drawn), the snapshot after it, its uniforms, whether it
-    carries coins, and its event-by-event replay (oracles.block_chunk).
-    A chunk carries coins below the block floor clamp + K + 2."""
-    cap = peeling._block_laws(par)[0]
-    clamp = par.ctilde_clamp_index()
-    for (kind, *start, us), after in zip(log, log[1:]):
+    arc, uniforms drawn), the snapshot after it, its event block, its
+    coin block (empty when it drew none), and its event-by-event replay
+    (oracles.block_chunk)."""
+    for i, (kind, *start, us) in enumerate(log):
         if kind != "block":
             continue
+        coins = log[i + 1][-1] if log[i + 1][0] == "coins" else np.empty(0)
+        after = log[i + 1 + (log[i + 1][0] == "coins")]
         _, _, p, a, _ = start
-        coins = p < clamp + cap + 2
         yield start, after[1:6], us, coins, block_chunk(par, p, a, us, coins)
 
 
-@pytest.mark.parametrize("alpha, depth, floor", [("7/10", 6, 406), ("3/4", 7, 161)])
-def test_block_chunks_replay_event_by_event(monkeypatch, alpha, depth, floor):
-    # every chunk, with coins (below the block floor) or without, ends
-    # where the scalar replay of its events ends: same steps, perimeter
-    # and old arc, and the chunk's block is all it drew.  Every swallow
-    # proposal of a chunk without coins is at a perimeter where every size
-    # up to the cap has acceptance exactly 1.0, read from C~ itself, so
-    # the floor, pinned here, is not too low.  Both kinds of chunk are
-    # seen, and every way a chunk can end.  Boundaries soon grow far past
-    # the floor, so chains started right on it (in layer 2, arcs of equal
-    # length) show the cut that leaves it
+@pytest.mark.parametrize("alpha, depth, clamp", [("7/10", 6, 226), ("3/4", 7, 88)])
+def test_block_chunks_replay_event_by_event(monkeypatch, alpha, depth, clamp):
+    # every chunk ends where the scalar replay of its events ends: same
+    # steps, perimeter and old arc, and its event block and the coin
+    # block after it are all it drew, one coin for each event whose
+    # p' - k is below the clamp index.  Every swallow proposal taken
+    # without a coin has acceptance exactly 1.0, read from C~ itself.
+    # Events with and without coins are seen, and every way a chunk can
+    # end.  Boundaries soon grow far past the clamp index, so chains
+    # started right on it (in layer 2, arcs of equal length) mix both
+    # kinds of event in their chunks
     probe = build_params(alpha=alpha)
     probe.ensure_ctilde(10**4)
-    laws = peeling._block_laws(probe)
-    assert probe.ctilde_clamp_index() + laws[0] + 2 == laws[3] == floor
+    peeling._block_laws(probe)
+    assert probe.ctilde_clamp_index() == clamp
     par = build_params(alpha=alpha)
     log = _chunk_log(monkeypatch)
     for t in range(6):
         LayerChain(par, RngStream(139, (t,)), volume=False).run_fast(depth)
         chain = LayerChain(par, RngStream(139, (t, 1)), volume=False)
-        chain.p = floor
+        chain.p = clamp
         chain._A = chain.p // 2
         chain._N = chain.p - chain._A
         chain.cur_r = 2
         chain.run_fast(3)
-    ends = Counter()
+    ends, coined, free = Counter(), 0, 0
     for (steps, blocks, _, _, drawn), after, us, coins, rep in _replayed_chunks(par, log):
-        assert us.size == (4 if coins else 3) * (us.size // (4 if coins else 3))
+        assert us.size % 3 == 0 and coins.size == rep["coins"]
         assert after == (
-            steps + rep["steps"], blocks + rep["steps"], rep["p"], rep["a"], drawn + us.size
+            steps + rep["steps"], blocks + rep["steps"], rep["p"], rep["a"],
+            drawn + us.size + coins.size,
         )
         assert rep["unsure"] == 0
-        ends[rep["end"], coins] += 1
-    assert {end for end, coins in ends if coins} == {"rejected", "layer", "whole"}
-    assert {end for end, coins in ends if not coins} == {"layer", "floor", "whole"}
+        ends[rep["end"]] += 1
+        coined += rep["events"] - rep["free"]
+        free += rep["free"]
+    assert set(ends) == {"rejected", "layer", "whole"}
+    assert coined > 0 and free > 0
 
 
 def test_rejection_cut_takes_the_gap_and_skips_the_swallow(monkeypatch):
     # a chunk cut by a rejected swallow proposal: its events before the
     # cut are taken whole, the cut event's fresh steps are taken, its
-    # swallow is not, and the chunk drew its four uniforms an event and
-    # nothing else
+    # swallow is not, and the chunk drew its three uniforms an event and
+    # its coins and nothing else
     par = build_params(alpha=Fraction(7, 10))
-    _, gaps, sizes, *_ = peeling._block_laws(par)
+    gaps, sizes, _ = peeling._block_laws(par)
     log = _chunk_log(monkeypatch)
     for t in range(20):
         LayerChain(par, RngStream(149, (t,)), volume=False).run_fast(3)
@@ -628,27 +639,30 @@ def test_rejection_cut_takes_the_gap_and_skips_the_swallow(monkeypatch):
         if rep["end"] != "rejected":
             continue
         seen += 1
-        m, e = us.size // 4, rep["events"]
+        m, e = us.size // 3, rep["events"]
         gs, ks = gaps(us[:m])[:e], sizes(us[m : 2 * m])[:e] + 1
-        # the cut event proposed its swallow at p', and its coin rejected it;
-        # the old arc is the one the events before it left
+        # the cut event proposed its swallow at p', and its coin, the last
+        # one read, rejected it; the old arc is the one the events before
+        # it left
         p_cut = p + gs.sum() - ks[:-1].sum()
-        assert not us[3 * m + e - 1] < par.ctilde(p_cut - ks[-1]) / par.ctilde(p_cut + 1)
+        coin = coins[e - rep["free"] - 1]
+        assert not coin < par.ctilde(p_cut - ks[-1]) / par.ctilde(p_cut + 1)
         taken = gs.sum() + e - 1
-        assert after == (steps + taken, blocks + taken, p_cut, rep["a"], drawn + 4 * m)
+        assert after == (
+            steps + taken, blocks + taken, p_cut, rep["a"], drawn + 3 * m + coins.size
+        )
     assert seen >= 20
 
 
 def test_fast_chain_draws_only_what_it_uses(monkeypatch):
     # a block event (a run of fresh steps, then a swallow proposal) uses
-    # three uniforms, and four below the block floor, where it carries
-    # its acceptance coin; chunks sized from the chain state leave almost
-    # nothing unused.  Each chunk holds reach / rate events, clipped: the
-    # reach is the old arc (with coins) or min(A, p - floor + 3) (without),
-    # the rate the old arc's mean loss an event, with no special size at
-    # the start of a layer (new arc empty)
+    # three uniforms, and a coin where its p' - k is below the clamp
+    # index; chunks sized from the chain state leave almost nothing
+    # unused.  Each chunk holds A / rate events, clipped, the rate the old
+    # arc's mean loss an event, with no special size at the start of a
+    # layer (new arc empty), and draws 3 m uniforms plus its coins
     par = build_params(alpha=Fraction(3, 4))
-    _, _, law, floor, _ = peeling._block_laws(par)
+    _, law, _ = peeling._block_laws(par)
     rate = (1.0 + law.mean) / 2
     log = _chunk_log(monkeypatch)
     drawn = 0
@@ -662,11 +676,11 @@ def test_fast_chain_draws_only_what_it_uses(monkeypatch):
         if kind == "step"
     )
     sizes = []
-    for (_, _, p, a, _), _, us, coins, rep in _replayed_chunks(par, log):
-        used += (4 if coins else 3) * rep["events"]
-        m = us.size // (4 if coins else 3)
-        reach = a if coins else min(a, p - floor + 3)
-        assert m == min(max(int(reach / rate), peeling._CHUNK_MIN), peeling._CHUNK)
+    for (_, _, p, a, before), after, us, coins, rep in _replayed_chunks(par, log):
+        used += 4 * rep["events"] - rep["free"]
+        m = us.size // 3
+        assert m == min(max(int(a / rate), peeling._CHUNK_MIN), peeling._CHUNK)
+        assert after[-1] - before == 3 * m + coins.size == 3 * m + rep["coins"]
         sizes.append((p - a, m))
     assert used <= drawn <= 1.05 * used
     assert any(n_new == 0 for n_new, _ in sizes)
@@ -680,8 +694,8 @@ def test_fast_chain_budget_is_spent_exactly(monkeypatch, volume):
     # no chunk ends past the budget, and each ends where its event-by-event
     # replay does.  The scalar steps that follow spend the budget exactly,
     # the budget check raises, and the arcs still add up to the perimeter.
-    # Short budgets at alpha 7/10 end below the block floor, in chunks with
-    # coins; long ones at alpha 3/4 above it, in chunks without
+    # Short budgets at alpha 7/10 end below the clamp index, in chunks
+    # with coins; long ones at alpha 3/4 far above it, in chunks without
     log = _chunk_log(monkeypatch)
     last = Counter()
     for alpha, budgets, seed in (
@@ -698,12 +712,13 @@ def test_fast_chain_budget_is_spent_exactly(monkeypatch, volume):
             assert chain._A >= 1 and chain._A + chain._N == chain.p
             assert chain.block_steps <= chain.steps
             chunks = list(_replayed_chunks(par, log))
-            for start, after, _, _, rep in chunks:
+            for start, after, _, coins, rep in chunks:
                 assert after[:4] == (
                     start[0] + rep["steps"], start[1] + rep["steps"], rep["p"], rep["a"]
                 )
+                assert coins.size == rep["coins"]
                 assert after[0] <= budget
-            last[alpha, chunks[-1][3]] += 1
+            last[alpha, chunks[-1][3].size > 0] += 1
     assert last["7/10", True] >= 5 and last["3/4", False] >= 3
 
 
@@ -778,14 +793,19 @@ def test_fast_chain_counts_every_fill(monkeypatch):
 
 @pytest.mark.parametrize(
     "alpha, volume, depths, trials",
-    [("7/10", True, (2, 4, 6), 250), ("0.67", False, (4, 8, 12), 200)],
-    ids=["seven-tenths-volume", "near-critical"],
+    [
+        ("7/10", True, (2, 4, 6), 250),
+        ("0.67", False, (4, 8, 12), 200),
+        ("7/10", False, (3, 5, 7), 200),
+    ],
+    ids=["seven-tenths-volume", "near-critical", "seven-tenths-across-clamp"],
 )
 def test_coin_chunks_match_scalar_in_law(alpha, volume, depths, trials):
     # two-sample KS tests of (tau_r, P_{tau_r}) and, with volume, V_{tau_r}
-    # between run() and run_fast() where chunks with acceptance coins
-    # carry the block steps: the block floor is 406 at alpha 7/10 and
-    # 3,894 at alpha 0.67, far above these boundaries
+    # between run() and run_fast() where events with acceptance coins
+    # carry the block steps.  The last case's boundaries cross the clamp
+    # index, 226 at alpha 7/10, so its chunks mix events with and without
+    # coins
     par = build_params(alpha=alpha)
     fields = ("tau", "perimeter", "volume") if volume else ("tau", "perimeter")
 
@@ -816,9 +836,9 @@ def test_coin_chunks_match_scalar_in_law(alpha, volume, depths, trials):
 
 def test_fast_chain_with_volume_matches_scalar_in_law():
     # two-sample KS tests of (P, V, tau) at tau_5 and tau_7 between run()
-    # and run_fast() with volume at alpha 7/10.  The block floor is 406
-    # there: chunks with acceptance coins carry the block steps below it
-    # and chunks without above it, and by tau_7 both kinds run
+    # and run_fast() with volume at alpha 7/10.  The clamp index is 226
+    # there: events whose swallow leaves the perimeter below it draw
+    # acceptance coins and events past it none, and by tau_7 both run
     par = build_params(alpha=Fraction(7, 10))
     trials = 250
     depths = (5, 7)
@@ -852,9 +872,9 @@ def test_fast_chain_with_volume_matches_scalar_in_law():
 def test_fast_chain_matches_scalar_in_law_near_critical():
     # two-sample KS tests of (tau_r, P_{tau_r}) between run() and
     # run_fast() at alpha 0.672, where the harmonic table clamps only at
-    # p = 1,430 and the swallow cap K is 1,027: the block floor is 2,459.
-    # Chunks with acceptance coins carry the block steps below it, by
-    # tau_18 chunks without coins above it
+    # p = 1,430 and the swallow cap K is 1,027.  Events with acceptance
+    # coins carry the block steps below the clamp index, by tau_18 events
+    # without coins past it
     par = build_params(alpha=Fraction(84, 125))
     trials = 300
     depths = (14, 18)

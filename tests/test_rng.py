@@ -14,31 +14,33 @@ from tripeel.params import build_params
 from tripeel.rng import RngStream
 
 
-class FixedWindowStream:
-    """Reference model: each window of 8,192 scalar draws generated whole
-    at its first draw, blocks taken straight from the generator."""
+class FillStream:
+    """Reference model: scalar draws generated in fills of
+    min(max(generated, 64), 4096) doubles, generated counting every
+    double taken so far, and blocks taken straight from the generator
+    after everything generated so far."""
 
     def __init__(self, seed, spawn_key=()):
         ss = np.random.SeedSequence(entropy=seed, spawn_key=tuple(spawn_key))
         self.gen = np.random.Generator(np.random.PCG64(ss))
-        self.buf = None
-        self.i = 0
+        self.buf = []
+        self.generated = 0
         self.n_drawn = 0
 
     def u(self):
-        if self.buf is None or self.i >= 8192:
-            self.buf = self.gen.random(8192)
-            self.i = 0
-        x = self.buf[self.i]
-        self.i += 1
+        if not self.buf:
+            n = min(max(self.generated, 64), 4096)
+            self.buf = self.gen.random(n).tolist()[::-1]
+            self.generated += n
         self.n_drawn += 1
-        return float(x)
+        return self.buf.pop()
 
     def index(self, n):
         i = int(self.u() * n)
         return n - 1 if i >= n else i
 
     def block(self, n):
+        self.generated += n
         self.n_drawn += n
         return self.gen.random(n)
 
@@ -52,7 +54,7 @@ def _apply(stream, op, arg):
 
 
 def _check_same(ops, seed=11, key=(3,)):
-    rng, ref = RngStream(seed, key), FixedWindowStream(seed, key)
+    rng, ref = RngStream(seed, key), FillStream(seed, key)
     for op, arg in ops:
         assert _apply(rng, op, arg) == _apply(ref, op, arg), (op, arg)
         assert rng.n_drawn == ref.n_drawn
@@ -70,13 +72,22 @@ _OPS = st.lists(
 
 @settings(max_examples=60, deadline=None)
 @given(_OPS, st.integers(0, 2 ** 32), st.lists(st.integers(0, 2 ** 70), max_size=3))
-def test_stream_matches_fixed_window_model(ops, seed, key):
+def test_stream_matches_fill_model(ops, seed, key):
     _check_same(ops, seed=seed, key=tuple(key))
 
 
-@pytest.mark.parametrize("before", [0, 1, 63, 64, 8191, 8192, 8193])
+@pytest.mark.parametrize("before", [0, 1, 63, 64, 4095, 4096, 8191, 8192, 8193, 12289])
 def test_block_after_scalar_draws(before):
     _check_same([("u", before), ("block", 100), ("u", 9000), ("block", 5), ("u", 70)])
+
+
+def test_scalar_draws_read_the_generator_in_order():
+    # however the scalar draws are split into fills, a stream that draws
+    # only scalars reads numpy's own generator value for value
+    rng = RngStream(13, (2,))
+    ref = np.random.Generator(np.random.PCG64(np.random.SeedSequence(13, spawn_key=(2,))))
+    assert [rng.u() for _ in range(20_000)] == ref.random(20_000).tolist()
+    assert rng.n_drawn == 20_000
 
 
 def test_scalar_draws_are_python_floats():
