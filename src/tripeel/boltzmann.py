@@ -133,6 +133,9 @@ class BoltzmannFiller:
         the decision order is a deterministic function of the stream.
         Every piece ends in a close, after which the next pushed piece is
         taken up; a 2-gon that closes at once never touches the stack.
+        A split at k = 1 draws its 2-gon's first decision on the spot: if
+        it closes, the split is one :meth:`TriMap.close_ear` and the work
+        goes on at p - 1; if not, the 2-gon grows its fresh apex at once.
         """
         rows, row, u = self._rows, self.row, rng.u
         stack: list = []
@@ -150,11 +153,20 @@ class BoltzmannFiller:
                 h, _, _ = tmap.attach_fresh(h)
                 added += 1
                 p += 1
-            else:
+            elif d[1] > 1:
                 k = d[1]
                 cont, h, _ = tmap.open_swallow(h, k, "next")
                 stack.append((cont, p - k))
                 p = k + 1
+            elif u() < (rows.get(2) or row(2))[0][0]:
+                h = tmap.close_ear(h, "next")
+                p -= 1
+            else:
+                cont, h, _ = tmap.open_swallow(h, 1, "next")
+                stack.append((cont, p - 1))
+                h, _, _ = tmap.attach_fresh(h)
+                added += 1
+                p = 3
 
     def fill_volume(self, perimeter: int, rng: RngStream) -> int:
         """Scorekeeping twin of :meth:`fill_hole`: same decisions, no map."""

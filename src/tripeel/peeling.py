@@ -379,16 +379,26 @@ class PeelEngine:
         surgery and filling, and the step record when recording.  Returns
         the event, as :meth:`StepSampler.sample` does.  A fresh step
         leaves the cursor on the edge leaving the new apex, so its origin
-        is the apex."""
+        is the apex.  A size-1 swallow draws its 2-gon's first fill
+        decision right after the event: a close makes the step one
+        :meth:`TriMap.close_ear`, else the 2-gon grows its fresh apex and
+        is filled from p = 3."""
         m = self.map
         if self.max_steps is not None or self.max_vertices is not None:
             self._check_budget()
-        event = kind, k, side = self.sampler.sample(m.perimeter, self.rng)
+        rng, filler = self.rng, self.filler
+        event = kind, k, side = self.sampler.sample(m.perimeter, rng)
         if k == 0:
             _, self.cursor, _ = m.attach_fresh(edge)
-        else:
+        elif k > 1:
             self.cursor, enclosed, _ = m.open_swallow(edge, k, side)
-            self.filler.fill_hole(m, enclosed, k + 1, self.rng)
+            filler.fill_hole(m, enclosed, k + 1, rng)
+        elif rng.u() < filler.row(2)[0][0]:
+            self.cursor = m.close_ear(edge, side)
+        else:
+            self.cursor, enclosed, _ = m.open_swallow(edge, 1, side)
+            enclosed, _, _ = m.attach_fresh(enclosed)
+            filler.fill_hole(m, enclosed, 3, rng)
         self.steps += 1
         if self.records is not None:
             self.records.append(StepRecord(kind, k, side, m.perimeter, m.nv))

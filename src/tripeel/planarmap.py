@@ -21,11 +21,12 @@ Rotation around a vertex, ``h -> nxt(twin(h))``, steps to the next
 outgoing half-edge; one orbit enumerates the full fan, holes included,
 so vertex degrees count multi-edges correctly.
 
-The three surgeries (`attach_fresh`, `open_swallow`, `close_two_gon`)
-are the only mutations.  Each keeps the counters (vertices, edges,
-triangles, main perimeter) and the per-vertex indexes exact; a full
-O(size) :func:`validate` recomputes everything from the raw arrays and
-is used liberally in tests, never in hot loops.
+The four surgeries (`attach_fresh`, `open_swallow`, `close_two_gon`,
+and `close_ear`, a size-1 swallow whose 2-gon closes at once) are the
+only mutations.  Each keeps the counters (vertices, edges, triangles,
+main perimeter) and the per-vertex indexes exact; a full O(size)
+:func:`validate` recomputes everything from the raw arrays and is used
+liberally in tests, never in hot loops.
 """
 
 from __future__ import annotations
@@ -256,6 +257,51 @@ class TriMap:
         self.n_tri += 1
         return cont, fence, x
 
+    def close_ear(self, a: int, side: str) -> int:
+        """Glue a triangle onto hole edge a and its neighbour on the given
+        side: ``open_swallow(a, 1, side)`` then ``close_two_gon`` of the
+        enclosed 2-gon, in one step.
+
+        The swallowed edge itself becomes the triangle's side, so no
+        half-edge dies and ``v_out`` and the root stay where they are.
+        Returns the new hole edge, the ``cont`` of ``open_swallow``.
+        """
+        hflag = self.hflag
+        flag = hflag[a]
+        if flag not in (FLAG_MAIN, FLAG_WORK):
+            raise MisuseError(f"half-edge {a} does not bound a hole")
+        if side not in ("next", "prev"):
+            raise DomainError(f"side must be 'next' or 'prev', got {side!r}")
+        twin, nxt, prv, org = self.twin, self.nxt, self.prv, self.org
+        # the replaced stretch head -> tail is a and the eaten edge e
+        e = nxt[a] if side == "next" else prv[a]
+        if e == a:
+            raise MisuseError("swallow k=1 wraps the whole hole")
+        head, tail = (a, e) if side == "next" else (e, a)
+        before, after = prv[head], nxt[tail]
+        if after == head:
+            raise MisuseError("swallow k=1 leaves no hole edge")
+        # triangle head -> tail -> s, s running from target(tail) back to
+        # org(head); cont, its twin, bridges the cut in the hole
+        s, cont = len(org), len(org) + 1
+        twin += (cont, s)
+        nxt += (head, after)
+        prv += (tail, before)
+        org += (org[after], org[head])
+        hflag += (FLAG_TRIANGLE, flag)
+        hflag[head] = hflag[tail] = FLAG_TRIANGLE
+        nxt[tail] = s
+        prv[head] = s
+        nxt[before] = cont
+        prv[after] = cont
+        if flag == FLAG_MAIN:
+            self.perimeter -= 1
+            self.v_hole[org[tail]] = -1
+            self.v_hole[org[head]] = cont
+        self.ne += 1
+        self.n_tri += 1
+        return cont
+
     def close_two_gon(self, g: int) -> int:
         """Zip shut a work hole of perimeter 2 by identifying its edges.
 
@@ -320,11 +366,12 @@ class TriMap:
                 h0 = self.v_out[v]
                 h = h0
                 while True:
-                    t = org[twin[h]]
-                    if dist[t] == -1:
-                        dist[t] = d
-                        nxt_frontier.append(t)
-                    h = nxt[twin[h]]
+                    t = twin[h]
+                    w = org[t]
+                    if dist[w] == -1:
+                        dist[w] = d
+                        nxt_frontier.append(w)
+                    h = nxt[t]
                     if h == h0:
                         break
             frontier = nxt_frontier

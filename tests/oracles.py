@@ -70,6 +70,14 @@ def degree(tmap: TriMap, v: int) -> int:
     return len(tmap.out_half_edges(v))
 
 
+def ear_by_two_surgeries(tmap: TriMap, a: int, side: str) -> int:
+    """The route ``TriMap.close_ear`` stands for: a size-1 swallow, then
+    its 2-gon zipped shut.  Returns the new hole edge, as close_ear does."""
+    cont, fence, _ = tmap.open_swallow(a, 1, side)
+    tmap.close_two_gon(fence)
+    return cont
+
+
 def clone(tmap: TriMap) -> TriMap:
     """Independent copy preserving half-edge and vertex ids."""
     m = TriMap()

@@ -43,7 +43,7 @@ from tripeel.peeling import (
 from tripeel.planarmap import TriMap
 from tripeel.walk import run_walk_peeling
 
-from oracles import block_chunk, complete_ball_by_hole_cycle, sample_event
+from oracles import block_chunk, complete_ball_by_hole_cycle, ear_by_two_surgeries, sample_event
 
 PAR = build_params(kappa=Fraction(9, 128))
 CRIT = build_params(kappa=Fraction(2, 27))
@@ -210,6 +210,40 @@ def test_negative_budgets_are_domain_errors():
     with pytest.raises(BudgetExceededError):
         PeelEngine(PAR, RngStream(0), max_steps=0).peel_step(0)
     assert run_layers(PAR, 2, RngStream(0), max_steps=0).meta["truncated"]
+
+
+@pytest.mark.parametrize("params", [PAR, build_params(alpha=Fraction(7, 10)), CRIT],
+                         ids=["kappa_9_128", "alpha_7_10", "kappa_2_27"])
+def test_ears_peel_the_maps_of_two_surgeries(monkeypatch, params):
+    # close_ear stands for open_swallow(a, 1, side) plus close_two_gon of
+    # its 2-gon: every engine peels the same maps from the same draws
+    # either way, and only arena ids differ
+    ears = []
+    close_ear = TriMap.close_ear
+
+    def counted(m, a, side):
+        ears.append(side)
+        return close_ear(m, a, side)
+
+    def runs():
+        out = []
+        rng = RngStream(41, (0,))
+        walk = run_walk_peeling(params, 2000, rng)
+        out.append((walk.map.canonical_code(), rng.n_drawn, walk.positions))
+        rng = RngStream(41, (1,))
+        layers = run_layers(params, 4, rng)
+        out.append((layers.map.canonical_code(), rng.n_drawn, layers.hull))
+        for i, selector in enumerate(peeling.SELECTORS):
+            rng = RngStream(41, (2, i))
+            trace = run_algorithm(params, selector, 400, rng)
+            out.append((trace.map.canonical_code(), rng.n_drawn, trace.records))
+        return out
+
+    monkeypatch.setattr(TriMap, "close_ear", counted)
+    new = runs()
+    assert {"next", "prev"} <= set(ears)
+    monkeypatch.setattr(TriMap, "close_ear", ear_by_two_surgeries)
+    assert runs() == new
 
 
 @pytest.mark.parametrize("selector", ["stay", "uniform"])

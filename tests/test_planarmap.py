@@ -17,7 +17,15 @@ from tripeel.planarmap import (
 from tripeel.rng import RngStream
 from tripeel.walk import run_walk_peeling
 
-from oracles import alive_half_edges, clone, degree, extract_submap, polygon, target
+from oracles import (
+    alive_half_edges,
+    clone,
+    degree,
+    ear_by_two_surgeries,
+    extract_submap,
+    polygon,
+    target,
+)
 
 
 def fresh_ring(n):
@@ -171,6 +179,100 @@ def test_close_two_gon_guards():
         m2.close_two_gon(m2.root)  # main hole, not a work hole
 
 
+# -- ears ------------------------------------------------------------------------
+
+
+def _geometry(m, h):
+    return m.org[h], target(m, h), m.hflag[h]
+
+
+def _check_ear(m, a, side):
+    """close_ear and the two-surgery route, each on its own copy of m, give
+    the same map read from the same half-edges."""
+    ear, old = clone(m), clone(m)
+    cont = ear.close_ear(a, side)
+    cont_old = ear_by_two_surgeries(old, a, side)
+    for x in (ear, old):
+        x.validate(allow_work_holes=True)
+    assert (ear.nv, ear.ne, ear.n_tri, ear.perimeter) == (old.nv, old.ne, old.n_tri, old.perimeter)
+    assert ear.canonical_code() == old.canonical_code()
+    assert _geometry(ear, ear.root) == _geometry(old, old.root)
+    assert _geometry(ear, cont) == _geometry(old, cont_old)
+    for v in range(ear.nv):
+        # each fan, read from v_out, lists the same neighbours in order
+        assert [target(ear, h) for h in ear.out_half_edges(v)] == [
+            target(old, h) for h in old.out_half_edges(v)
+        ]
+        assert (ear.v_hole[v] == -1) == (old.v_hole[v] == -1)
+    # two half-edges from the arena's tail, none dead, the root kept
+    assert len(ear.org) == len(m.org) + 2
+    assert ear.hflag.count(DEAD) == m.hflag.count(DEAD)
+    assert ear.root == m.root
+    return ear
+
+
+def random_holed_map(rng, steps):
+    """A map grown by fresh steps and size-2..4 swallows whose work holes
+    are left open, with the hole edge last worked on."""
+    m = TriMap.root_edge()
+    a = m.root
+    for _ in range(steps):
+        p = m.perimeter
+        if p > 4 and rng.random() < 0.3:
+            k = rng.randint(2, min(4, p - 3))
+            a, _, _ = m.open_swallow(a, k, rng.choice(["next", "prev"]))
+        else:
+            a, _, _ = m.attach_fresh(a)
+        for _ in range(rng.randrange(3)):
+            a = m.nxt[a]
+    return m, a
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("side", ["next", "prev"])
+def test_close_ear_matches_two_surgeries(seed, side):
+    rng = random.Random(seed)
+    m, a = random_holed_map(rng, 40)
+    work = [h for h, f in enumerate(m.hflag) if f == FLAG_WORK]
+    assert work, "the map needs a work hole"
+    for h in rng.sample(m.hole_cycle(a), 3) + rng.sample(work, 3):
+        ear = _check_ear(m, h, side)
+        assert ear.perimeter == m.perimeter - (m.hflag[h] == FLAG_MAIN)
+
+
+@pytest.mark.parametrize("side", ["next", "prev"])
+@pytest.mark.parametrize("eaten", [0, 1])
+def test_close_ear_eating_a_root_half_edge_keeps_the_root(side, eaten):
+    # a fresh step on the other root half-edge leaves half-edge `eaten`
+    # on the main hole, where the two-surgery route would close it away
+    m = TriMap.root_edge()
+    c2, _, _ = m.attach_fresh(1 - eaten)
+    for _ in range(2):
+        c2, _, _ = m.attach_fresh(c2)
+    a = m.prv[eaten] if side == "next" else m.nxt[eaten]
+    ear = _check_ear(m, a, side)
+    assert ear.hflag[eaten] == FLAG_TRIANGLE
+    # and as the swallowing edge
+    _check_ear(m, eaten, side)
+
+
+def test_close_ear_guards():
+    m, a = fresh_ring(4)
+    untouched = [list(arr) for arr in (m.twin, m.nxt, m.prv, m.org, m.hflag, m.v_out)]
+    with pytest.raises(DomainError):
+        m.close_ear(a, "sideways")
+    with pytest.raises(MisuseError):
+        m.close_ear(m.twin[a], "next")  # a triangle edge
+    assert [list(arr) for arr in (m.twin, m.nxt, m.prv, m.org, m.hflag, m.v_out)] == untouched
+    for side in ("next", "prev"):
+        with pytest.raises(MisuseError):
+            TriMap.root_edge().close_ear(0, side)  # would leave a 1-cycle
+    loop = TriMap.root_edge()
+    loop.nxt[0] = loop.prv[0] = 0  # corrupt: a hole bounded by 0 alone
+    with pytest.raises(MisuseError):
+        loop.close_ear(0, "next")  # would wrap the whole hole
+
+
 def test_fill_two_gon_by_hand():
     # fresh apex in a 2-gon, then zip both sides of the resulting 3-gon
     # split: one internal vertex, three edges... the smallest nontrivial
@@ -246,9 +348,12 @@ def test_random_surgery_stays_valid():
         if p > 3 and rng.random() < 0.35:
             k = rng.randint(1, min(3, p - 2))
             side = rng.choice(["next", "prev"])
-            a, fence, _ = m.open_swallow(a, k, side)
-            if k == 1:
-                m.close_two_gon(fence)
+            if k == 1 and rng.random() < 0.5:
+                a = m.close_ear(a, side)
+            else:
+                a, fence, _ = m.open_swallow(a, k, side)
+                if k == 1:
+                    m.close_two_gon(fence)
         else:
             a, _, _ = m.attach_fresh(a)
         if step % 25 == 24:
