@@ -20,17 +20,20 @@ turns subnormal at k of a few hundred to a few thousand off the critical
 point, but in each ratio the powers cancel, so the mantissas keep every
 intermediate quantity well scaled however large p gets.
 
+A decision is an int k: -1 closes, 0 is fresh and k >= 1 splits at k.
 Three drivers consume the same decision stream:
 :meth:`BoltzmannFiller.fill_hole` performs the surgeries on a map,
 :meth:`BoltzmannFiller.fill_volume` only keeps score, and
 :meth:`BoltzmannFiller.fill_degree` keeps score and follows the degree
-of one marked boundary vertex.  Given equal streams they make identical
-decisions draw for draw, which the growth engines exploit to couple a
-map-backed process with its lightweight twins.
+of one marked boundary vertex.  Given equal streams they decide
+identically draw for draw, which the growth engines exploit to couple a
+map-backed process with its lightweight twins.  The map engine hands
+its swallow steps to :meth:`BoltzmannFiller.swallow`, so the fill rules,
+the ear rule included, live only here.
 
 A fourth consumer, :meth:`BoltzmannFiller.fill_volumes`, draws the
-volumes of many holes at once for the block chain.  It takes no
-decisions: the volume of a filled p-gon has the explicit law
+volumes of many holes at once for the block chain.  It decides
+nothing: the volume of a filled p-gon has the explicit law
 
     P(n | p) = count(n, p) kappa^n / Z_p,
 
@@ -44,6 +47,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from itertools import accumulate
 from typing import Optional
 
 import numpy as np
@@ -53,9 +57,6 @@ from .errors import DomainError, InvariantViolationError
 from .params import PeelParams, _swallow_weight
 from .planarmap import TriMap
 from .rng import RngStream
-
-_CLOSE = ("close",)
-_FRESH = ("fresh",)
 
 _ROW_TOL = 1e-9
 
@@ -70,20 +71,21 @@ _U_BITS = 53
 
 
 class BoltzmannFiller:
-    """Decision tables plus the three fill drivers for fixed parameters,
-    and :meth:`fill_volumes`, which samples volumes from tables."""
+    """Decision rows, the fill drivers, the map engine's swallow step and
+    :meth:`fill_volumes` (volumes from tables), for fixed parameters."""
 
     def __init__(self, params: PeelParams):
         self.params = params
         # the row table lives on the parameters, so a new filler starts warm
-        self._rows: dict[int, tuple[list, list]] = params._fill_rows
+        self._rows: dict[int, list] = params._fill_rows
+        # P(a 2-gon closes at once): a size-1 swallow is an ear this often
+        self.ear = self.row(2)[0]
 
-    def row(self, p: int) -> tuple[list, list]:
-        """Cumulative decision thresholds at hole perimeter p.
-
-        Returns (cuts, decisions): cuts[i] is the cumulative probability
-        through decisions[i]; the last cut is forced to 1 after the sum
-        passes the consistency check.
+    def row(self, p: int) -> list:
+        """Cumulative decision thresholds at hole perimeter p: p entries,
+        entry i being P(decision <= i - 1), so a uniform u decides
+        k = bisect_right(row, u) - 1.  The close entry is 0.0 for p > 2;
+        the last is forced to 1 after the sum passes the consistency check.
         """
         cached = self._rows.get(p)
         if cached is not None:
@@ -98,32 +100,40 @@ class BoltzmannFiller:
         # while every q_{-k} and every product is a normal double
         qm, qe = params._qman, params._qexp
         ldexp = math.ldexp
-        decisions = []
-        probs = []
-        if p == 2:
-            decisions.append(_CLOSE)
-            probs.append(2.0 * params.beta / params._qneg[1])
-        decisions.append(_FRESH)
+        probs = [2.0 * params.beta / params._qneg[1] if p == 2 else 0.0]
         probs.append(ldexp(params.alpha * qm[p] / qm[p - 1], qe[p] - qe[p - 1]))
         m_top, e_top = 2.0 * qm[p - 1], qe[p - 1]
         for k in range(1, p - 1):
-            decisions.append(("split", k))
             probs.append(ldexp(qm[k] * qm[p - 1 - k] / m_top, qe[k] + qe[p - 1 - k] - e_top))
         total = sum(probs)
         if abs(total - 1.0) > _ROW_TOL:
             raise InvariantViolationError(
                 f"hole decision weights at p={p} sum to {total!r}, not 1"
             )
-        cuts = []
-        acc = 0.0
-        for w in probs:
-            acc += w
-            cuts.append(acc)
+        cuts = list(accumulate(probs))
         cuts[-1] = 1.0
-        self._rows[p] = (cuts, decisions)
-        return cuts, decisions
+        self._rows[p] = cuts
+        return cuts
 
     # -- drivers ----------------------------------------------------------
+
+    def swallow(self, tmap: TriMap, a: int, k: int, side: str, rng: RngStream) -> int:
+        """Glue a size-k swallow's triangle onto hole edge a and fill the
+        (k + 1)-hole it fences off: the map, draws and returned ``cont`` of
+        :meth:`TriMap.open_swallow` then :meth:`fill_hole`.  A size-1
+        swallow draws its 2-gon's first decision at once: a close makes it
+        one :meth:`TriMap.close_ear`, else the 2-gon grows its fresh apex
+        and is filled from p = 3."""
+        if k > 1:
+            cont, enclosed, _ = tmap.open_swallow(a, k, side)
+            self.fill_hole(tmap, enclosed, k + 1, rng)
+        elif rng.u() < self.ear:
+            cont = tmap.close_ear(a, side)
+        else:
+            cont, enclosed, _ = tmap.open_swallow(a, 1, side)
+            enclosed, _, _ = tmap.attach_fresh(enclosed)
+            self.fill_hole(tmap, enclosed, 3, rng)
+        return cont
 
     def fill_hole(self, tmap: TriMap, hole_he: int, perimeter: int, rng: RngStream) -> int:
         """Resolve a work hole by surgery until nothing is left of it.
@@ -133,58 +143,49 @@ class BoltzmannFiller:
         the decision order is a deterministic function of the stream.
         Every piece ends in a close, after which the next pushed piece is
         taken up; a 2-gon that closes at once never touches the stack.
-        A split at k = 1 draws its 2-gon's first decision on the spot: if
-        it closes, the split is one :meth:`TriMap.close_ear` and the work
-        goes on at p - 1; if not, the 2-gon grows its fresh apex at once.
+        A split at k = 1 is a size-1 swallow, inline here as in
+        :meth:`swallow`: on an ear the work goes on at p - 1.
         """
-        rows, row, u = self._rows, self.row, rng.u
+        rows, row, u, ear = self._rows, self.row, rng.u, self.ear
         stack: list = []
         h, p = hole_he, perimeter
-        added = 0
+        nv0 = tmap.nv
         while True:
-            cuts, decisions = rows.get(p) or row(p)
-            d = decisions[bisect_right(cuts, u())]
-            if d is _CLOSE:
+            k = bisect_right(rows.get(p) or row(p), u()) - 1
+            if k < 0:
                 tmap.close_two_gon(h)
                 if not stack:
-                    return added
+                    return tmap.nv - nv0
                 h, p = stack.pop()
-            elif d is _FRESH:
+            elif k == 0:
                 h, _, _ = tmap.attach_fresh(h)
-                added += 1
                 p += 1
-            elif d[1] > 1:
-                k = d[1]
+            elif k > 1:
                 cont, h, _ = tmap.open_swallow(h, k, "next")
                 stack.append((cont, p - k))
                 p = k + 1
-            elif u() < (rows.get(2) or row(2))[0][0]:
+            elif u() < ear:
                 h = tmap.close_ear(h, "next")
                 p -= 1
             else:
                 cont, h, _ = tmap.open_swallow(h, 1, "next")
                 stack.append((cont, p - 1))
                 h, _, _ = tmap.attach_fresh(h)
-                added += 1
                 p = 3
 
     def fill_volume(self, perimeter: int, rng: RngStream) -> int:
-        """Scorekeeping twin of :meth:`fill_hole`: same decisions, no map."""
+        """Scorekeeping twin of :meth:`fill_hole`: the same draws, no map."""
         rows, row, u = self._rows, self.row, rng.u
         stack = [perimeter]
         push, pop = stack.append, stack.pop
         added = 0
         while stack:
             p = pop()
-            cuts, decisions = rows.get(p) or row(p)
-            d = decisions[bisect_right(cuts, u())]
-            if d is _CLOSE:
-                pass
-            elif d is _FRESH:
+            k = bisect_right(rows.get(p) or row(p), u()) - 1
+            if k == 0:
                 added += 1
                 push(p + 1)
-            else:
-                k = d[1]
+            elif k > 0:
                 push(p - k)
                 push(k + 1)
         return added
@@ -244,11 +245,10 @@ class BoltzmannFiller:
             if i < 0:
                 added += self.fill_volume(p, rng)
                 continue
-            cuts, decisions = rows.get(p) or row(p)
-            d = decisions[bisect_right(cuts, u())]
-            if d is _CLOSE:
+            k = bisect_right(rows.get(p) or row(p), u()) - 1
+            if k < 0:
                 gained -= 1
-            elif d is _FRESH:
+            elif k == 0:
                 added += 1
                 # the apex becomes index 1 and pushes the rest along
                 if i <= 1:
@@ -257,7 +257,6 @@ class BoltzmannFiller:
                     i += 1
                 push((p + 1, i))
             else:
-                k = d[1]
                 # the continuing (p - k)-hole runs root origin, apex,
                 # k + 2, ...; the enclosed (k + 1)-hole runs apex, 1..k
                 if i == 0:

@@ -34,7 +34,7 @@ from .params import (
 from .peeling import LayerChain, _InverseCdf, _check_schema, _json_object, complete_ball, run_chain
 from .rng import RngStream
 from .stats import MIN_EXPECTED, chi2_two_sample, linfit, mean_ci, proportion_lower_bound
-from .walk import _ball_audit, run_walk_peeling, speed_estimate
+from .walk import _SPEED_MIN_STEPS, _ball_audit, run_walk_peeling, speed_estimate
 
 REPORT_SCHEMA = "tripeel-report-v1"
 
@@ -381,6 +381,8 @@ def run_walk_speed(
         raise DomainError(f"audit_trials={audit_trials} must be nonnegative")
     if audit_radius < 0:
         raise DomainError(f"audit_radius={audit_radius} must be nonnegative")
+    if n_steps < _SPEED_MIN_STEPS:
+        raise DomainError(f"need at least {_SPEED_MIN_STEPS} walk steps, got {n_steps}")
     speeds = []
     per_walk = []
     mean_curve = np.zeros(n_steps + 1)
@@ -551,6 +553,8 @@ def run_stationarity(
     chi-square.  Trials whose walk or ball exhausts the peel budget are
     discarded and counted.
     """
+    if trials < 2:
+        raise DomainError("need at least two trials")
     if k < 0 or n_steps < k + 1:
         raise DomainError(f"need n_steps > k, got n_steps={n_steps} k={k}")
     if radius < 1:

@@ -80,7 +80,7 @@ __all__ = [
 
 # -- one peel event ------------------------------------------------------
 
-_FRESH_EVENT = ("fresh", 0, None)
+_NEW_VERTEX_EVENT = ("fresh", 0, None)
 
 
 class StepSampler:
@@ -115,7 +115,7 @@ class StepSampler:
         u = rng.u
         x = u()
         if x < qcum[0]:
-            return _FRESH_EVENT
+            return _NEW_VERTEX_EVENT
         ct = par._ct
         if p + 1 >= len(ct) and par._ct_clamp is None:
             par.ensure_ctilde(p + 1)
@@ -132,7 +132,7 @@ class StepSampler:
                     idx = bisect_right(qcum, x)
                 nq = len(qcum)
             if idx == 0:
-                return _FRESH_EVENT
+                return _NEW_VERTEX_EVENT
             j = p - idx
             # j < 2 (C~_j = 0, an illegal size) and mass beyond the table
             # are rejected without a coin
@@ -377,28 +377,19 @@ class PeelEngine:
     def _peel(self, edge: int) -> tuple[str, int, Optional[str]]:
         """The step body every engine shares: budget check, event,
         surgery and filling, and the step record when recording.  Returns
-        the event, as :meth:`StepSampler.sample` does.  A fresh step
-        leaves the cursor on the edge leaving the new apex, so its origin
-        is the apex.  A size-1 swallow draws its 2-gon's first fill
-        decision right after the event: a close makes the step one
-        :meth:`TriMap.close_ear`, else the 2-gon grows its fresh apex and
-        is filled from p = 3."""
+        the event, as :meth:`StepSampler.sample` does.  As in
+        :meth:`LayerChain.step`, a fresh step adds its apex, the origin
+        of the new cursor, and a swallow is glued and filled by
+        :meth:`BoltzmannFiller.swallow`, which returns the cursor."""
         m = self.map
         if self.max_steps is not None or self.max_vertices is not None:
             self._check_budget()
-        rng, filler = self.rng, self.filler
+        rng = self.rng
         event = kind, k, side = self.sampler.sample(m.perimeter, rng)
         if k == 0:
             _, self.cursor, _ = m.attach_fresh(edge)
-        elif k > 1:
-            self.cursor, enclosed, _ = m.open_swallow(edge, k, side)
-            filler.fill_hole(m, enclosed, k + 1, rng)
-        elif rng.u() < filler.row(2)[0][0]:
-            self.cursor = m.close_ear(edge, side)
         else:
-            self.cursor, enclosed, _ = m.open_swallow(edge, 1, side)
-            enclosed, _, _ = m.attach_fresh(enclosed)
-            filler.fill_hole(m, enclosed, 3, rng)
+            self.cursor = self.filler.swallow(m, edge, k, side, rng)
         self.steps += 1
         if self.records is not None:
             self.records.append(StepRecord(kind, k, side, m.perimeter, m.nv))
@@ -565,12 +556,11 @@ def run_layers(
     r_max: int,
     rng: RngStream,
     *,
-    n_steps: Optional[int] = None,
     record: bool = False,
     max_steps: Optional[int] = None,
     max_vertices: Optional[int] = None,
 ) -> PeelTrace:
-    """Explore with the layers selector until tau_{r_max} (or n_steps).
+    """Explore with the layers selector until tau_{r_max}.
 
     Returns the trace (records empty unless recording) with the hull
     series and final map attached.  A budget overrun returns the
@@ -587,7 +577,7 @@ def run_layers(
     )
     truncated = False
     try:
-        while engine.cur_r <= r_max and (n_steps is None or engine.steps < n_steps):
+        while engine.cur_r <= r_max:
             engine.step()
     except BudgetExceededError:
         truncated = True
@@ -1082,7 +1072,7 @@ def replay_trace(source: Union[PeelTrace, str]) -> dict:
         raise InvariantViolationError("trace parameter digest does not match")
     n = len(trace.records)
     if layers:
-        rerun = run_layers(params, r_max, rng, n_steps=n, record=True)
+        rerun = run_layers(params, r_max, rng, record=True, max_steps=n)
     else:
         rerun = run_algorithm(params, meta["selector"], n, rng)
     if rerun.records != trace.records:

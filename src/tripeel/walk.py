@@ -44,6 +44,8 @@ __all__ = [
     "speed_estimate",
 ]
 
+_SPEED_MIN_STEPS = 1000  # the shortest walk a speed estimate takes
+
 
 @dataclass
 class WalkTrace:
@@ -158,7 +160,7 @@ def speed_estimate(trace: WalkTrace) -> dict:
     experiment's ``audit`` measures the gap.
     """
     n = trace.n_steps
-    if n < 1000:
+    if n < _SPEED_MIN_STEPS:
         raise DomainError(f"trace of {n} steps is too short for a speed estimate")
     d = trace.displacement_series()
     half = n // 2

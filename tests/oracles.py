@@ -35,7 +35,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from tripeel.boltzmann import _CLOSE, _FRESH, _U_BITS, _VOL_N, _VOL_P
+from tripeel.boltzmann import _U_BITS, _VOL_N, _VOL_P
 from tripeel.counting import catalan, count_ratio, count_triangulations
 from tripeel.errors import (
     BudgetExceededError,
@@ -221,24 +221,23 @@ def enumerate_fillings(filler, p: int, n_max: int) -> dict:
             out[code] = (n, prob)
             continue
         h, q = stack[-1]
-        cuts, decisions = filler.row(q)
         prev = 0.0
-        for cut, d in zip(cuts, decisions):
+        # decision k = -1 closes, 0 is fresh, k >= 1 splits at k
+        for k, cut in enumerate(filler.row(q), -1):
             w = cut - prev
             prev = cut
-            if d is _FRESH and n + 1 > n_max:
+            if (k < 0 and q > 2) or (k == 0 and n + 1 > n_max):
                 continue
             m2 = clone(tmap)
             st2 = stack[:-1]
             n2 = n
-            if d is _CLOSE:
+            if k < 0:
                 m2.close_two_gon(h)
-            elif d is _FRESH:
+            elif k == 0:
                 c2, _, _ = m2.attach_fresh(h)
                 n2 = n + 1
                 st2 = st2 + [(c2, q + 1)]
             else:
-                k = d[1]
                 cont, enclosed, _ = m2.open_swallow(h, k, "next")
                 st2 = st2 + [(cont, q - k), (enclosed, k + 1)]
             agenda.append((m2, st2, n2, prob * w))

@@ -16,7 +16,7 @@ from tripeel.params import build_params, q_step, z_partition
 from tripeel.rng import RngStream
 from tripeel.stats import chi2_two_sample
 
-from oracles import degree, enumerate_fillings, polygon, volume_table_full_width
+from oracles import clone, degree, enumerate_fillings, polygon, volume_table_full_width
 
 
 @pytest.fixture(scope="module")
@@ -33,31 +33,33 @@ def test_rows_sum_to_one(quarter, critical):
     for params in (quarter, critical):
         filler = BoltzmannFiller(params)
         for p in (2, 3, 4, 7, 19, 64, 301):
-            cuts, decisions = filler.row(p)
+            cuts = filler.row(p)
             assert cuts[-1] == 1.0
-            assert len(decisions) == (2 if p == 2 else p - 1)
+            assert len(cuts) == p
+            # entry 0 is the close, possible only at p = 2
+            assert (cuts[0] > 0.0) is (p == 2)
 
 
 def test_row_golden_values(quarter):
     filler = BoltzmannFiller(quarter)
-    cuts, decisions = filler.row(2)
-    assert decisions[0] == ("close",)
-    assert cuts[0] == pytest.approx(9 / 10, rel=1e-13)  # 1 / Z_2
-    cuts3, decisions3 = filler.row(3)
-    # fresh = kappa Z_4 / Z_3, split(1) = Z_2^2 / Z_3
-    assert decisions3[0] == ("fresh",)
-    assert cuts3[0] == pytest.approx((9 / 128) * (3584 / 729) / (128 / 81), rel=1e-12)
-    assert cuts3[1] == 1.0
+    cuts = filler.row(2)
+    assert cuts[0] == pytest.approx(9 / 10, rel=1e-13)  # close: 1 / Z_2
+    assert filler.ear == cuts[0]
+    cuts3 = filler.row(3)
+    # no close; fresh = kappa Z_4 / Z_3, split(1) = Z_2^2 / Z_3
+    assert cuts3[0] == 0.0
+    assert cuts3[1] == pytest.approx((9 / 128) * (3584 / 729) / (128 / 81), rel=1e-12)
+    assert cuts3[2] == 1.0
 
 
 def _exact_cuts(alpha: Fraction, p: int) -> list:
     """The decision row at hole perimeter p in exact rationals, from the
-    exact step weights q_{-k} (by their term ratio)."""
+    exact step weights q_{-k} (by their term ratio), close entry first."""
     g, lin = (1 - alpha) / (2 * alpha), 3 * alpha - 2
     q = [Fraction(0), g * (lin + 1)]
     for k in range(1, p):
         q.append(q[-1] * Fraction(2 * k * (2 * k - 1), k * (k + 2)) * g * (lin * (k + 1) + 1) / (lin * k + 1))
-    probs = [2 * alpha * (1 - alpha) / 2 / q[1]] if p == 2 else []
+    probs = [2 * alpha * (1 - alpha) / 2 / q[1] if p == 2 else Fraction(0)]
     probs.append(alpha * q[p] / q[p - 1])
     probs += [q[k] * q[p - 1 - k] / (2 * q[p - 1]) for k in range(1, p - 1)]
     assert sum(probs) == 1
@@ -83,19 +85,19 @@ def test_rows_hold_at_large_perimeters(alpha):
     filler = BoltzmannFiller(par)
     old = _OLD_ROW_FAILURE.get(alpha, 3000)
     for p in sorted({2, 3, 40, old - 1, old, 3000}):
-        cuts, decisions = filler.row(p)
-        assert cuts[-1] == 1.0 and len(decisions) == (2 if p == 2 else p - 1)
+        cuts = filler.row(p)
+        assert cuts[-1] == 1.0 and len(cuts) == p
     for p in (2, 3, 40, old - 1, old) if alpha == "9/10" else (3, old - 1):
         exact = _exact_cuts(Fraction(alpha), p)
-        cuts = filler.row(p)[0]
+        cuts = filler.row(p)
         assert max(abs(Fraction(c) - e) for c, e in zip(cuts, exact)) < 1e-14, p
     # well below the old failure the rows are those of the plain q_{-k},
     # bit for bit
     qn = par._qneg
     for p in (3, 40, old // 2):
-        plain = [par.alpha * qn[p] / qn[p - 1]]
+        plain = [0.0, par.alpha * qn[p] / qn[p - 1]]
         plain += [qn[k] * qn[p - 1 - k] / (2.0 * qn[p - 1]) for k in range(1, p - 1)]
-        assert filler.row(p)[0][:-1] == list(itertools.accumulate(plain))[:-1]
+        assert filler.row(p)[:-1] == list(itertools.accumulate(plain))[:-1]
 
 
 def test_decide_two_gon_frequencies(quarter):
@@ -179,6 +181,31 @@ def test_degree_driver_follows_the_map(quarter, critical):
                     got = filler.fill_degree(p, mark, r2)
                     assert got == (added, degree(tmap, v) - before), (p, mark, trial)
                     assert r1.n_drawn == r2.n_drawn
+
+
+@pytest.mark.parametrize("hole", ["main", "work"])
+@pytest.mark.parametrize("side", ["next", "prev"])
+def test_swallow_is_open_swallow_then_fill_hole(quarter, critical, side, hole):
+    # swallow draws a size-1 swallow's ear on the spot; draw for draw it
+    # builds what open_swallow and a fill of the fenced-off hole build,
+    # and returns that route's cont
+    for params in (quarter, critical):
+        filler = BoltzmannFiller(params)
+        for k in range(1, 6):
+            for seed in range(12):
+                got, inner = polygon(8)
+                want = clone(got)
+                a = got.root if hole == "main" else inner
+                r1 = RngStream(9000 + seed, (k,))
+                r2 = RngStream(9000 + seed, (k,))
+                cont = filler.swallow(got, a, k, side, r1)
+                want_cont, enclosed, _ = want.open_swallow(a, k, side)
+                filler.fill_hole(want, enclosed, k + 1, r2)
+                got.validate(allow_work_holes=True)
+                assert r1.n_drawn == r2.n_drawn
+                assert got.canonical_code() == want.canonical_code()
+                got.root, want.root = cont, want_cont
+                assert got.canonical_code() == want.canonical_code(), (k, seed)
 
 
 def test_volume_mean_matches_formula(quarter):

@@ -218,6 +218,12 @@ def test_walk_speed_checks_audit_settings_first(k9, monkeypatch, audit):
         run_walk_speed(k9, RngStream(0), walks=2, n_steps=50, **audit)
 
 
+def test_walk_speed_checks_walk_length_first(k9, monkeypatch):
+    monkeypatch.setattr(experiments, "run_walk_peeling", _must_not_run)
+    with pytest.raises(DomainError, match="at least 1000 walk steps"):
+        run_walk_speed(k9, RngStream(0), walks=2, n_steps=999)
+
+
 def test_enumeration_table():
     rep = run_enumeration(max_total=7)
     assert rep["results"]["mismatches"] == 0
@@ -318,6 +324,13 @@ def test_stationarity_rejects_radius_before_any_walk(k9, monkeypatch, radius):
     monkeypatch.setattr(experiments, "run_walk_peeling", no_walk)
     with pytest.raises(DomainError, match="radius"):
         run_stationarity(k9, RngStream(0), trials=4, n_steps=8, k=3, radius=radius)
+
+
+@pytest.mark.parametrize("trials", [0, 1])
+def test_stationarity_rejects_too_few_trials_before_any_walk(k9, monkeypatch, trials):
+    monkeypatch.setattr(experiments, "run_walk_peeling", _must_not_run)
+    with pytest.raises(DomainError, match="need at least two trials"):
+        run_stationarity(k9, RngStream(0), trials=trials, n_steps=8, k=3)
 
 
 def test_constants_report_critical_vs_not(p75, crit):

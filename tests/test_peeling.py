@@ -329,14 +329,17 @@ def test_layer_trace_replay():
     assert replayed["canonical_code"] == code
 
 
-@pytest.mark.parametrize("max_steps", [None, 60], ids=["full", "budget-cut"])
-def test_replayed_trace_reexports_to_its_source(max_steps):
+@pytest.mark.parametrize(
+    "budget",
+    [{}, {"max_steps": 60}, {"max_vertices": 40}],
+    ids=["full", "budget-cut", "vertex-cut"],
+)
+def test_replayed_trace_reexports_to_its_source(budget):
     # the replayed trace keeps the recorded meta (map_digest, and truncated
     # for a budget-cut run) with the rebuilt map, so it writes back the
     # document it was read from
-    res = run_layers(build_params(alpha="7/10"), 6, RngStream(13), record=True,
-                     max_steps=max_steps)
-    assert res.meta["truncated"] is (max_steps is not None)
+    res = run_layers(build_params(alpha="7/10"), 6, RngStream(13), record=True, **budget)
+    assert res.meta["truncated"] is bool(budget)
     doc = trace_to_json(res)
     assert trace_to_json(replay_trace(doc)["trace"]) == doc
 
