@@ -41,7 +41,6 @@ from .peeling import (
     complete_ball,
     replay_trace,
     run_algorithm,
-    run_chain,
     run_layers,
 )
 from .planarmap import TriMap
@@ -81,7 +80,6 @@ __all__ = [
     "report_to_csv",
     "report_to_json",
     "run_algorithm",
-    "run_chain",
     "run_experiment",
     "run_layers",
     "run_walk_peeling",

@@ -31,7 +31,7 @@ from .params import (
     q_step,
     z_partition,
 )
-from .peeling import LayerChain, _InverseCdf, _check_schema, _json_object, complete_ball, run_chain
+from .peeling import LayerChain, _InverseCdf, _check_schema, _json_object, complete_ball
 from .rng import RngStream
 from .stats import MIN_EXPECTED, chi2_two_sample, linfit, mean_ci, proportion_lower_bound
 from .walk import _SPEED_MIN_STEPS, _ball_audit, run_walk_peeling, speed_estimate
@@ -78,20 +78,6 @@ __all__ = [
 # -- report plumbing ---------------------------------------------------------
 
 
-def _jsonable(x):
-    if isinstance(x, dict):
-        return {str(k): _jsonable(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_jsonable(v) for v in x]
-    if isinstance(x, np.integer):
-        return int(x)
-    if isinstance(x, np.floating):
-        return float(x)
-    if isinstance(x, np.ndarray):
-        return [_jsonable(v) for v in x.tolist()]
-    return x
-
-
 def _report(
     name: str,
     params: Optional[PeelParams],
@@ -99,20 +85,16 @@ def _report(
     settings: dict,
     results: dict,
 ) -> dict:
-    return _jsonable(
-        {
-            "schema": REPORT_SCHEMA,
-            "experiment": name,
-            "params": None
-            if params is None
-            else {**params.identity(), "digest": params.digest()},
-            "seed": None if rng is None else rng.seed,
-            "spawn_key": None if rng is None else list(rng.spawn_key),
-            "seed_rule": "child tasks fork the master stream by task index",
-            "settings": settings,
-            "results": results,
-        }
-    )
+    return {
+        "schema": REPORT_SCHEMA,
+        "experiment": name,
+        "params": None if params is None else {**params.identity(), "digest": params.digest()},
+        "seed": None if rng is None else rng.seed,
+        "spawn_key": None if rng is None else list(rng.spawn_key),
+        "seed_rule": "child tasks fork the master stream by task index",
+        "settings": settings,
+        "results": results,
+    }
 
 
 def report_to_json(report: dict) -> str:
@@ -550,8 +532,8 @@ def run_stationarity(
     walk edge (mode 'walk'), the reversed root edge (mode 'reversed'),
     or the root edge again (mode 'null', a calibration case).  The two
     independent samples of canonical ball codes are compared by pooled
-    chi-square.  Trials whose walk or ball exhausts the peel budget are
-    discarded and counted.
+    chi-square.  Trials whose walk and ball together exhaust the walk
+    engine's peel budget are discarded and counted.
     """
     if trials < 2:
         raise DomainError("need at least two trials")
@@ -576,7 +558,7 @@ def run_stationarity(
             elif t % 2 and mode == "reversed":
                 root_he = m.twin[m.root]
             try:
-                dist = complete_ball(trace.engine, m.org[root_he], radius, max_steps=_REROOT_STEPS)
+                dist = complete_ball(trace.engine, m.org[root_he], radius)
             except BudgetExceededError:
                 discarded += 1
                 continue
@@ -650,11 +632,13 @@ def run_law_equivalence(
     """Two distribution-equality tests on the perimeter chain.
 
     Selector invariance: the joint (perimeter, volume) law after a few
-    steps is the same whether the exposed edge is chosen deterministically
-    or uniformly, although the streams differ.  Conditioned walk: the
-    perimeter at the horizon matches the raw step walk started at 2 and
-    conditioned to stay at or above 2, rejection-sampled over a horizon
-    long enough that later dips are beyond float resolution.
+    steps of :class:`LayerChain` is the same with and without the uniform
+    selector's one draw before each step, although the streams differ; the
+    map engine follows the chain draw for draw under either selector (the
+    coupling tests).  Conditioned walk: the perimeter at the horizon
+    matches the raw step walk started at 2 and conditioned to stay at or
+    above 2, rejection-sampled over a horizon long enough that later dips
+    are beyond float resolution.
     """
     if runs < 1000:
         raise DomainError("law comparisons need at least 1000 runs per arm")
@@ -663,19 +647,26 @@ def run_law_equivalence(
     if survive_horizon < horizon:
         raise DomainError("survival horizon shorter than the readout time")
     joint_counts = []
-    for arm_i, selector in enumerate(("stay", "uniform")):
+    for arm_i in range(2):  # stay, then uniform
         arm = rng.fork(arm_i)
         c: Counter = Counter()
         for _ in range(runs):
-            out = run_chain(params, _JOINT_STEPS, arm, selector_draws=selector)
-            c[f"{out['perimeters'][-1]},{out['volumes'][-1]}"] += 1
+            chain = LayerChain(params, arm)
+            for _ in range(_JOINT_STEPS):
+                if arm_i:
+                    arm.index(chain.p)  # the uniform selector's draw
+                chain.step()
+            c[f"{chain.p},{chain.v}"] += 1
         joint_counts.append(c)
     selector_test = chi2_two_sample(*joint_counts, max_categories=_MAX_JOINT_CATEGORIES)
 
     arm = rng.fork(2)
     cp: Counter = Counter()
     for _ in range(runs):
-        cp[str(run_chain(params, horizon, arm)["perimeters"][-1])] += 1
+        chain = LayerChain(params, arm)
+        for _ in range(horizon):
+            chain.step()
+        cp[str(chain.p)] += 1
     cx, proposed = _rejection_counts(params, rng.fork(3), runs, horizon, survive_horizon)
     conditioned_test = chi2_two_sample(cp, cx)
     conditioned_test.update(

@@ -19,8 +19,7 @@ Contents:
   driven by the layer selector, the cyclic exploration that
   materializes hulls of balls around the root origin;
 * :class:`LayerChain`, the one map-free twin, with a vectorized block
-  path off the critical point, and :func:`run_chain`, its perimeter and
-  volume series;
+  path off the critical point;
 * :func:`complete_ball`, targeted peeling until a metric ball of the
   infinite map is provably complete;
 * traces (``tripeel-trace-v2``): each step's event and running perimeter
@@ -65,7 +64,6 @@ __all__ = [
     "LayerChain",
     "run_algorithm",
     "run_layers",
-    "run_chain",
     "complete_ball",
     "trace_to_csv",
     "trace_from_csv",
@@ -304,12 +302,14 @@ def _check_records(records: list) -> None:
 
 
 def _check_hull(hull: Sequence[HullRecord]) -> None:
-    """Hull records come at increasing tau, each at perimeter 2 or more."""
-    prev_tau = 0
-    for rec in hull:
-        if rec.tau <= prev_tau or rec.perimeter < 2:
+    """Hull records run r = 1, 2, ... at increasing tau, each at perimeter
+    2 or more, and no volume below the one before (None reads as 0)."""
+    prev_tau = prev_vol = 0
+    for r, rec in enumerate(hull, 1):
+        vol = 0 if rec.volume is None else rec.volume
+        if rec.r != r or rec.tau <= prev_tau or rec.perimeter < 2 or vol < prev_vol:
             raise InvariantViolationError(f"inconsistent hull record {rec}")
-        prev_tau = rec.tau
+        prev_tau, prev_vol = rec.tau, vol
 
 
 def _budget(name: str, value: Optional[int]) -> Optional[int]:
@@ -537,16 +537,15 @@ class LayerEngine(PeelEngine):
         # old arc = {origin}, new arc = {target of the root edge}
         self._A = 1
         self._N = 1
-        self.seam = self.map.root
 
     def step(self) -> Optional[StepRecord]:
         """One layer step; returns its record when recording, else None."""
         m = self.map
-        first = self.steps == 0
-        _, k, side = self._peel(self.seam)
-        # the opening step (fresh, as perimeter 2 forces) hands the seam
-        # to the reverse root side; after that the seam is the cursor
-        self.seam = m.twin[m.root] if first else self.cursor
+        _, k, side = self._peel(self.cursor)
+        if self.steps == 1:
+            # the opening step (fresh, as perimeter 2 forces) hands the
+            # seam to the reverse root side; after that it is the cursor
+            self.cursor = m.twin[m.root]
         _arc_step(self, k, side, m.perimeter, m.nv)
         return self.records[-1] if self.records is not None else None
 
@@ -592,32 +591,6 @@ def run_layers(
 # -- map-free twins ------------------------------------------------------
 
 
-def run_chain(
-    params: PeelParams,
-    n_steps: int,
-    rng: RngStream,
-    *,
-    selector_draws: str = "stay",
-) -> dict:
-    """Run the map-free chain; returns the full perimeter and volume
-    series (index 0 is the initial state P_0 = V_0 = 2).
-
-    With selector_draws='uniform' every step first spends the one draw
-    the map engine's uniform selector takes, so the chain stays coupled
-    draw for draw with ``run_algorithm(..., "uniform", ...)``.
-    """
-    chain = LayerChain(params, rng)
-    uniform = selector_draws == "uniform"
-    ps, vs = [2], [2]
-    for _ in range(n_steps):
-        if uniform:
-            rng.index(chain.p)
-        chain.step()
-        ps.append(chain.p)
-        vs.append(chain.v)
-    return {"perimeters": ps, "volumes": vs, "steps": chain.steps}
-
-
 # run_fast chunks hold _CHUNK_MIN to _CHUNK events, sized to run to the
 # layer's end; the cap keeps the blocks (with volume, the fill blocks too)
 # and their peak RSS small.  Perimeters below _P_BLOCK take scalar steps
@@ -641,19 +614,20 @@ def _event_arcs(a: int, n: int, gs, ks, old) -> tuple:
 
 
 class LayerChain:
-    """Map-free twin of :class:`LayerEngine`, and the chain behind
-    :func:`run_chain`.
+    """Map-free twin of the map engines.
 
     Tracks only the two arc lengths, the perimeter, the step count and
     (optionally) the volume.  With volume enabled, :meth:`run` (and
-    :meth:`step`) consume the stream exactly like the map engine and
-    produce the identical hull series (and, through :func:`run_chain`,
-    the identical perimeter and volume series); with volume disabled they
-    skip the filler draws, which changes the realization but not the law
-    of (tau_r, P_{tau_r}).  :meth:`run_fast` draws in blocks of events,
-    each a geometric run of fresh steps and then one swallow proposal,
-    from perimeter 4 on and off the critical point, so its realization
-    differs from :meth:`run`'s on the same stream, its law does not.
+    :meth:`step`) consume the stream exactly like :class:`LayerEngine`
+    and produce the identical hull series; step for step they also give
+    a :class:`PeelEngine`'s perimeter and volume under any selector (the
+    uniform one once the caller spends its draw, ``rng.index(p)``, before
+    each step).  With volume disabled they skip the filler draws, which
+    changes the realization but not the law of (tau_r, P_{tau_r}).
+    :meth:`run_fast` draws in blocks of events, each a geometric run of
+    fresh steps and then one swallow proposal, from perimeter 4 on and
+    off the critical point, so its realization differs from
+    :meth:`run`'s on the same stream, its law does not.
 
     With volume enabled it also knows ``root_degree``, the degree of the
     root edge's origin in the final map, from tau_1 on (None before, and

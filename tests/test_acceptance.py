@@ -37,8 +37,8 @@ from tripeel.params import (
     z_partition,
 )
 from tripeel.peeling import (
+    LayerChain,
     run_algorithm,
-    run_chain,
     run_layers,
     replay_trace,
     trace_to_csv,
@@ -145,9 +145,11 @@ def test_chain_drift_rates():
     n, trials = 10_000, 100
     p_rates, v_rates = [], []
     for t in range(trials):
-        out = run_chain(params, n, RngStream(SEED, (t,)))
-        p_rates.append(out["perimeters"][-1] / n)
-        v_rates.append(out["volumes"][-1] / n)
+        chain = LayerChain(params, RngStream(SEED, (t,)))
+        for _ in range(n):
+            chain.step()
+        p_rates.append(chain.p / n)
+        v_rates.append(chain.v / n)
     for rates, target in ((p_rates, 0.433013), (v_rates, 0.866025)):
         arr = np.asarray(rates)
         se = float(arr.std(ddof=1)) / sqrt(trials)

@@ -202,7 +202,7 @@ def _must_not_run(*args, **kwargs):
 
 
 def test_law_equivalence_checks_horizons_first(p75, monkeypatch):
-    monkeypatch.setattr(experiments, "run_chain", _must_not_run)
+    monkeypatch.setattr(experiments, "LayerChain", _must_not_run)
     with pytest.raises(DomainError, match="survival horizon"):
         run_law_equivalence(p75, RngStream(5), runs=1000, horizon=200)
 
@@ -314,6 +314,27 @@ def test_stationarity_modes(k9):
     # the re-rootings are fixed; an unknown one is an unknown keyword
     with pytest.raises(DomainError):
         run_experiment("stationarity", k9, RngStream(0), trials=10, modes=("sideways",))
+
+
+def test_stationarity_discards_a_ball_that_exhausts_the_walk_budget(k9, monkeypatch):
+    # the walk engine's budget counts the walk and the ball together; at 300
+    # steps no walk is cut, so every discard is a ball completion that ran out
+    monkeypatch.setattr(experiments, "_REROOT_STEPS", 300)
+    walk = experiments.run_walk_peeling
+    traces = []
+
+    def spy(*args, **kwargs):
+        traces.append(walk(*args, **kwargs))
+        return traces[-1]
+
+    monkeypatch.setattr(experiments, "run_walk_peeling", spy)
+    rep = run_stationarity(k9, RngStream(0), trials=40, n_steps=16, k=3, radius=2)
+    modes = rep["results"]["modes"]
+    assert [modes[m]["discarded"] for m in modes] == [9, 16, 10]
+    assert len(traces) == 120 and not any(t.truncated for t in traces)
+    assert rep["settings"]["max_peel_steps"] == 300
+    for res in modes.values():
+        assert res["n_a"] + res["n_b"] == 40 - res["discarded"]
 
 
 @pytest.mark.parametrize("radius", [0, -1])

@@ -104,8 +104,9 @@ REPORTS = {
 # case id -> (sample-map arguments, expected exit code, sha256 of the files
 # written: the output file, then OUT.hull.csv when the format is csv).
 # Trace v2 records each step's event and running perimeter and volume,
-# no arena id and no column another one determines, and the JSON is one
-# document (meta with map_digest, records, hull, canonical code)
+# no arena id; kind follows from k and perimeter from the running sum of
+# k's steps, both checked on import.  The JSON is one document (meta with
+# map_digest, records, hull, canonical code)
 SAMPLES = {
     "json": (
         ("--alpha", "3/4", "--seed", "11", "--radius", "4"), 0,

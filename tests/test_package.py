@@ -1,14 +1,20 @@
 """The public surface: every exported name exists, and is exported once;
-every module-level import is used or exported."""
+every module-level import is used or exported; ``python -m tripeel`` runs."""
 
 import ast
 import importlib
 import inspect
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import tripeel
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 MODULES = ["tripeel"] + [
     f"tripeel.{m.name}" for m in pkgutil.iter_modules(tripeel.__path__)
@@ -47,3 +53,12 @@ def _unused_imports(module) -> list:
 @pytest.mark.parametrize("name", MODULES)
 def test_no_unused_imports(name):
     assert _unused_imports(importlib.import_module(name)) == []
+
+
+def test_module_entry_point_runs():
+    out = subprocess.run(
+        [sys.executable, "-m", "tripeel", "--version"],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == f"tripeel, version {tripeel.__version__}"

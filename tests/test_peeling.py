@@ -33,7 +33,6 @@ from tripeel.peeling import (
     hull_to_csv,
     replay_trace,
     run_algorithm,
-    run_chain,
     run_layers,
     trace_from_csv,
     trace_from_json,
@@ -49,23 +48,18 @@ PAR = build_params(kappa=Fraction(9, 128))
 CRIT = build_params(kappa=Fraction(2, 27))
 
 
-def test_chain_couples_with_map_engine():
+@pytest.mark.parametrize("selector", ["stay", "uniform"])
+def test_chain_couples_with_map_engine(selector):
+    # the uniform selector spends one draw per step before the step's own
     rng_map = RngStream(7, (1,))
-    trace = run_algorithm(PAR, "stay", 400, rng_map)
+    trace = run_algorithm(PAR, selector, 400, rng_map)
     rng_chain = RngStream(7, (1,))
-    chain = run_chain(PAR, 400, rng_chain)
-    assert [2] + [r.perimeter for r in trace.records] == chain["perimeters"]
-    assert [2] + [r.volume for r in trace.records] == chain["volumes"]
-    assert rng_map.n_drawn == rng_chain.n_drawn
-
-
-def test_uniform_selector_couples():
-    rng_map = RngStream(11, (2,))
-    trace = run_algorithm(PAR, "uniform", 300, rng_map)
-    rng_chain = RngStream(11, (2,))
-    chain = run_chain(PAR, 300, rng_chain, selector_draws="uniform")
-    assert [2] + [r.perimeter for r in trace.records] == chain["perimeters"]
-    assert [2] + [r.volume for r in trace.records] == chain["volumes"]
+    chain = LayerChain(PAR, rng_chain)
+    for rec in trace.records:
+        if selector == "uniform":
+            rng_chain.index(chain.p)
+        chain.step()
+        assert (chain.p, chain.v) == (rec.perimeter, rec.volume)
     assert rng_map.n_drawn == rng_chain.n_drawn
 
 
@@ -102,7 +96,7 @@ def test_hull_boundaries_are_at_exact_distances():
         m = engine.map
         m.validate()
         dist = m.bfs_distances(m.org[m.root])
-        boundary = {m.org[h] for h in m.hole_cycle(engine.seam)}
+        boundary = {m.org[h] for h in m.hole_cycle(engine.cursor)}
         assert len(boundary) == m.perimeter
         assert all(dist[v] == r for v in boundary), r
 
@@ -389,7 +383,9 @@ def test_hull_series_export():
 
 
 @pytest.mark.parametrize(
-    "edit", [{"tau": 1}, {"perimeter": 1}], ids=["tau-backwards", "perimeter-1"]
+    "edit",
+    [{"tau": 1}, {"perimeter": 1}, {"r": 5}, {"volume": 2}],
+    ids=["tau-backwards", "perimeter-1", "r-skips", "volume-drops"],
 )
 def test_both_hull_imports_reject_an_inconsistent_hull(edit):
     res = run_layers(PAR, 3, RngStream(61, (15,)), record=True)
