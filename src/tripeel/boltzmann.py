@@ -72,7 +72,12 @@ _U_BITS = 53
 
 class BoltzmannFiller:
     """Decision rows, the fill drivers, the map engine's swallow step and
-    :meth:`fill_volumes` (volumes from tables), for fixed parameters."""
+    :meth:`fill_volumes` (volumes from tables), for fixed parameters.
+
+    A filler holds no per-run state, only tables kept on the parameters,
+    so the engines and chains of a coupling share one: built on first
+    use, and kept on the :class:`PeelParams` while an engine or chain
+    holds it.  A filler built directly works the same."""
 
     def __init__(self, params: PeelParams):
         self.params = params

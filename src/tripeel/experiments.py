@@ -635,10 +635,11 @@ def run_law_equivalence(
     steps of :class:`LayerChain` is the same with and without the uniform
     selector's one draw before each step, although the streams differ; the
     map engine follows the chain draw for draw under either selector (the
-    coupling tests).  Conditioned walk: the perimeter at the horizon
-    matches the raw step walk started at 2 and conditioned to stay at or
-    above 2, rejection-sampled over a horizon long enough that later dips
-    are beyond float resolution.
+    coupling tests).  Conditioned walk: the perimeter at the horizon, from
+    a chain run without volume (so it draws no fills), matches the raw
+    step walk started at 2 and conditioned to stay at or above 2,
+    rejection-sampled over a horizon long enough that later dips are
+    beyond float resolution.
     """
     if runs < 1000:
         raise DomainError("law comparisons need at least 1000 runs per arm")
@@ -663,7 +664,7 @@ def run_law_equivalence(
     arm = rng.fork(2)
     cp: Counter = Counter()
     for _ in range(runs):
-        chain = LayerChain(params, arm)
+        chain = LayerChain(params, arm, volume=False)
         for _ in range(horizon):
             chain.step()
         cp[str(chain.p)] += 1

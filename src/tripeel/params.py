@@ -255,6 +255,11 @@ class PeelParams:
         # C~ through its clamp index, built once, before the first block
         # chunk, from the step law alone
         self._block_laws: Optional[tuple] = None
+        # driver class -> weak reference to the coupling's one StepSampler
+        # and one BoltzmannFiller (peeling._shared): each holds these
+        # parameters, so strong ones would make a cycle that keeps dropped
+        # parameters and their tables alive until the cyclic collector runs
+        self._drivers: dict = {}
 
     # -- step law -----------------------------------------------------
 

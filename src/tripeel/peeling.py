@@ -33,6 +33,7 @@ Contents:
 from __future__ import annotations
 
 import json
+import weakref
 from bisect import bisect_right
 from dataclasses import asdict, dataclass
 from hashlib import sha256
@@ -92,9 +93,13 @@ class StepSampler:
     kernel.  A fresh proposal is always accepted; an accepted swallow
     then draws its side.  Illegal sizes (k > p - 2) land on a zero
     acceptance and are rejected without consuming a coin.
+
+    It holds nothing but the parameters, so the engines and chains of a
+    coupling share one: built on first use, and kept on the
+    :class:`PeelParams` while an engine or chain holds it.
     """
 
-    __slots__ = ("params",)
+    __slots__ = ("params", "__weakref__")
 
     def __init__(self, params: PeelParams):
         self.params = params
@@ -249,6 +254,18 @@ def _block_laws(params: PeelParams) -> Optional[tuple]:
     return laws or None
 
 
+def _shared(params: PeelParams, cls):
+    """The coupling's one driver of class cls (:class:`StepSampler` or
+    :class:`BoltzmannFiller`): built on first use, and kept on the
+    parameters while an engine or chain holds it."""
+    ref = params._drivers.get(cls)
+    driver = ref() if ref is not None else None
+    if driver is None:
+        driver = cls(params)
+        params._drivers[cls] = weakref.ref(driver)
+    return driver
+
+
 # -- trace containers ----------------------------------------------------
 
 
@@ -325,12 +342,12 @@ def _budget(name: str, value: Optional[int]) -> Optional[int]:
 class PeelEngine:
     """Grows a triangulation from the two-sided root edge.
 
-    Holds the arena, the event sampler, the pocket filler, and a cursor
-    half-edge that is kept on the main hole across steps (fresh moves it
-    to the edge closing on the old boundary, swallows to the replacement
-    edge).  Selectors may use the cursor or ignore it.  A
-    :class:`StepRecord` is built for a step only when the engine records
-    (``record=True``); the walk engines do not.
+    Holds the arena, the coupling's shared event sampler and pocket
+    filler, and a cursor half-edge that is kept on the main hole across
+    steps (fresh moves it to the edge closing on the old boundary,
+    swallows to the replacement edge).  Selectors may use the cursor or
+    ignore it.  A :class:`StepRecord` is built for a step only when the
+    engine records (``record=True``); the walk engines do not.
     """
 
     def __init__(
@@ -345,8 +362,8 @@ class PeelEngine:
         self.params = params
         self.rng = rng
         self.map = TriMap.root_edge()
-        self.sampler = StepSampler(params)
-        self.filler = BoltzmannFiller(params)
+        self.sampler = _shared(params, StepSampler)
+        self.filler = _shared(params, BoltzmannFiller)
         self.steps = 0
         self.records: Optional[list] = [] if record else None
         self.cursor = self.map.root
@@ -650,8 +667,8 @@ class LayerChain:
     ):
         self.params = params
         self.rng = rng
-        self.sampler = StepSampler(params)
-        self.filler = BoltzmannFiller(params) if volume else None
+        self.sampler = _shared(params, StepSampler)
+        self.filler = _shared(params, BoltzmannFiller) if volume else None
         self.p = 2
         self.v = 2
         self.steps = 0

@@ -14,11 +14,18 @@ trial, so the copy hashes the children of a parent in aligned chunks of
 ``_CHUNK`` consecutive last key words at once, with numpy uint64
 arithmetic masked to 32 bits, and keeps the last few chunks.
 ``tests/test_rng.py`` pins the copy against numpy's own SeedSequence.
+
+So a one-word fork costs its generator and, on its first draw, the
+generator's first fill, and nothing else: its seed row is read from the
+parent's chunk table, and only the new key word is checked, the
+parent's seed and key having been checked when it was built.
+``numpy.random`` is imported on the first stream, not with this module.
 """
 
 from __future__ import annotations
 
 from functools import cache
+from operator import index
 from typing import Sequence
 
 import numpy as np
@@ -123,9 +130,11 @@ def _table(seed: int, head: tuple, base: int) -> np.ndarray:
 
 
 @cache
-def _row_seed():
-    """ISeedSequence that hands PCG64 one precomputed row; built on first
-    use, since numpy.random is loaded lazily."""
+def _seeding() -> tuple:
+    """(Generator, PCG64, RowSeed), RowSeed an ISeedSequence that hands
+    PCG64 one precomputed row; bound on first use, since numpy.random is
+    loaded lazily."""
+    from numpy.random import PCG64, Generator
     from numpy.random.bit_generator import ISeedSequence
 
     class RowSeed(ISeedSequence):
@@ -135,14 +144,43 @@ def _row_seed():
         def generate_state(self, n_words, dtype=np.uint32):
             return self.row    # PCG64 asks for exactly 4 uint64 words
 
-    return RowSeed
+    return Generator, PCG64, RowSeed
+
+
+def _generator(row: np.ndarray):
+    """The numpy Generator on the PCG64 seeded with one table row."""
+    generator, pcg64, row_seed = _seeding()
+    return generator(pcg64(row_seed(row)))
+
+
+def _word(value) -> int:
+    """A seed or key word as a nonnegative Python int; numpy integers are
+    words, floats and other non-integral values are not."""
+    try:
+        word = index(value)
+    except TypeError:
+        raise DomainError(f"seed and spawn key words must be integers, got {value!r}") from None
+    if word < 0:
+        raise DomainError(f"seed and spawn key words must be nonnegative, got {word}")
+    return word
+
+
+def _row(seed: int, head: tuple, last: int) -> np.ndarray:
+    """PCG64 seed row of the spawn key head + (last,), from its chunk's
+    table (built if not kept)."""
+    base = last & -_CHUNK
+    table = _TABLES.get((seed, head, base))
+    if table is None:
+        table = _table(seed, head, base)
+    return table[last - base]
 
 
 class RngStream:
     """Buffered PCG64 uniform source.
 
     Constructed from a master seed plus an optional spawn key, all
-    nonnegative integers; equal (seed, key) pairs give identical streams
+    nonnegative integers (numpy integers too; a float or any other
+    value raises DomainError); equal (seed, key) pairs give identical streams
     on every platform numpy supports.  The generator is the PCG64 that
     numpy's ``SeedSequence(seed, spawn_key=key)`` would seed: the state
     words come from this module's copy of the SeedSequence hash, computed
@@ -161,20 +199,13 @@ class RngStream:
     __slots__ = ("seed", "spawn_key", "_gen", "_it", "_end")
 
     def __init__(self, seed: int, spawn_key: Sequence[int] = ()):
-        self.seed = seed = int(seed)
-        self.spawn_key = key = tuple(map(int, spawn_key))
-        if seed < 0 or min(key, default=0) < 0:
-            raise DomainError(f"seed and spawn key must be nonnegative, got {seed}, {key}")
+        self.seed = seed = _word(seed)
+        self.spawn_key = key = tuple(map(_word, spawn_key))
         if key:
-            head, last = key[:-1], key[-1]
-            base = last & -_CHUNK
-            table = _TABLES.get((seed, head, base))
-            if table is None:
-                table = _table(seed, head, base)
-            row = table[last - base]
+            row = _row(seed, key[:-1], key[-1])
         else:
             row = _state(_pool(_digits(seed)))[0]
-        self._gen = np.random.Generator(np.random.PCG64(_row_seed()(row)))
+        self._gen = _generator(row)
         self._it = iter(())    # generated scalar draws not yet served
         self._end = 0          # doubles generated, n_drawn once _it is spent
 
@@ -222,5 +253,27 @@ class RngStream:
         return self._gen.random(n)
 
     def fork(self, *key: int) -> "RngStream":
-        """Stream for a labeled child task; independent of the parent."""
-        return RngStream(self.seed, self.spawn_key + key)
+        """Stream for a labeled child task, seeded by (seed, spawn_key +
+        key); independent of the parent, and of every other child.
+
+        A one-word fork checks and converts only its new word: the
+        parent's seed and key are already checked, so the child takes
+        them as they are, its seed row from the parent's chunk table, and
+        a new generator.  What it costs is that generator and, on its
+        first draw, its first fill.  A fork of two or more words is
+        built as ``RngStream(seed, spawn_key + key)``; a fork of none
+        would replay its parent and is refused.
+        """
+        if len(key) != 1:
+            if not key:
+                raise DomainError("a fork needs at least one key word")
+            return RngStream(self.seed, self.spawn_key + key)
+        last = _word(key[0])
+        seed, head = self.seed, self.spawn_key
+        child = object.__new__(RngStream)
+        child.seed = seed
+        child.spawn_key = (*head, last)
+        child._gen = _generator(_row(seed, head, last))
+        child._it = iter(())
+        child._end = 0
+        return child

@@ -1,7 +1,9 @@
 """Engine-level tests: couplings, layer bookkeeping, replay, budgets."""
 
+import gc
 import json
 import math
+import weakref
 from collections import Counter
 from dataclasses import asdict, replace
 from fractions import Fraction
@@ -84,6 +86,83 @@ def test_layer_engine_couples_with_layer_chain(params):
         (h.r, h.tau, h.perimeter, h.volume) for h in result.hull
     ]
     assert rng_map.n_drawn == rng_chain.n_drawn
+
+
+# -- one sampler and one filler per coupling ------------------------------
+
+
+def _chain_run(chain, r_max):
+    """(p, v) after each step of a chain run to tau_{r_max}."""
+    series = []
+    while chain.cur_r <= r_max:
+        chain.step()
+        series.append((chain.p, chain.v))
+    return series
+
+
+@pytest.mark.parametrize("coupling", [{"kappa": "9/128"}, {"kappa": "2/27"}],
+                         ids=["kappa_9_128", "kappa_2_27"])
+@pytest.mark.parametrize("volume", [True, False])
+def test_chains_sharing_a_coupling_run_as_alone(coupling, volume):
+    # two chains on one PeelParams stepped in turn, each on its own stream,
+    # against each run alone on parameters of its own
+    shared = build_params(**coupling)
+    chains = [LayerChain(shared, RngStream(8, (t,)), volume=volume) for t in range(2)]
+    assert chains[0].sampler is chains[1].sampler
+    assert chains[0].filler is chains[1].filler and (chains[0].filler is None) is not volume
+    series = [[], []]
+    while any(c.cur_r <= 4 for c in chains):
+        for c, s in zip(chains, series):
+            if c.cur_r <= 4:
+                c.step()
+                s.append((c.p, c.v))
+    for t, (c, s) in enumerate(zip(chains, series)):
+        alone = LayerChain(build_params(**coupling), RngStream(8, (t,)), volume=volume)
+        assert _chain_run(alone, 4) == s and len(s) > 4
+        assert alone.hull == c.hull and alone.root_degree == c.root_degree
+        assert alone.rng.n_drawn == c.rng.n_drawn
+
+
+@pytest.mark.parametrize("selector", ["stay", "uniform"])
+def test_engines_sharing_a_coupling_run_as_alone(selector):
+    shared = build_params(kappa=Fraction(9, 128))
+    engines = [PeelEngine(shared, RngStream(9, (t,))) for t in range(2)]
+    assert engines[0].sampler is engines[1].sampler and engines[0].filler is engines[1].filler
+    select = peeling.SELECTORS[selector]
+    for _ in range(300):
+        for e in engines:
+            e.peel_step(select(e))
+    for t, e in enumerate(engines):
+        rng = RngStream(9, (t,))
+        alone = run_algorithm(build_params(kappa=Fraction(9, 128)), selector, 300, rng)
+        assert e.records == alone.records
+        assert e.rng.n_drawn == rng.n_drawn
+        assert peeling._code_digest(e.map.canonical_code()) == peeling._code_digest(
+            alone.map.canonical_code())
+
+
+def test_drivers_are_built_once_per_coupling():
+    params = build_params(alpha=Fraction(3, 4))
+    chain = LayerChain(params, RngStream(1))
+    engine = LayerEngine(params, RngStream(2))
+    assert engine.sampler is chain.sampler and engine.filler is chain.filler
+    other = build_params(alpha=Fraction(3, 4))
+    assert PeelEngine(other, RngStream(1)).filler is not chain.filler
+
+
+def test_dropped_parameters_are_freed_at_once():
+    # the parameters hold their drivers weakly: no cycle keeps them, and
+    # their tables, alive once the last chain is dropped
+    params = build_params(alpha=Fraction(7, 10))
+    chain = LayerChain(params, RngStream(3))
+    chain.run_fast(3)
+    gone = weakref.ref(params)
+    gc.disable()
+    try:
+        del chain, params
+        assert gone() is None
+    finally:
+        gc.enable()
 
 
 def test_hull_boundaries_are_at_exact_distances():

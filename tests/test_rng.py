@@ -190,3 +190,82 @@ def test_seed_tables_stay_bounded(monkeypatch):
 def test_negative_seed_or_key_rejected(seed, key):
     with pytest.raises(DomainError):
         RngStream(seed, key)
+
+
+# -- forks: built from the parent's checked key, equal to a direct build ------
+
+_FORK_WORDS = [0, 1, 1023, 1024, 1025, 2 ** 32 - 1, 2 ** 32, 2 ** 32 + 1025, 2 ** 40 + 3, 2 ** 64]
+
+
+def _draws(rng):
+    """A stream's record over scalar, index and block draws, crossing its
+    first fill, with n_drawn after each."""
+    out = []
+    for op, arg in (("u", 70), ("block", 100), ("index", 10 ** 6), ("u", 3), ("block", 5)):
+        out.append(_apply(rng, op, arg))
+        out.append(rng.n_drawn)
+    return out
+
+
+def _same_stream(child, seed, key):
+    ref = RngStream(seed, key)
+    assert type(child) is RngStream
+    assert (child.seed, child.spawn_key, child.n_drawn) == (ref.seed, ref.spawn_key, 0)
+    assert all(type(w) is int for w in child.spawn_key)
+    assert _draws(child) == _draws(ref)
+
+
+@pytest.mark.parametrize("word", _FORK_WORDS)
+@pytest.mark.parametrize("head", [(), (7,), (2 ** 33, 0)])
+def test_fork_equals_direct_build(head, word):
+    parent = RngStream(3, head)
+    _same_stream(parent.fork(word), 3, head + (word,))
+
+
+@pytest.mark.parametrize(
+    "word", [np.int64(1025), np.uint64(2 ** 63 + 5), np.int32(1023), np.uint8(7)]
+)
+def test_fork_takes_numpy_integer_words(word):
+    parent = RngStream(np.uint64(4), (np.int16(2),))
+    assert parent.seed == 4 and parent.spawn_key == (2,)
+    _same_stream(parent.fork(word), 4, (2, int(word)))
+
+
+@pytest.mark.parametrize("words", [(1024, 3), (3, 2 ** 32), (np.int64(1), 2 ** 64, 0)])
+def test_multi_word_fork_equals_direct_build(words):
+    parent = RngStream(6, (1,))
+    _same_stream(parent.fork(*words), 6, (1, *map(int, words)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.integers(0, 2 ** 70),
+    st.lists(st.integers(0, 2 ** 70), max_size=2),
+    st.lists(st.integers(0, 2 ** 40) | st.integers(1020, 1030), min_size=1, max_size=3),
+)
+def test_forks_of_forks_equal_direct_builds(seed, head, words):
+    child = RngStream(seed, head)
+    for w in words:
+        child = child.fork(w)
+    _same_stream(child, seed, (*head, *words))
+
+
+def test_fork_without_a_word_is_refused():
+    # it would replay its parent draw for draw
+    with pytest.raises(DomainError, match="at least one key word"):
+        RngStream(5, (2,)).fork()
+
+
+@pytest.mark.parametrize("word", [1.7, 2.0, np.float64(3.0), "4", None])
+def test_fork_rejects_non_integral_words(word):
+    parent = RngStream(5)
+    with pytest.raises(DomainError, match="must be integers"):
+        parent.fork(word)
+    with pytest.raises(DomainError, match="must be integers"):
+        parent.fork(1, word)
+
+
+@pytest.mark.parametrize("seed, key", [(5.9, ()), (5.9, (1,)), (5, (1.7,)), (5, (1, 0.5))])
+def test_non_integral_seed_or_key_rejected(seed, key):
+    with pytest.raises(DomainError, match="must be integers"):
+        RngStream(seed, key)
