@@ -248,6 +248,8 @@ def run_volume_growth(
     """
     if trials < 2:
         raise DomainError("need at least two trials")
+    if r_max < 1:
+        raise DomainError(f"r_max must be at least 1, got {r_max}")
     lo, hi = window or (max(1, r_max - 4), r_max)
     if not 1 <= lo <= hi <= r_max:
         raise DomainError(f"window {(lo, hi)} outside [1, {r_max}]")

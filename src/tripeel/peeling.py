@@ -155,27 +155,29 @@ class _InverseCdf:
     entries of ``cdf`` (non-decreasing) that are <= u.
 
     So a law on 0, 1, 2, ... whose first n cumulative masses are the
-    entries comes out clipped at n.  A guide table holds the answer at
-    each bucket start b / _GUIDE (exact: the scaling is by a power of
-    two), a lower bound for every u in the bucket; it is the answer
-    unless the next entry is <= u, and only those few uniforms are
-    searched.  ``mean`` is the mean clipped value, the sum over i < n
-    of P(value > i) = 1 - cdf[i].
+    entries comes out clipped at n.  A guide table splits [0, 1) into
+    _GUIDE buckets [b / _GUIDE, (b + 1) / _GUIDE) (exact: the scaling is
+    by a power of two).  Where no entry lies strictly inside a bucket,
+    every u in it has the same answer, which the table holds; a bucket
+    with an entry inside holds -1, and only the uniforms that land in
+    one are searched.  ``mean`` is the mean clipped value, the sum over
+    i < n of P(value > i) = 1 - cdf[i].
     """
 
-    __slots__ = ("mean", "_cdf", "_next", "_guide")
+    __slots__ = ("mean", "_cdf", "_guide")
 
     def __init__(self, cdf):
         cdf = np.asarray(cdf, dtype=float)
         self._cdf = cdf
-        self._next = np.append(cdf, np.inf)
-        self._guide = np.searchsorted(cdf, np.arange(_GUIDE) / _GUIDE, side="right")
+        edges = np.arange(_GUIDE + 1) / _GUIDE
+        lo = cdf.searchsorted(edges[:-1], side="right")
+        self._guide = np.where(lo == cdf.searchsorted(edges[1:], side="left"), lo, -1)
         self.mean = float((1.0 - cdf).sum())
 
     def __call__(self, u: np.ndarray) -> np.ndarray:
         ks = self._guide[(u * _GUIDE).astype(np.intp)]
-        fix = self._next[ks] <= u
-        ks[fix] = self._cdf.searchsorted(u[fix], side="right")
+        at = (ks < 0).nonzero()
+        ks[at] = self._cdf.searchsorted(u[at], side="right")
         return ks
 
 
@@ -617,17 +619,31 @@ _P_BLOCK = 4
 
 
 def _event_arcs(a: int, n: int, gs, ks, old) -> tuple:
-    """(oka, okn): the arcs after each event (gs fresh steps, a size-ks
-    swallow toward the old arc where ``old``) from arcs (a, n), all taken.
-    N follows Lindley's recursion n_j = max(0, n_{j-1} + g_j - k_j): what
-    a swallow takes past its end comes off A.  Exact up to tau_r, oka < 1."""
-    oka = a - (ks * old).cumsum()
-    okn = n + (gs - ks * ~old).cumsum()
+    """(nega, okn, cut): the arcs after each event (gs fresh steps, a
+    size-ks swallow toward the old arc where ``old``) from arcs (a, n),
+    all taken, and the first event that leaves the old arc below 1.
+
+    Both arcs come from one cumsum down the two columns of an (m, 2)
+    array, the start arcs added to its first row: the old arc negated,
+    ``nega``, and the new arc ``okn``.  N follows Lindley's recursion
+    n_j = max(0, n_{j-1} + g_j - k_j): what a swallow takes past its end
+    comes off A.  So A never grows, ``nega`` is nondecreasing and ``cut``
+    (m where no event takes A below 1) is a sorted search.  Exact up to
+    that event, tau_r.
+    """
+    x = np.empty((ks.size, 2), dtype=np.intp)
+    nega, okn = x.T
+    np.multiply(ks, old, out=nega)
+    np.subtract(gs, ks, out=okn)
+    okn += nega
+    x[0, 0] -= a
+    x[0, 1] += n
+    x.cumsum(axis=0, out=x)
     if okn.min() < 0:
         over = np.minimum.accumulate(np.minimum(okn, 0))
         okn -= over
-        oka += over
-    return oka, okn
+        nega -= over
+    return nega, okn, int(nega.searchsorted(0))
 
 
 class LayerChain:
@@ -735,19 +751,22 @@ class LayerChain:
         event draws no coin.  The other events each draw one coin c, in
         event order, from a second block drawn after the chunk's three
         uniforms an event, and their swallow is rejected if c is at or
-        above the ratio.  The chunk is cut at the first rejected event:
-        its fresh steps are taken and its swallow is not.  A rejected
-        proposal leaves the state as it was in the scalar sampler too, so
-        every event taken was drawn at its true state.
+        above the ratio.  Those events are looked for only when the
+        chunk's least p'_j - k_j is below the clamp index; on a boundary
+        well past it, almost no chunk has one.  The chunk is cut at the
+        first rejected event: its fresh steps are taken and its swallow is
+        not.  A rejected proposal leaves the state as it was in the scalar
+        sampler too, so every event taken was drawn at its true state.
 
         Both arcs follow in closed form (:func:`_event_arcs`): a swallow
         past the new arc's end eats into the old arc, which only moves
         length between them, so p'_j and the coins are unchanged.  The
         chunk is also cut at tau_r, the first swallow toward the old arc
         that takes all of it, applied with the full arc rule and its hull
-        record.  Events past a cut are never looked at.  So a chunk runs
-        to about the layer's end: sized from the state at its start, it
-        holds A / (mu / 2) events clipped to [_CHUNK_MIN, _CHUNK], A the
+        record.  The old arc never grows, so that event is found by a
+        sorted search.  Events past a cut are never looked at.  So a chunk
+        runs to about the layer's end: sized from the state at its start,
+        it holds A / (mu / 2) events clipped to [_CHUNK_MIN, _CHUNK], A the
         old arc and mu / 2 its mean loss an event, mu the mean swallow
         size.
 
@@ -797,19 +816,17 @@ class LayerChain:
             ks += 1
             # swallows toward the old arc ('next')
             old = us[2 * m :] < 0.5
-            oka, okn = _event_arcs(self._A, self._N, gs, ks, old)
-            okp = oka + okn
+            nega, okn, j = _event_arcs(self._A, self._N, gs, ks, old)
             # j whole events, then event j's fresh steps and its swallow:
             # a cut at tau_r, a swallow toward the old arc that takes all
             # of it, takes the swallow; a cut at a rejected coin does not
-            layer = oka < 1
-            j = int(layer.argmax()) if layer.any() else m
             swallow = j < m
             # one coin for each event whose swallow leaves the perimeter
             # below the clamp index.  Events past a cut may read p' < 2:
             # the clips keep their unused ratios finite
-            at = np.flatnonzero(okp < last)
-            if at.size:
+            okp = okn - nega
+            if okp.min() < last:
+                at = np.flatnonzero(okp < last)
                 okc = okp[at]
                 den = np.minimum(np.maximum(okc + ks[at] + 1, 2), last)
                 no = at[rng.block(at.size) >= ct[np.maximum(okc, 0)] / ct[den]]
@@ -821,7 +838,7 @@ class LayerChain:
                 # fresh steps, then the fills of the taken swallows in order
                 self.v += fresh + filler.fill_volumes(ks[: j + swallow] + 1, rng)
             if j:
-                self._A = int(oka[j - 1])
+                self._A = -int(nega[j - 1])
             self.p = p + fresh - int(ks[:j].sum())
             self._N = self.p - self._A
             self.steps += taken

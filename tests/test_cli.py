@@ -245,6 +245,11 @@ def test_experiment_flag_validation():
     res = invoke("experiment", "--experiment", "no-such-thing")
     assert res.exit_code == 2
 
+    res = invoke("experiment", "--experiment", "volume-growth", "--alpha", "7/10", "--radius", "0")
+    assert res.exit_code == 2
+    assert "r_max must be at least 1, got 0" in res.stderr
+    assert "window" not in res.stderr
+
     res = invoke("experiment", "--experiment", "intersection")
     assert res.exit_code == 2
 

@@ -179,6 +179,11 @@ def test_volume_growth_validates_window(p75, crit):
         run_volume_growth(p75, RngStream(0), trials=2, r_max=4, window=(3, 5))
     with pytest.raises(DomainError):
         run_volume_growth(crit, RngStream(0), trials=2, r_max=4, window=(2, 4))
+    # r_max is checked first: the default window would name bounds the
+    # caller never gave
+    for r_max in (0, -3):
+        with pytest.raises(DomainError, match=rf"^r_max must be at least 1, got {r_max}$"):
+            run_volume_growth(p75, RngStream(0), trials=2, r_max=r_max)
 
 
 def test_law_equivalence_small(p75):

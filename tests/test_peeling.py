@@ -11,7 +11,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats as sps
 
@@ -556,13 +556,28 @@ def test_block_cap_is_smallest_certified_size(alpha, want):
     assert peeling._block_cap(grown) == cap
 
 
+# cdfs whose entries sit where a guide bucket's answer could go wrong:
+# on bucket starts, repeated (zero-mass outcomes), one double below 1, and
+# at 1 itself
+_G = peeling._GUIDE
+_EDGE_CDFS = (
+    np.arange(0, _G, 5) / _G,
+    np.repeat(np.array([1, 2, 3, 1000, 2048, _G - 1]) / _G, 3),
+    np.repeat([0.0, 0.1, 0.3, 0.3 + 2.0**-40, 0.7], [2, 1, 4, 1, 2]),
+    np.array([0.25, 0.5, 0.75, 1.0 - 2.0**-53]),
+    np.array([0.0, 0.5, 1.0 - 2.0**-53, 1.0 - 2.0**-53, 1.0]),
+)
+
+
 @pytest.mark.parametrize("alpha", ["3/4", "0.68"])
 def test_block_step_sizes_match_searchsorted(alpha):
     # each guide-table inverse cdf gives the searchsorted answer element
-    # by element, uniforms at and next to every cdf entry included: the
-    # raw step law clipped at the cap (with the table grown past it), the
-    # event gap law and the event swallow-size law; the event tables are
-    # within 1e-15 of their exact values
+    # by element, on 1-D and 2-D input: the raw step law clipped at the
+    # cap (with the table grown past it), the event gap law, the event
+    # swallow-size law and the edge cdfs above.  The uniforms include
+    # every cdf entry and its two neighbours, and both ends of every
+    # guide bucket, b / _GUIDE and the last double below (b + 1) / _GUIDE.
+    # The event tables are within 1e-15 of their exact values
     par = build_params(alpha=alpha)
     cap = peeling._block_cap(par)
     raw = peeling._InverseCdf(par.q_cumulative()[:cap])
@@ -570,17 +585,21 @@ def test_block_step_sizes_match_searchsorted(alpha):
     par.ensure_q(cap + 100)
     q = np.asarray(par.q_cumulative())
     draws = RngStream(3).block(200_000)
-    for law, cdf, clip in (
+    starts = np.arange(_G) / _G
+    buckets = np.stack([starts, np.nextafter(starts + 1.0 / _G, 0.0)])
+    laws = [
         (raw, q, cap),
         (gaps, gaps._cdf, gaps._cdf.size),
         (sizes, sizes._cdf, sizes._cdf.size),
-    ):
+    ]
+    laws += [(peeling._InverseCdf(cdf), cdf, cdf.size) for cdf in _EDGE_CDFS]
+    for law, cdf, clip in laws:
         at = cdf[:clip]
         edges = np.concatenate(
             [[0.0, 1.0 - 2.0**-53], at, np.nextafter(at, 0.0), np.nextafter(at, 1.0)]
         )
         edges = edges[(edges >= 0.0) & (edges < 1.0)]
-        for u in (draws, draws.reshape(400, 500), edges):
+        for u in (draws, draws.reshape(400, 500), edges, buckets, buckets.ravel()):
             want = np.minimum(np.searchsorted(cdf, u, side="right"), clip)
             got = law(u)
             assert got.shape == u.shape
@@ -600,20 +619,29 @@ def test_block_step_sizes_match_searchsorted(alpha):
 
 @settings(max_examples=300, deadline=None)
 @given(
-    a=st.integers(1, 30),
-    n=st.integers(0, 3),
+    a=st.integers(1, 600),
+    n=st.integers(0, 200),
     events=st.lists(
-        st.tuples(st.integers(0, 4), st.integers(1, 12), st.booleans()), min_size=1, max_size=40
+        st.tuples(st.integers(0, 4), st.integers(1, 12), st.booleans()), min_size=1, max_size=200
     ),
 )
+@example(a=500, n=60, events=[(1, 3, False)] * 150 + [(0, 12, True)] * 50)
 def test_event_arcs_match_the_arc_rule(a, n, events):
     # the closed-form arcs after each event of a chunk are the arc rule
     # applied step by step, from a start whose new arc may be empty (as
-    # right after tau_r), up to the first swallow toward the old arc that
-    # takes all of it: there, and not before, the old arc reads below 1.
-    # Events are replayed while their swallows leave a perimeter >= 2
+    # right after tau_r) or run dry anywhere in the chunk (the example
+    # dries it at event 29 and takes the old arc at event 171), up to the
+    # first swallow toward the old arc that takes all of it: there, and
+    # not before, the old arc reads below 1.  The old arc never grows,
+    # and the cut is the first event that leaves it below 1 (the chunk's
+    # length where none does).  Events are replayed while their swallows
+    # leave a perimeter >= 2
     gs, ks, old = map(np.array, zip(*events))
-    oka, okn = peeling._event_arcs(a, n, gs, ks, old)
+    nega, okn, cut = peeling._event_arcs(a, n, gs, ks, old)
+    oka = -nega
+    assert np.all(np.diff(oka) <= 0) and oka[0] <= a
+    below = np.flatnonzero(oka < 1)
+    assert cut == (below[0] if below.size else len(events))
     chain = SimpleNamespace(_A=a, _N=n, steps=0, hull=[], cur_r=1)
     for j, (g, k, toward_old) in enumerate(events):
         p = chain._A + chain._N + g
@@ -622,7 +650,7 @@ def test_event_arcs_match_the_arc_rule(a, n, events):
         chain._N += g
         peeling._arc_step(chain, k, "next" if toward_old else "prev", p - k, None)
         if chain.hull:
-            assert oka[j] < 1
+            assert cut == j
             break
         assert (oka[j], okn[j]) == (chain._A, chain._N)
 
