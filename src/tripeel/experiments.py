@@ -433,8 +433,11 @@ def run_inv_degree(
     Each trial runs a layer chain until tau_1, when the origin's fan
     closes, and reads :attr:`LayerChain.root_degree`; draw for draw this
     is the map-backed layer engine peeled until the origin leaves the
-    boundary, with no map built.  Trials that exhaust the step budget
-    are discarded and counted.
+    boundary, with no map built.  It runs through
+    :meth:`LayerChain.run_fast`, whose layer 1 with volume tracked is
+    scalar at every coupling and equal to ``run(1)``, a run of fresh
+    steps and its swallow at a time.  Trials that exhaust the step
+    budget are discarded and counted.
     """
     if trials < 2:
         raise DomainError("need at least two trials")
@@ -443,7 +446,7 @@ def run_inv_degree(
     for t in range(trials):
         chain = LayerChain(params, rng.fork(t), max_steps=max_steps_per_trial)
         try:
-            chain.run(1)
+            chain.run_fast(1)
         except BudgetExceededError:
             discarded += 1
             continue

@@ -19,7 +19,7 @@ Contents:
   driven by the layer selector, the cyclic exploration that
   materializes hulls of balls around the root origin;
 * :class:`LayerChain`, the one map-free twin, with a vectorized block
-  path off the critical point;
+  path off the critical point and scalar sampler events elsewhere;
 * :func:`complete_ball`, targeted peeling until a metric ball of the
   infinite map is provably complete;
 * traces (``tripeel-trace-v2``): each step's event and running perimeter
@@ -94,6 +94,14 @@ class StepSampler:
     then draws its side.  Illegal sizes (k > p - 2) land on a zero
     acceptance and are rejected without consuming a coin.
 
+    Two entry points share one rejection core.  :meth:`sample` draws one
+    step; :meth:`event` draws a run of fresh steps and the swallow that
+    ends it, on exactly the uniforms that as many :meth:`sample` calls
+    would draw at the perimeters those steps pass through.  Each keeps
+    only the fresh test, a first proposal below q_1; every other first
+    proposal goes to :meth:`_resolve`, the rejection loop, which grows
+    the tables as the loop needs them.
+
     It holds nothing but the parameters, so the engines and chains of a
     coupling share one: built on first use, and kept on the
     :class:`PeelParams` while an engine or chain holds it.
@@ -113,12 +121,40 @@ class StepSampler:
         proposal."""
         if p < 2:
             raise MisuseError(f"cannot peel at perimeter {p}")
+        x = rng.u()
+        if x < self.params._qcum[0]:
+            return _NEW_VERTEX_EVENT
+        return self._resolve(p, x, rng.u)
+
+    def event(self, p: int, rng: RngStream, limit: int) -> tuple[int, int, Optional[str]]:
+        """Steps from perimeter p up to and including the first swallow,
+        at most ``limit`` of them: (g, k, side), g fresh steps, then a
+        size-k swallow on that side taken at perimeter p + g, with
+        g < limit; or (limit, 0, None) after ``limit`` fresh steps and no
+        further draw.
+
+        Draw for draw this is :meth:`sample` called at p, p + 1, ... until
+        it returns a swallow or has returned ``limit`` fresh events."""
+        if p < 2:
+            raise MisuseError(f"cannot peel at perimeter {p}")
+        q1 = self.params._qcum[0]
+        u = rng.u
+        g = 0
+        while g < limit:
+            x = u()
+            if x >= q1:
+                _, k, side = self._resolve(p + g, x, u)
+                if k:
+                    return g, k, side
+            g += 1
+        return g, 0, None
+
+    def _resolve(self, p: int, x: float, u) -> tuple[str, int, Optional[str]]:
+        """The rejection loop at perimeter p, from a first proposal x at
+        or above q_1; u draws the stream's next uniform.  Returns the
+        event as :meth:`sample` does."""
         par = self.params
         qcum = par._qcum
-        u = rng.u
-        x = u()
-        if x < qcum[0]:
-            return _NEW_VERTEX_EVENT
         ct = par._ct
         if p + 1 >= len(ct) and par._ct_clamp is None:
             par.ensure_ctilde(p + 1)
@@ -331,6 +367,11 @@ def _check_hull(hull: Sequence[HullRecord]) -> None:
         prev_tau, prev_vol = rec.tau, vol
 
 
+def _steps_spent(driver) -> BudgetExceededError:
+    """The error a driver raises when its step budget is spent."""
+    return BudgetExceededError(f"peel step budget {driver.max_steps} exhausted", partial=driver)
+
+
 def _budget(name: str, value: Optional[int]) -> Optional[int]:
     """A step or vertex budget: None for none, else a nonnegative count."""
     if value is not None and value < 0:
@@ -374,9 +415,7 @@ class PeelEngine:
 
     def _check_budget(self) -> None:
         if self.max_steps is not None and self.steps >= self.max_steps:
-            raise BudgetExceededError(
-                f"peel step budget {self.max_steps} exhausted", partial=self
-            )
+            raise _steps_spent(self)
         if self.max_vertices is not None and self.map.nv >= self.max_vertices:
             raise BudgetExceededError(
                 f"vertex budget {self.max_vertices} exhausted", partial=self
@@ -616,6 +655,8 @@ def run_layers(
 _CHUNK = 1 << 14
 _CHUNK_MIN = 64
 _P_BLOCK = 4
+# the fresh-run cap of a scalar event without a budget or a block threshold
+_UNLIMITED = 1 << 62
 
 
 def _event_arcs(a: int, n: int, gs, ks, old) -> tuple:
@@ -660,7 +701,11 @@ class LayerChain:
     :meth:`run_fast` draws in blocks of events, each a geometric run of
     fresh steps and then one swallow proposal, from perimeter 4 on and
     off the critical point, so its realization differs from
-    :meth:`run`'s on the same stream, its law does not.
+    :meth:`run`'s on the same stream, its law does not.  Its other
+    steps are scalar, taken a run of fresh steps and one swallow at a
+    time (:meth:`StepSampler.event`), and are :meth:`run`'s, draw for
+    draw; :meth:`run` and :meth:`step` take one step a call, as
+    :class:`LayerEngine` does.
 
     With volume enabled it also knows ``root_degree``, the degree of the
     root edge's origin in the final map, from tau_1 on (None before, and
@@ -698,7 +743,7 @@ class LayerChain:
 
     def step(self) -> None:
         if self.max_steps is not None and self.steps >= self.max_steps:
-            raise BudgetExceededError(f"peel step budget {self.max_steps} exhausted", partial=self)
+            raise _steps_spent(self)
         kind, k, side = self.sampler.sample(self.p, self.rng)
         if kind == "fresh":
             self.p += 1
@@ -721,6 +766,52 @@ class LayerChain:
         while self.cur_r <= r_max:
             self.step()
         return self.hull
+
+    def _scalar_run(self, r_max: int, p_block: Optional[int]) -> None:
+        """:meth:`run_fast`'s scalar steps, one :meth:`StepSampler.event`
+        at a time, until tau_{r_max}; with ``p_block``, also until the
+        perimeter reaches p_block, where the block path takes over.
+
+        Each event's fresh steps move p, v, N and the step count at once;
+        its swallow is filled and applied as :meth:`step` does it.  Fresh
+        runs are capped at the budget left and, with p_block, at the
+        steps that reach it, so the run stops and raises exactly where
+        :meth:`step` calls would, on the same draws."""
+        event, rng, filler = self.sampler.event, self.rng, self.filler
+        max_steps = self.max_steps
+        p, v, steps = self.p, self.v, self.steps
+        try:
+            while self.cur_r <= r_max:
+                limit = _UNLIMITED
+                if p_block is not None:
+                    if p >= p_block:
+                        break
+                    limit = p_block - p
+                if max_steps is not None:
+                    if steps >= max_steps:
+                        raise _steps_spent(self)
+                    limit = min(limit, max_steps - steps)
+                g, k, side = event(p, rng, limit)
+                p += g
+                v += g
+                steps += g
+                self._N += g
+                if not k:
+                    continue
+                p -= k
+                if filler is not None:
+                    if self.cur_r == 1 and side == "next":
+                        # tau_1, as in step()
+                        dv, dd = filler.fill_degree(k + 1, 1, rng)
+                        v += dv
+                        self.root_degree = steps + 2 + dd
+                    else:
+                        v += filler.fill_volume(k + 1, rng)
+                steps += 1
+                self.steps = steps
+                _arc_step(self, k, side, p, v if filler is not None else None)
+        finally:
+            self.p, self.v, self.steps = p, v, steps
 
     # -- vectorized path -------------------------------------------------
 
@@ -773,27 +864,39 @@ class LayerChain:
         An event takes at most the gap clip + 1 steps, so under a step
         budget a chunk holds at most the remaining budget over that many
         events and never passes the budget.  Where not one event fits,
-        the run takes a scalar :meth:`step`, which spends the budget
-        exactly and then raises.
+        the rest of the run is scalar, which spends the budget exactly
+        and then raises.
 
-        Scalar :meth:`step` calls remain at perimeters below 4, with
-        volume tracked throughout layer 1, whose tau_1 fill gives
-        ``root_degree``, and where :func:`_block_cap` finds no K: at the
-        critical point, where no finite K exists, and for alpha within
-        about 3e-5 of it, where K would pass _CAP_MAX.  There
-        :meth:`run_fast` is :meth:`run`, draw for draw.
+        Scalar steps remain at perimeters below 4, with volume tracked
+        throughout layer 1, whose tau_1 fill gives ``root_degree``, and
+        where :func:`_block_cap` finds no K: at the critical point, where
+        no finite K exists, and for alpha within about 3e-5 of it, where
+        K would pass _CAP_MAX.  They are taken by one driver,
+        :meth:`_scalar_run`, a sampler event at a time, and are
+        :meth:`step`'s draw for draw, so there :meth:`run_fast` is
+        :meth:`run`: the same draws, state, hull, root degree and budget
+        error.  They are not block steps.  Layer 1 with volume runs before
+        the block law is built, so a run to tau_1 (inv-degree's) never
+        builds it.
 
         With volume tracked, the swallows of a chunk's taken events are
         then filled, in law as :meth:`step` fills them, through
         :meth:`BoltzmannFiller.fill_volumes`.  With volume off no filler
         draw is made.
         """
+        filler = self.filler
+        if filler is not None and self.cur_r == 1:
+            # before the block law is built: a run that ends at tau_1
+            # never needs it
+            self._scalar_run(min(r_max, 1), None)
+        if self.cur_r > r_max:
+            return self.hull
         laws = _block_laws(self.params)
         if laws is None:
-            return self.run(r_max)
+            self._scalar_run(r_max, None)
+            return self.hull
         gaps, sizes, ct = laws
         rng = self.rng
-        filler = self.filler
         # mean arc loss of an event: half its mean swallow
         rate = (1.0 + sizes.mean) / 2
         # the most steps an event takes: its clipped gap, then its swallow
@@ -801,14 +904,15 @@ class LayerChain:
         last = ct.size - 1
         while self.cur_r <= r_max:
             p = self.p
-            if p < _P_BLOCK or (filler is not None and self.cur_r == 1):
-                self.step()
+            if p < _P_BLOCK:
+                self._scalar_run(r_max, _P_BLOCK)
                 continue
             m = min(max(int(self._A / rate), _CHUNK_MIN), _CHUNK)
             if self.max_steps is not None:
                 m = min(m, (self.max_steps - self.steps) // event_max)
                 if not m:
-                    self.step()
+                    # the budget left only shrinks, so no later event fits
+                    self._scalar_run(r_max, None)
                     continue
             us = rng.block(3 * m)
             gs = gaps(us[:m])

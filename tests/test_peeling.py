@@ -236,6 +236,59 @@ def test_sampler_shortcut_matches_reference_draw_for_draw(handle, p):
         assert ours.ctilde_clamp_index() is None and ours.i_max > 64
 
 
+def _event_by_steps(draw, p, limit):
+    """StepSampler.event's result from one-step draws, draw(p) the event
+    at perimeter p."""
+    g = 0
+    while g < limit:
+        _, k, side = draw(p + g)
+        if k:
+            return g, k, side
+        g += 1
+    return g, 0, None
+
+
+@pytest.mark.parametrize(
+    "handle",
+    [{"kappa": "2/27"}, {"kappa": "9/128"}, {"alpha": "7/10"}, {"alpha": "0.6667"}],
+    ids=["critical", "nine-128ths", "seven-tenths", "near-critical"],
+)
+def test_sampler_event_matches_samples_draw_for_draw(handle):
+    # one event (a run of fresh steps, then the swallow that ends it, or
+    # limit fresh steps) draws exactly what as many sample() calls draw,
+    # and grows the tables as they do, also where the tables grow in the
+    # middle of an event; plain rejection (oracles.sample_event) agrees
+    # on every event and every draw
+    ours, ref, orc = (build_params(**handle) for _ in range(3))
+    sampler, by_sample = StepSampler(ours), StepSampler(ref)
+    rngs = [RngStream(59, (32,)) for _ in range(3)]
+    perimeters = list(range(2, 40)) + list(range(40, 720, 11))
+    grew = 0
+    for i, p in enumerate(perimeters):
+        for limit in (1 + (7 * i) % 64, 1 + (7 * i + 31) % 64):
+            sizes = (ours.i_max, ours.p_max)
+            got = sampler.event(p, rngs[0], limit)
+            assert got == _event_by_steps(lambda q: by_sample.sample(q, rngs[1]), p, limit)
+            assert got == _event_by_steps(lambda q: sample_event(orc, q, rngs[2]), p, limit)
+            g, k, side = got
+            assert 0 <= g <= limit and (side is None) == (k == 0)
+            assert g < limit if k else g == limit
+            assert 1 <= k <= p + g - 2 or k == 0
+            assert rngs[0].n_drawn == rngs[1].n_drawn == rngs[2].n_drawn
+            assert (ours.i_max, ours.p_max) == (ref.i_max, ref.p_max)
+            grew += g > 0 and (ours.i_max, ours.p_max) != sizes
+    assert ours._qcum == ref._qcum and ours._ct == ref._ct
+    assert grew > 0
+    # a perimeter below 2 is refused by both entry points, before a draw
+    rng = RngStream(0)
+    for p in (1, 0):
+        with pytest.raises(MisuseError):
+            sampler.sample(p, rng)
+        with pytest.raises(MisuseError):
+            sampler.event(p, rng, 5)
+    assert rng.n_drawn == 0
+
+
 def test_sampler_frequencies_match_transition_kernel():
     rng = RngStream(37, (9,))
     sampler = StepSampler(PAR)
@@ -495,6 +548,55 @@ def test_fast_chain_matches_scalar_when_disabled():
         assert (a.steps, a.rng.n_drawn, b.block_steps) == (b.steps, b.rng.n_drawn, 0)
 
 
+def test_fast_chain_scalar_budget_matches_run(monkeypatch):
+    # where run_fast takes scalar sampler events (every step at the
+    # critical point, layer 1 with volume anywhere), a step budget runs
+    # out where run()'s does: the same error with the chain as its
+    # partial result, and the same state, draws and root degree.  Some
+    # budgets run out inside a fresh run, an event cut at the budget
+    events = []
+    event = StepSampler.event
+
+    def logged_event(sampler, p, rng, limit):
+        events.append(event(sampler, p, rng, limit))
+        return events[-1]
+
+    def state(c):
+        return (c.p, c.v, c.steps, c._A, c._N, c.cur_r, c.hull, c.rng.n_drawn, c.root_degree)
+
+    monkeypatch.setattr(StepSampler, "event", logged_event)
+    par34 = build_params(alpha=Fraction(3, 4))
+    cut, raised = 0, 0
+    for par, volume, r_max in ((CRIT, False, 3), (CRIT, True, 3), (par34, True, 1)):
+        for t in range(50):
+            for budget in (0, 1, 3, 7, 20, 100):
+                chains, errors = [], []
+                for fast in (False, True):
+                    chain = LayerChain(
+                        par, RngStream(163, (t, budget)), volume=volume, max_steps=budget
+                    )
+                    del events[:]
+                    try:
+                        chain.run_fast(r_max) if fast else chain.run(r_max)
+                        errors.append(None)
+                    except BudgetExceededError as err:
+                        assert err.partial is chain
+                        errors.append(str(err))
+                    chains.append(chain)
+                a, b = chains
+                assert errors[0] == errors[1]
+                assert b.block_steps == 0
+                assert state(a) == state(b)
+                if errors[1] is not None:
+                    raised += 1
+                    assert b.steps == budget
+                    # an event without a swallow stopped at its limit
+                    cut += bool(events) and events[-1][1] == 0
+    assert raised > 600 and cut > 300
+    # a run to tau_1 with volume never builds the block law
+    assert par34._block_laws is None
+
+
 def test_fast_chain_matches_scalar_in_law(monkeypatch):
     # two-sample KS tests of the scalar chain against run_fast with the
     # block path on.  Alpha 3/4 clamps early, at p = 88, so by depth 6
@@ -514,14 +616,18 @@ def test_fast_chain_matches_scalar_in_law(monkeypatch):
         lambda t: LayerChain(par, RngStream(97, (t,)), volume=False).run(6)
     )
 
+    # run_fast takes its scalar steps in runs of sampler events
     calls = {"scalar": 0, "block": 0, "all": 0}
-    step = LayerChain.step
+    scalar_run = LayerChain._scalar_run
 
-    def counted_step(chain):
-        calls["scalar"] += 1
-        step(chain)
+    def counted_run(chain, *args):
+        steps = chain.steps
+        try:
+            scalar_run(chain, *args)
+        finally:
+            calls["scalar"] += chain.steps - steps
 
-    monkeypatch.setattr(LayerChain, "step", counted_step)
+    monkeypatch.setattr(LayerChain, "_scalar_run", counted_run)
 
     def fast(t):
         chain = LayerChain(par, RngStream(101, (t,)), volume=False)
@@ -660,21 +766,21 @@ def _chunk_log(monkeypatch) -> list:
     steps, perimeter, old arc, uniforms drawn, block) before each chunk's
     block of events ('block', with the block) and before its block of
     coins ('coins', with the block; fill blocks are not logged), before
-    each scalar step ('step') and when run_fast returns or raises
+    each run of scalar steps ('step') and when run_fast returns or raises
     ('end').  A chunk's coin block is the block that follows its event
     block with the chain unchanged and no draw between them; a chunk
     without coins takes at least one step, so the next chunk's event
     block never looks like that."""
     log, running = [], []
-    step, block, run_fast = LayerChain.step, RngStream.block, LayerChain.run_fast
+    scalar_run, block, run_fast = LayerChain._scalar_run, RngStream.block, LayerChain.run_fast
     fill_volumes = peeling.BoltzmannFiller.fill_volumes
 
     def snap(kind, chain, us=None):
         log.append((kind, chain.steps, chain.block_steps, chain.p, chain._A, chain.rng.n_drawn, us))
 
-    def logged_step(chain):
+    def logged_scalar_run(chain, *args):
         snap("step", chain)
-        step(chain)
+        scalar_run(chain, *args)
 
     def logged_block(rng, n):
         chain = running[-1]
@@ -703,7 +809,7 @@ def _chunk_log(monkeypatch) -> list:
         finally:
             snap("end", chain)
 
-    monkeypatch.setattr(LayerChain, "step", logged_step)
+    monkeypatch.setattr(LayerChain, "_scalar_run", logged_scalar_run)
     monkeypatch.setattr(RngStream, "block", logged_block)
     monkeypatch.setattr(LayerChain, "run_fast", logged_run_fast)
     monkeypatch.setattr(peeling.BoltzmannFiller, "fill_volumes", unlogged_fills)
