@@ -56,7 +56,7 @@ from .counting import catalan
 from .errors import DomainError, InvariantViolationError
 from .params import PeelParams, _swallow_weight
 from .planarmap import TriMap
-from .rng import RngStream
+from .rng import _U_BITS, _U_SPACING, RngStream
 
 _ROW_TOL = 1e-9
 
@@ -66,8 +66,6 @@ _VOL_P = 32
 # a volume row is tabled only if its certified length is at most this;
 # near the critical point (alpha 0.68: 14,735 entries at p = 2) none is
 _VOL_N = 1 << 13
-# a uniform is a multiple of 2^-53: u * 2^53 is an exact integer below 2^53
-_U_BITS = 53
 
 
 class BoltzmannFiller:
@@ -315,7 +313,7 @@ def volume_row(params: PeelParams, p: int, width: int = _VOL_N) -> Optional[np.n
         # count_ratio(n, p): numerator and denominator are exact below 2^53
         ratio = 2 * (b - 1) * (b - 2) * (b - 3) / ((n + 1) * (2 * p + 2 * n) * (2 * p + 2 * n - 1))
         probs = np.cumprod(np.concatenate(([head], kappa * ratio)))
-        certified = (ratio < 13.5) & (probs[:-1] * (r / (1.0 - r)) <= 2.0**-53)
+        certified = (ratio < 13.5) & (probs[:-1] * (r / (1.0 - r)) <= _U_SPACING)
         cut = int(certified.argmax())
         if certified[cut]:
             return probs[: cut + 1]

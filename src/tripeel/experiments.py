@@ -435,9 +435,9 @@ def run_inv_degree(
     is the map-backed layer engine peeled until the origin leaves the
     boundary, with no map built.  It runs through
     :meth:`LayerChain.run_fast`, whose layer 1 with volume tracked is
-    scalar at every coupling and equal to ``run(1)``, a run of fresh
-    steps and its swallow at a time.  Trials that exhaust the step
-    budget are discarded and counted.
+    ``run(1)`` at every coupling, a run of fresh steps and its swallow
+    at a time.  Trials that exhaust the step budget are discarded and
+    counted.
     """
     if trials < 2:
         raise DomainError("need at least two trials")

@@ -44,6 +44,7 @@ from hashlib import sha256
 from typing import Optional, Union
 
 from .errors import DomainError, TableOverflowError
+from .rng import _U_SPACING
 
 KAPPA_MAX = Fraction(2, 27)
 ALPHA_MIN = Fraction(2, 3)
@@ -339,7 +340,7 @@ class PeelParams:
             q = len(ct) - 2
             term *= geo2 * (2 * q - 1) / q
             ct.append(ct[-1] + term)
-            if r < 1.0 and term / (1.0 - r) <= 2.0 ** -53 * ct[-1]:
+            if r < 1.0 and term / (1.0 - r) <= _U_SPACING * ct[-1]:
                 self._ct_clamp = len(ct) - 1
                 break
         self._ct_term = term

@@ -50,7 +50,7 @@ from .errors import (
 )
 from .params import PeelParams, build_params, q_tail_bound
 from .planarmap import FLAG_MAIN, TriMap
-from .rng import RngStream
+from .rng import _U_SPACING, RngStream
 
 TRACE_SCHEMA = "tripeel-trace-v2"
 HULL_SCHEMA = "tripeel-hull-v1"
@@ -238,7 +238,7 @@ def _block_cap(params: PeelParams) -> Optional[int]:
     if params.critical:
         return None
     for k in range(1, _CAP_MAX + 1):
-        if q_tail_bound(params.alpha, k, params.q_neg(k)) <= 2.0 ** -53:
+        if q_tail_bound(params.alpha, k, params.q_neg(k)) <= _U_SPACING:
             return k
     return None
 
@@ -259,7 +259,7 @@ def _event_laws(params: PeelParams, cap: int) -> tuple:
     """
     q0 = params.q_cumulative()[0]
     n = 1
-    while q0**n > 2.0**-53:
+    while q0**n > _U_SPACING:
         n += 1
     gaps = _InverseCdf(1.0 - q0 ** np.arange(1, n + 1))
     # P(size > k) = (q_{-(k+1)} + ... + q_{-cap}) / (1 - q_0), summed from
@@ -655,7 +655,7 @@ def run_layers(
 _CHUNK = 1 << 14
 _CHUNK_MIN = 64
 _P_BLOCK = 4
-# the fresh-run cap of a scalar event without a budget or a block threshold
+# the fresh-run cap of a scalar event without a budget
 _UNLIMITED = 1 << 62
 
 
@@ -691,8 +691,9 @@ class LayerChain:
     """Map-free twin of the map engines.
 
     Tracks only the two arc lengths, the perimeter, the step count and
-    (optionally) the volume.  With volume enabled, :meth:`run` (and
-    :meth:`step`) consume the stream exactly like :class:`LayerEngine`
+    the volume ``v`` (with volume disabled, 2 plus the fresh steps on
+    every path: no fill is counted).  With volume enabled, :meth:`run`
+    (and :meth:`step`) consume the stream exactly like :class:`LayerEngine`
     and produce the identical hull series; step for step they also give
     a :class:`PeelEngine`'s perimeter and volume under any selector (the
     uniform one once the caller spends its draw, ``rng.index(p)``, before
@@ -702,10 +703,10 @@ class LayerChain:
     fresh steps and then one swallow proposal, from perimeter 4 on and
     off the critical point, so its realization differs from
     :meth:`run`'s on the same stream, its law does not.  Its other
-    steps are scalar, taken a run of fresh steps and one swallow at a
-    time (:meth:`StepSampler.event`), and are :meth:`run`'s, draw for
-    draw; :meth:`run` and :meth:`step` take one step a call, as
-    :class:`LayerEngine` does.
+    steps are :meth:`run`'s and :meth:`step`'s, draw for draw:
+    :meth:`step` takes one step a call, as :class:`LayerEngine` does,
+    and :meth:`run` a run of fresh steps and one swallow a call
+    (:meth:`StepSampler.event`).
 
     With volume enabled it also knows ``root_degree``, the degree of the
     root edge's origin in the final map, from tau_1 on (None before, and
@@ -763,34 +764,24 @@ class LayerChain:
         _arc_step(self, k, side, self.p, self.v if self.filler is not None else None)
 
     def run(self, r_max: int) -> list:
-        while self.cur_r <= r_max:
-            self.step()
-        return self.hull
-
-    def _scalar_run(self, r_max: int, p_block: Optional[int]) -> None:
-        """:meth:`run_fast`'s scalar steps, one :meth:`StepSampler.event`
-        at a time, until tau_{r_max}; with ``p_block``, also until the
-        perimeter reaches p_block, where the block path takes over.
+        """Steps until tau_{r_max}, one :meth:`StepSampler.event` at a
+        time, and the hull series.
 
         Each event's fresh steps move p, v, N and the step count at once;
         its swallow is filled and applied as :meth:`step` does it.  Fresh
-        runs are capped at the budget left and, with p_block, at the
-        steps that reach it, so the run stops and raises exactly where
-        :meth:`step` calls would, on the same draws."""
+        runs are capped at the budget left, so this is :meth:`step`
+        called until tau_{r_max}, draw for draw: the same draws, state,
+        hull, root degree and budget error."""
         event, rng, filler = self.sampler.event, self.rng, self.filler
         max_steps = self.max_steps
         p, v, steps = self.p, self.v, self.steps
         try:
             while self.cur_r <= r_max:
                 limit = _UNLIMITED
-                if p_block is not None:
-                    if p >= p_block:
-                        break
-                    limit = p_block - p
                 if max_steps is not None:
                     if steps >= max_steps:
                         raise _steps_spent(self)
-                    limit = min(limit, max_steps - steps)
+                    limit = max_steps - steps
                 g, k, side = event(p, rng, limit)
                 p += g
                 v += g
@@ -812,6 +803,7 @@ class LayerChain:
                 _arc_step(self, k, side, p, v if filler is not None else None)
         finally:
             self.p, self.v, self.steps = p, v, steps
+        return self.hull
 
     # -- vectorized path -------------------------------------------------
 
@@ -864,20 +856,19 @@ class LayerChain:
         An event takes at most the gap clip + 1 steps, so under a step
         budget a chunk holds at most the remaining budget over that many
         events and never passes the budget.  Where not one event fits,
-        the rest of the run is scalar, which spends the budget exactly
-        and then raises.
+        the rest of the run is :meth:`run`'s, which spends the budget
+        exactly and then raises.
 
-        Scalar steps remain at perimeters below 4, with volume tracked
-        throughout layer 1, whose tau_1 fill gives ``root_degree``, and
-        where :func:`_block_cap` finds no K: at the critical point, where
-        no finite K exists, and for alpha within about 3e-5 of it, where
-        K would pass _CAP_MAX.  They are taken by one driver,
-        :meth:`_scalar_run`, a sampler event at a time, and are
-        :meth:`step`'s draw for draw, so there :meth:`run_fast` is
+        Scalar steps remain at perimeters below 4, taken by :meth:`step`,
+        and whole segments of the run are :meth:`run`'s: layer 1 with
+        volume tracked, whose tau_1 fill gives ``root_degree``, and every
+        step where :func:`_block_cap` finds no K, at the critical point,
+        where no finite K exists, and for alpha within about 3e-5 of it,
+        where K would pass _CAP_MAX.  So there :meth:`run_fast` is
         :meth:`run`: the same draws, state, hull, root degree and budget
-        error.  They are not block steps.  Layer 1 with volume runs before
-        the block law is built, so a run to tau_1 (inv-degree's) never
-        builds it.
+        error.  Scalar steps are not block steps.  Layer 1 with volume
+        runs before the block law is built, so a run to tau_1
+        (inv-degree's) never builds it.
 
         With volume tracked, the swallows of a chunk's taken events are
         then filled, in law as :meth:`step` fills them, through
@@ -888,13 +879,12 @@ class LayerChain:
         if filler is not None and self.cur_r == 1:
             # before the block law is built: a run that ends at tau_1
             # never needs it
-            self._scalar_run(min(r_max, 1), None)
+            self.run(min(r_max, 1))
         if self.cur_r > r_max:
             return self.hull
         laws = _block_laws(self.params)
         if laws is None:
-            self._scalar_run(r_max, None)
-            return self.hull
+            return self.run(r_max)
         gaps, sizes, ct = laws
         rng = self.rng
         # mean arc loss of an event: half its mean swallow
@@ -905,15 +895,14 @@ class LayerChain:
         while self.cur_r <= r_max:
             p = self.p
             if p < _P_BLOCK:
-                self._scalar_run(r_max, _P_BLOCK)
+                self.step()
                 continue
             m = min(max(int(self._A / rate), _CHUNK_MIN), _CHUNK)
             if self.max_steps is not None:
                 m = min(m, (self.max_steps - self.steps) // event_max)
                 if not m:
                     # the budget left only shrinks, so no later event fits
-                    self._scalar_run(r_max, None)
-                    continue
+                    return self.run(r_max)
             us = rng.block(3 * m)
             gs = gaps(us[:m])
             ks = sizes(us[m : 2 * m])
@@ -938,9 +927,10 @@ class LayerChain:
                     j, swallow = int(no[0]), False
             fresh = int(gs[: j + 1].sum())
             taken = fresh + j + swallow
+            self.v += fresh
             if filler is not None:
-                # fresh steps, then the fills of the taken swallows in order
-                self.v += fresh + filler.fill_volumes(ks[: j + swallow] + 1, rng)
+                # the fills of the taken swallows, in order
+                self.v += filler.fill_volumes(ks[: j + swallow] + 1, rng)
             if j:
                 self._A = -int(nega[j - 1])
             self.p = p + fresh - int(ks[:j].sum())

@@ -37,6 +37,12 @@ from .errors import DomainError
 _FILL0 = 64
 _FILL_MAX = 4096
 
+# every uniform is a multiple of _U_SPACING = 2^-53: u * 2^53 is an exact
+# integer below 2^53, and a mass at or below _U_SPACING is below the
+# spacing of the draws, the certification rule of every truncated law
+_U_BITS = 53
+_U_SPACING = 2.0**-_U_BITS
+
 # SeedSequence's hash constants, pool size and word mask
 _INIT_A = 0x43B0D7E5
 _MULT_A = 0x931E8875

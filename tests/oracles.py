@@ -35,7 +35,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from tripeel.boltzmann import _U_BITS, _VOL_N, _VOL_P
+from tripeel.boltzmann import _VOL_N, _VOL_P
 from tripeel.counting import catalan, count_ratio, count_triangulations
 from tripeel.errors import (
     BudgetExceededError,
@@ -46,6 +46,7 @@ from tripeel.errors import (
 from tripeel.params import _coupling, _lin, _swallow_weight, q_step
 from tripeel.peeling import _block_laws
 from tripeel.planarmap import DEAD, FLAG_MAIN, FLAG_TRIANGLE, FLAG_WORK, TriMap
+from tripeel.rng import _U_BITS
 
 
 class SeriesTruncationError(ArithmeticError):
@@ -362,10 +363,11 @@ def block_chunk(par, p: int, a: int, us, coins) -> dict:
     it fires tau_r (a swallow toward the old arc that takes all of it).
 
     Returns the events read, how the chunk ended ('rejected', 'layer' or
-    'whole'), the steps taken, the final perimeter and old arc, ``coins``,
-    the coins the chunk draws (its events, all taken as accepted, whose
-    p' - k is below the clamp index), ``free``, the events read without a
-    coin, and ``unsure``, those of them at which C~_{p'-k} != C~_{p'+1}.
+    'whole'), the steps taken, ``fresh``, the fresh steps among them, the
+    final perimeter and old arc, ``coins``, the coins the chunk draws
+    (its events, all taken as accepted, whose p' - k is below the clamp
+    index), ``free``, the events read without a coin, and ``unsure``,
+    those of them at which C~_{p'-k} != C~_{p'+1}.
     """
     gaps, sizes, _ = _block_laws(par)
     last = par.ctilde_clamp_index()
@@ -383,9 +385,10 @@ def block_chunk(par, p: int, a: int, us, coins) -> dict:
         q += g - k
         drawn += q < last
     coins = iter(coins)
-    steps, read, end, free, unsure = 0, m, "whole", 0, 0
+    steps, fresh, read, end, free, unsure = 0, 0, m, "whole", 0, 0
     for i, (g, k, toward_old) in enumerate(events):
         steps += g
+        fresh += g
         p += g
         if p - k < last:
             if not next(coins) < par.ctilde(p - k) / par.ctilde(p + 1):
@@ -406,7 +409,7 @@ def block_chunk(par, p: int, a: int, us, coins) -> dict:
         elif k > n:
             a -= k - n
     return {
-        "events": read, "end": end, "steps": steps, "p": p, "a": a,
+        "events": read, "end": end, "steps": steps, "fresh": fresh, "p": p, "a": a,
         "coins": drawn, "free": free, "unsure": unsure,
     }
 

@@ -548,11 +548,19 @@ def test_fast_chain_matches_scalar_when_disabled():
         assert (a.steps, a.rng.n_drawn, b.block_steps) == (b.steps, b.rng.n_drawn, 0)
 
 
+def _step_to(chain, r_max):
+    """The step-by-step reference of run: step() until tau_{r_max}."""
+    while chain.cur_r <= r_max:
+        chain.step()
+    return chain.hull
+
+
 def test_fast_chain_scalar_budget_matches_run(monkeypatch):
-    # where run_fast takes scalar sampler events (every step at the
-    # critical point, layer 1 with volume anywhere), a step budget runs
-    # out where run()'s does: the same error with the chain as its
-    # partial result, and the same state, draws and root degree.  Some
+    # run, and run_fast where it takes no block step (every step at the
+    # critical point, layer 1 with volume anywhere), spend a step budget
+    # as step() calls do: the same error with the chain as its partial
+    # result, and the same state, draws and root degree.  Off the
+    # critical point, with or without volume, run is step() too.  Some
     # budgets run out inside a fresh run, an event cut at the budget
     events = []
     event = StepSampler.event
@@ -566,35 +574,40 @@ def test_fast_chain_scalar_budget_matches_run(monkeypatch):
 
     monkeypatch.setattr(StepSampler, "event", logged_event)
     par34 = build_params(alpha=Fraction(3, 4))
+    near = build_params(alpha="0.6667")
+    cases = [(CRIT, False, 3, True), (CRIT, True, 3, True), (par34, True, 1, True)]
+    cases += [(par, volume, 3, False) for par in (PAR, near) for volume in (False, True)]
     cut, raised = 0, 0
-    for par, volume, r_max in ((CRIT, False, 3), (CRIT, True, 3), (par34, True, 1)):
+    for par, volume, r_max, scalar_fast in cases:
+        drivers = [_step_to, LayerChain.run] + [LayerChain.run_fast] * scalar_fast
         for t in range(50):
             for budget in (0, 1, 3, 7, 20, 100):
                 chains, errors = [], []
-                for fast in (False, True):
+                for drive in drivers:
                     chain = LayerChain(
                         par, RngStream(163, (t, budget)), volume=volume, max_steps=budget
                     )
                     del events[:]
                     try:
-                        chain.run_fast(r_max) if fast else chain.run(r_max)
+                        assert drive(chain, r_max) is chain.hull
                         errors.append(None)
                     except BudgetExceededError as err:
                         assert err.partial is chain
                         errors.append(str(err))
                     chains.append(chain)
-                a, b = chains
-                assert errors[0] == errors[1]
-                assert b.block_steps == 0
-                assert state(a) == state(b)
-                if errors[1] is not None:
+                ref = chains[0]
+                for chain, error in zip(chains[1:], errors[1:]):
+                    assert error == errors[0]
+                    assert chain.block_steps == 0
+                    assert state(chain) == state(ref)
+                if errors[0] is not None:
                     raised += 1
-                    assert b.steps == budget
+                    assert ref.steps == budget
                     # an event without a swallow stopped at its limit
                     cut += bool(events) and events[-1][1] == 0
-    assert raised > 600 and cut > 300
-    # a run to tau_1 with volume never builds the block law
-    assert par34._block_laws is None
+    assert raised > 1300 and cut > 600
+    # a run to tau_1 with volume never builds the block law, nor does run
+    assert par34._block_laws is None and near._block_laws is None
 
 
 def test_fast_chain_matches_scalar_in_law(monkeypatch):
@@ -616,18 +629,20 @@ def test_fast_chain_matches_scalar_in_law(monkeypatch):
         lambda t: LayerChain(par, RngStream(97, (t,)), volume=False).run(6)
     )
 
-    # run_fast takes its scalar steps in runs of sampler events
+    # run_fast takes its scalar steps through step() and run()
     calls = {"scalar": 0, "block": 0, "all": 0}
-    scalar_run = LayerChain._scalar_run
 
-    def counted_run(chain, *args):
-        steps = chain.steps
-        try:
-            scalar_run(chain, *args)
-        finally:
-            calls["scalar"] += chain.steps - steps
+    def counted(fn):
+        def scalar(chain, *args):
+            steps = chain.steps
+            try:
+                return fn(chain, *args)
+            finally:
+                calls["scalar"] += chain.steps - steps
 
-    monkeypatch.setattr(LayerChain, "_scalar_run", counted_run)
+        return scalar
+
+    _wrap_scalar(monkeypatch, counted)
 
     def fast(t):
         chain = LayerChain(par, RngStream(101, (t,)), volume=False)
@@ -761,26 +776,39 @@ def test_event_arcs_match_the_arc_rule(a, n, events):
         assert (oka[j], okn[j]) == (chain._A, chain._N)
 
 
+def _wrap_scalar(monkeypatch, wrap) -> None:
+    """Patch the scalar paths run_fast hands steps to, LayerChain.run and
+    LayerChain.step, each fn by wrap(fn)."""
+    for name in ("run", "step"):
+        monkeypatch.setattr(LayerChain, name, wrap(getattr(LayerChain, name)))
+
+
 def _chunk_log(monkeypatch) -> list:
     """Log the chains that run_fast runs: a snapshot (kind, steps, block
-    steps, perimeter, old arc, uniforms drawn, block) before each chunk's
-    block of events ('block', with the block) and before its block of
-    coins ('coins', with the block; fill blocks are not logged), before
-    each run of scalar steps ('step') and when run_fast returns or raises
-    ('end').  A chunk's coin block is the block that follows its event
-    block with the chain unchanged and no draw between them; a chunk
-    without coins takes at least one step, so the next chunk's event
-    block never looks like that."""
+    steps, perimeter, old arc, uniforms drawn, volume, block) before each
+    chunk's block of events ('block', with the block) and before its
+    block of coins ('coins', with the block; fill blocks are not logged),
+    before each run() and step() call it makes ('step') and when run_fast
+    returns or raises ('end').  A chunk's coin block is the block that
+    follows its event block with the chain unchanged and no draw between
+    them; a chunk without coins takes at least one step, so the next
+    chunk's event block never looks like that."""
     log, running = [], []
-    scalar_run, block, run_fast = LayerChain._scalar_run, RngStream.block, LayerChain.run_fast
+    block, run_fast = RngStream.block, LayerChain.run_fast
     fill_volumes = peeling.BoltzmannFiller.fill_volumes
 
     def snap(kind, chain, us=None):
-        log.append((kind, chain.steps, chain.block_steps, chain.p, chain._A, chain.rng.n_drawn, us))
+        log.append((
+            kind, chain.steps, chain.block_steps, chain.p, chain._A, chain.rng.n_drawn, chain.v, us
+        ))
 
-    def logged_scalar_run(chain, *args):
-        snap("step", chain)
-        scalar_run(chain, *args)
+    def logged(fn):
+        def scalar(chain, *args):
+            if running and running[-1] is chain:
+                snap("step", chain)
+            return fn(chain, *args)
+
+        return scalar
 
     def logged_block(rng, n):
         chain = running[-1]
@@ -789,7 +817,7 @@ def _chunk_log(monkeypatch) -> list:
         prev = log[-1] if log else ("end",)
         snap("block", chain)
         now = log[-1]
-        if prev[0] == "block" and prev[1:5] == now[1:5] and prev[5] + prev[6].size == now[5]:
+        if prev[0] == "block" and prev[1:5] == now[1:5] and prev[5] + prev[7].size == now[5]:
             now = ("coins",) + now[1:]
         us = block(rng, n)
         log[-1] = now[:-1] + (us,)
@@ -809,7 +837,7 @@ def _chunk_log(monkeypatch) -> list:
         finally:
             snap("end", chain)
 
-    monkeypatch.setattr(LayerChain, "_scalar_run", logged_scalar_run)
+    _wrap_scalar(monkeypatch, logged)
     monkeypatch.setattr(RngStream, "block", logged_block)
     monkeypatch.setattr(LayerChain, "run_fast", logged_run_fast)
     monkeypatch.setattr(peeling.BoltzmannFiller, "fill_volumes", unlogged_fills)
@@ -819,15 +847,15 @@ def _chunk_log(monkeypatch) -> list:
 def _replayed_chunks(par, log):
     """Each chunk of a log: its start (steps, block steps, perimeter, old
     arc, uniforms drawn), the snapshot after it, its event block, its
-    coin block (empty when it drew none), and its event-by-event replay
-    (oracles.block_chunk)."""
-    for i, (kind, *start, us) in enumerate(log):
+    coin block (empty when it drew none), its event-by-event replay
+    (oracles.block_chunk) and the volume it added."""
+    for i, (kind, *start, v, us) in enumerate(log):
         if kind != "block":
             continue
         coins = log[i + 1][-1] if log[i + 1][0] == "coins" else np.empty(0)
         after = log[i + 1 + (log[i + 1][0] == "coins")]
         _, _, p, a, _ = start
-        yield start, after[1:6], us, coins, block_chunk(par, p, a, us, coins)
+        yield start, after[1:6], us, coins, block_chunk(par, p, a, us, coins), after[6] - v
 
 
 @pytest.mark.parametrize("alpha, depth, clamp", [("7/10", 6, 226), ("3/4", 7, 88)])
@@ -856,13 +884,15 @@ def test_block_chunks_replay_event_by_event(monkeypatch, alpha, depth, clamp):
         chain.cur_r = 2
         chain.run_fast(3)
     ends, coined, free = Counter(), 0, 0
-    for (steps, blocks, _, _, drawn), after, us, coins, rep in _replayed_chunks(par, log):
+    for (steps, blocks, _, _, drawn), after, us, coins, rep, dv in _replayed_chunks(par, log):
         assert us.size % 3 == 0 and coins.size == rep["coins"]
         assert after == (
             steps + rep["steps"], blocks + rep["steps"], rep["p"], rep["a"],
             drawn + us.size + coins.size,
         )
         assert rep["unsure"] == 0
+        # with volume off, v counts the fresh steps
+        assert dv == rep["fresh"]
         ends[rep["end"]] += 1
         coined += rep["events"] - rep["free"]
         free += rep["free"]
@@ -881,7 +911,7 @@ def test_rejection_cut_takes_the_gap_and_skips_the_swallow(monkeypatch):
     for t in range(20):
         LayerChain(par, RngStream(149, (t,)), volume=False).run_fast(3)
     seen = 0
-    for (steps, blocks, p, a, drawn), after, us, coins, rep in _replayed_chunks(par, log):
+    for (steps, blocks, p, a, drawn), after, us, coins, rep, _ in _replayed_chunks(par, log):
         if rep["end"] != "rejected":
             continue
         seen += 1
@@ -918,11 +948,11 @@ def test_fast_chain_draws_only_what_it_uses(monkeypatch):
         drawn += chain.rng.n_drawn
     used = sum(
         after[-1] - before[-1]
-        for (kind, *before, _), (_, *after, _) in zip(log, log[1:])
+        for (kind, *before, _, _), (_, *after, _, _) in zip(log, log[1:])
         if kind == "step"
     )
     sizes = []
-    for (_, _, p, a, before), after, us, coins, rep in _replayed_chunks(par, log):
+    for (_, _, p, a, before), after, us, coins, rep, _ in _replayed_chunks(par, log):
         used += 4 * rep["events"] - rep["free"]
         m = us.size // 3
         assert m == min(max(int(a / rate), peeling._CHUNK_MIN), peeling._CHUNK)
@@ -958,7 +988,7 @@ def test_fast_chain_budget_is_spent_exactly(monkeypatch, volume):
             assert chain._A >= 1 and chain._A + chain._N == chain.p
             assert chain.block_steps <= chain.steps
             chunks = list(_replayed_chunks(par, log))
-            for start, after, _, coins, rep in chunks:
+            for start, after, _, coins, rep, _ in chunks:
                 assert after[:4] == (
                     start[0] + rep["steps"], start[1] + rep["steps"], rep["p"], rep["a"]
                 )

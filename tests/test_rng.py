@@ -90,6 +90,15 @@ def test_scalar_draws_read_the_generator_in_order():
     assert rng.n_drawn == 20_000
 
 
+def test_draws_are_multiples_of_the_spacing():
+    # the spacing that certifies every truncated law: each scalar and
+    # block draw times 2^53 is an exact integer below 2^53
+    rng = RngStream(17)
+    assert rngmod._U_SPACING == 2.0**-rngmod._U_BITS == 2.0**-53
+    n = np.concatenate([[rng.u() for _ in range(5000)], rng.block(5000)]) / rngmod._U_SPACING
+    assert np.all(n == np.floor(n)) and n.min() >= 0 and n.max() < 2.0**rngmod._U_BITS
+
+
 def test_scalar_draws_are_python_floats():
     rng = RngStream(4)
     assert type(rng.u()) is float
