@@ -357,7 +357,9 @@ def run_walk_speed(
     over the mean displacement curve.  The explored-map metric is an
     upper bound that tightens as exploration grows, so the audit
     completes exact balls around the start vertex of the measured walks
-    themselves, not around fresh short runs.
+    themselves, not around fresh short runs.  Each completion spends its
+    walk engine's peel budget, set to allow ``_MAX_BALL_STEPS`` more
+    steps; a completion that runs out raises :class:`BudgetExceededError`.
     """
     if walks < 2:
         raise DomainError("need at least two walks")

@@ -37,6 +37,7 @@ import weakref
 from bisect import bisect_right
 from dataclasses import asdict, dataclass
 from hashlib import sha256
+from operator import index
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -509,7 +510,7 @@ def run_algorithm(
     """
     try:
         select = SELECTORS[algorithm]
-    except KeyError:
+    except (KeyError, TypeError):
         raise DomainError(f"unknown selector {algorithm!r}") from None
     engine = PeelEngine(params, rng)
     for _ in range(n_steps):
@@ -952,13 +953,7 @@ class LayerChain:
 # -- complete metric balls -----------------------------------------------
 
 
-def complete_ball(
-    engine: PeelEngine,
-    center: int,
-    radius: int,
-    *,
-    max_steps: Optional[int] = None,
-) -> list[int]:
+def complete_ball(engine: PeelEngine, center: int, radius: int) -> list[int]:
     """Peel until the radius-r ball around a vertex is provably final.
 
     Strategy: take a distance snapshot, close the fan of every boundary
@@ -975,13 +970,14 @@ def complete_ball(
     closed in order of distance, then id.  The main boundary is simple,
     so that is each near boundary vertex once, and a round costs the
     size of the ball, not of the boundary.
+
+    Every step is an ``engine.peel_step``, spending the engine's own step
+    and vertex budgets; a spent one raises its BudgetExceededError.
     """
     if radius < 0:
         raise DomainError(f"radius must be nonnegative, got {radius}")
-    _budget("max_steps", max_steps)
     m = engine.map
     v_hole = m.v_hole
-    spent = 0
     while True:
         reached: list = []
         dist = m.bfs_distances(center, max_dist=radius + 1, reached=reached)
@@ -992,13 +988,7 @@ def complete_ball(
             return dist
         for _, v in near:
             while v_hole[v] != -1:
-                if max_steps is not None and spent >= max_steps:
-                    raise BudgetExceededError(
-                        f"ball completion exceeded {max_steps} peel steps",
-                        partial=dist,
-                    )
                 engine.peel_step(v_hole[v])
-                spent += 1
 
 
 # -- export, import, replay ----------------------------------------------
@@ -1164,10 +1154,12 @@ def replay_trace(source: Union[PeelTrace, str]) -> dict:
     if any(meta.get(key) is None for key in ("digest", "seed", "map_digest")):
         raise DomainError("trace metadata is incomplete; cannot replay")
     try:
+        if not isinstance(meta["params"], dict):
+            raise TypeError("trace params must be an object")
         params = _recorded_params(meta["params"], meta["digest"])
         rng = RngStream(meta["seed"], tuple(meta.get("spawn_key", ())))
         layers = meta["selector"] == "layers"
-        r_max = int(meta["r_max"]) if layers else None
+        r_max = index(meta["r_max"]) if layers else None
     except (KeyError, TypeError, ValueError) as exc:
         raise DomainError(f"malformed trace metadata; cannot replay: {exc!r}") from None
     if params is None:

@@ -181,16 +181,21 @@ def speed_estimate(trace: WalkTrace) -> dict:
     }
 
 
-def _ball_audit(trace: WalkTrace, radius: int, max_steps: Optional[int]) -> tuple:
+def _ball_audit(trace: WalkTrace, radius: int, max_steps: int) -> tuple:
     """Complete the exact radius ball around X_0 and count the walk
     moments whose explored distance is at most the radius (audited) and,
     of those, the ones whose true distance differs (mismatched).
 
     The explored distances are read before the completion peels further,
-    so the extra peeling cannot shorten them.
+    so the extra peeling cannot shorten them.  The completion spends the
+    walk engine's budget: its step budget is set (replacing any) to allow
+    max_steps more peel steps, and running out raises the engine's
+    :class:`BudgetExceededError`.
     """
     d = trace.displacement_series()
-    true_dist = complete_ball(trace.engine, trace.x0, radius, max_steps=max_steps)
+    engine = trace.engine
+    engine.max_steps = engine.steps + max_steps
+    true_dist = complete_ball(engine, trace.x0, radius)
     audited = mismatched = 0
     for n, v in enumerate(trace.positions):
         if d[n] <= radius:

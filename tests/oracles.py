@@ -37,12 +37,7 @@ import numpy as np
 
 from tripeel.boltzmann import _VOL_N, _VOL_P
 from tripeel.counting import catalan, count_ratio, count_triangulations
-from tripeel.errors import (
-    BudgetExceededError,
-    DomainError,
-    InvariantViolationError,
-    MisuseError,
-)
+from tripeel.errors import DomainError, InvariantViolationError, MisuseError
 from tripeel.params import _coupling, _lin, _swallow_weight, q_step
 from tripeel.peeling import _block_laws
 from tripeel.planarmap import DEAD, FLAG_MAIN, FLAG_TRIANGLE, FLAG_WORK, TriMap
@@ -440,12 +435,11 @@ def volume_table_full_width(params) -> tuple:
     return np.concatenate(rows), np.array(starts, dtype=np.intp)
 
 
-def complete_ball_by_hole_cycle(engine, center: int, radius: int, *, max_steps=None) -> list:
+def complete_ball_by_hole_cycle(engine, center: int, radius: int) -> list:
     """Peel until the radius ball around center is final, taking each
     snapshot's near vertices from the whole main hole cycle (through
     the engine's cursor), in order of distance, then id."""
     m = engine.map
-    spent = 0
     while True:
         dist = m.bfs_distances(center, max_dist=radius + 1)
         near = sorted(
@@ -457,12 +451,7 @@ def complete_ball_by_hole_cycle(engine, center: int, radius: int, *, max_steps=N
             return dist
         for _, v in near:
             while m.v_hole[v] != -1:
-                if max_steps is not None and spent >= max_steps:
-                    raise BudgetExceededError(
-                        f"ball completion exceeded {max_steps} peel steps", partial=dist
-                    )
                 engine.peel_step(m.v_hole[v])
-                spent += 1
 
 
 def extract_submap(tmap: TriMap, keep: set, root: int) -> tuple[TriMap, dict]:

@@ -333,6 +333,10 @@ _TRACE_COLUMNS = "kind,k,side,perimeter,volume\n"
         (replay_trace, lambda: _edited_trace(lambda d: d["meta"].pop("params"))),
         (replay_trace, lambda: _edited_trace(
             lambda d: d["meta"].update(selector="layers", r_max=None))),
+        (replay_trace, lambda: _edited_trace(lambda d: d["meta"].update(params=[1, 2]))),
+        (replay_trace, lambda: _edited_trace(lambda d: d["meta"].update(selector=["stay"]))),
+        (replay_trace, lambda: _edited_trace(
+            lambda d: d["meta"].update(selector="layers", r_max=2.5))),
         (report_from_json, "{oops"),
         (report_from_csv, "#tripeel-report-v1\npath,value\n/schema,{oops\n"),
         (report_from_csv, "#tripeel-report-v1\npath,value\n/a,1\n/a/b,2\n"),
@@ -342,7 +346,8 @@ _TRACE_COLUMNS = "kind,k,side,perimeter,volume\n"
         "hull-csv-header-only", "hull-csv-short-row", "hull-csv-bad-header-json",
         "trace-json-no-meta", "trace-json-undecodable",
         "replay-unknown-record-field", "replay-unknown-selector", "replay-no-params",
-        "replay-layers-without-depth",
+        "replay-layers-without-depth", "replay-params-not-an-object",
+        "replay-selector-not-a-string", "replay-fractional-depth",
         "report-json-undecodable", "report-csv-undecodable-cell", "report-csv-path-through-value",
     ],
 )

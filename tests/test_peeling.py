@@ -329,9 +329,6 @@ def test_negative_budgets_are_domain_errors():
             PeelEngine(PAR, RngStream(0), **budget)
     with pytest.raises(DomainError, match="nonnegative"):
         LayerChain(PAR, RngStream(0), max_steps=-1)
-    eng = PeelEngine(PAR, RngStream(0))
-    with pytest.raises(DomainError, match="nonnegative"):
-        complete_ball(eng, eng.map.org[eng.map.root], 1, max_steps=-1)
     # a zero budget stays legal and stops the first step
     with pytest.raises(BudgetExceededError):
         PeelEngine(PAR, RngStream(0), max_steps=0).peel_step(0)
@@ -422,6 +419,8 @@ def test_selector_misuse():
     # selectors are named; the callable behind a name is not one
     with pytest.raises(DomainError):
         run_algorithm(PAR, peeling.SELECTORS["stay"], 3, RngStream(0))
+    with pytest.raises(DomainError):
+        run_algorithm(PAR, ["stay"], 3, RngStream(0))
 
 
 def test_trace_roundtrip_and_replay():
@@ -1196,9 +1195,12 @@ def test_complete_ball_is_stable_under_more_peeling():
 
 
 def test_complete_ball_budget():
-    eng = PeelEngine(PAR, RngStream(89, (22,)))
-    with pytest.raises(BudgetExceededError):
-        complete_ball(eng, eng.map.org[eng.map.root], 10, max_steps=5)
+    # the completion spends the engine's own step budget
+    eng = PeelEngine(PAR, RngStream(89, (22,)), max_steps=5)
+    with pytest.raises(BudgetExceededError) as exc:
+        complete_ball(eng, eng.map.org[eng.map.root], 10)
+    assert exc.value.partial is eng
+    assert eng.steps == 5
 
 
 @pytest.mark.parametrize("radius", [2, 3, 4, 5])

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from tripeel import DomainError, RngStream, build_params
+from tripeel import BudgetExceededError, DomainError, RngStream, build_params
 from tripeel.walk import _ball_audit, run_walk_peeling, speed_estimate
 
 from oracles import pioneer_audit, target
@@ -68,6 +68,21 @@ def test_distance_audit_clean_at_small_radius():
         mismatched += bad
     assert audited > 50
     assert mismatched / audited <= 0.02
+
+
+def test_ball_audit_spends_the_walk_engines_budget():
+    """The audit's allowance is a step budget on the walk engine: it
+    stops exactly that many steps past the walk, with the engine as the
+    partial result, and a roomy allowance finishes the ball."""
+    trace = run_walk_peeling(PAR, 300, RngStream(67, (6,)))
+    walked = trace.engine.steps
+    with pytest.raises(BudgetExceededError) as exc:
+        _ball_audit(trace, 6, 5)
+    assert exc.value.partial is trace.engine
+    assert trace.engine.steps == walked + 5
+    trace = run_walk_peeling(PAR, 300, RngStream(67, (6,)))
+    assert _ball_audit(trace, 6, 500_000) == (30, 2)
+    assert trace.engine.steps == 90_958
 
 
 def test_budget_truncates_trace():
